@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 
@@ -25,6 +26,9 @@ from .operators import BathymetryState, EllipticSolveConfig, SolverSession
 __all__ = ["MollifierSpec", "mollify", "rhs_gn_v_mollified"]
 
 _PROFILES = ("sharp_cutoff", "smooth_bump")
+
+# grid -> {spec: φ table}; an entry goes with its grid
+_MULTIPLIERS: "weakref.WeakKeyDictionary[PeriodicGrid, dict]" = weakref.WeakKeyDictionary()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -65,7 +69,20 @@ class MollifierSpec:
         return self.iota == 0.0
 
     def multiplier(self, grid: PeriodicGrid) -> np.ndarray:
-        """Diagonal spectral symbol φ(ι|k|) on the grid's transform shape."""
+        """Diagonal spectral symbol φ(ι|k|) on the grid's transform shape.
+
+        Built once per grid and spec, then returned read-only from a cache
+        that lives as long as the grid.
+        """
+        tables = _MULTIPLIERS.setdefault(grid, {})
+        phi = tables.get(self)
+        if phi is None:
+            phi = self._build_multiplier(grid)
+            phi.flags.writeable = False
+            tables[self] = phi
+        return phi
+
+    def _build_multiplier(self, grid: PeriodicGrid) -> np.ndarray:
         k2 = np.zeros(grid.spectral_shape)
         for k in grid.wavenumbers:
             k2 = k2 + k * k

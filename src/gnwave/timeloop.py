@@ -1,12 +1,17 @@
 """Explicit time integration with depth monitoring and diagnostic sampling.
 
 The integrator is classical RK4 (or SSP-RK3) applied to the selected model
-tendency, with one elliptic solve per stage; the stepper tells its solver
-session each stage's time, so the warm start is extrapolated from the latest
-two stage solutions.  The dispersive operator has an order-zero inverse, so
-explicit stepping is not stiffness-limited; a CFL advisory based on the
-gravity-wave speed √(max h) with safety factor 0.5 is emitted as a warning
-only.
+tendency, with one elliptic solve per stage.  The stepper tells its solver
+session each stage's index, time, step start and dt.  Once the same stage
+has been solved in the four previous steps, evenly spaced by the current dt,
+its warm start is the cubic extrapolation of those four solutions; before
+that, and for a step of another size such as a shorter final step, it is
+the linear extrapolation over stage times of the latest two stage solutions
+(see :class:`~gnwave.operators.SolverSession`).
+
+The dispersive operator has an order-zero inverse, so explicit stepping is
+not stiffness-limited; a CFL advisory based on the gravity-wave speed
+√(max h) with safety factor 0.5 is emitted as a warning only.
 
 Every step result is projected onto the dealiased band, and so is a state
 entering the first step.  Stage states need no projection of their own: the
@@ -217,7 +222,14 @@ class _Stepper:
                 norm=peak,
             )
 
-    def rhs(self, zeta: np.ndarray, vel: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    def rhs(
+        self,
+        zeta: np.ndarray,
+        vel: np.ndarray,
+        t: float,
+        stage: tuple[int, float, float],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Tendency at a stage; ``stage`` is (index, step start, dt) for the session."""
         grid = self.grid
         self.check_fields(zeta, vel, t)
         h_min = float(
@@ -231,6 +243,7 @@ class _Stepper:
             )
         if self.session is not None:
             self.session.time = t
+            self.session.stage = stage
         state = FluidState(
             ScalarField(grid, zeta), VectorField(grid, vel), self.kind, t
         )
@@ -244,20 +257,24 @@ class _Stepper:
         z, v, t = state.zeta.data, state.vel.data, state.time
         if project:
             z, v = grid.dealias(z), grid.dealias(v)
+
+        def rhs(index: int, zs: np.ndarray, vs: np.ndarray, offset: float):
+            return self.rhs(zs, vs, t + offset * dt, (index, t, dt))
+
         if scheme == "rk4":
-            k1z, k1v = self.rhs(z, v, t)
-            k2z, k2v = self.rhs(z + 0.5 * dt * k1z, v + 0.5 * dt * k1v, t + 0.5 * dt)
-            k3z, k3v = self.rhs(z + 0.5 * dt * k2z, v + 0.5 * dt * k2v, t + 0.5 * dt)
-            k4z, k4v = self.rhs(z + dt * k3z, v + dt * k3v, t + dt)
+            k1z, k1v = rhs(0, z, v, 0.0)
+            k2z, k2v = rhs(1, z + 0.5 * dt * k1z, v + 0.5 * dt * k1v, 0.5)
+            k3z, k3v = rhs(2, z + 0.5 * dt * k2z, v + 0.5 * dt * k2v, 0.5)
+            k4z, k4v = rhs(3, z + dt * k3z, v + dt * k3v, 1.0)
             nz = z + (dt / 6.0) * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
             nv = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
         else:
-            k1z, k1v = self.rhs(z, v, t)
+            k1z, k1v = rhs(0, z, v, 0.0)
             z1, v1 = z + dt * k1z, v + dt * k1v
-            k2z, k2v = self.rhs(z1, v1, t + dt)
+            k2z, k2v = rhs(1, z1, v1, 1.0)
             z2 = 0.75 * z + 0.25 * (z1 + dt * k2z)
             v2 = 0.75 * v + 0.25 * (v1 + dt * k2v)
-            k3z, k3v = self.rhs(z2, v2, t + 0.5 * dt)
+            k3z, k3v = rhs(2, z2, v2, 0.5)
             nz = z / 3.0 + (2.0 / 3.0) * (z2 + dt * k3z)
             nv = v / 3.0 + (2.0 / 3.0) * (v2 + dt * k3v)
         nz = grid.dealias(nz)

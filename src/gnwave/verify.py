@@ -395,13 +395,7 @@ def skew_assembled_rhs(
     grad_z, grad_v = _variational_gradients(
         g, state.zeta.data, state.vel.data, params, bath, cfg
     )
-    dzeta = -g.divergence(g.dealias(grad_v))
-    dv = -g.gradient(g.dealias(grad_z))
-    if g.dim == 2:
-        h = 1.0 + params.epsilon * state.zeta.data - params.beta * bath.b.data
-        q = g.dealias(g.curl(state.vel.data) / h)
-        dv = dv - params.epsilon * g.dealias(q * g.perp(grad_v))
-    return dzeta, dv
+    return _skew_from_gradients(g, state, params, bath, grad_z, grad_v)
 
 
 def fd_pairing_mismatch(

@@ -381,6 +381,63 @@ class TestInversion:
         session.time = 2.0
         assert session.initial_guess((1, 8)) is session.last_solution
 
+    @staticmethod
+    def _stage_history(session, starts, dt, solution, stages=(0, 1)):
+        """Record ``solution(start, index)`` for every stage of steps at ``starts``."""
+        for start in starts:
+            for index in stages:
+                session.stage = (index, start, dt)
+                session.time = start + 0.5 * index * dt
+                session.record(solution(start, index), 1)
+
+    @staticmethod
+    def _cubic(seed):
+        coeffs = np.random.default_rng(seed).standard_normal((2, 4, 1, 8))
+        return lambda t, index: sum(c * t**p for p, c in enumerate(coeffs[index]))
+
+    def test_session_extrapolates_each_stage_over_steps(self):
+        """A stage solution cubic in step time is continued to round-off."""
+        solution = self._cubic(5)
+        dt, t0 = 0.1, 2.0
+        session = SolverSession(EllipticSolveConfig())
+        self._stage_history(session, [t0 + n * dt for n in range(6)], dt, solution)
+        start = t0 + 6 * dt
+        for index in (0, 1):
+            session.stage = (index, start, dt)
+            session.time = start + 0.5 * index * dt
+            guess = session.initial_guess((1, 8))
+            exact = solution(start, index)
+            assert np.max(np.abs(guess - exact)) <= 1e-11 * np.max(np.abs(exact))
+
+    def test_session_stage_guess_falls_back(self):
+        """Without four evenly spaced predecessors at this dt, the guess is the one in time."""
+        solution = self._cubic(6)
+        dt = 0.1
+
+        def guesses(starts, stage, warm_start=True):
+            session = SolverSession(EllipticSolveConfig(warm_start=warm_start))
+            self._stage_history(session, starts, dt, solution)
+            session.stage = stage
+            session.time = stage[1] + 0.5 * stage[0] * stage[2]
+            with_stage = session.initial_guess((1, 8))
+            session.stage = None
+            return with_stage, session.initial_guess((1, 8))
+
+        even = [n * dt for n in range(4)]
+        cubic, in_time = guesses(even, (0, 4 * dt, dt))
+        assert not np.array_equal(cubic, in_time)
+        for starts, stage in (
+            (even, (0, 4 * dt, 0.5 * dt)),  # a shorter step
+            (even, (0, 4 * dt, 2.0 * dt)),  # a longer step
+            (even, (0, 5 * dt, dt)),  # a step missing from the history
+            ([0.0, dt, 2.5 * dt, 3 * dt], (0, 4 * dt, dt)),  # uneven starts
+            (even[1:], (0, 4 * dt, dt)),  # three predecessors only
+            (even, (2, 4 * dt, dt)),  # a stage index never solved
+        ):
+            with_stage, in_time = guesses(starts, stage)
+            assert np.array_equal(with_stage, in_time)
+        assert guesses(even, (0, 4 * dt, dt), warm_start=False) == (None, None)
+
     def test_extrapolated_warm_start_saves_iterations(self):
         """A solution that moves linearly in time is guessed exactly."""
         g, depth, bath, rng = _random_setup(17)

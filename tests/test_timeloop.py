@@ -256,9 +256,22 @@ class TestDealiasedBand:
 
 class TestStageSolves:
     def test_warm_started_stage_solves_meet_the_tolerance(self, monkeypatch):
-        """Every stage solve keeps ‖𝔗u − hv‖ ≤ rel_tolerance·‖hv‖, warm start and all."""
+        """Every RK4 stage solve keeps ‖𝔗u − hv‖ ≤ rel_tolerance·‖hv‖, warm start and all."""
+        self._check_stage_solves(monkeypatch, "rk4", 4)
+
+    def test_warm_started_rk3_stage_solves_meet_the_tolerance(self, monkeypatch):
+        """The same for SSP-RK3, whose session keeps three stage indices."""
+        self._check_stage_solves(monkeypatch, "rk3_ssp", 3)
+
+    @staticmethod
+    def _check_stage_solves(monkeypatch, scheme, stages):
+        """12 full steps and a shorter final one, each stage solve checked.
+
+        The per-stage guess engages from step 5 (step 6 for the first stage,
+        whose first solve starts from rest) and stays off for the shorter step.
+        """
         from gnwave import models
-        from gnwave.operators import EllipticSolveConfig, apply_frakT
+        from gnwave.operators import EllipticSolveConfig, SolverSession, apply_frakT
 
         grid = PeriodicGrid((32, 32), (2 * np.pi, 2 * np.pi))
         relative = []
@@ -272,15 +285,67 @@ class TestStageSolves:
                 relative.append(grid.norm_l2(back.data - rhs.data) / size)
             return out
 
+        engaged = {}
+        stage_guess = SolverSession._stage_guess
+
+        def watched(session, shape):
+            guess = stage_guess(session, shape)
+            engaged[session.stage] = guess is not None
+            return guess
+
         monkeypatch.setattr(models, "invert_frakT", checked)
+        monkeypatch.setattr(SolverSession, "_stage_guess", watched)
         zeta = 0.1 * np.exp(-2.0 * sum((c - np.pi) ** 2 for c in grid.coords))
         state = FluidState(ScalarField(grid, zeta), VectorField.zeros(grid), VariableKind.V_VARIABLE)
         params = ModelParams(epsilon=0.1, mu=0.5)
-        icfg = IntegrationConfig(dt=0.08, t_end=1.6, diag_stride=10**6)
+        dt = 0.08
+        icfg = IntegrationConfig(dt=dt, t_end=12.5 * dt, scheme=scheme, diag_stride=10**6)
         cfg = EllipticSolveConfig(rel_tolerance=1e-11)
-        run(state, params, BathymetryState.flat(grid), icfg, cfg, diag_order=0)
-        assert len(relative) == 4 * 20 - 1  # the first stage starts from rest
+        report = run(state, params, BathymetryState.flat(grid), icfg, cfg, diag_order=0)
+        assert report.steps == 13
+        assert len(relative) == stages * 13 - 1  # the first stage starts from rest
         assert max(relative) <= 1.001e-11
+        for (index, start, step_dt), on in engaged.items():
+            n = round(start / dt) + 1
+            if step_dt != dt:
+                assert n == 13 and not on
+            else:
+                assert on == (n >= (6 if index == 0 else 5)), (index, n)
+        assert len(engaged) == stages * 13 - 2  # the second solve has nothing to extend
+
+    def test_stage_guess_cuts_soliton_iterations(self, monkeypatch):
+        """On the soliton, from step 6 on, the per-stage guess needs at most 60%
+        of the CG iterations that the guess over stage times alone needs."""
+        from gnwave import models, verify
+        from gnwave.operators import EllipticSolveConfig, SolverSession
+
+        grid = PeriodicGrid((256,), (50.0,))
+        params = ModelParams(epsilon=1.0, mu=1.0)
+        bath = BathymetryState.flat(grid)
+        state = verify.solitary_wave_state(grid, 0.2, params)
+        dt = cfl_time_step(state, params, bath) / 4.0
+        icfg = IntegrationConfig(dt=dt, t_end=12 * dt, diag_stride=10**6)
+        cfg = EllipticSolveConfig(rel_tolerance=1e-8)
+        solve = models.invert_frakT
+        iterations = []
+
+        def counted(*args, **kwargs):
+            out = solve(*args, **kwargs)
+            iterations.append(out.iterations)
+            return out
+
+        monkeypatch.setattr(models, "invert_frakT", counted)
+
+        def late_mean():
+            iterations.clear()
+            run(state, params, bath, icfg, cfg, diag_order=0)
+            assert len(iterations) == 4 * 12
+            return np.mean(iterations[4 * 5 :])
+
+        per_stage = late_mean()
+        monkeypatch.setattr(SolverSession, "_stage_guess", lambda session, shape: None)
+        in_time = late_mean()
+        assert per_stage <= 0.6 * in_time
 
 
 class TestShallowWaterReference:
