@@ -311,7 +311,7 @@ class TestStageSolves:
                 assert n == 13 and not on
             else:
                 assert on == (n >= (6 if index == 0 else 5)), (index, n)
-        assert len(engaged) == stages * 13 - 2  # the second solve has nothing to extend
+        assert len(engaged) == stages * 13 - 2  # the first two solves find no earlier solution
 
     def test_stage_guess_cuts_soliton_iterations(self, monkeypatch):
         """On the soliton, from step 6 on, the per-stage guess needs at most 60%
