@@ -242,7 +242,7 @@ def energy_appendixA(
 
     zeta_a = partial_derivative(grid, state.zeta.data, alpha)
     u_a = VectorField(grid, partial_derivative(grid, state.vel.data, alpha))
-    t_u_a = apply_T(depth, bath, u_a, mu).data
+    t_u_a = apply_T(depth, bath, u_a).data
     f_val = 0.5 * (
         grid.integrate(zeta_a**2)
         + grid.integrate(h * np.sum(u_a.data**2, axis=0))

@@ -22,17 +22,7 @@ import numpy as np
 
 from .errors import GridMismatchError, ValidationError
 
-__all__ = [
-    "PeriodicGrid",
-    "ScalarField",
-    "VectorField",
-    "gradient",
-    "divergence",
-    "curl",
-    "perp",
-    "dealias",
-    "multiply_dealiased",
-]
+__all__ = ["PeriodicGrid", "ScalarField", "VectorField"]
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -408,35 +398,3 @@ class VectorField:
 
     def norm_l2(self) -> float:
         return self.grid.norm_l2(self.data)
-
-
-# ---------------------------------------------------------------------- field ops
-
-
-def gradient(f: ScalarField) -> VectorField:
-    return VectorField(f.grid, f.grid.gradient(f.data))
-
-
-def divergence(u: VectorField) -> ScalarField:
-    return ScalarField(u.grid, u.grid.divergence(u.data))
-
-
-def curl(u: VectorField) -> ScalarField:
-    return ScalarField(u.grid, u.grid.curl(u.data))
-
-
-def perp(u: VectorField) -> VectorField:
-    return VectorField(u.grid, u.grid.perp(u.data))
-
-
-def dealias(f):
-    if isinstance(f, ScalarField):
-        return ScalarField(f.grid, f.grid.dealias(f.data))
-    if isinstance(f, VectorField):
-        return VectorField(f.grid, f.grid.dealias(f.data))
-    raise ValidationError(f"dealias expects a field, got {type(f).__name__}")
-
-
-def multiply_dealiased(f: ScalarField, g: ScalarField) -> ScalarField:
-    _check_same_grid(f, g)
-    return ScalarField(f.grid, f.grid.multiply_dealiased(f.data, g.data))

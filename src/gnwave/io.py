@@ -23,8 +23,8 @@ from .grid import PeriodicGrid, ScalarField, VectorField
 from .models import FluidState, Formulation, ModelParams, VariableKind
 from .operators import BathymetryState, EllipticSolveConfig
 from .regularization import MollifierSpec
+from .solitary import solitary_wave_state
 from .timeloop import IntegrationConfig
-from .verify import solitary_wave_state
 
 __all__ = [
     "DIAGNOSTIC_COLUMNS",
@@ -240,9 +240,7 @@ class _SectionView:
             return default
         return value
 
-    def float_(
-        self, key: str, default: float | None, required: bool = False, finite: bool = True
-    ) -> float | None:
+    def float_(self, key: str, default: float | None, required: bool = False) -> float | None:
         raw = self.take(key)
         if raw is None:
             if required:
@@ -253,7 +251,7 @@ class _SectionView:
         except ValueError:
             self.error(key, f"not a number: {raw!r}")
             return default
-        if finite and not math.isfinite(value):
+        if not math.isfinite(value):
             self.error(key, f"must be finite, got {raw!r}")
             return default
         return value
@@ -513,7 +511,6 @@ def load_config(text: str, overrides: Sequence[str] = ()) -> RunConfig:
         beta=mv.float_("beta", 0.0),
         mu=mv.float_("mu", 1.0),
         h_star=mv.float_("h_star", 0.0),
-        h_star_upper=mv.float_("h_star_upper", math.inf, finite=False),
     )
     try:
         params = ModelParams(formulation=Formulation(formulation), **model_args)
@@ -656,7 +653,6 @@ def save_config(cfg: RunConfig) -> str:
         f"mu = {_fmt_float(params.mu)}",
         f"formulation = {params.formulation.value}",
         f"h_star = {_fmt_float(params.h_star)}",
-        f"h_star_upper = {_fmt_float(params.h_star_upper)}",
         "",
         "[grid]",
         "shape = " + " ".join(str(n) for n in grid.shape),

@@ -84,8 +84,9 @@ def _kind_for(formulation: Formulation) -> VariableKind:
 class ModelParams:
     """Scaling parameters and formulation selector.
 
-    ``h_star``/``h_star_upper`` declare the depth corridor the run promises;
-    zero/inf mean "take them from the initial state".
+    ``h_star`` is the depth floor of a run: 0 means the minimum depth of the
+    initial state, and a stage whose depth falls to half the floor aborts the
+    run.
     """
 
     epsilon: float = 1.0
@@ -93,7 +94,6 @@ class ModelParams:
     mu: float = 1.0
     formulation: Formulation = Formulation.GN_V
     h_star: float = 0.0
-    h_star_upper: float = float("inf")
 
     def __post_init__(self) -> None:
         for name in ("epsilon", "beta", "mu"):
@@ -162,7 +162,7 @@ def _check_bath(params: ModelParams, bath: BathymetryState) -> None:
 
 
 def make_depth(params: ModelParams, zeta: ScalarField, bath: BathymetryState) -> DepthState:
-    """DepthState for h = 1 + εζ − βb (bounds taken from the current field)."""
+    """DepthState for h = 1 + εζ − βb."""
     _check_bath(params, bath)
     h = 1.0 + params.epsilon * zeta.data - params.beta * bath.b.data
     return DepthState.from_depth(zeta.grid, h)
@@ -235,8 +235,7 @@ def rhs_gn_u(
     mu_eps = params.mu * params.epsilon
     if mu_eps > 0.0:
         forcing = forcing + mu_eps * (
-            apply_Q(depth, state.vel, mu_eps).data
-            + apply_Qb(depth, bath, state.vel, mu_eps).data
+            apply_Q(depth, state.vel).data + apply_Qb(depth, bath, state.vel).data
         )
     if params.mu == 0.0:
         return ScalarField(grid, dzeta), VectorField(grid, -forcing), _NO_SOLVE
@@ -371,7 +370,7 @@ def v_from_u(state: FluidState, params: ModelParams, bath: BathymetryState) -> F
     depth = make_depth(params, state.zeta, bath)
     v = state.vel.data
     if params.mu > 0.0:
-        v = v + params.mu * apply_T(depth, bath, state.vel, params.mu).data
+        v = v + params.mu * apply_T(depth, bath, state.vel).data
     return FluidState(state.zeta, VectorField(state.grid, v), VariableKind.V_VARIABLE, state.time)
 
 

@@ -102,58 +102,38 @@ class BathymetryState:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class DepthState:
-    """Water column h = 1 + εζ − βb with cached dealiased powers h², h³.
+    """Water column h = 1 + εζ − βb with its dealiased powers h², h³.
 
-    ``h_star``/``h_star_upper`` record the depth bounds the run promises to
-    keep (non-cavitation); by default they are the current min/max of h.
+    The depth must be positive everywhere (non-cavitation), which is what
+    makes 𝔗[h, βb] coercive; ``h_min`` is its minimum.  ``h2`` and ``h3``
+    are read-only arrays.
     """
 
     h: ScalarField
-    h2: ScalarField = dataclasses.field(init=False)
-    h3: ScalarField = dataclasses.field(init=False)
-    h_star: float = 0.0
-    h_star_upper: float = float("inf")
+    h_min: float = dataclasses.field(init=False)
+    h2: np.ndarray = dataclasses.field(init=False, repr=False)
+    h3: np.ndarray = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        grid = self.h.grid
         harr = self.h.data
         h_min = float(harr.min())
-        h_max = float(harr.max())
         if h_min <= 0.0:
             raise CoercivityViolationError(
                 f"depth must stay positive, got min h = {h_min}", h_min
             )
-        h_star = float(self.h_star) if self.h_star else h_min
-        h_star_upper = (
-            float(self.h_star_upper) if np.isfinite(self.h_star_upper) else h_max
-        )
-        if not (0.0 < h_star <= h_min and h_max <= h_star_upper):
-            raise ValidationError(
-                f"depth bounds violated: need 0 < {h_star} <= {h_min} <= {h_max} <= {h_star_upper}"
-            )
-        object.__setattr__(self, "h_star", h_star)
-        object.__setattr__(self, "h_star_upper", h_star_upper)
-        h2, h3 = grid.dealias(np.stack((harr * harr, harr * harr * harr)))
-        object.__setattr__(self, "h2", ScalarField(grid, h2))
-        object.__setattr__(self, "h3", ScalarField(grid, h3))
+        powers = self.h.grid.dealias(np.stack((harr * harr, harr * harr * harr)))
+        powers.flags.writeable = False
+        object.__setattr__(self, "h_min", h_min)
+        object.__setattr__(self, "h2", powers[0])
+        object.__setattr__(self, "h3", powers[1])
 
     @classmethod
-    def from_depth(
-        cls,
-        grid: PeriodicGrid,
-        h: np.ndarray,
-        h_star: float = 0.0,
-        h_star_upper: float = float("inf"),
-    ) -> "DepthState":
-        return cls(ScalarField(grid, h), h_star=h_star, h_star_upper=h_star_upper)
+    def from_depth(cls, grid: PeriodicGrid, h: np.ndarray) -> "DepthState":
+        return cls(ScalarField(grid, h))
 
     @property
     def grid(self) -> PeriodicGrid:
         return self.h.grid
-
-    @cached_property
-    def h_min(self) -> float:
-        return float(self.h.data.min())
 
     @cached_property
     def mean_depth(self) -> float:
@@ -367,22 +347,14 @@ def _validate_mu(mu: float) -> float:
 # ------------------------------------------------------------------ operators
 
 
-def apply_T(
-    depth: DepthState, bath: BathymetryState, u: VectorField, mu: float
-) -> VectorField:
-    """Dealiased evaluation of T[h, βb]u.
-
-    ``mu`` does not enter the formula (it multiplies T at the level of the
-    evolution equations) and is accepted for uniformity of the operator
-    signatures.
-    """
+def apply_T(depth: DepthState, bath: BathymetryState, u: VectorField) -> VectorField:
+    """Dealiased evaluation of T[h, βb]u."""
     grid = _check_operator_inputs(depth, bath, u)
-    _validate_mu(mu)
     hTu = _h_times_T(
         grid,
         depth.h.data,
-        depth.h2.data,
-        depth.h3.data,
+        depth.h2,
+        depth.h3,
         bath.beta_grad_b,
         u.data,
         grid.rfft(u.data),
@@ -400,7 +372,7 @@ def apply_frakT(
     out = h * uarr
     if mu > 0.0:
         out += mu * _h_times_T(
-            grid, h, depth.h2.data, depth.h3.data, bath.beta_grad_b, uarr, grid.rfft(uarr)
+            grid, h, depth.h2, depth.h3, bath.beta_grad_b, uarr, grid.rfft(uarr)
         )
     return VectorField(grid, out)
 
@@ -473,7 +445,7 @@ def invert_frakT(
             session.record(u, 0)
         return EllipticSolveResult(VectorField(grid, u), 0, 0.0)
 
-    h2d, h3d = depth.h2.data, depth.h3.data
+    h2d, h3d = depth.h2, depth.h3
     bgb = bath.beta_grad_b
 
     def matvec(x: np.ndarray, x_spec: np.ndarray) -> np.ndarray:
@@ -484,11 +456,11 @@ def invert_frakT(
     else:
         precond = lambda r: (r, grid.rfft(r))  # noqa: E731
 
-    x = None
-    if session is not None:
-        guess = session.initial_guess(b.shape)
-        if guess is not None:
-            x = guess.copy()
+    x = session.initial_guess(b.shape) if session is not None else None
+    if x is not None and x is session.last_solution:
+        # the other guesses are new arrays; this one is the session's own
+        # and CG updates x in place
+        x = x.copy()
     if x is None:
         x = np.zeros_like(b)
         r = b.copy()
@@ -575,18 +547,13 @@ def dh_frakT(
     return VectorField(grid, out)
 
 
-def apply_Q(depth: DepthState, u: VectorField, mu_eps: float) -> VectorField:
-    """Quadratic velocity operator Q[h, u] = -(1/3h) ∇(h³ ((u·∇)(∇·u) - (∇·u)²)).
-
-    ``mu_eps`` is the equation-level prefactor με; it is accepted for
-    signature uniformity and applied where the momentum equation is built.
-    """
+def apply_Q(depth: DepthState, u: VectorField) -> VectorField:
+    """Quadratic velocity operator Q[h, u] = -(1/3h) ∇(h³ ((u·∇)(∇·u) - (∇·u)²))."""
     grid = depth.grid
     if not grid.compatible(u.grid):
         raise GridMismatchError("depth and velocity must share one grid")
-    _validate_mu(mu_eps)
     inner = _q_inner(grid, u.data)
-    out = -(1.0 / 3.0) * grid.dealiased_gradient(depth.h3.data * inner) / depth.h.data
+    out = -(1.0 / 3.0) * grid.dealiased_gradient(depth.h3 * inner) / depth.h.data
     return VectorField(grid, out)
 
 
@@ -598,21 +565,18 @@ def _q_inner(grid: PeriodicGrid, u: np.ndarray) -> np.ndarray:
     return grid.dealias(adv - d * d)
 
 
-def apply_Qb(
-    depth: DepthState, bath: BathymetryState, u: VectorField, mu_eps: float
-) -> VectorField:
+def apply_Qb(depth: DepthState, bath: BathymetryState, u: VectorField) -> VectorField:
     """Bathymetric partner of Q:
 
     Q_b = (β/2h) ( ∇(h² (u·∇)²b) - h² ((u·∇)(∇·u) - (∇·u)²) ∇b )
           + β² ((u·∇)²b) ∇b
     """
     grid = _check_operator_inputs(depth, bath, u)
-    _validate_mu(mu_eps)
     bgb = bath.beta_grad_b
     if bgb is None:
         return VectorField.zeros(grid)
     h = depth.h.data
-    h2d = depth.h2.data
+    h2d = depth.h2
     uarr = u.data
     # β (u·∇)² b, built from β∇b so the β powers come out right
     w1 = grid.dealias(np.einsum("i...,i...->...", bgb, uarr))
@@ -631,9 +595,9 @@ def _pressure_terms(
     final dealiasing projection.  The two gradients share one transform pair:
     (u/h)·∇(h³ ∇·u / 3 − h² (β∇b)·u / 2)."""
     grid = depth.grid
-    h, h2d = depth.h.data, depth.h2.data
+    h, h2d = depth.h.data, depth.h2
     d = grid.dealiased_divergence(u)
-    flux = (1.0 / 3.0) * depth.h3.data * d if flat_part else 0.0
+    flux = (1.0 / 3.0) * depth.h3 * d if flat_part else 0.0
     out = 0.5 * h2d * d * d if flat_part else 0.0
     if bgb is not None:
         g = grid.dealias(np.einsum("i...,i...->...", bgb, u))

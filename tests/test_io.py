@@ -23,8 +23,8 @@ from gnwave.io import (
     write_snapshot,
 )
 from gnwave.models import FluidState, Formulation, ModelParams, VariableKind
+from gnwave.solitary import solitary_wave_state
 from gnwave.timeloop import run
-from gnwave.verify import solitary_wave_state
 
 MINIMAL = """
 [grid]
@@ -85,9 +85,10 @@ class TestLoadConfig:
             assert needle in message
 
     def test_unknown_key_rejected(self):
-        """Keys outside the documented schema are refused."""
-        with pytest.raises(ValidationError, match="unknown key"):
-            load_config(MINIMAL + "\n[model]\nbogus = 3\n")
+        """Keys outside the documented schema, removed ones included, are refused."""
+        for key in ("bogus", "h_star_upper"):
+            with pytest.raises(ValidationError, match="unknown key"):
+                load_config(MINIMAL + f"\n[model]\n{key} = 3\n")
 
     def test_unknown_section_rejected(self):
         """Sections outside the documented schema are refused."""

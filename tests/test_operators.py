@@ -114,7 +114,7 @@ def oracle_values(symbolic_state):
 class TestSymbolicOracle:
     def test_apply_T(self, symbolic_state, oracle_values):
         g, depth, bath, vel = symbolic_state
-        got = apply_T(depth, bath, vel, MU).data[0]
+        got = apply_T(depth, bath, vel).data[0]
         assert np.max(np.abs(got - oracle_values["T"])) < 1e-11
 
     def test_apply_frakT_matches_composition(self, symbolic_state, oracle_values):
@@ -125,12 +125,12 @@ class TestSymbolicOracle:
 
     def test_apply_Q(self, symbolic_state, oracle_values):
         g, depth, bath, vel = symbolic_state
-        got = apply_Q(depth, vel, MU).data[0]
+        got = apply_Q(depth, vel).data[0]
         assert np.max(np.abs(got - oracle_values["Q"])) < 1e-11
 
     def test_apply_Qb(self, symbolic_state, oracle_values):
         g, depth, bath, vel = symbolic_state
-        got = apply_Qb(depth, bath, vel, MU).data[0]
+        got = apply_Qb(depth, bath, vel).data[0]
         assert np.max(np.abs(got - oracle_values["Qb"])) < 1e-11
 
     def test_apply_R(self, symbolic_state, oracle_values):
@@ -160,7 +160,7 @@ class TestTrivialCases:
         g = grid2(16)
         depth = smooth_depth(g, np.random.default_rng(0))
         bath = BathymetryState.flat(g)
-        out = apply_T(depth, bath, VectorField.zeros(g), MU)
+        out = apply_T(depth, bath, VectorField.zeros(g))
         assert np.max(np.abs(out.data)) == 0.0
 
     def test_flat_single_mode_multiplier(self):
@@ -169,7 +169,7 @@ class TestTrivialCases:
         bath = BathymetryState.flat(g)
         k = 3.0
         u = VectorField(g, np.cos(k * g.coords[0])[None, :])
-        Tu = apply_T(depth, bath, u, MU)
+        Tu = apply_T(depth, bath, u)
         assert np.max(np.abs(Tu.data - (k**2 / 3.0) * u.data)) < 1e-12
         frak = apply_frakT(depth, bath, u, MU)
         assert np.max(np.abs(frak.data - (1 + MU * k**2 / 3.0) * u.data)) < 1e-12
@@ -181,7 +181,7 @@ class TestTrivialCases:
         x, y = g.coords
         # gradient of a plane wave: u ∥ k, so T u = (|k|²/3) u
         u = VectorField(g, g.gradient(np.cos(2 * x + 3 * y)))
-        Tu = apply_T(depth, bath, u, MU)
+        Tu = apply_T(depth, bath, u)
         assert np.max(np.abs(Tu.data - (13.0 / 3.0) * u.data)) < 1e-11
 
     def test_mu_zero_frakT_is_mass(self):
@@ -198,7 +198,7 @@ class TestTrivialCases:
         rng = np.random.default_rng(2)
         depth = smooth_depth(g, rng)
         u = VectorField(g, band_limited_vector(g, rng))
-        out = apply_Qb(depth, BathymetryState.flat(g), u, MU)
+        out = apply_Qb(depth, BathymetryState.flat(g), u)
         assert np.max(np.abs(out.data)) == 0.0
         rb = apply_Rb(depth, BathymetryState.flat(g), u)
         assert np.max(np.abs(rb.data)) == 0.0
@@ -207,7 +207,7 @@ class TestTrivialCases:
         g = grid1(32)
         depth = smooth_depth(g, np.random.default_rng(3))
         u = VectorField(g, np.full((1,) + g.shape, 0.7))
-        assert np.max(np.abs(apply_Q(depth, u, MU).data)) < 1e-14
+        assert np.max(np.abs(apply_Q(depth, u).data)) < 1e-14
 
     def test_R_of_zero(self):
         g = grid1(32)
@@ -275,8 +275,8 @@ class TestQuadraticForm:
         l2 = g.inner(u, u)
         div2 = g.inner(g.divergence(u), g.divergence(u))
         slack = 1e-10 * abs(quad)
-        assert quad >= depth.h_star * l2 - slack
-        assert quad >= (MU / 12.0) * depth.h_star**3 * div2 - slack
+        assert quad >= depth.h_min * l2 - slack
+        assert quad >= (MU / 12.0) * depth.h_min**3 * div2 - slack
 
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=15, deadline=None)
@@ -517,9 +517,9 @@ class TestShapeDerivative:
             bath = BathymetryState(ScalarField(g, b), 0.3)
             vel = VectorField(g, u)
             results[n] = {
-                "T": apply_T(depth, bath, vel, MU).data[0],
-                "Q": apply_Q(depth, vel, MU).data[0],
-                "Qb": apply_Qb(depth, bath, vel, MU).data[0],
+                "T": apply_T(depth, bath, vel).data[0],
+                "Q": apply_Q(depth, vel).data[0],
+                "Qb": apply_Qb(depth, bath, vel).data[0],
                 "w": good_unknown_w(depth, bath, vel).data,
             }
         for name in results[64]:
