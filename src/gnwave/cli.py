@@ -46,7 +46,7 @@ from .io import (
     save_config,
 )
 from .models import FluidState, ModelParams, VariableKind, u_from_v
-from .operators import BathymetryState, EllipticSolveConfig
+from .operators import BathymetryState
 from .timeloop import cfl_time_step, run
 
 __all__ = ["main", "build_parser"]
@@ -177,7 +177,7 @@ def _random_case(
         b = verify.band_limited_scalar(grid, rng, 3, 0.5)
         bath = BathymetryState(ScalarField(grid, b), beta)
     else:
-        bath = BathymetryState(ScalarField.zeros(grid), 0.0)
+        bath = BathymetryState.flat(grid)
     params = ModelParams(epsilon=0.3, beta=beta, mu=0.8)
     return ScalarField(grid, zeta), VectorField(grid, u), params, bath
 
@@ -216,7 +216,7 @@ def _mass_conservation_check(params: ModelParams, out: TextIO) -> bool:
     state = FluidState(
         ScalarField(grid, zeta), VectorField.zeros(grid), VariableKind.V_VARIABLE
     )
-    bath = BathymetryState(ScalarField.zeros(grid), 0.0)
+    bath = BathymetryState.flat(grid)
     from .timeloop import CollectingSinks, IntegrationConfig
 
     sinks = CollectingSinks()
@@ -386,7 +386,7 @@ def _supplied_case(
     params = ModelParams(
         epsilon=header.epsilon, beta=0.0, mu=header.mu, formulation=header.formulation
     )
-    bath = BathymetryState(ScalarField.zeros(state.grid), 0.0)
+    bath = BathymetryState.flat(state.grid)
     if state.kind is VariableKind.V_VARIABLE:
         state = u_from_v(state, params, bath)
     n = min(state.grid.shape)

@@ -170,11 +170,11 @@ def hamiltonian_gn(
     so the elliptic solve error enters quadratically, not linearly.
     """
     grid = zeta.grid
-    depth = make_depth(params, zeta, bath)
-    hv = depth.h.data * psi_grad.data
-    u, _, _ = invert_frakT(depth, bath, VectorField(grid, hv), params.mu, cfg, session)
+    depth = make_depth(params, zeta.data, bath)
+    hv = depth.h * psi_grad.data
+    u, _, _ = invert_frakT(depth, bath, hv, params.mu, cfg, session)
     frak_u = apply_frakT(depth, bath, u, params.mu)
-    kinetic = grid.inner(hv, u.data) - 0.5 * grid.inner(frak_u.data, u.data)
+    kinetic = grid.inner(hv, u) - 0.5 * grid.inner(frak_u, u)
     return 0.5 * grid.integrate(zeta.data**2) + kinetic
 
 
@@ -203,11 +203,9 @@ def energy_F(
         raise ValidationError("energy_F expects the v-variable state")
     grid = state.grid
     _check_order(grid, n)
-    depth = make_depth(params, state.zeta, bath)
-    h = depth.h.data
-    u, _, _ = invert_frakT(
-        depth, bath, VectorField(grid, h * state.vel.data), params.mu, cfg, session
-    )
+    depth = make_depth(params, state.zeta.data, bath)
+    h = depth.h
+    u, _, _ = invert_frakT(depth, bath, h * state.vel.data, params.mu, cfg, session)
     w = good_unknown_w(depth, bath, u)
     mu_eps = params.mu * params.epsilon
     total = 0.0
@@ -215,9 +213,9 @@ def energy_F(
         zeta_a = partial_derivative(grid, state.zeta.data, alpha)
         v_a = partial_derivative(grid, state.vel.data, alpha)
         if any(alpha):
-            v_a = v_a - mu_eps * grid.gradient(w.data * zeta_a)
-        u_a, _, _ = invert_frakT(depth, bath, VectorField(grid, h * v_a), params.mu, cfg, session)
-        total += grid.integrate(zeta_a**2) + grid.inner(v_a, h * u_a.data)
+            v_a = v_a - mu_eps * grid.gradient(w * zeta_a)
+        u_a, _, _ = invert_frakT(depth, bath, h * v_a, params.mu, cfg, session)
+        total += grid.integrate(zeta_a**2) + grid.inner(v_a, h * u_a)
     return total
 
 
@@ -236,31 +234,31 @@ def energy_appendixA(
     if state.kind is not VariableKind.U_VARIABLE:
         raise ValidationError("energy_appendixA expects the u-variable state")
     grid = state.grid
-    depth = make_depth(params, state.zeta, bath)
-    h = depth.h.data
-    mu, beta = params.mu, params.beta
+    depth = make_depth(params, state.zeta.data, bath)
+    h = depth.h
+    mu = params.mu
 
     zeta_a = partial_derivative(grid, state.zeta.data, alpha)
-    u_a = VectorField(grid, partial_derivative(grid, state.vel.data, alpha))
-    t_u_a = apply_T(depth, bath, u_a).data
+    u_a = partial_derivative(grid, state.vel.data, alpha)
+    t_u_a = apply_T(depth, bath, u_a)
     f_val = 0.5 * (
         grid.integrate(zeta_a**2)
-        + grid.integrate(h * np.sum(u_a.data**2, axis=0))
-        + mu * grid.inner(h * t_u_a, u_a.data)
+        + grid.integrate(h * np.sum(u_a**2, axis=0))
+        + mu * grid.inner(h * t_u_a, u_a)
     )
 
     u = state.vel.data
     div_u = grid.divergence(u)
     dt_zeta = -_mass_flux_divergence(grid, h, u)
-    d_a = grid.divergence(u_a.data)
+    d_a = grid.divergence(u_a)
     if bath.beta_grad_b is None:
         g_a = np.zeros(grid.shape)
     else:
-        g_a = np.einsum("i...,i...->...", bath.beta_grad_b, u_a.data)
+        g_a = np.einsum("i...,i...->...", bath.beta_grad_b, u_a)
     mass_defect = dt_zeta + grid.divergence(h * u)
     g_val = 0.5 * (
         grid.integrate(div_u * zeta_a**2)
-        - grid.integrate(mass_defect * np.sum(u_a.data**2, axis=0))
+        - grid.integrate(mass_defect * np.sum(u_a**2, axis=0))
         - (mu / 3.0)
         * grid.integrate((3 * h**2 * dt_zeta + grid.divergence(h**3 * u)) * d_a**2)
         + mu * grid.integrate((2 * h * dt_zeta + grid.divergence(h**2 * u)) * g_a * d_a)
@@ -304,7 +302,7 @@ def collect_record(
         raise ValidationError("collect_record expects the v-variable state")
     grid = state.grid
     before = session.total_iterations if session is not None else 0
-    depth = make_depth(params, state.zeta, bath)
+    depth = make_depth(params, state.zeta.data, bath)
     ham = hamiltonian_gn(state.zeta, state.vel, params, bath, cfg, session)
     e_val = energy_E(state, params, order)
     f_val = energy_F(state, params, bath, order, cfg, session)

@@ -14,6 +14,12 @@ The weakly nonlinear variant freezes the dispersive operator at the rest
 depth 1 − βb, and the hydrostatic variant is the μ = 0 limit. Every
 evaluation performs exactly one elliptic solve and dealiases intermediate
 products.
+
+The tendencies take the ``(zeta, vel)`` arrays of a state and return
+``(dzeta, dvel)`` arrays, on the grid of the bathymetry; they do not know
+the variable kind, which the time stepper checks once per run.
+:class:`FluidState` is the typed state of the API edge: the input and output
+of a run or step, snapshots, the ``u ↔ v`` maps and the diagnostics.
 """
 from __future__ import annotations
 
@@ -96,7 +102,7 @@ class ModelParams:
     h_star: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("epsilon", "beta", "mu"):
+        for name in ("epsilon", "beta", "mu", "h_star"):
             val = float(getattr(self, name))
             if not np.isfinite(val) or val < 0.0:
                 raise ValidationError(f"{name} must be a finite real >= 0, got {val}")
@@ -105,8 +111,6 @@ class ModelParams:
             object.__setattr__(self, "formulation", Formulation(self.formulation))
         if self.formulation is Formulation.SV and self.mu != 0.0:
             raise ValidationError("the hydrostatic variant requires mu = 0")
-        if self.h_star < 0.0:
-            raise ValidationError("h_star must be >= 0")
 
     @property
     def expected_kind(self) -> VariableKind:
@@ -161,11 +165,11 @@ def _check_bath(params: ModelParams, bath: BathymetryState) -> None:
         )
 
 
-def make_depth(params: ModelParams, zeta: ScalarField, bath: BathymetryState) -> DepthState:
+def make_depth(params: ModelParams, zeta: np.ndarray, bath: BathymetryState) -> DepthState:
     """DepthState for h = 1 + εζ − βb."""
     _check_bath(params, bath)
-    h = 1.0 + params.epsilon * zeta.data - params.beta * bath.b.data
-    return DepthState.from_depth(zeta.grid, h)
+    h = 1.0 + params.epsilon * zeta - params.beta * bath.b.data
+    return DepthState(bath.grid, h)
 
 
 def rest_depth(params: ModelParams, bath: BathymetryState) -> DepthState:
@@ -173,12 +177,15 @@ def rest_depth(params: ModelParams, bath: BathymetryState) -> DepthState:
     _check_bath(params, bath)
     grid = bath.grid
     h = 1.0 - params.beta * bath.b.data
-    return DepthState.from_depth(grid, np.broadcast_to(h, grid.shape).copy())
+    return DepthState(grid, np.broadcast_to(h, grid.shape).copy())
 
 
 def _require_kind(state: FluidState, kind: VariableKind, what: str) -> None:
     if state.kind is not kind:
-        raise ValidationError(f"{what} expects the {kind.value}-variable state, got {state.kind.value}")
+        raise ValidationError(
+            f"{what} expects the {kind.value}-variable state, "
+            f"got the {state.kind.value}-variable state"
+        )
 
 
 def _advection(grid: PeriodicGrid, u: np.ndarray) -> np.ndarray:
@@ -196,53 +203,48 @@ def _mass_flux_divergence(grid: PeriodicGrid, h: np.ndarray, u: np.ndarray) -> n
 
 
 def _sv_velocity_tendency(
-    grid: PeriodicGrid, params: ModelParams, zeta: ScalarField, u: np.ndarray
+    grid: PeriodicGrid, params: ModelParams, zeta: np.ndarray, u: np.ndarray
 ) -> np.ndarray:
-    return -(grid.gradient(zeta.data) + params.epsilon * _advection(grid, u))
+    return -(grid.gradient(zeta) + params.epsilon * _advection(grid, u))
 
 
 def rhs_sv(
-    state: FluidState, params: ModelParams, bath: BathymetryState
-) -> tuple[ScalarField, VectorField]:
+    zeta: np.ndarray, vel: np.ndarray, params: ModelParams, bath: BathymetryState
+) -> tuple[np.ndarray, np.ndarray]:
     """Hydrostatic (μ = 0) right-hand side: dζ = −∇·(hu), du = −∇ζ − ε(u·∇)u."""
-    _require_kind(state, VariableKind.U_VARIABLE, "rhs_sv")
-    grid = state.grid
-    depth = make_depth(params, state.zeta, bath)
-    dzeta = -_mass_flux_divergence(grid, depth.h.data, state.vel.data)
-    du = _sv_velocity_tendency(grid, params, state.zeta, state.vel.data)
-    return ScalarField(grid, dzeta), VectorField(grid, du)
+    grid = bath.grid
+    depth = make_depth(params, zeta, bath)
+    dzeta = -_mass_flux_divergence(grid, depth.h, vel)
+    return dzeta, _sv_velocity_tendency(grid, params, zeta, vel)
 
 
 def rhs_gn_u(
-    state: FluidState,
+    zeta: np.ndarray,
+    vel: np.ndarray,
     params: ModelParams,
     bath: BathymetryState,
     cfg: EllipticSolveConfig | None = None,
     session: SolverSession | None = None,
-) -> tuple[ScalarField, VectorField, SolveStats]:
+) -> tuple[np.ndarray, np.ndarray, SolveStats]:
     """Classical-variable tendency; one elliptic solve for the velocity part.
 
     (Id + μT) du = −(∇ζ + ε(u·∇)u + με(Q + Q_b)) is realized through the
     composed operator: 𝔗 du = h · rhs.
     """
-    _require_kind(state, VariableKind.U_VARIABLE, "rhs_gn_u")
-    grid = state.grid
-    depth = make_depth(params, state.zeta, bath)
-    u = state.vel.data
-    dzeta = -_mass_flux_divergence(grid, depth.h.data, u)
+    grid = bath.grid
+    depth = make_depth(params, zeta, bath)
+    dzeta = -_mass_flux_divergence(grid, depth.h, vel)
 
-    forcing = -_sv_velocity_tendency(grid, params, state.zeta, u)
+    forcing = -_sv_velocity_tendency(grid, params, zeta, vel)
     mu_eps = params.mu * params.epsilon
     if mu_eps > 0.0:
-        forcing = forcing + mu_eps * (
-            apply_Q(depth, state.vel).data + apply_Qb(depth, bath, state.vel).data
-        )
+        forcing = forcing + mu_eps * (apply_Q(depth, vel) + apply_Qb(depth, bath, vel))
     if params.mu == 0.0:
-        return ScalarField(grid, dzeta), VectorField(grid, -forcing), _NO_SOLVE
+        return dzeta, -forcing, _NO_SOLVE
 
-    v_rhs = VectorField(grid, -grid.dealias(depth.h.data * forcing))
+    v_rhs = -grid.dealias(depth.h * forcing)
     du, iterations, residual = invert_frakT(depth, bath, v_rhs, params.mu, cfg, session)
-    return ScalarField(grid, dzeta), du, SolveStats(iterations, residual)
+    return dzeta, du, SolveStats(iterations, residual)
 
 
 def _solve_velocity(
@@ -252,31 +254,29 @@ def _solve_velocity(
     mu: float,
     cfg: EllipticSolveConfig | None,
     session: SolverSession | None,
-) -> tuple[VectorField, SolveStats]:
-    grid = depth.grid
-    hv = VectorField(grid, grid.dealias(depth.h.data * v))
+) -> tuple[np.ndarray, SolveStats]:
+    hv = depth.grid.dealias(depth.h * v)
     u, iterations, residual = invert_frakT(depth, bath, hv, mu, cfg, session)
     return u, SolveStats(iterations, residual)
 
 
 def rhs_gn_v(
-    state: FluidState,
+    zeta: np.ndarray,
+    vel: np.ndarray,
     params: ModelParams,
     bath: BathymetryState,
     cfg: EllipticSolveConfig | None = None,
     session: SolverSession | None = None,
-) -> tuple[ScalarField, VectorField, SolveStats]:
+) -> tuple[np.ndarray, np.ndarray, SolveStats]:
     """Conjugate-variable tendency. u = 𝔗⁻¹(hv) is solved once, then
 
     dv = −∇ζ − ε (curl v) u^⊥ − (ε/2)∇|u|² + με ∇(R + R_b).
     """
-    _require_kind(state, VariableKind.V_VARIABLE, "rhs_gn_v")
-    grid = state.grid
-    depth = make_depth(params, state.zeta, bath)
-    uf, stats = _solve_velocity(depth, bath, state.vel.data, params.mu, cfg, session)
-    u = uf.data
+    grid = bath.grid
+    depth = make_depth(params, zeta, bath)
+    u, stats = _solve_velocity(depth, bath, vel, params.mu, cfg, session)
 
-    dzeta = -_mass_flux_divergence(grid, depth.h.data, u)
+    dzeta = -_mass_flux_divergence(grid, depth.h, u)
 
     # −ζ, −(ε/2)|u|² and με(R + R_b) share one gradient; only the
     # nonlinear potentials are dealiased
@@ -285,62 +285,62 @@ def rhs_gn_v(
         potential = -(eps / 2.0) * np.einsum("i...,i...->...", u, u)
         if params.mu > 0.0:
             potential += params.mu * eps * _pressure_terms(depth, bath.beta_grad_b, u)
-        spec = grid.rfft(np.stack((state.zeta.data, potential)))
+        spec = grid.rfft(np.stack((zeta, potential)))
         dv = grid.irfft(grid.ik * (grid.dealias_mask * spec[1] - spec[0]))
         if grid.dim == 2:
-            curl_v = grid.curl(state.vel.data)
+            curl_v = grid.curl(vel)
             if float(np.max(np.abs(curl_v))) > 0.0:
                 dv -= eps * grid.dealias(curl_v * grid.perp(u))
     else:
-        dv = -grid.gradient(state.zeta.data)
-    return ScalarField(grid, dzeta), VectorField(grid, dv), stats
+        dv = -grid.gradient(zeta)
+    return dzeta, dv, stats
 
 
 def rhs_gn_v_compact(
-    state: FluidState,
+    zeta: np.ndarray,
+    vel: np.ndarray,
     params: ModelParams,
     bath: BathymetryState,
     cfg: EllipticSolveConfig | None = None,
     session: SolverSession | None = None,
-) -> tuple[ScalarField, VectorField, SolveStats]:
+) -> tuple[np.ndarray, np.ndarray, SolveStats]:
     """Equivalent compact form of the conjugate-variable tendency:
 
     dv = −ε (curl v) u^⊥ − ∇(ζ + ε u·v − (ε/2)|u|² − (εμ/2) w²),
 
     with w = (β∇b)·u − h∇·u. Used as a cross-check of rhs_gn_v.
     """
-    _require_kind(state, VariableKind.V_VARIABLE, "rhs_gn_v_compact")
-    grid = state.grid
-    depth = make_depth(params, state.zeta, bath)
-    uf, stats = _solve_velocity(depth, bath, state.vel.data, params.mu, cfg, session)
-    u = uf.data
+    grid = bath.grid
+    depth = make_depth(params, zeta, bath)
+    u, stats = _solve_velocity(depth, bath, vel, params.mu, cfg, session)
 
-    dzeta = -_mass_flux_divergence(grid, depth.h.data, u)
+    dzeta = -_mass_flux_divergence(grid, depth.h, u)
 
     eps, mu = params.epsilon, params.mu
-    head = state.zeta.data.copy()
+    head = zeta.copy()
     if eps > 0.0:
-        head += eps * grid.dealias(np.einsum("i...,i...->...", u, state.vel.data))
+        head += eps * grid.dealias(np.einsum("i...,i...->...", u, vel))
         head -= (eps / 2.0) * grid.dealias(np.einsum("i...,i...->...", u, u))
         if mu > 0.0:
-            w = good_unknown_w(depth, bath, uf).data
+            w = good_unknown_w(depth, bath, u)
             head -= (eps * mu / 2.0) * grid.dealias(w * w)
     dv = -grid.gradient(head)
     if eps > 0.0 and grid.dim == 2:
-        curl_v = grid.curl(state.vel.data)
+        curl_v = grid.curl(vel)
         if float(np.max(np.abs(curl_v))) > 0.0:
             dv -= eps * grid.dealias(curl_v * grid.perp(u))
-    return ScalarField(grid, dzeta), VectorField(grid, dv), stats
+    return dzeta, dv, stats
 
 
 def rhs_bp(
-    state: FluidState,
+    zeta: np.ndarray,
+    vel: np.ndarray,
     params: ModelParams,
     bath: BathymetryState,
     cfg: EllipticSolveConfig | None = None,
     session: SolverSession | None = None,
     frozen_depth: DepthState | None = None,
-) -> tuple[ScalarField, VectorField, SolveStats]:
+) -> tuple[np.ndarray, np.ndarray, SolveStats]:
     """Weakly nonlinear tendency with the operator frozen at rest depth:
 
     dζ = −∇·(hu) (full depth), (Id + μT[1−βb, βb]) du = −(∇ζ + ε(u·∇)u).
@@ -348,29 +348,27 @@ def rhs_bp(
     Pass ``frozen_depth`` (from :func:`rest_depth`) to reuse its cached powers
     across calls; the dedicated session then keeps warm starts effective.
     """
-    _require_kind(state, VariableKind.U_VARIABLE, "rhs_bp")
-    grid = state.grid
-    depth = make_depth(params, state.zeta, bath)
-    u = state.vel.data
-    dzeta = -_mass_flux_divergence(grid, depth.h.data, u)
+    grid = bath.grid
+    depth = make_depth(params, zeta, bath)
+    dzeta = -_mass_flux_divergence(grid, depth.h, vel)
 
-    forcing = -_sv_velocity_tendency(grid, params, state.zeta, u)
+    forcing = -_sv_velocity_tendency(grid, params, zeta, vel)
     if params.mu == 0.0:
-        return ScalarField(grid, dzeta), VectorField(grid, -forcing), _NO_SOLVE
+        return dzeta, -forcing, _NO_SOLVE
 
     rest = frozen_depth if frozen_depth is not None else rest_depth(params, bath)
-    v_rhs = VectorField(grid, -grid.dealias(rest.h.data * forcing))
+    v_rhs = -grid.dealias(rest.h * forcing)
     du, iterations, residual = invert_frakT(rest, bath, v_rhs, params.mu, cfg, session)
-    return ScalarField(grid, dzeta), du, SolveStats(iterations, residual)
+    return dzeta, du, SolveStats(iterations, residual)
 
 
 def v_from_u(state: FluidState, params: ModelParams, bath: BathymetryState) -> FluidState:
     """Exact map v = (Id + μT[h, βb]) u."""
     _require_kind(state, VariableKind.U_VARIABLE, "v_from_u")
-    depth = make_depth(params, state.zeta, bath)
+    depth = make_depth(params, state.zeta.data, bath)
     v = state.vel.data
     if params.mu > 0.0:
-        v = v + params.mu * apply_T(depth, bath, state.vel).data
+        v = v + params.mu * apply_T(depth, bath, v)
     return FluidState(state.zeta, VectorField(state.grid, v), VariableKind.V_VARIABLE, state.time)
 
 
@@ -387,7 +385,6 @@ def u_from_v(
     u → v → u closes to solver tolerance.
     """
     _require_kind(state, VariableKind.V_VARIABLE, "u_from_v")
-    depth = make_depth(params, state.zeta, bath)
-    hv = VectorField(state.grid, depth.h.data * state.vel.data)
-    u, _, _ = invert_frakT(depth, bath, hv, params.mu, cfg, session)
-    return FluidState(state.zeta, u, VariableKind.U_VARIABLE, state.time)
+    depth = make_depth(params, state.zeta.data, bath)
+    u, _, _ = invert_frakT(depth, bath, depth.h * state.vel.data, params.mu, cfg, session)
+    return FluidState(state.zeta, VectorField(state.grid, u), VariableKind.U_VARIABLE, state.time)

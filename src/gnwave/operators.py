@@ -25,6 +25,11 @@ for arbitrary fields and the quadratic form is a sum of squares::
 which gives coercivity with constant ``h_star`` whenever the depth stays
 above ``h_star > 0``. The inversion is a preconditioned conjugate-gradient
 iteration on that form.
+
+Everything here works on plain numpy arrays: a velocity is stacked as
+``(dim, *shape)``, a scalar has the grid shape, and each operator returns a
+new array.  The grid comes from the :class:`DepthState`, and an input whose
+shape does not match it raises :class:`~gnwave.errors.GridMismatchError`.
 """
 from __future__ import annotations
 
@@ -42,7 +47,7 @@ from .errors import (
     NonConvergenceError,
     ValidationError,
 )
-from .grid import PeriodicGrid, ScalarField, VectorField
+from .grid import PeriodicGrid, ScalarField
 
 __all__ = [
     "BathymetryState",
@@ -67,20 +72,16 @@ __all__ = [
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class BathymetryState:
-    """Bottom topography: b, its spectral gradient, and the amplitude β."""
+    """Bottom topography b and its amplitude β."""
 
     b: ScalarField
     beta: float
-    grad_b: VectorField = dataclasses.field(init=False)
 
     def __post_init__(self) -> None:
         beta = float(self.beta)
         if not np.isfinite(beta) or beta < 0.0:
             raise ValidationError(f"beta must be a finite real >= 0, got {beta}")
         object.__setattr__(self, "beta", beta)
-        object.__setattr__(
-            self, "grad_b", VectorField(self.b.grid, self.b.grid.gradient(self.b.data))
-        )
 
     @classmethod
     def flat(cls, grid: PeriodicGrid) -> "BathymetryState":
@@ -92,52 +93,57 @@ class BathymetryState:
 
     @cached_property
     def beta_grad_b(self) -> np.ndarray | None:
-        """β ∇b as a stacked array, or None when the bottom is flat."""
-        if self.beta == 0.0 or float(np.max(np.abs(self.grad_b.data))) == 0.0:
+        """β ∇b as a stacked read-only array, or None when the bottom is flat."""
+        if self.beta == 0.0:
             return None
-        out = self.beta * self.grad_b.data
+        grad_b = self.grid.gradient(self.b.data)
+        if float(np.max(np.abs(grad_b))) == 0.0:
+            return None
+        out = self.beta * grad_b
         out.flags.writeable = False
         return out
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class DepthState:
-    """Water column h = 1 + εζ − βb with its dealiased powers h², h³.
+    """Water column h = 1 + εζ − βb on ``grid``, with its dealiased powers h², h³.
 
-    The depth must be positive everywhere (non-cavitation), which is what
-    makes 𝔗[h, βb] coercive; ``h_min`` is its minimum.  ``h2`` and ``h3``
-    are read-only arrays.
+    The depth must be finite and positive everywhere (non-cavitation), which
+    is what makes 𝔗[h, βb] coercive; ``h_min`` is its minimum.  ``h`` is kept
+    as a read-only view of the given array; ``h2`` and ``h3`` are read-only
+    arrays.
     """
 
-    h: ScalarField
+    grid: PeriodicGrid
+    h: np.ndarray
     h_min: float = dataclasses.field(init=False)
     h2: np.ndarray = dataclasses.field(init=False, repr=False)
     h3: np.ndarray = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        harr = self.h.data
+        harr = np.asarray(self.h, dtype=np.float64).view()
+        if harr.shape != self.grid.shape:
+            raise GridMismatchError(
+                f"depth has shape {harr.shape}, expected {self.grid.shape}"
+            )
         h_min = float(harr.min())
+        if not (math.isfinite(h_min) and math.isfinite(float(harr.max()))):
+            raise ValidationError("depth contains non-finite values")
         if h_min <= 0.0:
             raise CoercivityViolationError(
                 f"depth must stay positive, got min h = {h_min}", h_min
             )
-        powers = self.h.grid.dealias(np.stack((harr * harr, harr * harr * harr)))
+        harr.flags.writeable = False
+        powers = self.grid.dealias(np.stack((harr * harr, harr * harr * harr)))
         powers.flags.writeable = False
+        object.__setattr__(self, "h", harr)
         object.__setattr__(self, "h_min", h_min)
         object.__setattr__(self, "h2", powers[0])
         object.__setattr__(self, "h3", powers[1])
 
-    @classmethod
-    def from_depth(cls, grid: PeriodicGrid, h: np.ndarray) -> "DepthState":
-        return cls(ScalarField(grid, h))
-
-    @property
-    def grid(self) -> PeriodicGrid:
-        return self.h.grid
-
     @cached_property
     def mean_depth(self) -> float:
-        return float(self.h.data.mean())
+        return float(self.h.mean())
 
 
 @dataclasses.dataclass(frozen=True)
@@ -275,15 +281,12 @@ def _same_time(a: float, b: float) -> bool:
 
 
 class EllipticSolveResult(NamedTuple):
-    u: VectorField
+    u: np.ndarray
     iterations: int
     residual: float
 
 
 # ------------------------------------------------------------------- kernels
-#
-# Array-level kernels shared by the public operator wrappers and the CG loop.
-# They operate on stacked (dim, *shape) velocity arrays.
 
 
 def _h_times_T(
@@ -330,10 +333,20 @@ def _norm(a: np.ndarray) -> float:
     return math.sqrt(_inner(a, a))
 
 
-def _check_operator_inputs(depth: DepthState, bath: BathymetryState, u) -> PeriodicGrid:
+def _check_velocity(grid: PeriodicGrid, u: np.ndarray) -> None:
+    if u.shape != (grid.dim,) + grid.shape:
+        raise GridMismatchError(
+            f"velocity has shape {u.shape}, expected {(grid.dim,) + grid.shape}"
+        )
+
+
+def _check_operator_inputs(
+    depth: DepthState, bath: BathymetryState, u: np.ndarray
+) -> PeriodicGrid:
     grid = depth.grid
-    if not (grid.compatible(bath.grid) and grid.compatible(u.grid)):
-        raise GridMismatchError("depth, bathymetry and velocity must share one grid")
+    if not grid.compatible(bath.grid):
+        raise GridMismatchError("depth and bathymetry must share one grid")
+    _check_velocity(grid, u)
     return grid
 
 
@@ -347,34 +360,28 @@ def _validate_mu(mu: float) -> float:
 # ------------------------------------------------------------------ operators
 
 
-def apply_T(depth: DepthState, bath: BathymetryState, u: VectorField) -> VectorField:
+def apply_T(depth: DepthState, bath: BathymetryState, u: np.ndarray) -> np.ndarray:
     """Dealiased evaluation of T[h, βb]u."""
     grid = _check_operator_inputs(depth, bath, u)
     hTu = _h_times_T(
-        grid,
-        depth.h.data,
-        depth.h2,
-        depth.h3,
-        bath.beta_grad_b,
-        u.data,
-        grid.rfft(u.data),
+        grid, depth.h, depth.h2, depth.h3, bath.beta_grad_b, u, grid.rfft(u)
     )
-    return VectorField(grid, hTu / depth.h.data)
+    return hTu / depth.h
 
 
 def apply_frakT(
-    depth: DepthState, bath: BathymetryState, u: VectorField, mu: float
-) -> VectorField:
+    depth: DepthState, bath: BathymetryState, u: np.ndarray, mu: float
+) -> np.ndarray:
     """𝔗[h, βb]u = h u + μ h T[h, βb]u, the forward elliptic operator."""
     grid = _check_operator_inputs(depth, bath, u)
     mu = _validate_mu(mu)
-    h, uarr = depth.h.data, u.data
-    out = h * uarr
+    h = depth.h
+    out = h * u
     if mu > 0.0:
         out += mu * _h_times_T(
-            grid, h, depth.h2, depth.h3, bath.beta_grad_b, uarr, grid.rfft(uarr)
+            grid, h, depth.h2, depth.h3, bath.beta_grad_b, u, grid.rfft(u)
         )
-    return VectorField(grid, out)
+    return out
 
 
 def _flat_preconditioner(
@@ -413,7 +420,7 @@ def _flat_preconditioner(
 def invert_frakT(
     depth: DepthState,
     bath: BathymetryState,
-    v_rhs: VectorField,
+    v_rhs: np.ndarray,
     mu: float,
     cfg: EllipticSolveConfig | None = None,
     session: SolverSession | None = None,
@@ -433,17 +440,17 @@ def invert_frakT(
             f"cannot invert: min h = {depth.h_min} <= 0", depth.h_min
         )
 
-    h = depth.h.data
-    b = v_rhs.data
+    h = depth.h
+    b = v_rhs
     b_norm = _norm(b)
     if b_norm == 0.0:
-        return EllipticSolveResult(VectorField.zeros(grid), 0, 0.0)
+        return EllipticSolveResult(np.zeros(b.shape), 0, 0.0)
 
     if mu == 0.0:
         u = b / h
         if session is not None:
             session.record(u, 0)
-        return EllipticSolveResult(VectorField(grid, u), 0, 0.0)
+        return EllipticSolveResult(u, 0, 0.0)
 
     h2d, h3d = depth.h2, depth.h3
     bgb = bath.beta_grad_b
@@ -507,16 +514,16 @@ def invert_frakT(
 
     if session is not None:
         session.record(x, iterations)
-    return EllipticSolveResult(VectorField(grid, x), iterations, res / b_norm)
+    return EllipticSolveResult(x, iterations, res / b_norm)
 
 
 def dh_frakT(
     depth: DepthState,
     bath: BathymetryState,
-    f: ScalarField,
-    u: VectorField,
+    f: np.ndarray,
+    u: np.ndarray,
     mu: float,
-) -> VectorField:
+) -> np.ndarray:
     """Derivative of h ↦ 𝔗[h, βb]u in the direction f (exact Fréchet form).
 
     Differentiating every h-occurrence of the assembly gives::
@@ -528,33 +535,30 @@ def dh_frakT(
     the second-order finite-difference check only converges with it present.
     """
     grid = _check_operator_inputs(depth, bath, u)
-    if not grid.compatible(f.grid):
-        raise GridMismatchError("direction field must live on the operator grid")
+    if f.shape != grid.shape:
+        raise GridMismatchError(f"direction has shape {f.shape}, expected {grid.shape}")
     mu = _validate_mu(mu)
-    h = depth.h.data
-    farr = f.data
-    out = grid.dealias(farr * u.data)
+    h = depth.h
+    out = grid.dealias(f * u)
     if mu == 0.0:
-        return VectorField(grid, out)
-    d = grid.dealiased_divergence(u.data)
-    out -= mu * grid.dealiased_gradient(h * h * farr * d)
+        return out
+    d = grid.dealiased_divergence(u)
+    out -= mu * grid.dealiased_gradient(h * h * f * d)
     bgb = bath.beta_grad_b
     if bgb is not None:
-        g = grid.dealias(np.einsum("i...,i...->...", bgb, u.data))
-        out += mu * grid.dealiased_gradient(farr * h * g)
-        out -= mu * grid.dealias(farr * h * d) * bgb
-        out += mu * grid.dealias(farr * g) * bgb
-    return VectorField(grid, out)
+        g = grid.dealias(np.einsum("i...,i...->...", bgb, u))
+        out += mu * grid.dealiased_gradient(f * h * g)
+        out -= mu * grid.dealias(f * h * d) * bgb
+        out += mu * grid.dealias(f * g) * bgb
+    return out
 
 
-def apply_Q(depth: DepthState, u: VectorField) -> VectorField:
+def apply_Q(depth: DepthState, u: np.ndarray) -> np.ndarray:
     """Quadratic velocity operator Q[h, u] = -(1/3h) ∇(h³ ((u·∇)(∇·u) - (∇·u)²))."""
     grid = depth.grid
-    if not grid.compatible(u.grid):
-        raise GridMismatchError("depth and velocity must share one grid")
-    inner = _q_inner(grid, u.data)
-    out = -(1.0 / 3.0) * grid.dealiased_gradient(depth.h3 * inner) / depth.h.data
-    return VectorField(grid, out)
+    _check_velocity(grid, u)
+    inner = _q_inner(grid, u)
+    return -(1.0 / 3.0) * grid.dealiased_gradient(depth.h3 * inner) / depth.h
 
 
 def _q_inner(grid: PeriodicGrid, u: np.ndarray) -> np.ndarray:
@@ -565,7 +569,7 @@ def _q_inner(grid: PeriodicGrid, u: np.ndarray) -> np.ndarray:
     return grid.dealias(adv - d * d)
 
 
-def apply_Qb(depth: DepthState, bath: BathymetryState, u: VectorField) -> VectorField:
+def apply_Qb(depth: DepthState, bath: BathymetryState, u: np.ndarray) -> np.ndarray:
     """Bathymetric partner of Q:
 
     Q_b = (β/2h) ( ∇(h² (u·∇)²b) - h² ((u·∇)(∇·u) - (∇·u)²) ∇b )
@@ -574,18 +578,17 @@ def apply_Qb(depth: DepthState, bath: BathymetryState, u: VectorField) -> Vector
     grid = _check_operator_inputs(depth, bath, u)
     bgb = bath.beta_grad_b
     if bgb is None:
-        return VectorField.zeros(grid)
-    h = depth.h.data
+        return np.zeros(u.shape)
+    h = depth.h
     h2d = depth.h2
-    uarr = u.data
     # β (u·∇)² b, built from β∇b so the β powers come out right
-    w1 = grid.dealias(np.einsum("i...,i...->...", bgb, uarr))
-    w2 = grid.dealias(np.einsum("i...,i...->...", uarr, grid.gradient(w1)))
-    inner = _q_inner(grid, uarr)
+    w1 = grid.dealias(np.einsum("i...,i...->...", bgb, u))
+    w2 = grid.dealias(np.einsum("i...,i...->...", u, grid.gradient(w1)))
+    inner = _q_inner(grid, u)
     out = 0.5 * grid.dealiased_gradient(h2d * w2) / h
     out -= 0.5 * (grid.dealias(h2d * inner) / h) * bgb
     out += w2 * bgb
-    return VectorField(grid, grid.dealias(out))
+    return grid.dealias(out)
 
 
 def _pressure_terms(
@@ -595,7 +598,7 @@ def _pressure_terms(
     final dealiasing projection.  The two gradients share one transform pair:
     (u/h)·∇(h³ ∇·u / 3 − h² (β∇b)·u / 2)."""
     grid = depth.grid
-    h, h2d = depth.h.data, depth.h2
+    h, h2d = depth.h, depth.h2
     d = grid.dealiased_divergence(u)
     flux = (1.0 / 3.0) * depth.h3 * d if flat_part else 0.0
     out = 0.5 * h2d * d * d if flat_part else 0.0
@@ -606,31 +609,28 @@ def _pressure_terms(
     return out + np.einsum("i...,i...->...", u, grid.dealiased_gradient(flux)) / h
 
 
-def apply_R(depth: DepthState, u: VectorField) -> ScalarField:
+def apply_R(depth: DepthState, u: np.ndarray) -> np.ndarray:
     """R[h, u] = (u/3h)·∇(h³ ∇·u) + ½ h² (∇·u)², dealiased."""
     grid = depth.grid
-    if not grid.compatible(u.grid):
-        raise GridMismatchError("depth and velocity must share one grid")
-    return ScalarField(grid, grid.dealias(_pressure_terms(depth, None, u.data)))
+    _check_velocity(grid, u)
+    return grid.dealias(_pressure_terms(depth, None, u))
 
 
-def apply_Rb(depth: DepthState, bath: BathymetryState, u: VectorField) -> ScalarField:
+def apply_Rb(depth: DepthState, bath: BathymetryState, u: np.ndarray) -> np.ndarray:
     """R_b = -½ ( (u/h)·∇(h² (β∇b)·u) + h ((β∇b)·u) ∇·u + ((β∇b)·u)² )."""
     grid = _check_operator_inputs(depth, bath, u)
     bgb = bath.beta_grad_b
     if bgb is None:
-        return ScalarField.zeros(grid)
-    return ScalarField(grid, grid.dealias(_pressure_terms(depth, bgb, u.data, flat_part=False)))
+        return np.zeros(grid.shape)
+    return grid.dealias(_pressure_terms(depth, bgb, u, flat_part=False))
 
 
-def good_unknown_w(
-    depth: DepthState, bath: BathymetryState, u: VectorField
-) -> ScalarField:
+def good_unknown_w(depth: DepthState, bath: BathymetryState, u: np.ndarray) -> np.ndarray:
     """Vertical-velocity unknown w = -h ∇·u + (β∇b)·u."""
     grid = _check_operator_inputs(depth, bath, u)
-    d = grid.dealiased_divergence(u.data)
-    out = -grid.dealias(depth.h.data * d)
+    d = grid.dealiased_divergence(u)
+    out = -grid.dealias(depth.h * d)
     bgb = bath.beta_grad_b
     if bgb is not None:
-        out += grid.dealias(np.einsum("i...,i...->...", bgb, u.data))
-    return ScalarField(grid, out)
+        out += grid.dealias(np.einsum("i...,i...->...", bgb, u))
+    return out

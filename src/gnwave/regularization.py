@@ -19,8 +19,8 @@ import weakref
 import numpy as np
 
 from .errors import ValidationError
-from .grid import PeriodicGrid, ScalarField, VectorField
-from .models import FluidState, ModelParams, SolveStats, rhs_gn_v
+from .grid import PeriodicGrid
+from .models import ModelParams, SolveStats, rhs_gn_v
 from .operators import BathymetryState, EllipticSolveConfig, SolverSession
 
 __all__ = ["MollifierSpec", "mollify", "rhs_gn_v_mollified"]
@@ -107,34 +107,31 @@ def _smooth_step(r0: float, r1: float, r: np.ndarray) -> np.ndarray:
     return upper / (upper + lower + np.finfo(float).tiny * (upper + lower == 0.0))
 
 
-def mollify(f, spec: MollifierSpec):
-    """Apply J^ι to a field, multiplying each component's spectrum by φ(ι|k|)."""
+def mollify(grid: PeriodicGrid, f: np.ndarray, spec: MollifierSpec) -> np.ndarray:
+    """Apply J^ι to a scalar array or a stacked vector array, multiplying
+    each component's spectrum by φ(ι|k|).  ι = 0 returns ``f`` itself."""
     if spec.is_identity:
         return f
-    phi = spec.multiplier(f.grid)
-    smoothed = f.grid.ifft(phi * f.grid.fft(f.data))
-    if isinstance(f, ScalarField):
-        return ScalarField(f.grid, smoothed)
-    if isinstance(f, VectorField):
-        return VectorField(f.grid, smoothed)
-    raise ValidationError(f"mollify expects a field, got {type(f).__name__}")
+    return grid.ifft(spec.multiplier(grid) * grid.fft(f))
 
 
 def rhs_gn_v_mollified(
-    state: FluidState,
+    zeta: np.ndarray,
+    vel: np.ndarray,
     params: ModelParams,
     bath: BathymetryState,
     spec: MollifierSpec,
     cfg: EllipticSolveConfig | None = None,
     session: SolverSession | None = None,
-) -> tuple[ScalarField, VectorField, SolveStats]:
+) -> tuple[np.ndarray, np.ndarray, SolveStats]:
     """Conjugate-variable tendency with J^ι wrapped around both equation groups.
 
     The smoothing acts on the entire mass flux divergence and on the entire
     momentum forcing group (pressure gradient included), which by linearity
     equals smoothing the plain tendency.  ι = 0 reproduces it identically.
     """
-    dzeta, dv, stats = rhs_gn_v(state, params, bath, cfg, session)
+    dzeta, dv, stats = rhs_gn_v(zeta, vel, params, bath, cfg, session)
     if spec.is_identity:
         return dzeta, dv, stats
-    return mollify(dzeta, spec), mollify(dv, spec), stats
+    grid = bath.grid
+    return mollify(grid, dzeta, spec), mollify(grid, dv, spec), stats

@@ -13,14 +13,17 @@ The dispersive operator has an order-zero inverse, so explicit stepping is
 not stiffness-limited; a CFL advisory based on the gravity-wave speed
 √(max h) with safety factor 0.5 is emitted as a warning only.
 
-Every step result is projected onto the dealiased band, and so is a state
-entering the first step.  Stage states need no projection of their own: the
-gn_v and sv tendencies lie in the band already (to round-off), and the CG
-solution that the gn_u and bp tendencies return is projected before use, so
-every stage stays in the band.  Stage depths are monitored: a stage whose
-minimum depth falls to half the configured floor aborts the step, and any
-field magnitude beyond 1e8 (or a non-finite value) terminates the run as a
-blow-up.
+Stages and steps carry the ``(zeta, vel)`` arrays of the state; a run
+checks the variable kind of its initial state once, and builds a
+:class:`~gnwave.models.FluidState` only to emit a record or snapshot, to
+return, or to attach a failure report.  Every step result is projected onto
+the dealiased band, and so is a state entering the first step.  Stage states
+need no projection of their own: the gn_v and sv tendencies lie in the band
+already (to round-off), and the CG solution that the gn_u and bp tendencies
+return is projected before use, so every stage stays in the band.  Every
+stage input and step result is checked: a stage whose minimum depth falls to
+half the configured floor aborts the step, and any field magnitude beyond
+1e8 (or a non-finite value) terminates the run as a blow-up.
 
 Determinism: all arithmetic is fixed-order; two runs from identical inputs
 produce bit-identical states, records and snapshots.  Wall-clock time in the
@@ -39,7 +42,6 @@ from .diagnostics import DEFAULT_ORDER, DiagnosticsRecord, collect_record
 from .errors import (
     BlowUpError,
     CoercivityViolationError,
-    GnwaveError,
     NonConvergenceError,
     ValidationError,
 )
@@ -49,10 +51,10 @@ from .models import (
     Formulation,
     ModelParams,
     VariableKind,
+    _require_kind,
     rest_depth,
     rhs_bp,
     rhs_gn_u,
-    rhs_gn_v,
     rhs_sv,
     v_from_u,
 )
@@ -161,17 +163,19 @@ def _resolve_h_star(state: FluidState, params: ModelParams, bath: BathymetryStat
 
 
 class _Stepper:
-    """Binds the model tendency, the stage guards and a solver session."""
+    """Binds the model tendency, the stage guards and a solver session to the
+    state a run or step starts from, which must be of the formulation's kind."""
 
     def __init__(
         self,
+        initial: FluidState,
         params: ModelParams,
         bath: BathymetryState,
         icfg: IntegrationConfig,
         cfg: EllipticSolveConfig | None,
         session: SolverSession | None,
-        h_star: float,
     ) -> None:
+        _require_kind(initial, params.expected_kind, f"the {params.formulation.value} formulation")
         if icfg.mollifier.iota > 0.0 and params.formulation is not Formulation.GN_V:
             raise ValidationError(
                 "spectral smoothing is defined for the conjugate-variable "
@@ -180,36 +184,34 @@ class _Stepper:
         self.params = params
         self.bath = bath
         self.grid = bath.grid
-        self.cfg = cfg
+        self.scheme = icfg.scheme
         self.session = session
-        self.h_star = h_star
-        self.kind = params.expected_kind
+        self.h_star = _resolve_h_star(initial, params, bath)
         form = params.formulation
         if form is Formulation.GN_V:
             spec = icfg.mollifier
 
-            def tendency(state: FluidState):
-                dz, dv, _ = rhs_gn_v_mollified(state, params, bath, spec, cfg, session)
-                return dz.data, dv.data
+            def tendency(zeta: np.ndarray, vel: np.ndarray):
+                dz, dv, _ = rhs_gn_v_mollified(zeta, vel, params, bath, spec, cfg, session)
+                return dz, dv
 
         elif form is Formulation.GN_U:
 
-            def tendency(state: FluidState):
-                dz, dv, _ = rhs_gn_u(state, params, bath, cfg, session)
-                return dz.data, self.grid.dealias(dv.data)
+            def tendency(zeta: np.ndarray, vel: np.ndarray):
+                dz, dv, _ = rhs_gn_u(zeta, vel, params, bath, cfg, session)
+                return dz, self.grid.dealias(dv)
 
         elif form is Formulation.BP:
             frozen = rest_depth(params, bath)
 
-            def tendency(state: FluidState):
-                dz, dv, _ = rhs_bp(state, params, bath, cfg, session, frozen_depth=frozen)
-                return dz.data, self.grid.dealias(dv.data)
+            def tendency(zeta: np.ndarray, vel: np.ndarray):
+                dz, dv, _ = rhs_bp(zeta, vel, params, bath, cfg, session, frozen_depth=frozen)
+                return dz, self.grid.dealias(dv)
 
         else:
 
-            def tendency(state: FluidState):
-                dz, dv = rhs_sv(state, params, bath)
-                return dz.data, dv.data
+            def tendency(zeta: np.ndarray, vel: np.ndarray):
+                return rhs_sv(zeta, vel, params, bath)
 
         self._tendency = tendency
 
@@ -230,7 +232,6 @@ class _Stepper:
         stage: tuple[int, float, float],
     ) -> tuple[np.ndarray, np.ndarray]:
         """Tendency at a stage; ``stage`` is (index, step start, dt) for the session."""
-        grid = self.grid
         self.check_fields(zeta, vel, t)
         h_min = float(
             np.min(1.0 + self.params.epsilon * zeta - self.params.beta * self.bath.b.data)
@@ -244,24 +245,21 @@ class _Stepper:
         if self.session is not None:
             self.session.time = t
             self.session.stage = stage
-        state = FluidState(
-            ScalarField(grid, zeta), VectorField(grid, vel), self.kind, t
-        )
-        return self._tendency(state)
+        return self._tendency(zeta, vel)
 
     def advance(
-        self, state: FluidState, dt: float, t_next: float, scheme: str, project: bool = False
-    ) -> FluidState:
-        """One step from ``state``; ``project`` it first unless it is a step result."""
+        self, z: np.ndarray, v: np.ndarray, t: float, dt: float, t_next: float, project=False
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One step of size ``dt`` from ``(z, v)`` at ``t``, ending at ``t_next``;
+        ``project`` the input first unless it is a step result."""
         grid = self.grid
-        z, v, t = state.zeta.data, state.vel.data, state.time
         if project:
             z, v = grid.dealias(z), grid.dealias(v)
 
         def rhs(index: int, zs: np.ndarray, vs: np.ndarray, offset: float):
             return self.rhs(zs, vs, t + offset * dt, (index, t, dt))
 
-        if scheme == "rk4":
+        if self.scheme == "rk4":
             k1z, k1v = rhs(0, z, v, 0.0)
             k2z, k2v = rhs(1, z + 0.5 * dt * k1z, v + 0.5 * dt * k1v, 0.5)
             k3z, k3v = rhs(2, z + 0.5 * dt * k2z, v + 0.5 * dt * k2v, 0.5)
@@ -280,7 +278,7 @@ class _Stepper:
         nz = grid.dealias(nz)
         nv = grid.dealias(nv)
         self.check_fields(nz, nv, t_next)
-        return FluidState(ScalarField(grid, nz), VectorField(grid, nv), state.kind, t_next)
+        return nz, nv
 
 
 def step(
@@ -292,8 +290,10 @@ def step(
     session: SolverSession | None = None,
 ) -> FluidState:
     """Advance one full step of size icfg.dt; stages live in the dealiased band."""
-    stepper = _Stepper(params, bath, icfg, cfg, session, _resolve_h_star(state, params, bath))
-    return stepper.advance(state, icfg.dt, state.time + icfg.dt, icfg.scheme, project=True)
+    stepper = _Stepper(state, params, bath, icfg, cfg, session)
+    t_next = state.time + icfg.dt
+    z, v = stepper.advance(state.zeta.data, state.vel.data, state.time, icfg.dt, t_next, True)
+    return FluidState(ScalarField(bath.grid, z), VectorField(bath.grid, v), state.kind, t_next)
 
 
 def _as_v_state(state: FluidState, params: ModelParams, bath: BathymetryState) -> FluidState:
@@ -322,9 +322,7 @@ def run(
     cfg = cfg if cfg is not None else EllipticSolveConfig()
     step_session = SolverSession(cfg)
     diag_session = SolverSession(cfg)
-    stepper = _Stepper(
-        params, bath, icfg, cfg, step_session, _resolve_h_star(initial, params, bath)
-    )
+    stepper = _Stepper(initial, params, bath, icfg, cfg, step_session)
 
     advisory = cfl_time_step(initial, params, bath)
     if icfg.dt > advisory:
@@ -337,15 +335,27 @@ def run(
     emit_record = getattr(sinks, "record", None)
     emit_snapshot = getattr(sinks, "snapshot", None)
 
-    def emit(state: FluidState, want_record: bool, want_snapshot: bool) -> None:
+    # the loop carries the arrays (z, v) at time t; ``state`` wraps them once
+    # a sink, the report or a failure needs it
+    z, v, t = initial.zeta.data, initial.vel.data, initial.time
+    state: FluidState | None = initial
+
+    def accepted() -> FluidState:
+        nonlocal state
+        if state is None:
+            grid = bath.grid
+            state = FluidState(ScalarField(grid, z), VectorField(grid, v), initial.kind, t)
+        return state
+
+    def emit(want_record: bool, want_snapshot: bool) -> None:
         if want_record and emit_record is not None:
             emit_record(
                 collect_record(
-                    _as_v_state(state, params, bath), params, bath, diag_order, cfg, diag_session
+                    _as_v_state(accepted(), params, bath), params, bath, diag_order, cfg, diag_session
                 )
             )
         if want_snapshot and emit_snapshot is not None:
-            emit_snapshot(state)
+            emit_snapshot(accepted())
 
     t0 = initial.time
     span = icfg.t_end - t0
@@ -357,26 +367,27 @@ def run(
         if remainder <= 1e-9 * icfg.dt:
             remainder = 0.0
 
-    state = initial
     steps_total = n_full + (1 if remainder else 0)
     steps_done = 0
     termination = "completed"
     failure_time: float | None = None
-    emit(state, True, icfg.snapshot_stride > 0)
+    emit(True, icfg.snapshot_stride > 0)
     try:
         for k in range(1, n_full + 1):
-            state = stepper.advance(state, icfg.dt, t0 + k * icfg.dt, icfg.scheme, k == 1)
+            t_next = t0 + k * icfg.dt
+            z, v = stepper.advance(z, v, t, icfg.dt, t_next, k == 1)
+            t, state = t_next, None
             steps_done = k
             last = k == steps_total
             emit(
-                state,
                 k % icfg.diag_stride == 0 or last,
                 icfg.snapshot_stride > 0 and (k % icfg.snapshot_stride == 0 or last),
             )
         if remainder:
-            state = stepper.advance(state, remainder, icfg.t_end, icfg.scheme, n_full == 0)
+            z, v = stepper.advance(z, v, t, remainder, icfg.t_end, n_full == 0)
+            t, state = icfg.t_end, None
             steps_done = steps_total
-            emit(state, True, icfg.snapshot_stride > 0)
+            emit(True, icfg.snapshot_stride > 0)
     except (CoercivityViolationError, NonConvergenceError, BlowUpError) as exc:
         termination = {
             CoercivityViolationError: "coercivity_violation",
@@ -385,9 +396,9 @@ def run(
         }[type(exc)]
         failure_time = getattr(exc, "time", None)
         if failure_time is None:
-            failure_time = state.time
+            failure_time = t
         exc.report = RunReport(
-            final_state=state,
+            final_state=accepted(),
             wall_time=time.perf_counter() - t_start,
             total_elliptic_iterations=step_session.total_iterations
             + diag_session.total_iterations,
@@ -398,7 +409,7 @@ def run(
         raise
 
     return RunReport(
-        final_state=state,
+        final_state=accepted(),
         wall_time=time.perf_counter() - t_start,
         total_elliptic_iterations=step_session.total_iterations + diag_session.total_iterations,
         termination=termination,

@@ -247,7 +247,7 @@ def _dhT_times_h(
     grid: PeriodicGrid, depth: DepthState, bath: BathymetryState, f: np.ndarray, u: np.ndarray
 ) -> np.ndarray:
     """Directional derivative of h·T[h,βb]u along the depth perturbation f."""
-    h = depth.h.data
+    h = depth.h
     d = grid.dealias(grid.divergence(u))
     out = -grid.gradient(grid.dealias(h * h * f * d))
     bgb = bath.beta_grad_b
@@ -286,19 +286,16 @@ def check_equivalence_identity(
         (u_g,) = _restrict_inputs(fine, g, [u.data])
         bath_g = BathymetryState(ScalarField(g, b_g), bath.beta)
         h = 1.0 + eps * z_g - params.beta * b_g
-        depth = DepthState.from_depth(g, h)
-        uf = VectorField(g, u_g)
-        Tu = apply_T(depth, bath_g, uf).data
+        depth = DepthState(g, h)
+        Tu = apply_T(depth, bath_g, u_g)
         f = -eps * g.dealias(g.divergence(g.dealias(h * u_g)))
         comm = (_dhT_times_h(g, depth, bath_g, f, u_g) - g.dealias(f * Tu)) / h
-        w = good_unknown_w(depth, bath_g, uf).data
+        w = good_unknown_w(depth, bath_g, u_g)
         u_dot_Tu = g.dealias(np.einsum("i...,i...->...", u_g, Tu))
         lhs = comm + eps * g.gradient(g.dealias(u_dot_Tu - 0.5 * g.dealias(w * w)))
         if g.dim == 2:
             lhs = lhs + eps * g.dealias(g.curl(Tu) * g.perp(u_g))
-        rhs = eps * (
-            apply_Q(depth, uf).data + apply_Qb(depth, bath_g, uf).data
-        )
+        rhs = eps * (apply_Q(depth, u_g) + apply_Qb(depth, bath_g, u_g))
         residuals.append(g.norm_l2(lhs - rhs))
     return ResidualReport.from_residuals("equivalence_identity", grids, residuals)
 
@@ -327,20 +324,18 @@ def check_rhs_equivalence(
         bath_g = BathymetryState(ScalarField(g, b_g), bath.beta)
         su = FluidState(ScalarField(g, z_g), VectorField(g, u_g), VariableKind.U_VARIABLE)
         sv = v_from_u(su, params, bath_g)
-        depth = make_depth(params, su.zeta, bath_g)
-        dz_u, du, _ = rhs_gn_u(su, params, bath_g, cfg, session=SolverSession(cfg))
-        dz_v, dv, _ = rhs_gn_v(sv, params, bath_g, cfg, session=SolverSession(cfg))
-        f = ScalarField(g, eps * dz_v.data)
+        depth = make_depth(params, z_g, bath_g)
+        dz_u, du, _ = rhs_gn_u(z_g, u_g, params, bath_g, cfg, session=SolverSession(cfg))
+        dz_v, dv, _ = rhs_gn_v(z_g, sv.vel.data, params, bath_g, cfg, session=SolverSession(cfg))
+        f = eps * dz_v
         mapped_rhs = (
-            depth.h.data * dv.data
-            + f.data * sv.vel.data
-            - dh_frakT(depth, bath_g, f, su.vel, params.mu).data
+            depth.h * dv + f * sv.vel.data - dh_frakT(depth, bath_g, f, u_g, params.mu)
         )
         du_mapped, _, _ = invert_frakT(
-            depth, bath_g, VectorField(g, mapped_rhs), params.mu, cfg, session=SolverSession(cfg)
+            depth, bath_g, mapped_rhs, params.mu, cfg, session=SolverSession(cfg)
         )
-        gap_u = g.norm_l2(du.data - du_mapped.data)
-        gap_z = g.norm_l2(dz_u.data - dz_v.data)
+        gap_u = g.norm_l2(du - du_mapped)
+        gap_z = g.norm_l2(dz_u - dz_v)
         residuals.append(math.hypot(gap_u, gap_z))
     return ResidualReport.from_residuals("rhs_equivalence", grids, residuals)
 
@@ -361,13 +356,10 @@ def _variational_gradients(
     cfg: EllipticSolveConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Claimed variational derivatives (δ_ζH, δ_vH) of the energy functional."""
-    depth = make_depth(params, ScalarField(g, zeta), bath)
-    u, _, _ = invert_frakT(
-        depth, bath, VectorField(g, depth.h.data * v), params.mu, cfg
-    )
-    uu = u.data
-    w = good_unknown_w(depth, bath, u).data
-    grad_v = depth.h.data * uu
+    depth = make_depth(params, zeta, bath)
+    uu, _, _ = invert_frakT(depth, bath, depth.h * v, params.mu, cfg)
+    w = good_unknown_w(depth, bath, uu)
+    grad_v = depth.h * uu
     grad_z = (
         zeta
         + params.epsilon * np.einsum("i...,i...->...", uu, v)
@@ -536,7 +528,9 @@ def fd_skew_reproduction_gap(
         raise ValidationError("fd_skew_reproduction_gap expects the v-variable state")
     g = state.grid
     cfg = cfg if cfg is not None else EllipticSolveConfig(rel_tolerance=1e-13)
-    dz, dv, _ = rhs_gn_v(state, params, bath, cfg, session=SolverSession(cfg))
+    dz, dv, _ = rhs_gn_v(
+        state.zeta.data, state.vel.data, params, bath, cfg, session=SolverSession(cfg)
+    )
 
     def assembled(step: float) -> tuple[np.ndarray, np.ndarray]:
         gz, gv = fd_variational_gradients(state.zeta, state.vel, params, bath, cfg, step)
@@ -544,7 +538,7 @@ def fd_skew_reproduction_gap(
 
     dz_fd, dv_fd = assembled(delta)
     dz_half, dv_half = assembled(delta / 2.0)
-    gap = math.hypot(g.norm_l2(dz.data - dz_fd), g.norm_l2(dv.data - dv_fd))
+    gap = math.hypot(g.norm_l2(dz - dz_fd), g.norm_l2(dv - dv_fd))
     richardson = (4.0 / 3.0) * math.hypot(
         g.norm_l2(dz_fd - dz_half), g.norm_l2(dv_fd - dv_half)
     )
@@ -580,11 +574,11 @@ def check_variational_structure(
         (v_g,) = _restrict_inputs(fine, g, [psi_grad.data])
         bath_g = BathymetryState(ScalarField(g, b_g), bath.beta)
         state = FluidState(ScalarField(g, z_g), VectorField(g, v_g), VariableKind.V_VARIABLE)
-        dz, dv, _ = rhs_gn_v(state, params, bath_g, cfg, session=SolverSession(cfg))
+        dz, dv, _ = rhs_gn_v(z_g, v_g, params, bath_g, cfg, session=SolverSession(cfg))
         dz_skew, dv_skew = skew_assembled_rhs(state, params, bath_g, cfg)
-        scale = max(math.hypot(g.norm_l2(dz.data), g.norm_l2(dv.data)), 1e-300)
+        scale = max(math.hypot(g.norm_l2(dz), g.norm_l2(dv)), 1e-300)
         residuals.append(
-            math.hypot(g.norm_l2(dz.data - dz_skew), g.norm_l2(dv.data - dv_skew)) / scale
+            math.hypot(g.norm_l2(dz - dz_skew), g.norm_l2(dv - dv_skew)) / scale
         )
         if index == len(ladder) - 1:
             gap, tol = fd_skew_reproduction_gap(state, params, bath_g, cfg, delta)
@@ -638,7 +632,7 @@ def dispersion_study(
     if params.beta != 0.0:
         raise ValidationError("dispersion_study requires a flat bottom (beta = 0)")
     cfg = cfg if cfg is not None else EllipticSolveConfig()
-    bath = BathymetryState(ScalarField(grid, np.zeros(grid.shape)), 0.0)
+    bath = BathymetryState.flat(grid)
     x = grid.coords[0]
     length = grid.lengths[0]
     rows = []
@@ -721,10 +715,6 @@ def dispersion_as_csv(rows: Sequence[DispersionRow]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _flat_bath(grid: PeriodicGrid) -> BathymetryState:
-    return BathymetryState(ScalarField(grid, np.zeros(grid.shape)), 0.0)
-
-
 @dataclasses.dataclass(frozen=True)
 class ConvergenceProblem:
     """A runnable initial-value problem posed on any grid resolution.
@@ -738,7 +728,7 @@ class ConvergenceProblem:
     t_end: float
     dt: float
     initial_state: Callable[[PeriodicGrid], FluidState]
-    bathymetry: Callable[[PeriodicGrid], BathymetryState] = _flat_bath
+    bathymetry: Callable[[PeriodicGrid], BathymetryState] = BathymetryState.flat
     scheme: str = "rk4"
 
 

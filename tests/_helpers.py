@@ -51,7 +51,7 @@ def smooth_depth(
     max_mode: int = 4,
 ) -> DepthState:
     h = 1.0 + band_limited_scalar(grid, rng, max_mode, variation)
-    return DepthState.from_depth(grid, h)
+    return DepthState(grid, h)
 
 
 def smooth_bathymetry(
@@ -63,6 +63,11 @@ def smooth_bathymetry(
 ) -> BathymetryState:
     b = band_limited_scalar(grid, rng, max_mode, amplitude)
     return BathymetryState(ScalarField(grid, b), beta)
+
+
+def arrays(state) -> tuple[np.ndarray, np.ndarray]:
+    """The (zeta, vel) arrays of a FluidState, as the tendencies take them."""
+    return state.zeta.data, state.vel.data
 
 
 def random_velocity(grid: PeriodicGrid, seed: int, max_mode: int = 4, amplitude: float = 1.0) -> VectorField:

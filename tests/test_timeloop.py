@@ -24,7 +24,13 @@ from gnwave.timeloop import (
     step,
 )
 
-from _helpers import band_limited_scalar, band_limited_vector, fv_shallow_water, smooth_bathymetry
+from _helpers import (
+    arrays,
+    band_limited_scalar,
+    band_limited_vector,
+    fv_shallow_water,
+    smooth_bathymetry,
+)
 
 
 def gaussian_pulse(grid, amplitude, width, center=None):
@@ -235,13 +241,13 @@ class TestDealiasedBand:
         state, rng = self._state(grid, VariableKind.V_VARIABLE, 20 + dim)
         bath = smooth_bathymetry(grid, rng, beta=0.3)
         params = ModelParams(epsilon=0.5, beta=0.3, mu=0.5)
-        dz, dv, _ = rhs_gn_v(state, params, bath)
-        assert self._out_of_band(grid, dz.data) < 1e-14
-        assert self._out_of_band(grid, dv.data) < 1e-14
+        dz, dv, _ = rhs_gn_v(*arrays(state), params, bath)
+        assert self._out_of_band(grid, dz) < 1e-14
+        assert self._out_of_band(grid, dv) < 1e-14
         sv = ModelParams(epsilon=0.5, beta=0.3, mu=0.0, formulation=Formulation.SV)
         u_state = FluidState(state.zeta, state.vel, VariableKind.U_VARIABLE)
-        for f in rhs_sv(u_state, sv, bath):
-            assert self._out_of_band(grid, f.data) < 1e-14
+        for f in rhs_sv(*arrays(u_state), sv, bath):
+            assert self._out_of_band(grid, f) < 1e-14
 
     def test_gn_u_solution_leaks_out_of_band(self):
         """The CG solution is not band-limited, so the stepper projects it."""
@@ -249,9 +255,9 @@ class TestDealiasedBand:
         state, rng = self._state(grid, VariableKind.U_VARIABLE, 30)
         bath = smooth_bathymetry(grid, rng, beta=0.3)
         params = ModelParams(epsilon=0.5, beta=0.3, mu=0.5, formulation=Formulation.GN_U)
-        dz, du, _ = rhs_gn_u(state, params, bath)
-        assert self._out_of_band(grid, dz.data) < 1e-14
-        assert self._out_of_band(grid, du.data) > 1e-12
+        dz, du, _ = rhs_gn_u(*arrays(state), params, bath)
+        assert self._out_of_band(grid, dz) < 1e-14
+        assert self._out_of_band(grid, du) > 1e-12
 
 
 class TestStageSolves:
@@ -279,10 +285,10 @@ class TestStageSolves:
 
         def checked(depth, bath, rhs, mu, cfg=None, session=None):
             out = solve(depth, bath, rhs, mu, cfg, session)
-            size = grid.norm_l2(rhs.data)
+            size = grid.norm_l2(rhs)
             if size > 0.0:
                 back = apply_frakT(depth, bath, out.u, mu)
-                relative.append(grid.norm_l2(back.data - rhs.data) / size)
+                relative.append(grid.norm_l2(back - rhs) / size)
             return out
 
         engaged = {}
@@ -468,6 +474,23 @@ class TestFailureModes:
         assert excinfo.value.report.termination == "blow_up"
         assert excinfo.value.report.failure_time == 0.0
 
+    def test_kind_checked(self):
+        """run and step refuse a state of the other variable kind, both ways."""
+        grid = PeriodicGrid((32,), (2 * np.pi,))
+        bath = BathymetryState.flat(grid)
+        icfg = IntegrationConfig(dt=0.01, t_end=0.02)
+        for formulation, kind in (
+            (Formulation.GN_V, VariableKind.U_VARIABLE),
+            (Formulation.GN_U, VariableKind.V_VARIABLE),
+        ):
+            params = ModelParams(epsilon=0.1, beta=0.0, mu=0.5, formulation=formulation)
+            state = FluidState(pulse_state(grid).zeta, VectorField.zeros(grid), kind)
+            names = f"{params.expected_kind.value}-variable.*{kind.value}-variable"
+            with pytest.raises(ValidationError, match=names):
+                run(state, params, bath, icfg, diag_order=0)
+            with pytest.raises(ValidationError, match=names):
+                step(state, params, bath, icfg)
+
     def test_smoothing_requires_conjugate_formulation(self):
         """Spectral smoothing with the velocity formulation is rejected."""
         grid = PeriodicGrid((32,), (2 * np.pi,))
@@ -491,6 +514,35 @@ class TestSingleStep:
         assert via_step.time == via_run.time == 0.02
         assert np.allclose(via_step.zeta.data, via_run.zeta.data, rtol=0, atol=1e-10)
         assert np.allclose(via_step.vel.data, via_run.vel.data, rtol=0, atol=1e-10)
+
+
+class TestFieldWrappers:
+    def test_wrappers_do_not_grow_with_steps(self, monkeypatch):
+        """Stages and steps pass arrays, so a run builds as many field
+        wrappers over 8 steps as over 4 when no strided record falls between."""
+        from gnwave import grid as grid_module
+
+        calls = []
+        wrap = grid_module._as_readonly
+
+        def counted(*args):
+            calls.append(None)
+            return wrap(*args)
+
+        grid = PeriodicGrid((32,), (2 * np.pi,))
+        params = ModelParams(epsilon=0.2, beta=0.0, mu=0.5)
+        bath = BathymetryState.flat(grid)
+        state = pulse_state(grid, amplitude=0.3)
+        monkeypatch.setattr(grid_module, "_as_readonly", counted)
+
+        def wrappers(steps):
+            calls.clear()
+            icfg = IntegrationConfig(dt=0.02, t_end=steps * 0.02, diag_stride=10**6)
+            report = run(state, params, bath, icfg, sinks=CollectingSinks(), diag_order=1)
+            assert report.steps == steps
+            return len(calls)
+
+        assert wrappers(4) == wrappers(8)
 
 
 class TestMollifiedRun:
