@@ -13,7 +13,9 @@ which on a periodic grid is the closed form of the dual quadratic form.
 Energies: the Hamiltonian ½∫ ζ² + (hv)·𝔗⁻¹(hv); the symmetrizer energy
 F^n built from the derivative fields with their good-unknown correction
 ∂^α v − με∇(w ∂^α ζ); and the classical-variable quadratic pair (F_α, G_α)
-whose time balance is exercised in the tests.
+whose time balance is exercised in the tests.  The Hamiltonian and F^n take
+the state's water column (a :class:`~gnwave.operators.DepthState`), so a
+record builds it once for both.
 """
 from __future__ import annotations
 
@@ -34,6 +36,7 @@ from .models import (
 )
 from .operators import (
     BathymetryState,
+    DepthState,
     EllipticSolveConfig,
     SolverSession,
     apply_T,
@@ -157,25 +160,25 @@ def vorticity_norm(state: FluidState) -> float:
 
 
 def hamiltonian_gn(
-    zeta: ScalarField,
-    psi_grad: VectorField,
+    zeta: np.ndarray,
+    v: np.ndarray,
     params: ModelParams,
-    bath: BathymetryState,
+    depth: DepthState,
     cfg: EllipticSolveConfig | None = None,
     session: SolverSession | None = None,
 ) -> float:
-    """½∫ ζ² + (h∇ψ)·𝔗⁻¹(h∇ψ): quadrature with one elliptic solve.
+    """½∫ ζ² + (hv)·𝔗⁻¹(hv) of the arrays ``(zeta, v)`` whose water column is
+    ``depth``: quadrature with one elliptic solve.
 
     The kinetic part is evaluated in the stationary form ⟨hv, ũ⟩ − ½⟨𝔗ũ, ũ⟩
     so the elliptic solve error enters quadratically, not linearly.
     """
-    grid = zeta.grid
-    depth = make_depth(params, zeta.data, bath)
-    hv = depth.h * psi_grad.data
-    u, _, _ = invert_frakT(depth, bath, hv, params.mu, cfg, session)
-    frak_u = apply_frakT(depth, bath, u, params.mu)
+    grid = depth.grid
+    hv = depth.h * v
+    u, _, _ = invert_frakT(depth, hv, params.mu, cfg, session)
+    frak_u = apply_frakT(depth, u, params.mu)
     kinetic = grid.inner(hv, u) - 0.5 * grid.inner(frak_u, u)
-    return 0.5 * grid.integrate(zeta.data**2) + kinetic
+    return 0.5 * grid.integrate(zeta**2) + kinetic
 
 
 def energy_E(state: FluidState, params: ModelParams, n: int = DEFAULT_ORDER) -> float:
@@ -188,7 +191,7 @@ def energy_E(state: FluidState, params: ModelParams, n: int = DEFAULT_ORDER) -> 
 def energy_F(
     state: FluidState,
     params: ModelParams,
-    bath: BathymetryState,
+    depth: DepthState,
     n: int = DEFAULT_ORDER,
     cfg: EllipticSolveConfig | None = None,
     session: SolverSession | None = None,
@@ -197,16 +200,16 @@ def energy_F(
 
     ζ_α = ∂^α ζ and, for |α| ≥ 1, v_α = ∂^α v − με∇(w ∂^α ζ) with the
     derivative weight w = (β∇b)·u − h∇·u; the zero index enters uncorrected.
-    Each term costs one elliptic solve for u_α = 𝔗⁻¹(h v_α).
+    ``depth`` is the water column of ``state``.  Each term costs one elliptic
+    solve for u_α = 𝔗⁻¹(h v_α).
     """
     if state.kind is not VariableKind.V_VARIABLE:
         raise ValidationError("energy_F expects the v-variable state")
     grid = state.grid
     _check_order(grid, n)
-    depth = make_depth(params, state.zeta.data, bath)
     h = depth.h
-    u, _, _ = invert_frakT(depth, bath, h * state.vel.data, params.mu, cfg, session)
-    w = good_unknown_w(depth, bath, u)
+    u, _, _ = invert_frakT(depth, h * state.vel.data, params.mu, cfg, session)
+    w = good_unknown_w(depth, u)
     mu_eps = params.mu * params.epsilon
     total = 0.0
     for alpha in multi_indices(grid.dim, n):
@@ -214,7 +217,7 @@ def energy_F(
         v_a = partial_derivative(grid, state.vel.data, alpha)
         if any(alpha):
             v_a = v_a - mu_eps * grid.gradient(w * zeta_a)
-        u_a, _, _ = invert_frakT(depth, bath, h * v_a, params.mu, cfg, session)
+        u_a, _, _ = invert_frakT(depth, h * v_a, params.mu, cfg, session)
         total += grid.integrate(zeta_a**2) + grid.inner(v_a, h * u_a)
     return total
 
@@ -240,7 +243,7 @@ def energy_appendixA(
 
     zeta_a = partial_derivative(grid, state.zeta.data, alpha)
     u_a = partial_derivative(grid, state.vel.data, alpha)
-    t_u_a = apply_T(depth, bath, u_a)
+    t_u_a = apply_T(depth, u_a)
     f_val = 0.5 * (
         grid.integrate(zeta_a**2)
         + grid.integrate(h * np.sum(u_a**2, axis=0))
@@ -251,10 +254,10 @@ def energy_appendixA(
     div_u = grid.divergence(u)
     dt_zeta = -_mass_flux_divergence(grid, h, u)
     d_a = grid.divergence(u_a)
-    if bath.beta_grad_b is None:
+    if depth.beta_grad_b is None:
         g_a = np.zeros(grid.shape)
     else:
-        g_a = np.einsum("i...,i...->...", bath.beta_grad_b, u_a)
+        g_a = np.einsum("i...,i...->...", depth.beta_grad_b, u_a)
     mass_defect = dt_zeta + grid.divergence(h * u)
     g_val = 0.5 * (
         grid.integrate(div_u * zeta_a**2)
@@ -297,15 +300,16 @@ def collect_record(
     cfg: EllipticSolveConfig | None = None,
     session: SolverSession | None = None,
 ) -> DiagnosticsRecord:
-    """Assemble a full record from a conjugate-variable state."""
+    """Assemble a full record from a conjugate-variable state; both energies
+    share the state's one water column."""
     if state.kind is not VariableKind.V_VARIABLE:
         raise ValidationError("collect_record expects the v-variable state")
     grid = state.grid
     before = session.total_iterations if session is not None else 0
     depth = make_depth(params, state.zeta.data, bath)
-    ham = hamiltonian_gn(state.zeta, state.vel, params, bath, cfg, session)
+    ham = hamiltonian_gn(state.zeta.data, state.vel.data, params, depth, cfg, session)
     e_val = energy_E(state, params, order)
-    f_val = energy_F(state, params, bath, order, cfg, session)
+    f_val = energy_F(state, params, depth, order, cfg, session)
     vort = vorticity_norm(state) if grid.dim == 2 else 0.0
     spent = (session.total_iterations - before) if session is not None else 0
     return DiagnosticsRecord(

@@ -319,10 +319,6 @@ class ScalarField:
     def zeros(cls, grid: PeriodicGrid) -> "ScalarField":
         return cls(grid, np.zeros(grid.shape))
 
-    @classmethod
-    def from_function(cls, grid: PeriodicGrid, fn) -> "ScalarField":
-        return cls(grid, np.asarray(fn(*grid.coords), dtype=np.float64))
-
     def __add__(self, other: "ScalarField") -> "ScalarField":
         _check_same_grid(self, other)
         return ScalarField(self.grid, self.data + other.data)

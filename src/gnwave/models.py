@@ -15,9 +15,12 @@ depth 1 − βb, and the hydrostatic variant is the μ = 0 limit. Every
 evaluation performs exactly one elliptic solve and dealiases intermediate
 products.
 
-The tendencies take the ``(zeta, vel)`` arrays of a state and return
-``(dzeta, dvel)`` arrays, on the grid of the bathymetry; they do not know
-the variable kind, which the time stepper checks once per run.
+The tendencies take the ``(zeta, vel)`` arrays of a state together with
+its water column, the :class:`DepthState` that :func:`make_depth` builds from
+``zeta`` and the bottom, and return ``(dzeta, dvel)`` arrays on its grid.
+:func:`make_depth` is the one place that forms h = 1 + εζ − βb.  The
+tendencies do not know the variable kind, which the time stepper checks once
+per run.
 :class:`FluidState` is the typed state of the API edge: the input and output
 of a run or step, snapshots, the ``u ↔ v`` maps and the diagnostics.
 """
@@ -91,8 +94,9 @@ class ModelParams:
     """Scaling parameters and formulation selector.
 
     ``h_star`` is the depth floor of a run: 0 means the minimum depth of the
-    initial state, and a stage whose depth falls to half the floor aborts the
-    run.
+    initial state.  The floor is a stage guard at half its value: a stage
+    whose minimum depth falls to ``h_star / 2`` aborts the run.  The initial
+    state is not held to the floor itself, only to a positive depth.
     """
 
     epsilon: float = 1.0
@@ -158,26 +162,19 @@ class SolveStats(NamedTuple):
 _NO_SOLVE = SolveStats(0, 0.0)
 
 
-def _check_bath(params: ModelParams, bath: BathymetryState) -> None:
+def make_depth(params: ModelParams, zeta: np.ndarray, bath: BathymetryState) -> DepthState:
+    """The water column h = 1 + εζ − βb of the surface ``zeta`` over ``bath``."""
     if bath.beta != params.beta:
         raise ValidationError(
             f"bathymetry amplitude beta={bath.beta} disagrees with params.beta={params.beta}"
         )
-
-
-def make_depth(params: ModelParams, zeta: np.ndarray, bath: BathymetryState) -> DepthState:
-    """DepthState for h = 1 + εζ − βb."""
-    _check_bath(params, bath)
     h = 1.0 + params.epsilon * zeta - params.beta * bath.b.data
-    return DepthState(bath.grid, h)
+    return DepthState(bath, h)
 
 
 def rest_depth(params: ModelParams, bath: BathymetryState) -> DepthState:
     """DepthState of the still water column 1 − βb (the frozen operator depth)."""
-    _check_bath(params, bath)
-    grid = bath.grid
-    h = 1.0 - params.beta * bath.b.data
-    return DepthState(grid, np.broadcast_to(h, grid.shape).copy())
+    return make_depth(params, np.zeros(bath.grid.shape), bath)
 
 
 def _require_kind(state: FluidState, kind: VariableKind, what: str) -> None:
@@ -209,11 +206,10 @@ def _sv_velocity_tendency(
 
 
 def rhs_sv(
-    zeta: np.ndarray, vel: np.ndarray, params: ModelParams, bath: BathymetryState
+    zeta: np.ndarray, vel: np.ndarray, params: ModelParams, depth: DepthState
 ) -> tuple[np.ndarray, np.ndarray]:
     """Hydrostatic (μ = 0) right-hand side: dζ = −∇·(hu), du = −∇ζ − ε(u·∇)u."""
-    grid = bath.grid
-    depth = make_depth(params, zeta, bath)
+    grid = depth.grid
     dzeta = -_mass_flux_divergence(grid, depth.h, vel)
     return dzeta, _sv_velocity_tendency(grid, params, zeta, vel)
 
@@ -222,7 +218,7 @@ def rhs_gn_u(
     zeta: np.ndarray,
     vel: np.ndarray,
     params: ModelParams,
-    bath: BathymetryState,
+    depth: DepthState,
     cfg: EllipticSolveConfig | None = None,
     session: SolverSession | None = None,
 ) -> tuple[np.ndarray, np.ndarray, SolveStats]:
@@ -231,32 +227,30 @@ def rhs_gn_u(
     (Id + μT) du = −(∇ζ + ε(u·∇)u + με(Q + Q_b)) is realized through the
     composed operator: 𝔗 du = h · rhs.
     """
-    grid = bath.grid
-    depth = make_depth(params, zeta, bath)
+    grid = depth.grid
     dzeta = -_mass_flux_divergence(grid, depth.h, vel)
 
     forcing = -_sv_velocity_tendency(grid, params, zeta, vel)
     mu_eps = params.mu * params.epsilon
     if mu_eps > 0.0:
-        forcing = forcing + mu_eps * (apply_Q(depth, vel) + apply_Qb(depth, bath, vel))
+        forcing = forcing + mu_eps * (apply_Q(depth, vel) + apply_Qb(depth, vel))
     if params.mu == 0.0:
         return dzeta, -forcing, _NO_SOLVE
 
     v_rhs = -grid.dealias(depth.h * forcing)
-    du, iterations, residual = invert_frakT(depth, bath, v_rhs, params.mu, cfg, session)
+    du, iterations, residual = invert_frakT(depth, v_rhs, params.mu, cfg, session)
     return dzeta, du, SolveStats(iterations, residual)
 
 
 def _solve_velocity(
     depth: DepthState,
-    bath: BathymetryState,
     v: np.ndarray,
     mu: float,
     cfg: EllipticSolveConfig | None,
     session: SolverSession | None,
 ) -> tuple[np.ndarray, SolveStats]:
     hv = depth.grid.dealias(depth.h * v)
-    u, iterations, residual = invert_frakT(depth, bath, hv, mu, cfg, session)
+    u, iterations, residual = invert_frakT(depth, hv, mu, cfg, session)
     return u, SolveStats(iterations, residual)
 
 
@@ -264,7 +258,7 @@ def rhs_gn_v(
     zeta: np.ndarray,
     vel: np.ndarray,
     params: ModelParams,
-    bath: BathymetryState,
+    depth: DepthState,
     cfg: EllipticSolveConfig | None = None,
     session: SolverSession | None = None,
 ) -> tuple[np.ndarray, np.ndarray, SolveStats]:
@@ -272,9 +266,8 @@ def rhs_gn_v(
 
     dv = −∇ζ − ε (curl v) u^⊥ − (ε/2)∇|u|² + με ∇(R + R_b).
     """
-    grid = bath.grid
-    depth = make_depth(params, zeta, bath)
-    u, stats = _solve_velocity(depth, bath, vel, params.mu, cfg, session)
+    grid = depth.grid
+    u, stats = _solve_velocity(depth, vel, params.mu, cfg, session)
 
     dzeta = -_mass_flux_divergence(grid, depth.h, u)
 
@@ -284,7 +277,7 @@ def rhs_gn_v(
     if eps > 0.0:
         potential = -(eps / 2.0) * np.einsum("i...,i...->...", u, u)
         if params.mu > 0.0:
-            potential += params.mu * eps * _pressure_terms(depth, bath.beta_grad_b, u)
+            potential += params.mu * eps * _pressure_terms(depth, u)
         spec = grid.rfft(np.stack((zeta, potential)))
         dv = grid.irfft(grid.ik * (grid.dealias_mask * spec[1] - spec[0]))
         if grid.dim == 2:
@@ -300,7 +293,7 @@ def rhs_gn_v_compact(
     zeta: np.ndarray,
     vel: np.ndarray,
     params: ModelParams,
-    bath: BathymetryState,
+    depth: DepthState,
     cfg: EllipticSolveConfig | None = None,
     session: SolverSession | None = None,
 ) -> tuple[np.ndarray, np.ndarray, SolveStats]:
@@ -310,9 +303,8 @@ def rhs_gn_v_compact(
 
     with w = (β∇b)·u − h∇·u. Used as a cross-check of rhs_gn_v.
     """
-    grid = bath.grid
-    depth = make_depth(params, zeta, bath)
-    u, stats = _solve_velocity(depth, bath, vel, params.mu, cfg, session)
+    grid = depth.grid
+    u, stats = _solve_velocity(depth, vel, params.mu, cfg, session)
 
     dzeta = -_mass_flux_divergence(grid, depth.h, u)
 
@@ -322,7 +314,7 @@ def rhs_gn_v_compact(
         head += eps * grid.dealias(np.einsum("i...,i...->...", u, vel))
         head -= (eps / 2.0) * grid.dealias(np.einsum("i...,i...->...", u, u))
         if mu > 0.0:
-            w = good_unknown_w(depth, bath, u)
+            w = good_unknown_w(depth, u)
             head -= (eps * mu / 2.0) * grid.dealias(w * w)
     dv = -grid.gradient(head)
     if eps > 0.0 and grid.dim == 2:
@@ -336,7 +328,7 @@ def rhs_bp(
     zeta: np.ndarray,
     vel: np.ndarray,
     params: ModelParams,
-    bath: BathymetryState,
+    depth: DepthState,
     cfg: EllipticSolveConfig | None = None,
     session: SolverSession | None = None,
     frozen_depth: DepthState | None = None,
@@ -348,17 +340,16 @@ def rhs_bp(
     Pass ``frozen_depth`` (from :func:`rest_depth`) to reuse its cached powers
     across calls; the dedicated session then keeps warm starts effective.
     """
-    grid = bath.grid
-    depth = make_depth(params, zeta, bath)
+    grid = depth.grid
     dzeta = -_mass_flux_divergence(grid, depth.h, vel)
 
     forcing = -_sv_velocity_tendency(grid, params, zeta, vel)
     if params.mu == 0.0:
         return dzeta, -forcing, _NO_SOLVE
 
-    rest = frozen_depth if frozen_depth is not None else rest_depth(params, bath)
+    rest = frozen_depth if frozen_depth is not None else rest_depth(params, depth.bath)
     v_rhs = -grid.dealias(rest.h * forcing)
-    du, iterations, residual = invert_frakT(rest, bath, v_rhs, params.mu, cfg, session)
+    du, iterations, residual = invert_frakT(rest, v_rhs, params.mu, cfg, session)
     return dzeta, du, SolveStats(iterations, residual)
 
 
@@ -368,7 +359,7 @@ def v_from_u(state: FluidState, params: ModelParams, bath: BathymetryState) -> F
     depth = make_depth(params, state.zeta.data, bath)
     v = state.vel.data
     if params.mu > 0.0:
-        v = v + params.mu * apply_T(depth, bath, v)
+        v = v + params.mu * apply_T(depth, v)
     return FluidState(state.zeta, VectorField(state.grid, v), VariableKind.V_VARIABLE, state.time)
 
 
@@ -386,5 +377,5 @@ def u_from_v(
     """
     _require_kind(state, VariableKind.V_VARIABLE, "u_from_v")
     depth = make_depth(params, state.zeta.data, bath)
-    u, _, _ = invert_frakT(depth, bath, depth.h * state.vel.data, params.mu, cfg, session)
+    u, _, _ = invert_frakT(depth, depth.h * state.vel.data, params.mu, cfg, session)
     return FluidState(state.zeta, VectorField(state.grid, u), VariableKind.U_VARIABLE, state.time)

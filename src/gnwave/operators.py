@@ -28,8 +28,10 @@ iteration on that form.
 
 Everything here works on plain numpy arrays: a velocity is stacked as
 ``(dim, *shape)``, a scalar has the grid shape, and each operator returns a
-new array.  The grid comes from the :class:`DepthState`, and an input whose
-shape does not match it raises :class:`~gnwave.errors.GridMismatchError`.
+new array.  Each operator takes ``(depth, u, …)``: the :class:`DepthState`
+carries the bottom it stands on, so the grid and the slope β∇b come from it,
+and an input whose shape does not match its grid raises
+:class:`~gnwave.errors.GridMismatchError`.
 """
 from __future__ import annotations
 
@@ -106,15 +108,16 @@ class BathymetryState:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class DepthState:
-    """Water column h = 1 + εζ − βb on ``grid``, with its dealiased powers h², h³.
+    """Water column h = 1 + εζ − βb over the bottom ``bath``, with its
+    dealiased powers h², h³.
 
     The depth must be finite and positive everywhere (non-cavitation), which
-    is what makes 𝔗[h, βb] coercive; ``h_min`` is its minimum.  ``h`` is kept
-    as a read-only view of the given array; ``h2`` and ``h3`` are read-only
-    arrays.
+    is what makes 𝔗[h, βb] coercive; ``h_min`` is its minimum.  The grid and
+    the slope β∇b are those of ``bath``.  ``h`` is kept as a read-only view
+    of the given array; ``h2`` and ``h3`` are read-only arrays.
     """
 
-    grid: PeriodicGrid
+    bath: BathymetryState
     h: np.ndarray
     h_min: float = dataclasses.field(init=False)
     h2: np.ndarray = dataclasses.field(init=False, repr=False)
@@ -140,6 +143,14 @@ class DepthState:
         object.__setattr__(self, "h_min", h_min)
         object.__setattr__(self, "h2", powers[0])
         object.__setattr__(self, "h3", powers[1])
+
+    @property
+    def grid(self) -> PeriodicGrid:
+        return self.bath.grid
+
+    @property
+    def beta_grad_b(self) -> np.ndarray | None:
+        return self.bath.beta_grad_b
 
     @cached_property
     def mean_depth(self) -> float:
@@ -333,20 +344,12 @@ def _norm(a: np.ndarray) -> float:
     return math.sqrt(_inner(a, a))
 
 
-def _check_velocity(grid: PeriodicGrid, u: np.ndarray) -> None:
+def _check_velocity(depth: DepthState, u: np.ndarray) -> PeriodicGrid:
+    grid = depth.grid
     if u.shape != (grid.dim,) + grid.shape:
         raise GridMismatchError(
             f"velocity has shape {u.shape}, expected {(grid.dim,) + grid.shape}"
         )
-
-
-def _check_operator_inputs(
-    depth: DepthState, bath: BathymetryState, u: np.ndarray
-) -> PeriodicGrid:
-    grid = depth.grid
-    if not grid.compatible(bath.grid):
-        raise GridMismatchError("depth and bathymetry must share one grid")
-    _check_velocity(grid, u)
     return grid
 
 
@@ -360,26 +363,24 @@ def _validate_mu(mu: float) -> float:
 # ------------------------------------------------------------------ operators
 
 
-def apply_T(depth: DepthState, bath: BathymetryState, u: np.ndarray) -> np.ndarray:
+def apply_T(depth: DepthState, u: np.ndarray) -> np.ndarray:
     """Dealiased evaluation of T[h, βb]u."""
-    grid = _check_operator_inputs(depth, bath, u)
+    grid = _check_velocity(depth, u)
     hTu = _h_times_T(
-        grid, depth.h, depth.h2, depth.h3, bath.beta_grad_b, u, grid.rfft(u)
+        grid, depth.h, depth.h2, depth.h3, depth.beta_grad_b, u, grid.rfft(u)
     )
     return hTu / depth.h
 
 
-def apply_frakT(
-    depth: DepthState, bath: BathymetryState, u: np.ndarray, mu: float
-) -> np.ndarray:
+def apply_frakT(depth: DepthState, u: np.ndarray, mu: float) -> np.ndarray:
     """𝔗[h, βb]u = h u + μ h T[h, βb]u, the forward elliptic operator."""
-    grid = _check_operator_inputs(depth, bath, u)
+    grid = _check_velocity(depth, u)
     mu = _validate_mu(mu)
     h = depth.h
     out = h * u
     if mu > 0.0:
         out += mu * _h_times_T(
-            grid, h, depth.h2, depth.h3, bath.beta_grad_b, u, grid.rfft(u)
+            grid, h, depth.h2, depth.h3, depth.beta_grad_b, u, grid.rfft(u)
         )
     return out
 
@@ -419,7 +420,6 @@ def _flat_preconditioner(
 
 def invert_frakT(
     depth: DepthState,
-    bath: BathymetryState,
     v_rhs: np.ndarray,
     mu: float,
     cfg: EllipticSolveConfig | None = None,
@@ -431,7 +431,7 @@ def invert_frakT(
     ``‖𝔗u - v_rhs‖ / ‖v_rhs‖`` guaranteed at most ``cfg.rel_tolerance``.
     A session provides the warm-start cache; pass one per simulation.
     """
-    grid = _check_operator_inputs(depth, bath, v_rhs)
+    grid = _check_velocity(depth, v_rhs)
     mu = _validate_mu(mu)
     if cfg is None:
         cfg = session.cfg if session is not None else EllipticSolveConfig()
@@ -453,7 +453,7 @@ def invert_frakT(
         return EllipticSolveResult(u, 0, 0.0)
 
     h2d, h3d = depth.h2, depth.h3
-    bgb = bath.beta_grad_b
+    bgb = depth.beta_grad_b
 
     def matvec(x: np.ndarray, x_spec: np.ndarray) -> np.ndarray:
         return h * x + mu * _h_times_T(grid, h, h2d, h3d, bgb, x, x_spec)
@@ -517,13 +517,7 @@ def invert_frakT(
     return EllipticSolveResult(x, iterations, res / b_norm)
 
 
-def dh_frakT(
-    depth: DepthState,
-    bath: BathymetryState,
-    f: np.ndarray,
-    u: np.ndarray,
-    mu: float,
-) -> np.ndarray:
+def dh_frakT(depth: DepthState, f: np.ndarray, u: np.ndarray, mu: float) -> np.ndarray:
     """Derivative of h ↦ 𝔗[h, βb]u in the direction f (exact Fréchet form).
 
     Differentiating every h-occurrence of the assembly gives::
@@ -534,7 +528,7 @@ def dh_frakT(
     The last term has no h left in front, which is why it is easy to drop;
     the second-order finite-difference check only converges with it present.
     """
-    grid = _check_operator_inputs(depth, bath, u)
+    grid = _check_velocity(depth, u)
     if f.shape != grid.shape:
         raise GridMismatchError(f"direction has shape {f.shape}, expected {grid.shape}")
     mu = _validate_mu(mu)
@@ -544,7 +538,7 @@ def dh_frakT(
         return out
     d = grid.dealiased_divergence(u)
     out -= mu * grid.dealiased_gradient(h * h * f * d)
-    bgb = bath.beta_grad_b
+    bgb = depth.beta_grad_b
     if bgb is not None:
         g = grid.dealias(np.einsum("i...,i...->...", bgb, u))
         out += mu * grid.dealiased_gradient(f * h * g)
@@ -555,8 +549,7 @@ def dh_frakT(
 
 def apply_Q(depth: DepthState, u: np.ndarray) -> np.ndarray:
     """Quadratic velocity operator Q[h, u] = -(1/3h) ∇(h³ ((u·∇)(∇·u) - (∇·u)²))."""
-    grid = depth.grid
-    _check_velocity(grid, u)
+    grid = _check_velocity(depth, u)
     inner = _q_inner(grid, u)
     return -(1.0 / 3.0) * grid.dealiased_gradient(depth.h3 * inner) / depth.h
 
@@ -569,14 +562,14 @@ def _q_inner(grid: PeriodicGrid, u: np.ndarray) -> np.ndarray:
     return grid.dealias(adv - d * d)
 
 
-def apply_Qb(depth: DepthState, bath: BathymetryState, u: np.ndarray) -> np.ndarray:
+def apply_Qb(depth: DepthState, u: np.ndarray) -> np.ndarray:
     """Bathymetric partner of Q:
 
     Q_b = (β/2h) ( ∇(h² (u·∇)²b) - h² ((u·∇)(∇·u) - (∇·u)²) ∇b )
           + β² ((u·∇)²b) ∇b
     """
-    grid = _check_operator_inputs(depth, bath, u)
-    bgb = bath.beta_grad_b
+    grid = _check_velocity(depth, u)
+    bgb = depth.beta_grad_b
     if bgb is None:
         return np.zeros(u.shape)
     h = depth.h
@@ -592,13 +585,14 @@ def apply_Qb(depth: DepthState, bath: BathymetryState, u: np.ndarray) -> np.ndar
 
 
 def _pressure_terms(
-    depth: DepthState, bgb: np.ndarray | None, u: np.ndarray, flat_part: bool = True
+    depth: DepthState, u: np.ndarray, flat_part: bool = True, bottom_part: bool = True
 ) -> np.ndarray:
-    """R (when ``flat_part``) plus R_b (when ``bgb`` is given), before the
-    final dealiasing projection.  The two gradients share one transform pair:
-    (u/h)·∇(h³ ∇·u / 3 − h² (β∇b)·u / 2)."""
+    """R (when ``flat_part``) plus R_b (when ``bottom_part`` and the bottom
+    is not flat), before the final dealiasing projection.  The two gradients
+    share one transform pair: (u/h)·∇(h³ ∇·u / 3 − h² (β∇b)·u / 2)."""
     grid = depth.grid
     h, h2d = depth.h, depth.h2
+    bgb = depth.beta_grad_b if bottom_part else None
     d = grid.dealiased_divergence(u)
     flux = (1.0 / 3.0) * depth.h3 * d if flat_part else 0.0
     out = 0.5 * h2d * d * d if flat_part else 0.0
@@ -611,26 +605,24 @@ def _pressure_terms(
 
 def apply_R(depth: DepthState, u: np.ndarray) -> np.ndarray:
     """R[h, u] = (u/3h)·∇(h³ ∇·u) + ½ h² (∇·u)², dealiased."""
-    grid = depth.grid
-    _check_velocity(grid, u)
-    return grid.dealias(_pressure_terms(depth, None, u))
+    grid = _check_velocity(depth, u)
+    return grid.dealias(_pressure_terms(depth, u, bottom_part=False))
 
 
-def apply_Rb(depth: DepthState, bath: BathymetryState, u: np.ndarray) -> np.ndarray:
+def apply_Rb(depth: DepthState, u: np.ndarray) -> np.ndarray:
     """R_b = -½ ( (u/h)·∇(h² (β∇b)·u) + h ((β∇b)·u) ∇·u + ((β∇b)·u)² )."""
-    grid = _check_operator_inputs(depth, bath, u)
-    bgb = bath.beta_grad_b
-    if bgb is None:
+    grid = _check_velocity(depth, u)
+    if depth.beta_grad_b is None:
         return np.zeros(grid.shape)
-    return grid.dealias(_pressure_terms(depth, bgb, u, flat_part=False))
+    return grid.dealias(_pressure_terms(depth, u, flat_part=False))
 
 
-def good_unknown_w(depth: DepthState, bath: BathymetryState, u: np.ndarray) -> np.ndarray:
+def good_unknown_w(depth: DepthState, u: np.ndarray) -> np.ndarray:
     """Vertical-velocity unknown w = -h ∇·u + (β∇b)·u."""
-    grid = _check_operator_inputs(depth, bath, u)
+    grid = _check_velocity(depth, u)
     d = grid.dealiased_divergence(u)
     out = -grid.dealias(depth.h * d)
-    bgb = bath.beta_grad_b
+    bgb = depth.beta_grad_b
     if bgb is not None:
         out += grid.dealias(np.einsum("i...,i...->...", bgb, u))
     return out

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ValidationError
 from .grid import PeriodicGrid
 from .models import ModelParams, SolveStats, rhs_gn_v
-from .operators import BathymetryState, EllipticSolveConfig, SolverSession
+from .operators import DepthState, EllipticSolveConfig, SolverSession
 
 __all__ = ["MollifierSpec", "mollify", "rhs_gn_v_mollified"]
 
@@ -119,7 +119,7 @@ def rhs_gn_v_mollified(
     zeta: np.ndarray,
     vel: np.ndarray,
     params: ModelParams,
-    bath: BathymetryState,
+    depth: DepthState,
     spec: MollifierSpec,
     cfg: EllipticSolveConfig | None = None,
     session: SolverSession | None = None,
@@ -130,8 +130,8 @@ def rhs_gn_v_mollified(
     momentum forcing group (pressure gradient included), which by linearity
     equals smoothing the plain tendency.  ι = 0 reproduces it identically.
     """
-    dzeta, dv, stats = rhs_gn_v(zeta, vel, params, bath, cfg, session)
+    dzeta, dv, stats = rhs_gn_v(zeta, vel, params, depth, cfg, session)
     if spec.is_identity:
         return dzeta, dv, stats
-    grid = bath.grid
+    grid = depth.grid
     return mollify(grid, dzeta, spec), mollify(grid, dv, spec), stats

@@ -21,9 +21,11 @@ the dealiased band, and so is a state entering the first step.  Stage states
 need no projection of their own: the gn_v and sv tendencies lie in the band
 already (to round-off), and the CG solution that the gn_u and bp tendencies
 return is projected before use, so every stage stays in the band.  Every
-stage input and step result is checked: a stage whose minimum depth falls to
-half the configured floor aborts the step, and any field magnitude beyond
-1e8 (or a non-finite value) terminates the run as a blow-up.
+stage input and step result is checked: any field magnitude beyond 1e8 (or a
+non-finite value) terminates the run as a blow-up.  Each stage then builds
+its water column once, with :func:`~gnwave.models.make_depth`; a stage whose
+minimum depth falls to half the configured floor aborts the step, and the
+tendency takes the same depth.
 
 Determinism: all arithmetic is fixed-order; two runs from identical inputs
 produce bit-identical states, records and snapshots.  Wall-clock time in the
@@ -52,13 +54,14 @@ from .models import (
     ModelParams,
     VariableKind,
     _require_kind,
+    make_depth,
     rest_depth,
     rhs_bp,
     rhs_gn_u,
     rhs_sv,
     v_from_u,
 )
-from .operators import BathymetryState, EllipticSolveConfig, SolverSession
+from .operators import BathymetryState, DepthState, EllipticSolveConfig, SolverSession
 from .regularization import MollifierSpec, rhs_gn_v_mollified
 
 __all__ = [
@@ -148,18 +151,20 @@ class CollectingSinks:
 
 
 def cfl_time_step(state: FluidState, params: ModelParams, bath: BathymetryState) -> float:
-    """Advisory step bound: 0.5·(min spacing)/(√(max h)·(1 + ε·max|vel|))."""
-    grid = state.grid
-    h = 1.0 + params.epsilon * state.zeta.data - params.beta * bath.b.data
-    speed = math.sqrt(float(np.max(h))) * (1.0 + params.epsilon * state.max_abs())
-    return CFL_SAFETY * min(grid.spacings) / speed
+    """Advisory step bound: 0.5·(min spacing)/(√(max h)·(1 + ε·max|vel|)).
+
+    A state whose depth is not positive everywhere has no wave speed and
+    raises :class:`~gnwave.errors.CoercivityViolationError`.
+    """
+    depth = make_depth(params, state.zeta.data, bath)
+    speed = math.sqrt(float(np.max(depth.h))) * (1.0 + params.epsilon * state.max_abs())
+    return CFL_SAFETY * min(state.grid.spacings) / speed
 
 
 def _resolve_h_star(state: FluidState, params: ModelParams, bath: BathymetryState) -> float:
     if params.h_star > 0.0:
         return params.h_star
-    h = 1.0 + params.epsilon * state.zeta.data - params.beta * bath.b.data
-    return float(np.min(h))
+    return make_depth(params, state.zeta.data, bath).h_min
 
 
 class _Stepper:
@@ -191,27 +196,27 @@ class _Stepper:
         if form is Formulation.GN_V:
             spec = icfg.mollifier
 
-            def tendency(zeta: np.ndarray, vel: np.ndarray):
-                dz, dv, _ = rhs_gn_v_mollified(zeta, vel, params, bath, spec, cfg, session)
+            def tendency(zeta: np.ndarray, vel: np.ndarray, depth: DepthState):
+                dz, dv, _ = rhs_gn_v_mollified(zeta, vel, params, depth, spec, cfg, session)
                 return dz, dv
 
         elif form is Formulation.GN_U:
 
-            def tendency(zeta: np.ndarray, vel: np.ndarray):
-                dz, dv, _ = rhs_gn_u(zeta, vel, params, bath, cfg, session)
+            def tendency(zeta: np.ndarray, vel: np.ndarray, depth: DepthState):
+                dz, dv, _ = rhs_gn_u(zeta, vel, params, depth, cfg, session)
                 return dz, self.grid.dealias(dv)
 
         elif form is Formulation.BP:
             frozen = rest_depth(params, bath)
 
-            def tendency(zeta: np.ndarray, vel: np.ndarray):
-                dz, dv, _ = rhs_bp(zeta, vel, params, bath, cfg, session, frozen_depth=frozen)
+            def tendency(zeta: np.ndarray, vel: np.ndarray, depth: DepthState):
+                dz, dv, _ = rhs_bp(zeta, vel, params, depth, cfg, session, frozen_depth=frozen)
                 return dz, self.grid.dealias(dv)
 
         else:
 
-            def tendency(zeta: np.ndarray, vel: np.ndarray):
-                return rhs_sv(zeta, vel, params, bath)
+            def tendency(zeta: np.ndarray, vel: np.ndarray, depth: DepthState):
+                return rhs_sv(zeta, vel, params, depth)
 
         self._tendency = tendency
 
@@ -231,11 +236,13 @@ class _Stepper:
         t: float,
         stage: tuple[int, float, float],
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Tendency at a stage; ``stage`` is (index, step start, dt) for the session."""
+        """Tendency at a stage; ``stage`` is (index, step start, dt) for the session.
+
+        The stage's water column is built once: the depth guard reads its
+        minimum and the tendency takes it."""
         self.check_fields(zeta, vel, t)
-        h_min = float(
-            np.min(1.0 + self.params.epsilon * zeta - self.params.beta * self.bath.b.data)
-        )
+        depth = make_depth(self.params, zeta, self.bath)
+        h_min = depth.h_min
         if h_min <= 0.5 * self.h_star:
             raise CoercivityViolationError(
                 f"stage depth {h_min:.6g} at t = {t:.6g} fell to half the "
@@ -245,7 +252,7 @@ class _Stepper:
         if self.session is not None:
             self.session.time = t
             self.session.stage = stage
-        return self._tendency(zeta, vel)
+        return self._tendency(zeta, vel, depth)
 
     def advance(
         self, z: np.ndarray, v: np.ndarray, t: float, dt: float, t_next: float, project=False

@@ -243,14 +243,12 @@ def _restrict_inputs(
     return [restrict_to_grid(a, fine, target) for a in arrays]
 
 
-def _dhT_times_h(
-    grid: PeriodicGrid, depth: DepthState, bath: BathymetryState, f: np.ndarray, u: np.ndarray
-) -> np.ndarray:
+def _dhT_times_h(depth: DepthState, f: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Directional derivative of h·T[h,βb]u along the depth perturbation f."""
-    h = depth.h
+    grid, h = depth.grid, depth.h
     d = grid.dealias(grid.divergence(u))
     out = -grid.gradient(grid.dealias(h * h * f * d))
-    bgb = bath.beta_grad_b
+    bgb = depth.beta_grad_b
     if bgb is not None:
         g = grid.dealias(np.einsum("i...,i...->...", bgb, u))
         out = out + grid.gradient(grid.dealias(f * h * g))
@@ -285,17 +283,17 @@ def check_equivalence_identity(
         z_g, b_g = _restrict_inputs(fine, g, [zeta.data, bath.b.data])
         (u_g,) = _restrict_inputs(fine, g, [u.data])
         bath_g = BathymetryState(ScalarField(g, b_g), bath.beta)
-        h = 1.0 + eps * z_g - params.beta * b_g
-        depth = DepthState(g, h)
-        Tu = apply_T(depth, bath_g, u_g)
+        depth = make_depth(params, z_g, bath_g)
+        h = depth.h
+        Tu = apply_T(depth, u_g)
         f = -eps * g.dealias(g.divergence(g.dealias(h * u_g)))
-        comm = (_dhT_times_h(g, depth, bath_g, f, u_g) - g.dealias(f * Tu)) / h
-        w = good_unknown_w(depth, bath_g, u_g)
+        comm = (_dhT_times_h(depth, f, u_g) - g.dealias(f * Tu)) / h
+        w = good_unknown_w(depth, u_g)
         u_dot_Tu = g.dealias(np.einsum("i...,i...->...", u_g, Tu))
         lhs = comm + eps * g.gradient(g.dealias(u_dot_Tu - 0.5 * g.dealias(w * w)))
         if g.dim == 2:
             lhs = lhs + eps * g.dealias(g.curl(Tu) * g.perp(u_g))
-        rhs = eps * (apply_Q(depth, u_g) + apply_Qb(depth, bath_g, u_g))
+        rhs = eps * (apply_Q(depth, u_g) + apply_Qb(depth, u_g))
         residuals.append(g.norm_l2(lhs - rhs))
     return ResidualReport.from_residuals("equivalence_identity", grids, residuals)
 
@@ -325,14 +323,12 @@ def check_rhs_equivalence(
         su = FluidState(ScalarField(g, z_g), VectorField(g, u_g), VariableKind.U_VARIABLE)
         sv = v_from_u(su, params, bath_g)
         depth = make_depth(params, z_g, bath_g)
-        dz_u, du, _ = rhs_gn_u(z_g, u_g, params, bath_g, cfg, session=SolverSession(cfg))
-        dz_v, dv, _ = rhs_gn_v(z_g, sv.vel.data, params, bath_g, cfg, session=SolverSession(cfg))
+        dz_u, du, _ = rhs_gn_u(z_g, u_g, params, depth, cfg, session=SolverSession(cfg))
+        dz_v, dv, _ = rhs_gn_v(z_g, sv.vel.data, params, depth, cfg, session=SolverSession(cfg))
         f = eps * dz_v
-        mapped_rhs = (
-            depth.h * dv + f * sv.vel.data - dh_frakT(depth, bath_g, f, u_g, params.mu)
-        )
+        mapped_rhs = depth.h * dv + f * sv.vel.data - dh_frakT(depth, f, u_g, params.mu)
         du_mapped, _, _ = invert_frakT(
-            depth, bath_g, mapped_rhs, params.mu, cfg, session=SolverSession(cfg)
+            depth, mapped_rhs, params.mu, cfg, session=SolverSession(cfg)
         )
         gap_u = g.norm_l2(du - du_mapped)
         gap_z = g.norm_l2(dz_u - dz_v)
@@ -348,17 +344,15 @@ FD_DELTA = 1e-5
 
 
 def _variational_gradients(
-    g: PeriodicGrid,
     zeta: np.ndarray,
     v: np.ndarray,
     params: ModelParams,
-    bath: BathymetryState,
+    depth: DepthState,
     cfg: EllipticSolveConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Claimed variational derivatives (δ_ζH, δ_vH) of the energy functional."""
-    depth = make_depth(params, zeta, bath)
-    uu, _, _ = invert_frakT(depth, bath, depth.h * v, params.mu, cfg)
-    w = good_unknown_w(depth, bath, uu)
+    uu, _, _ = invert_frakT(depth, depth.h * v, params.mu, cfg)
+    w = good_unknown_w(depth, uu)
     grad_v = depth.h * uu
     grad_z = (
         zeta
@@ -382,12 +376,12 @@ def skew_assembled_rhs(
     """
     if state.kind is not VariableKind.V_VARIABLE:
         raise ValidationError("skew_assembled_rhs expects the v-variable state")
-    g = state.grid
     cfg = cfg if cfg is not None else EllipticSolveConfig(rel_tolerance=1e-13)
+    depth = make_depth(params, state.zeta.data, bath)
     grad_z, grad_v = _variational_gradients(
-        g, state.zeta.data, state.vel.data, params, bath, cfg
+        state.zeta.data, state.vel.data, params, depth, cfg
     )
-    return _skew_from_gradients(g, state, params, bath, grad_z, grad_v)
+    return _skew_from_gradients(state.vel.data, params, depth, grad_z, grad_v)
 
 
 def fd_pairing_mismatch(
@@ -407,16 +401,14 @@ def fd_pairing_mismatch(
     g = zeta.grid
     sz = band_limited_scalar(g, rng, max_mode, 1.0)
     sv = band_limited_vector(g, rng, max_mode, 1.0)
-    grad_z, grad_v = _variational_gradients(g, zeta.data, v.data, params, bath, cfg)
+    depth = make_depth(params, zeta.data, bath)
+    grad_z, grad_v = _variational_gradients(zeta.data, v.data, params, depth, cfg)
     predicted = g.inner(grad_z, sz) + g.inner(grad_v, sv)
 
     def ham(step: float) -> float:
+        z = zeta.data + step * sz
         return hamiltonian_gn(
-            ScalarField(g, zeta.data + step * sz),
-            VectorField(g, v.data + step * sv),
-            params,
-            bath,
-            cfg,
+            z, v.data + step * sv, params, make_depth(params, z, bath), cfg
         )
 
     fd = (ham(delta) - ham(-delta)) / (2.0 * delta)
@@ -473,39 +465,41 @@ def fd_variational_gradients(
     scale = math.hypot(g.norm_l2(zeta.data), g.norm_l2(v.data)) / math.sqrt(vol)
     step = delta * max(scale, 1e-6)
 
-    def ham(z, vel):
-        return hamiltonian_gn(ScalarField(g, z), VectorField(g, vel), params, bath, cfg)
+    depth = make_depth(params, zeta.data, bath)
+
+    def ham_z(z):  # a surface probe moves the water column
+        return hamiltonian_gn(z, v.data, params, make_depth(params, z, bath), cfg)
+
+    def ham_v(vel):  # a velocity probe leaves it as it is
+        return hamiltonian_gn(zeta.data, vel, params, depth, cfg)
 
     grad_z = np.zeros(g.shape)
     grad_v = np.zeros((g.dim,) + g.shape)
     for e, norm_sq in _trig_basis(g):
-        fd = (ham(zeta.data + step * e, v.data) - ham(zeta.data - step * e, v.data)) / (
-            2.0 * step
-        )
+        fd = (ham_z(zeta.data + step * e) - ham_z(zeta.data - step * e)) / (2.0 * step)
         grad_z += (fd / norm_sq) * e
         for comp in range(g.dim):
             vp = v.data.copy()
             vp[comp] = vp[comp] + step * e
             vm = v.data.copy()
             vm[comp] = vm[comp] - step * e
-            fd = (ham(zeta.data, vp) - ham(zeta.data, vm)) / (2.0 * step)
+            fd = (ham_v(vp) - ham_v(vm)) / (2.0 * step)
             grad_v[comp] += (fd / norm_sq) * e
     return grad_z, grad_v
 
 
 def _skew_from_gradients(
-    g: PeriodicGrid,
-    state: FluidState,
+    vel: np.ndarray,
     params: ModelParams,
-    bath: BathymetryState,
+    depth: DepthState,
     grad_z: np.ndarray,
     grad_v: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
+    g = depth.grid
     dzeta = -g.divergence(g.dealias(grad_v))
     dv = -g.gradient(g.dealias(grad_z))
     if g.dim == 2:
-        h = 1.0 + params.epsilon * state.zeta.data - params.beta * bath.b.data
-        q = g.dealias(g.curl(state.vel.data) / h)
+        q = g.dealias(g.curl(vel) / depth.h)
         dv = dv - params.epsilon * g.dealias(q * g.perp(grad_v))
     return dzeta, dv
 
@@ -528,13 +522,14 @@ def fd_skew_reproduction_gap(
         raise ValidationError("fd_skew_reproduction_gap expects the v-variable state")
     g = state.grid
     cfg = cfg if cfg is not None else EllipticSolveConfig(rel_tolerance=1e-13)
+    depth = make_depth(params, state.zeta.data, bath)
     dz, dv, _ = rhs_gn_v(
-        state.zeta.data, state.vel.data, params, bath, cfg, session=SolverSession(cfg)
+        state.zeta.data, state.vel.data, params, depth, cfg, session=SolverSession(cfg)
     )
 
     def assembled(step: float) -> tuple[np.ndarray, np.ndarray]:
         gz, gv = fd_variational_gradients(state.zeta, state.vel, params, bath, cfg, step)
-        return _skew_from_gradients(g, state, params, bath, gz, gv)
+        return _skew_from_gradients(state.vel.data, params, depth, gz, gv)
 
     dz_fd, dv_fd = assembled(delta)
     dz_half, dv_half = assembled(delta / 2.0)
@@ -574,7 +569,9 @@ def check_variational_structure(
         (v_g,) = _restrict_inputs(fine, g, [psi_grad.data])
         bath_g = BathymetryState(ScalarField(g, b_g), bath.beta)
         state = FluidState(ScalarField(g, z_g), VectorField(g, v_g), VariableKind.V_VARIABLE)
-        dz, dv, _ = rhs_gn_v(z_g, v_g, params, bath_g, cfg, session=SolverSession(cfg))
+        dz, dv, _ = rhs_gn_v(
+            z_g, v_g, params, make_depth(params, z_g, bath_g), cfg, session=SolverSession(cfg)
+        )
         dz_skew, dv_skew = skew_assembled_rhs(state, params, bath_g, cfg)
         scale = max(math.hypot(g.norm_l2(dz), g.norm_l2(dv)), 1e-300)
         residuals.append(

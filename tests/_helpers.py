@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from gnwave.grid import PeriodicGrid, ScalarField, VectorField
+from gnwave.models import ModelParams, make_depth
 from gnwave.operators import BathymetryState, DepthState
 
 
@@ -45,13 +46,13 @@ def band_limited_vector(
 
 
 def smooth_depth(
-    grid: PeriodicGrid,
+    bath: BathymetryState,
     rng: np.random.Generator,
     variation: float = 0.2,
     max_mode: int = 4,
 ) -> DepthState:
-    h = 1.0 + band_limited_scalar(grid, rng, max_mode, variation)
-    return DepthState(grid, h)
+    h = 1.0 + band_limited_scalar(bath.grid, rng, max_mode, variation)
+    return DepthState(bath, h)
 
 
 def smooth_bathymetry(
@@ -65,9 +66,9 @@ def smooth_bathymetry(
     return BathymetryState(ScalarField(grid, b), beta)
 
 
-def arrays(state) -> tuple[np.ndarray, np.ndarray]:
-    """The (zeta, vel) arrays of a FluidState, as the tendencies take them."""
-    return state.zeta.data, state.vel.data
+def tendency_args(state, params: ModelParams, bath: BathymetryState) -> tuple:
+    """The (zeta, vel, params, depth) a tendency takes for a FluidState."""
+    return state.zeta.data, state.vel.data, params, make_depth(params, state.zeta.data, bath)
 
 
 def random_velocity(grid: PeriodicGrid, seed: int, max_mode: int = 4, amplitude: float = 1.0) -> VectorField:

@@ -201,3 +201,13 @@ class TestInfo:
         assert "[model]" in text
         assert "retained modes" in text
         assert "advisory" in text
+
+    def test_non_positive_depth_exits_two(self, tmp_path, capsys):
+        """info refuses the state that run refuses, with the same message."""
+        cfg = write_config(
+            tmp_path, "\n[initial]\ntype = gaussian\namplitude = -15.0\nwidth = 0.8\n"
+        )
+        assert main(["info", "--config", str(cfg)]) == 2
+        assert "depth must stay positive" in capsys.readouterr().err
+        assert main(["run", "--config", str(cfg), "--output", str(tmp_path / "o")]) == 2
+        assert "depth must stay positive" in capsys.readouterr().err

@@ -171,7 +171,8 @@ class TestHamiltonian:
         g = grid1()
         params = ModelParams(epsilon=0.5, beta=0.0, mu=0.8)
         bath = BathymetryState.flat(g)
-        val = hamiltonian_gn(ScalarField.zeros(g), VectorField.zeros(g), params, bath)
+        zeta, v = np.zeros(g.shape), np.zeros((g.dim,) + g.shape)
+        val = hamiltonian_gn(zeta, v, params, make_depth(params, zeta, bath))
         assert abs(val) < 1e-15
 
     def test_constant_surface(self):
@@ -179,8 +180,9 @@ class TestHamiltonian:
         params = ModelParams(epsilon=0.1, beta=0.0, mu=0.8)
         bath = BathymetryState.flat(g)
         c = 0.4
+        zeta = np.full(g.shape, c)
         val = hamiltonian_gn(
-            ScalarField(g, np.full(g.shape, c)), VectorField.zeros(g), params, bath
+            zeta, np.zeros((g.dim,) + g.shape), params, make_depth(params, zeta, bath)
         )
         assert abs(val - 0.5 * c**2 * g.volume) < 1e-13
 
@@ -190,9 +192,9 @@ class TestHamiltonian:
         bath = BathymetryState.flat(g)
         a, p, k = 0.3, 0.2, 4.0
         x = g.coords[0]
-        zeta = ScalarField(g, a * np.cos(k * x))
-        psi_grad = VectorField(g, (-p * k * np.sin(k * x))[None])
-        val = hamiltonian_gn(zeta, psi_grad, params, bath)
+        zeta = a * np.cos(k * x)
+        psi_grad = (-p * k * np.sin(k * x))[None]
+        val = hamiltonian_gn(zeta, psi_grad, params, make_depth(params, zeta, bath))
         expected = 0.5 * g.volume * (a**2 / 2 + (k**2 * p**2 / 2) / (1 + params.mu * k**2 / 3))
         assert abs(val - expected) < 1e-11 * expected
 
@@ -214,7 +216,8 @@ class TestSymmetrizerEnergy:
         g = grid1()
         params = ModelParams(epsilon=0.4, beta=0.0, mu=0.8)
         bath = BathymetryState.flat(g)
-        assert energy_F(FluidState.rest(g), params, bath, 2) == 0.0
+        rest = FluidState.rest(g)
+        assert energy_F(rest, params, make_depth(params, rest.zeta.data, bath), 2) == 0.0
         assert energy_E(FluidState.rest(g), params, 2) == 0.0
 
     def test_order_zero_no_correction(self):
@@ -224,15 +227,15 @@ class TestSymmetrizerEnergy:
         from gnwave.operators import invert_frakT
 
         hv = depth.h * state.vel.data
-        u, _, _ = invert_frakT(depth, bath, hv, params.mu)
+        u, _, _ = invert_frakT(depth, hv, params.mu)
         direct = g.norm_l2(state.zeta.data) ** 2 + g.inner(state.vel.data, depth.h * u)
-        assert abs(energy_F(state, params, bath, 0) - direct) < 1e-12 * abs(direct)
+        assert abs(energy_F(state, params, depth, 0) - direct) < 1e-12 * abs(direct)
 
     def test_positive_and_comparable(self):
         g = grid1()
         state, params, bath = make_v_state(5, g)
         e_val = energy_E(state, params, 2)
-        f_val = energy_F(state, params, bath, 2)
+        f_val = energy_F(state, params, make_depth(params, state.zeta.data, bath), 2)
         assert e_val > 0 and f_val > 0
         assert 1e-3 < f_val / e_val < 1e3
 
@@ -241,7 +244,7 @@ class TestSymmetrizerEnergy:
         state, params, bath = make_v_state(6, g)
         u_state = FluidState(state.zeta, state.vel, VariableKind.U_VARIABLE)
         with pytest.raises(ValidationError, match="v-variable"):
-            energy_F(u_state, params, bath, 1)
+            energy_F(u_state, params, make_depth(params, state.zeta.data, bath), 1)
         with pytest.raises(ValidationError, match="v-variable"):
             energy_E(u_state, params, 1)
 
@@ -276,7 +279,7 @@ class TestClassicalEnergyPair:
         u_state = FluidState(state.zeta, state.vel, VariableKind.U_VARIABLE)
         depth = make_depth(params, u_state.zeta.data, bath)
         f_val, _ = energy_appendixA(u_state, params, bath, (0,))
-        quad = g.inner(apply_frakT(depth, bath, u_state.vel.data, params.mu), u_state.vel.data)
+        quad = g.inner(apply_frakT(depth, u_state.vel.data, params.mu), u_state.vel.data)
         direct = 0.5 * (g.norm_l2(u_state.zeta.data) ** 2 + quad)
         assert abs(f_val - direct) < 1e-12 * abs(direct)
 
@@ -295,8 +298,8 @@ class TestClassicalEnergyPair:
             VariableKind.U_VARIABLE,
         )
         cfg = EllipticSolveConfig(rel_tolerance=1e-13)
-        dzeta, du, _ = rhs_gn_u(state.zeta.data, state.vel.data, params, bath, cfg)
         depth = make_depth(params, state.zeta.data, bath)
+        dzeta, du, _ = rhs_gn_u(state.zeta.data, state.vel.data, params, depth, cfg)
         h = depth.h
         u = state.vel.data
         bgb = bath.beta_grad_b
@@ -310,7 +313,7 @@ class TestClassicalEnergyPair:
 
         d_a = g.divergence(u_a)
         g_a = np.einsum("i...,i...->...", bgb, u_a)
-        frakT_du_a = apply_frakT(depth, bath, du_a, mu)
+        frakT_du_a = apply_frakT(depth, du_a, mu)
         df_dt = (
             g.inner(zeta_a, dzeta_a)
             + g.inner(frakT_du_a, u_a)
@@ -383,6 +386,23 @@ class TestRecords:
         assert rec.vorticity_l2 == 0.0
         assert rec.cg_iterations > 0
         assert rec.order == 2
+
+    def test_record_builds_one_water_column(self, monkeypatch):
+        """The Hamiltonian and the symmetrizer energy share the record's depth."""
+        from gnwave.operators import DepthState
+
+        built = []
+        init = DepthState.__post_init__
+
+        def counted(depth):
+            built.append(depth)
+            init(depth)
+
+        monkeypatch.setattr(DepthState, "__post_init__", counted)
+        g = grid2()
+        state, params, bath = make_v_state(13, g)
+        collect_record(state, params, bath, order=1)
+        assert len(built) == 1
 
     def test_record_validation(self):
         with pytest.raises(ValidationError, match="finite"):

@@ -57,7 +57,7 @@ BETA = sp.Rational(3, 10)
 
 
 def _lambdify(expr):
-    return sp.lambdify(X, sp.simplify(expr), "numpy")
+    return sp.lambdify(X, expr, "numpy")
 
 
 @pytest.fixture(scope="module")
@@ -67,10 +67,10 @@ def symbolic_state():
     h = _lambdify(H_SYM)(x)
     b = _lambdify(B_SYM)(x)
     u = _lambdify(U_SYM)(x)
-    depth = DepthState(g, h)
     bath = BathymetryState(ScalarField(g, b), float(BETA))
+    depth = DepthState(bath, h)
     vel = u[None, :]
-    return g, depth, bath, vel
+    return g, depth, vel
 
 
 def _sym_oracles():
@@ -113,124 +113,118 @@ def oracle_values(symbolic_state):
 
 class TestSymbolicOracle:
     def test_apply_T(self, symbolic_state, oracle_values):
-        g, depth, bath, vel = symbolic_state
-        got = apply_T(depth, bath, vel)[0]
+        g, depth, vel = symbolic_state
+        got = apply_T(depth, vel)[0]
         assert np.max(np.abs(got - oracle_values["T"])) < 1e-11
 
     def test_apply_frakT_matches_composition(self, symbolic_state, oracle_values):
-        g, depth, bath, vel = symbolic_state
-        frak = apply_frakT(depth, bath, vel, MU)[0]
+        g, depth, vel = symbolic_state
+        frak = apply_frakT(depth, vel, MU)[0]
         exact = depth.h * (vel[0] + MU * oracle_values["T"])
         assert np.max(np.abs(frak - exact)) < 1e-11
 
     def test_apply_Q(self, symbolic_state, oracle_values):
-        g, depth, bath, vel = symbolic_state
+        g, depth, vel = symbolic_state
         got = apply_Q(depth, vel)[0]
         assert np.max(np.abs(got - oracle_values["Q"])) < 1e-11
 
     def test_apply_Qb(self, symbolic_state, oracle_values):
-        g, depth, bath, vel = symbolic_state
-        got = apply_Qb(depth, bath, vel)[0]
+        g, depth, vel = symbolic_state
+        got = apply_Qb(depth, vel)[0]
         assert np.max(np.abs(got - oracle_values["Qb"])) < 1e-11
 
     def test_apply_R(self, symbolic_state, oracle_values):
-        g, depth, bath, vel = symbolic_state
+        g, depth, vel = symbolic_state
         got = apply_R(depth, vel)
         assert np.max(np.abs(got - oracle_values["R"])) < 1e-11
 
     def test_apply_Rb(self, symbolic_state, oracle_values):
-        g, depth, bath, vel = symbolic_state
-        got = apply_Rb(depth, bath, vel)
+        g, depth, vel = symbolic_state
+        got = apply_Rb(depth, vel)
         assert np.max(np.abs(got - oracle_values["Rb"])) < 1e-11
 
     def test_good_unknown_w(self, symbolic_state, oracle_values):
-        g, depth, bath, vel = symbolic_state
-        got = good_unknown_w(depth, bath, vel)
+        g, depth, vel = symbolic_state
+        got = good_unknown_w(depth, vel)
         assert np.max(np.abs(got - oracle_values["w"])) < 1e-11
 
     def test_dh_frakT(self, symbolic_state, oracle_values):
-        g, depth, bath, vel = symbolic_state
+        g, depth, vel = symbolic_state
         f = _lambdify(F_SYM)(g.coords[0])
-        got = dh_frakT(depth, bath, f, vel, MU)[0]
+        got = dh_frakT(depth, f, vel, MU)[0]
         assert np.max(np.abs(got - oracle_values["dT"])) < 1e-11
 
 
 class TestTrivialCases:
     def test_T_of_zero(self):
         g = grid2(16)
-        depth = smooth_depth(g, np.random.default_rng(0))
-        bath = BathymetryState.flat(g)
-        out = apply_T(depth, bath, np.zeros((g.dim,) + g.shape))
+        depth = smooth_depth(BathymetryState.flat(g), np.random.default_rng(0))
+        out = apply_T(depth, np.zeros((g.dim,) + g.shape))
         assert np.max(np.abs(out)) == 0.0
 
     def test_flat_single_mode_multiplier(self):
         g = grid1(64)
-        depth = DepthState(g, np.ones(g.shape))
-        bath = BathymetryState.flat(g)
+        depth = DepthState(BathymetryState.flat(g), np.ones(g.shape))
         k = 3.0
         u = np.cos(k * g.coords[0])[None, :]
-        Tu = apply_T(depth, bath, u)
+        Tu = apply_T(depth, u)
         assert np.max(np.abs(Tu - (k**2 / 3.0) * u)) < 1e-12
-        frak = apply_frakT(depth, bath, u, MU)
+        frak = apply_frakT(depth, u, MU)
         assert np.max(np.abs(frak - (1 + MU * k**2 / 3.0) * u)) < 1e-12
 
     def test_flat_single_mode_2d(self):
         g = grid2(32)
-        depth = DepthState(g, np.ones(g.shape))
-        bath = BathymetryState.flat(g)
+        depth = DepthState(BathymetryState.flat(g), np.ones(g.shape))
         x, y = g.coords
         # gradient of a plane wave: u ∥ k, so T u = (|k|²/3) u
         u = g.gradient(np.cos(2 * x + 3 * y))
-        Tu = apply_T(depth, bath, u)
+        Tu = apply_T(depth, u)
         assert np.max(np.abs(Tu - (13.0 / 3.0) * u)) < 1e-11
 
     def test_mu_zero_frakT_is_mass(self):
         g = grid1(32)
         rng = np.random.default_rng(1)
-        depth = smooth_depth(g, rng)
-        bath = BathymetryState.flat(g)
+        depth = smooth_depth(BathymetryState.flat(g), rng)
         u = band_limited_vector(g, rng)
-        out = apply_frakT(depth, bath, u, 0.0)
+        out = apply_frakT(depth, u, 0.0)
         assert np.allclose(out, depth.h * u, atol=1e-14)
 
     def test_Qb_flat_bottom_zero(self):
         g = grid1(32)
         rng = np.random.default_rng(2)
-        depth = smooth_depth(g, rng)
+        depth = smooth_depth(BathymetryState.flat(g), rng)
         u = band_limited_vector(g, rng)
-        out = apply_Qb(depth, BathymetryState.flat(g), u)
+        out = apply_Qb(depth, u)
         assert np.max(np.abs(out)) == 0.0
-        rb = apply_Rb(depth, BathymetryState.flat(g), u)
+        rb = apply_Rb(depth, u)
         assert np.max(np.abs(rb)) == 0.0
 
     def test_Q_constant_velocity_zero(self):
         g = grid1(32)
-        depth = smooth_depth(g, np.random.default_rng(3))
+        depth = smooth_depth(BathymetryState.flat(g), np.random.default_rng(3))
         u = np.full((1,) + g.shape, 0.7)
         assert np.max(np.abs(apply_Q(depth, u))) < 1e-14
 
     def test_R_of_zero(self):
         g = grid1(32)
-        depth = smooth_depth(g, np.random.default_rng(4))
+        depth = smooth_depth(BathymetryState.flat(g), np.random.default_rng(4))
         assert np.max(np.abs(apply_R(depth, np.zeros((g.dim,) + g.shape)))) == 0.0
 
     def test_w_gradient_flow_flat_bottom(self):
         g = grid2(32)
-        depth = smooth_depth(g, np.random.default_rng(5), max_mode=2)
-        bath = BathymetryState.flat(g)
+        depth = smooth_depth(BathymetryState.flat(g), np.random.default_rng(5), max_mode=2)
         u = g.gradient(np.cos(g.coords[0]))
-        w = good_unknown_w(depth, bath, u)
+        w = good_unknown_w(depth, u)
         expected = -g.dealias(depth.h * g.divergence(u))
         assert np.max(np.abs(w - expected)) < 1e-13
 
     def test_dh_mu_zero(self):
         g = grid1(32)
         rng = np.random.default_rng(6)
-        depth = smooth_depth(g, rng)
-        bath = BathymetryState.flat(g)
+        depth = smooth_depth(BathymetryState.flat(g), rng)
         f = band_limited_scalar(g, rng, 3)
         u = band_limited_vector(g, rng, 3)
-        out = dh_frakT(depth, bath, f, u, 0.0)
+        out = dh_frakT(depth, f, u, 0.0)
         assert np.max(np.abs(out - f * u)) < 1e-13
 
 
@@ -240,18 +234,18 @@ def _random_setup(seed: int, n: int = 48, beta: float = 0.3):
     b = band_limited_scalar(g, rng, 2, 0.15)
     bath = BathymetryState(ScalarField(g, b), beta)
     h = 1.0 + band_limited_scalar(g, rng, 3, 0.15) - beta * b
-    depth = DepthState(g, h)
-    return g, depth, bath, rng
+    depth = DepthState(bath, h)
+    return g, depth, rng
 
 
 class TestQuadraticForm:
     def test_identity_by_quadrature(self):
-        g, depth, bath, rng = _random_setup(7)
+        g, depth, rng = _random_setup(7)
         u = band_limited_vector(g, rng, max_mode=5)
-        lhs = g.inner(apply_frakT(depth, bath, u, MU), u)
+        lhs = g.inner(apply_frakT(depth, u, MU), u)
         h = depth.h
         d = g.divergence(u)
-        gb = bath.beta_grad_b
+        gb = depth.beta_grad_b
         gdot = np.einsum("i...,i...->...", gb, u)
         rhs = g.integrate(
             h * np.einsum("i...,i...->...", u, u)
@@ -261,17 +255,17 @@ class TestQuadraticForm:
         assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
 
     def test_symmetry(self):
-        g, depth, bath, rng = _random_setup(8)
+        g, depth, rng = _random_setup(8)
         u1 = band_limited_vector(g, rng, 5)
         u2 = band_limited_vector(g, rng, 5)
-        a12 = g.inner(apply_frakT(depth, bath, u1, MU), u2)
-        a21 = g.inner(apply_frakT(depth, bath, u2, MU), u1)
+        a12 = g.inner(apply_frakT(depth, u1, MU), u2)
+        a21 = g.inner(apply_frakT(depth, u2, MU), u1)
         assert abs(a12 - a21) <= 1e-12 * g.norm_l2(u1) * g.norm_l2(u2)
 
     def test_coercivity_bounds(self):
-        g, depth, bath, rng = _random_setup(9)
+        g, depth, rng = _random_setup(9)
         u = band_limited_vector(g, rng, 5)
-        quad = g.inner(apply_frakT(depth, bath, u, MU), u)
+        quad = g.inner(apply_frakT(depth, u, MU), u)
         l2 = g.inner(u, u)
         div2 = g.inner(g.divergence(u), g.divergence(u))
         slack = 1e-10 * abs(quad)
@@ -281,44 +275,43 @@ class TestQuadraticForm:
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=15, deadline=None)
     def test_symmetry_property(self, seed):
-        g, depth, bath, rng = _random_setup(seed)
+        g, depth, rng = _random_setup(seed)
         u1 = band_limited_vector(g, rng, 4)
         u2 = band_limited_vector(g, rng, 4)
-        a12 = g.inner(apply_frakT(depth, bath, u1, MU), u2)
-        a21 = g.inner(apply_frakT(depth, bath, u2, MU), u1)
+        a12 = g.inner(apply_frakT(depth, u1, MU), u2)
+        a21 = g.inner(apply_frakT(depth, u2, MU), u1)
         assert abs(a12 - a21) <= 1e-12 * g.norm_l2(u1) * g.norm_l2(u2)
 
 
 class TestInversion:
     def test_zero_rhs(self):
-        g, depth, bath, _ = _random_setup(10)
-        u, iters, res = invert_frakT(depth, bath, np.zeros((g.dim,) + g.shape), MU)
+        g, depth, _ = _random_setup(10)
+        u, iters, res = invert_frakT(depth, np.zeros((g.dim,) + g.shape), MU)
         assert np.max(np.abs(u)) == 0.0
         assert iters == 0 and res == 0.0
 
     def test_flat_single_mode(self):
         g = grid1(64)
-        depth = DepthState(g, np.ones(g.shape))
-        bath = BathymetryState.flat(g)
+        depth = DepthState(BathymetryState.flat(g), np.ones(g.shape))
         k = 4.0
         v = np.sin(k * g.coords[0])[None, :]
-        u, iters, res = invert_frakT(depth, bath, v, MU)
+        u, iters, res = invert_frakT(depth, v, MU)
         assert np.max(np.abs(u - v / (1 + MU * k**2 / 3.0))) < 1e-10
 
     def test_round_trip(self):
-        g, depth, bath, rng = _random_setup(11)
+        g, depth, rng = _random_setup(11)
         v = band_limited_vector(g, rng, 5)
         cfg = EllipticSolveConfig(rel_tolerance=1e-12)
-        u, iters, res = invert_frakT(depth, bath, v, MU, cfg)
-        back = apply_frakT(depth, bath, u, MU)
+        u, iters, res = invert_frakT(depth, v, MU, cfg)
+        back = apply_frakT(depth, u, MU)
         err = g.norm_l2(back - v)
         assert err <= 10.0 * cfg.rel_tolerance * g.norm_l2(v)
         assert res <= cfg.rel_tolerance
 
     def test_saint_venant_degeneration(self):
-        g, depth, bath, rng = _random_setup(12)
+        g, depth, rng = _random_setup(12)
         v = band_limited_vector(g, rng, 5)
-        u, iters, res = invert_frakT(depth, bath, v, 0.0)
+        u, iters, res = invert_frakT(depth, v, 0.0)
         assert np.max(np.abs(u - v / depth.h)) < 1e-13
 
     def test_2d_round_trip_with_bathymetry(self):
@@ -326,29 +319,27 @@ class TestInversion:
         rng = np.random.default_rng(13)
         b = band_limited_scalar(g, rng, 2, 0.1)
         bath = BathymetryState(ScalarField(g, b), 0.4)
-        depth = DepthState(g, 1.0 + band_limited_scalar(g, rng, 3, 0.15))
+        depth = DepthState(bath, 1.0 + band_limited_scalar(g, rng, 3, 0.15))
         v = band_limited_vector(g, rng, 4)
-        u, iters, res = invert_frakT(depth, bath, v, 0.5)
-        back = apply_frakT(depth, bath, u, 0.5)
+        u, iters, res = invert_frakT(depth, v, 0.5)
+        back = apply_frakT(depth, u, 0.5)
         assert g.norm_l2(back - v) <= 1e-11 * g.norm_l2(v)
 
     def test_preconditioner_helps(self):
-        g, depth, bath, rng = _random_setup(14)
+        g, depth, rng = _random_setup(14)
         v = band_limited_vector(g, rng, 5)
         _, it_pc, _ = invert_frakT(
-            depth, bath, v, MU, EllipticSolveConfig(preconditioner="flat_state")
+            depth, v, MU, EllipticSolveConfig(preconditioner="flat_state")
         )
-        _, it_raw, _ = invert_frakT(
-            depth, bath, v, MU, EllipticSolveConfig(preconditioner="none")
-        )
+        _, it_raw, _ = invert_frakT(depth, v, MU, EllipticSolveConfig(preconditioner="none"))
         assert it_pc < it_raw
 
     def test_warm_start_session(self):
-        g, depth, bath, rng = _random_setup(15)
+        g, depth, rng = _random_setup(15)
         v = band_limited_vector(g, rng, 5)
         session = SolverSession(EllipticSolveConfig())
-        _, first, _ = invert_frakT(depth, bath, v, MU, session=session)
-        _, second, _ = invert_frakT(depth, bath, v, MU, session=session)
+        _, first, _ = invert_frakT(depth, v, MU, session=session)
+        _, second, _ = invert_frakT(depth, v, MU, session=session)
         assert second == 0
         assert session.solves == 2
         assert session.last_solution is not None
@@ -440,26 +431,26 @@ class TestInversion:
 
     def test_extrapolated_warm_start_saves_iterations(self):
         """A solution that moves linearly in time is guessed exactly."""
-        g, depth, bath, rng = _random_setup(17)
+        g, depth, rng = _random_setup(17)
         v0 = band_limited_vector(g, rng, 5)
         dv = band_limited_vector(g, rng, 5)
         session = SolverSession(EllipticSolveConfig())
         for t in (0.0, 1.0):
             session.time = t
-            invert_frakT(depth, bath, v0 + t * dv, MU, session=session)
+            invert_frakT(depth, v0 + t * dv, MU, session=session)
         session.time = 2.0
-        _, with_line, _ = invert_frakT(depth, bath, v0 + 2.0 * dv, MU, session=session)
+        _, with_line, _ = invert_frakT(depth, v0 + 2.0 * dv, MU, session=session)
         plain = SolverSession(EllipticSolveConfig())
-        invert_frakT(depth, bath, v0 + dv, MU, session=plain)
-        _, with_last, _ = invert_frakT(depth, bath, v0 + 2.0 * dv, MU, session=plain)
+        invert_frakT(depth, v0 + dv, MU, session=plain)
+        _, with_last, _ = invert_frakT(depth, v0 + 2.0 * dv, MU, session=plain)
         assert with_line < with_last
 
     def test_non_convergence_raises(self):
-        g, depth, bath, rng = _random_setup(16)
+        g, depth, rng = _random_setup(16)
         v = band_limited_vector(g, rng, 5)
         cfg = EllipticSolveConfig(max_iterations=1, preconditioner="none")
         with pytest.raises(NonConvergenceError) as exc:
-            invert_frakT(depth, bath, v, MU, cfg)
+            invert_frakT(depth, v, MU, cfg)
         assert exc.value.iterations == 1
         assert exc.value.residual > 0.0
 
@@ -467,7 +458,7 @@ class TestInversion:
         g = grid1(32)
         h = 0.5 + np.sin(g.coords[0])  # dips below zero
         with pytest.raises(CoercivityViolationError):
-            DepthState(g, h)
+            DepthState(BathymetryState.flat(g), h)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_depth_must_be_finite(self, bad):
@@ -475,17 +466,17 @@ class TestInversion:
         h = np.ones(g.shape)
         h[5] = bad
         with pytest.raises(ValidationError, match="non-finite"):
-            DepthState(g, h)
+            DepthState(BathymetryState.flat(g), h)
 
     def test_depth_shape_checked(self):
         with pytest.raises(GridMismatchError):
-            DepthState(grid1(32), np.ones(16))
+            DepthState(BathymetryState.flat(grid1(32)), np.ones(16))
 
     def test_grid_mismatch(self):
-        g, depth, bath, _ = _random_setup(17)
+        g, depth, _ = _random_setup(17)
         other = np.zeros((1, 32))
         with pytest.raises(GridMismatchError):
-            apply_frakT(depth, bath, other, MU)
+            apply_frakT(depth, other, MU)
 
     def test_config_validation(self):
         with pytest.raises(ValidationError, match="rel_tolerance"):
@@ -498,17 +489,15 @@ class TestInversion:
 
 class TestShapeDerivative:
     def test_finite_difference_convergence(self):
-        g, depth, bath, rng = _random_setup(18)
+        g, depth, rng = _random_setup(18)
         f = band_limited_scalar(g, rng, 3, 0.2)
         u = band_limited_vector(g, rng, 3)
-        exact = dh_frakT(depth, bath, f, u, MU)
+        exact = dh_frakT(depth, f, u, MU)
 
         def fd_error(delta: float) -> float:
-            dp = DepthState(g, depth.h + delta * f)
-            dm = DepthState(g, depth.h - delta * f)
-            fd = (
-                apply_frakT(dp, bath, u, MU) - apply_frakT(dm, bath, u, MU)
-            ) / (2.0 * delta)
+            dp = DepthState(depth.bath, depth.h + delta * f)
+            dm = DepthState(depth.bath, depth.h - delta * f)
+            fd = (apply_frakT(dp, u, MU) - apply_frakT(dm, u, MU)) / (2.0 * delta)
             return g.norm_l2(fd - exact)
 
         e1, e2 = fd_error(1e-3), fd_error(5e-4)
@@ -525,14 +514,13 @@ class TestShapeDerivative:
             h = 1.0 + 0.1 * np.sin(x) + 0.05 * np.cos(2 * x)
             b = 0.15 * np.cos(x)
             u = (0.2 * np.sin(2 * x) + 0.1 * np.cos(x))[None, :]
-            depth = DepthState(g, h)
-            bath = BathymetryState(ScalarField(g, b), 0.3)
+            depth = DepthState(BathymetryState(ScalarField(g, b), 0.3), h)
             vel = u
             results[n] = {
-                "T": apply_T(depth, bath, vel)[0],
+                "T": apply_T(depth, vel)[0],
                 "Q": apply_Q(depth, vel)[0],
-                "Qb": apply_Qb(depth, bath, vel)[0],
-                "w": good_unknown_w(depth, bath, vel),
+                "Qb": apply_Qb(depth, vel)[0],
+                "w": good_unknown_w(depth, vel),
             }
         for name in results[64]:
             coarse, fine = results[64][name], results[128][name]

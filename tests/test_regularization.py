@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import arrays, band_limited_scalar, band_limited_vector
+from _helpers import band_limited_scalar, band_limited_vector, tendency_args
 from gnwave.diagnostics import norm_Hn
 from gnwave.errors import ValidationError
 from gnwave.grid import PeriodicGrid, ScalarField, VectorField
@@ -157,8 +157,8 @@ class TestSmoothedTendency:
 
     def test_zero_iota_identical(self):
         g, state, params, bath, spec = self.setup_state(0.0)
-        dz1, dv1, _ = rhs_gn_v(*arrays(state), params, bath)
-        dz2, dv2, _ = rhs_gn_v_mollified(*arrays(state), params, bath, spec)
+        dz1, dv1, _ = rhs_gn_v(*tendency_args(state, params, bath))
+        dz2, dv2, _ = rhs_gn_v_mollified(*tendency_args(state, params, bath), spec)
         assert np.array_equal(dz1, dz2)
         assert np.array_equal(dv1, dv2)
 
@@ -166,14 +166,14 @@ class TestSmoothedTendency:
         g, _, params, bath, _ = self.setup_state(0.0)
         for iota in (0.0, 0.3, 0.8):
             dz, dv, _ = rhs_gn_v_mollified(
-                *arrays(FluidState.rest(g)), params, bath, MollifierSpec(iota=iota)
+                *tendency_args(FluidState.rest(g), params, bath), MollifierSpec(iota=iota)
             )
             assert np.max(np.abs(dz)) < 1e-14
             assert np.max(np.abs(dv)) < 1e-14
 
     def test_output_band_limited(self):
         g, state, params, bath, spec = self.setup_state(0.25)
-        dz, dv, _ = rhs_gn_v_mollified(*arrays(state), params, bath, spec)
+        dz, dv, _ = rhs_gn_v_mollified(*tendency_args(state, params, bath), spec)
         k = np.abs(g.wavenumbers[0])
         cut = spec.iota * k > 1.0
         assert np.max(np.abs(g.fft(dz)[cut])) < 1e-16
@@ -181,5 +181,5 @@ class TestSmoothedTendency:
 
     def test_mass_flux_mean_free(self):
         g, state, params, bath, spec = self.setup_state(0.25)
-        dz, _, _ = rhs_gn_v_mollified(*arrays(state), params, bath, spec)
+        dz, _, _ = rhs_gn_v_mollified(*tendency_args(state, params, bath), spec)
         assert abs(g.integrate(dz)) < 1e-13 * g.norm_l2(dz)

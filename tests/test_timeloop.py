@@ -25,11 +25,11 @@ from gnwave.timeloop import (
 )
 
 from _helpers import (
-    arrays,
     band_limited_scalar,
     band_limited_vector,
     fv_shallow_water,
     smooth_bathymetry,
+    tendency_args,
 )
 
 
@@ -241,12 +241,12 @@ class TestDealiasedBand:
         state, rng = self._state(grid, VariableKind.V_VARIABLE, 20 + dim)
         bath = smooth_bathymetry(grid, rng, beta=0.3)
         params = ModelParams(epsilon=0.5, beta=0.3, mu=0.5)
-        dz, dv, _ = rhs_gn_v(*arrays(state), params, bath)
+        dz, dv, _ = rhs_gn_v(*tendency_args(state, params, bath))
         assert self._out_of_band(grid, dz) < 1e-14
         assert self._out_of_band(grid, dv) < 1e-14
         sv = ModelParams(epsilon=0.5, beta=0.3, mu=0.0, formulation=Formulation.SV)
         u_state = FluidState(state.zeta, state.vel, VariableKind.U_VARIABLE)
-        for f in rhs_sv(*arrays(u_state), sv, bath):
+        for f in rhs_sv(*tendency_args(u_state, sv, bath)):
             assert self._out_of_band(grid, f) < 1e-14
 
     def test_gn_u_solution_leaks_out_of_band(self):
@@ -255,7 +255,7 @@ class TestDealiasedBand:
         state, rng = self._state(grid, VariableKind.U_VARIABLE, 30)
         bath = smooth_bathymetry(grid, rng, beta=0.3)
         params = ModelParams(epsilon=0.5, beta=0.3, mu=0.5, formulation=Formulation.GN_U)
-        dz, du, _ = rhs_gn_u(*arrays(state), params, bath)
+        dz, du, _ = rhs_gn_u(*tendency_args(state, params, bath))
         assert self._out_of_band(grid, dz) < 1e-14
         assert self._out_of_band(grid, du) > 1e-12
 
@@ -283,11 +283,11 @@ class TestStageSolves:
         relative = []
         solve = models.invert_frakT
 
-        def checked(depth, bath, rhs, mu, cfg=None, session=None):
-            out = solve(depth, bath, rhs, mu, cfg, session)
+        def checked(depth, rhs, mu, cfg=None, session=None):
+            out = solve(depth, rhs, mu, cfg, session)
             size = grid.norm_l2(rhs)
             if size > 0.0:
-                back = apply_frakT(depth, bath, out.u, mu)
+                back = apply_frakT(depth, out.u, mu)
                 relative.append(grid.norm_l2(back - rhs) / size)
             return out
 
@@ -459,6 +459,18 @@ class TestFailureModes:
         assert report.termination == "coercivity_violation"
         assert report.steps == 0
         assert report.failure_time == 0.0
+
+    def test_start_below_floor_completes(self):
+        """The floor guards stages at half its value; the initial state is not
+        held to the floor itself."""
+        grid = PeriodicGrid((32,), (2 * np.pi,))
+        params = ModelParams(epsilon=0.1, beta=0.0, mu=0.5, h_star=0.9)
+        state = pulse_state(grid, amplitude=-2.0)
+        assert 0.45 < 1.0 + params.epsilon * state.zeta.data.min() < 0.9
+        icfg = IntegrationConfig(dt=0.01, t_end=0.1)
+        report = run(state, params, BathymetryState.flat(grid), icfg, diag_order=0)
+        assert report.termination == "completed"
+        assert report.steps == 10
 
     def test_blow_up_detection(self):
         """Field magnitudes beyond the hard limit raise with a report attached."""

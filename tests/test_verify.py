@@ -18,6 +18,7 @@ from gnwave.models import (
     Formulation,
     ModelParams,
     VariableKind,
+    make_depth,
     rhs_gn_u,
     rhs_gn_v,
 )
@@ -267,9 +268,8 @@ class TestVariationalStructure:
         cfg = EllipticSolveConfig(rel_tolerance=1e-13)
 
         def ham(s):
-            return hamiltonian_gn(
-                ScalarField(g, s * zeta.data), VectorField(g, s * v.data), params, bath, cfg
-            )
+            z = s * zeta.data
+            return hamiltonian_gn(z, s * v.data, params, make_depth(params, z, bath), cfg)
 
         assert abs(ham(2e-3) / ham(1e-3) - 4.0) < 1e-3
 
@@ -461,7 +461,8 @@ class TestTravelingWaveOracle:
         state = verify.solitary_wave_state(g, 0.2, params, kind=VariableKind.U_VARIABLE)
         _, _, c = verify.solitary_wave_profile(np.zeros(1), 0.2, params)
         cfg = EllipticSolveConfig(rel_tolerance=1e-13)
-        dz, du, _ = rhs_gn_u(state.zeta.data, state.vel.data, params, flat_bath(g), cfg)
+        depth = make_depth(params, state.zeta.data, flat_bath(g))
+        dz, du, _ = rhs_gn_u(state.zeta.data, state.vel.data, params, depth, cfg)
         adv_z = -c * g.gradient(state.zeta.data)[0]
         adv_u = -c * g.gradient(state.vel.data[0])
         assert g.norm_l2(dz - adv_z) / g.norm_l2(adv_z) < 1e-6
@@ -474,7 +475,8 @@ class TestTravelingWaveOracle:
         state = verify.solitary_wave_state(g, 0.2, params)
         _, _, c = verify.solitary_wave_profile(np.zeros(1), 0.2, params)
         cfg = EllipticSolveConfig(rel_tolerance=1e-13)
-        dz, dv, _ = rhs_gn_v(state.zeta.data, state.vel.data, params, flat_bath(g), cfg)
+        depth = make_depth(params, state.zeta.data, flat_bath(g))
+        dz, dv, _ = rhs_gn_v(state.zeta.data, state.vel.data, params, depth, cfg)
         adv_z = -c * g.gradient(state.zeta.data)[0]
         adv_v = -c * g.gradient(state.vel.data[0])
         assert g.norm_l2(dz - adv_z) / g.norm_l2(adv_z) < 1e-6
