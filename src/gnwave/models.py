@@ -261,32 +261,41 @@ def rhs_gn_v(
     depth: DepthState,
     cfg: EllipticSolveConfig | None = None,
     session: SolverSession | None = None,
+    multiplier: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, SolveStats]:
     """Conjugate-variable tendency. u = 𝔗⁻¹(hv) is solved once, then
 
-    dv = −∇ζ − ε (curl v) u^⊥ − (ε/2)∇|u|² + με ∇(R + R_b).
+    dζ = −∇·(hu),  dv = −∇ζ − ε (curl v) u^⊥ − (ε/2)∇|u|² + με ∇(R + R_b).
+
+    Both are assembled as spectra and leave by one inverse transform; a
+    real spectral ``multiplier`` (such as a smoothing symbol) is applied to
+    both spectra before it.
     """
     grid = depth.grid
     u, stats = _solve_velocity(depth, vel, params.mu, cfg, session)
 
-    dzeta = -_mass_flux_divergence(grid, depth.h, u)
+    dzeta_spec = -grid.contract(grid.ik_dealiased, grid.rfft(depth.h * u))
 
     # −ζ, −(ε/2)|u|² and με(R + R_b) share one gradient; only the
-    # nonlinear potentials are dealiased
+    # nonlinear potentials and the vortical term are dealiased
     eps = params.epsilon
     if eps > 0.0:
         potential = -(eps / 2.0) * np.einsum("i...,i...->...", u, u)
         if params.mu > 0.0:
             potential += params.mu * eps * _pressure_terms(depth, u)
         spec = grid.rfft(np.stack((zeta, potential)))
-        dv = grid.irfft(grid.ik * (grid.dealias_mask * spec[1] - spec[0]))
+        dv_spec = grid.ik * (grid.dealias_mask * spec[1] - spec[0])
         if grid.dim == 2:
             curl_v = grid.curl(vel)
             if float(np.max(np.abs(curl_v))) > 0.0:
-                dv -= eps * grid.dealias(curl_v * grid.perp(u))
+                dv_spec -= (eps * grid.dealias_mask) * grid.rfft(curl_v * grid.perp(u))
     else:
-        dv = -grid.gradient(zeta)
-    return dzeta, dv, stats
+        dv_spec = -grid.ik * grid.rfft(zeta)
+    out_spec = np.concatenate((dzeta_spec[None], dv_spec))
+    if multiplier is not None:
+        out_spec *= multiplier
+    out = grid.irfft(out_spec)
+    return out[0], out[1:], stats
 
 
 def rhs_gn_v_compact(

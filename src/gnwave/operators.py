@@ -192,24 +192,30 @@ class EllipticSolveConfig:
 class SolverSession:
     """Warm-start cache for the elliptic solves of one simulation.
 
-    The guess for a solve is chosen from what the caller has set:
+    The guess for a solve is built from what the caller has set:
 
+    - With ``time`` set, the in-step guess is the linear extrapolation, to
+      that time, of the two latest solutions at distinct times:
+      u₀ + w·(u₀ − u₋₁), with weight w = (t − t₀)/(t₀ − t₋₁).  A solve at the
+      time of the latest solution, a weight beyond ±2 (up to round-off) or a
+      caller without a time gets the latest solution itself (w = 0).  Within a time step the
+      two latest solutions include the stage just solved.
     - ``stage = (index, step_start, dt)`` (the time stepper sets it before
-      each RK stage): when the same stage index was solved in the four
-      previous steps, whose starts are ``step_start − k·dt`` (k = 1…4) to
-      round-off, the guess is the cubic extrapolation 4u₋₁ − 6u₋₂ + 4u₋₃ − u₋₄
-      of those four solutions.  A stage state is a smooth function of its
-      step's start state, so each stage index traces a smooth curve in time.
-    - Otherwise, with ``time`` set, the guess is the linear extrapolation, to
-      that time, of the two latest solutions at distinct times.  This covers
-      the first steps of a run, a step of another size (such as a shorter
-      final step) and callers without stages.
-    - Otherwise it is the latest solution.
+      each RK stage): the session keeps, per stage index, the error
+      u − g that the in-step guess g made in the three latest steps, with
+      that guess's weight.  A stage state is a smooth function of its step's
+      start state, so this error traces a smooth curve over steps.  When the
+      three entries start at ``step_start − k·dt`` (k = 1…3) to round-off and
+      carry the weight of the current in-step guess, the guess is
+      g + 3e₋₁ − 3e₋₂ + e₋₃, the quadratic extrapolation of the error added
+      to the in-step guess.  Otherwise it is g: the first steps of a run, a
+      step of another size (such as a shorter final step) and callers
+      without stages.
 
-    ``cfg.warm_start = False`` disables every guess.  The per-stage history
-    holds the session's only copies of the solutions; ``last_solution`` is
-    the newest of them.  Mutable by design; keep one session per concurrent
-    run.
+    A solve that asks for no guess (a zero right-hand side, μ = 0) records
+    no error: each recorded error pairs a solution with the guess asked for
+    just before it.  ``cfg.warm_start = False`` disables
+    every guess.  Mutable by design; keep one session per concurrent run.
     """
 
     cfg: EllipticSolveConfig = dataclasses.field(default_factory=EllipticSolveConfig)
@@ -222,56 +228,73 @@ class SolverSession:
     _previous: tuple[np.ndarray, float] | None = dataclasses.field(
         default=None, init=False, repr=False
     )
-    _stages: dict[int, collections.deque] = dataclasses.field(
+    # (stage, weight, in-step guess) of the guess asked for last, until the
+    # solution it belongs to is recorded
+    _pending: tuple[tuple[int, float, float], float, np.ndarray] | None = (
+        dataclasses.field(default=None, init=False, repr=False)
+    )
+    _errors: dict[int, collections.deque] = dataclasses.field(
         default_factory=dict, init=False, repr=False
     )
 
     def initial_guess(self, shape: tuple[int, ...]) -> np.ndarray | None:
+        self._pending = None
         last = self.last_solution
         if not (self.cfg.warm_start and last is not None and last.shape == shape):
             return None
-        cubic = self._stage_guess(shape)
-        if cubic is not None:
-            return cubic
+        guess, weight = self._in_step_guess()
+        if self.stage is not None:
+            self._pending = (self.stage, weight, guess)
+        corrected = self._stage_guess(shape)
+        return guess if corrected is None else corrected
+
+    def _in_step_guess(self) -> tuple[np.ndarray, float]:
+        """Line through the two latest solutions at distinct times, and its weight."""
+        last = self.last_solution
         if self.time is None or self._previous is None:
-            return last
+            return last, 0.0
         previous, t_prev = self._previous
-        if _same_time(self.time, self._last_time) or previous.shape != shape:
-            return last
+        if _same(self.time, self._last_time) or previous.shape != last.shape:
+            return last, 0.0
         weight = (self.time - self._last_time) / (self._last_time - t_prev)
-        # stage patterns need |weight| <= 2; a larger one would amplify the
-        # difference of two nearby solutions into a poor guess
-        if abs(weight) > 2.0:
-            return last
-        return last + weight * (last - previous)
+        # stage patterns need |weight| <= 2 (SSP-RK3's second stage sits on 2,
+        # up to round-off); a larger one would amplify the difference of two
+        # nearby solutions into a poor guess
+        if abs(weight) > 2.0 and not _same(abs(weight), 2.0):
+            return last, 0.0
+        return last + weight * (last - previous), weight
 
     def _stage_guess(self, shape: tuple[int, ...]) -> np.ndarray | None:
-        """Cubic extrapolation over the same stage of the four previous steps."""
-        if self.stage is None:
+        """The in-step guess plus the quadratic extrapolation of its error over
+        the same stage of the three previous steps."""
+        if self._pending is None:
             return None
-        index, start, dt = self.stage
-        history = self._stages.get(index)
+        (index, start, dt), weight, guess = self._pending
+        history = self._errors.get(index)
         if history is None or len(history) < _STAGE_HISTORY:
             return None
         newest_first = list(reversed(history))
-        for k, (u, t) in enumerate(newest_first, start=1):
-            if u.shape != shape or not _same_time(t, start - k * dt):
+        for k, (e, t, w) in enumerate(newest_first, start=1):
+            if not (
+                e.shape == shape and _same(t, start - k * dt) and _same(w, weight)
+            ):
                 return None
-        u1, u2, u3, u4 = (u for u, _ in newest_first)
-        return 4.0 * (u1 + u3) - 6.0 * u2 - u4
+        e1, e2, e3 = (e for e, _, _ in newest_first)
+        return guess + (3.0 * (e1 - e2) + e3)
 
     def record(self, solution: np.ndarray, iterations: int) -> None:
         stored = solution.copy()
-        if self.stage is not None and self.cfg.warm_start:
-            index, start, _ = self.stage
-            history = self._stages.setdefault(
+        pending, self._pending = self._pending, None
+        if pending is not None:
+            (index, start, _), weight, guess = pending
+            history = self._errors.setdefault(
                 index, collections.deque(maxlen=_STAGE_HISTORY)
             )
-            history.append((stored, start))
+            history.append((stored - guess, start, weight))
         if self.time is None or self._last_time is None:
             self._previous = None
             self._last_time = self.time
-        elif not _same_time(self.time, self._last_time):
+        elif not _same(self.time, self._last_time):
             self._previous = (self.last_solution, self._last_time)
             self._last_time = self.time
         self.last_solution = stored
@@ -279,15 +302,18 @@ class SolverSession:
         self.total_iterations += iterations
 
 
-# Solutions kept per stage index: a cubic through four points.  Measured on
-# the 1-D soliton and the 2-D hump: a quadratic saved no iterations over the
-# guess in time, and orders 5-6 helped the hump but lost on the soliton, whose
-# solves stop at rel_tolerance 1e-8 and whose solve error wider stencils amplify.
-_STAGE_HISTORY = 4
+# In-step guess errors kept per stage index: a quadratic through three points.
+# Measured over whole benchmark runs (iterations per stage solve; in-step
+# guess alone 3.0 on soliton_1d and 8.5 on hump_2d): extrapolating the error
+# linearly, quadratically or cubically gives 0.94, 1.31, 1.67 on the soliton
+# and 6.0, 5.5, 4.9 on the hump.  Wider stencils help the hump and hurt the
+# soliton, whose solves stop at rel_tolerance 1e-8 and whose solve error they
+# amplify; the quadratic cuts both.
+_STAGE_HISTORY = 3
 
 
-def _same_time(a: float, b: float) -> bool:
-    """Equal up to round-off: stage times are sums of steps."""
+def _same(a: float, b: float) -> bool:
+    """Equal up to round-off: stage times are sums of steps, weights their ratios."""
     return math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12)
 
 
@@ -463,15 +489,13 @@ def invert_frakT(
     else:
         precond = lambda r: (r, grid.rfft(r))  # noqa: E731
 
-    x = session.initial_guess(b.shape) if session is not None else None
-    if x is not None and x is session.last_solution:
-        # the other guesses are new arrays; this one is the session's own
-        # and CG updates x in place
-        x = x.copy()
-    if x is None:
+    guess = session.initial_guess(b.shape) if session is not None else None
+    if guess is None:
         x = np.zeros_like(b)
         r = b.copy()
     else:
+        # CG updates x in place; the guess may be an array the session keeps
+        x = guess.copy()
         r = b - matvec(x, grid.rfft(x))
 
     tol_abs = cfg.rel_tolerance * b_norm

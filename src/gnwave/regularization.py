@@ -8,7 +8,10 @@ norm.  ι = 0 is the identity by convention.
 
 The smoothed evolution applies J^ι to the complete flux and forcing groups of
 the conjugate-variable tendency, which by linearity amounts to smoothing the
-plain tendency fields themselves.
+plain tendency fields themselves.  The tendency assembles its fields as
+spectra, so φ multiplies them before their one inverse transform and the
+smoothing costs no transform of its own; :func:`mollify` applies J^ι to a
+finished array.
 """
 from __future__ import annotations
 
@@ -128,10 +131,9 @@ def rhs_gn_v_mollified(
 
     The smoothing acts on the entire mass flux divergence and on the entire
     momentum forcing group (pressure gradient included), which by linearity
-    equals smoothing the plain tendency.  ι = 0 reproduces it identically.
+    equals smoothing the plain tendency.  J^ι is applied to the tendency's
+    spectra before their inverse transform, which is :func:`mollify` of the
+    plain tendency to round-off.  ι = 0 reproduces it identically.
     """
-    dzeta, dv, stats = rhs_gn_v(zeta, vel, params, depth, cfg, session)
-    if spec.is_identity:
-        return dzeta, dv, stats
-    grid = depth.grid
-    return mollify(grid, dzeta, spec), mollify(grid, dv, spec), stats
+    multiplier = None if spec.is_identity else spec.multiplier(depth.grid)
+    return rhs_gn_v(zeta, vel, params, depth, cfg, session, multiplier)

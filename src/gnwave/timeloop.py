@@ -2,12 +2,13 @@
 
 The integrator is classical RK4 (or SSP-RK3) applied to the selected model
 tendency, with one elliptic solve per stage.  The stepper tells its solver
-session each stage's index, time, step start and dt.  Once the same stage
-has been solved in the four previous steps, evenly spaced by the current dt,
-its warm start is the cubic extrapolation of those four solutions; before
-that, and for a step of another size such as a shorter final step, it is
-the linear extrapolation over stage times of the latest two stage solutions
-(see :class:`~gnwave.operators.SolverSession`).
+session each stage's index, time, step start and dt.  A stage's warm start
+is the in-step guess, the linear extrapolation over stage times of the
+latest two stage solutions, corrected by the quadratic extrapolation of the
+error that guess made at the same stage of the three previous steps.  The
+correction needs those steps evenly spaced by the current dt, so the first
+steps and a step of another size, such as a shorter final step, take the
+in-step guess alone (see :class:`~gnwave.operators.SolverSession`).
 
 The dispersive operator has an order-zero inverse, so explicit stepping is
 not stiffness-limited; a CFL advisory based on the gravity-wave speed
@@ -156,20 +157,22 @@ def cfl_time_step(state: FluidState, params: ModelParams, bath: BathymetryState)
     A state whose depth is not positive everywhere has no wave speed and
     raises :class:`~gnwave.errors.CoercivityViolationError`.
     """
-    depth = make_depth(params, state.zeta.data, bath)
+    return _advisory_step(state, params, make_depth(params, state.zeta.data, bath))
+
+
+def _advisory_step(state: FluidState, params: ModelParams, depth: DepthState) -> float:
+    """:func:`cfl_time_step` of ``state`` over its water column ``depth``."""
     speed = math.sqrt(float(np.max(depth.h))) * (1.0 + params.epsilon * state.max_abs())
     return CFL_SAFETY * min(state.grid.spacings) / speed
 
 
-def _resolve_h_star(state: FluidState, params: ModelParams, bath: BathymetryState) -> float:
-    if params.h_star > 0.0:
-        return params.h_star
-    return make_depth(params, state.zeta.data, bath).h_min
-
-
 class _Stepper:
     """Binds the model tendency, the stage guards and a solver session to the
-    state a run or step starts from, which must be of the formulation's kind."""
+    state a run or step starts from, which must be of the formulation's kind.
+
+    A floor ``h_star`` of 0 resolves to the minimum of ``initial_depth``, the
+    water column of the initial state, which is built here when not given.
+    """
 
     def __init__(
         self,
@@ -179,6 +182,7 @@ class _Stepper:
         icfg: IntegrationConfig,
         cfg: EllipticSolveConfig | None,
         session: SolverSession | None,
+        initial_depth: DepthState | None = None,
     ) -> None:
         _require_kind(initial, params.expected_kind, f"the {params.formulation.value} formulation")
         if icfg.mollifier.iota > 0.0 and params.formulation is not Formulation.GN_V:
@@ -191,7 +195,11 @@ class _Stepper:
         self.grid = bath.grid
         self.scheme = icfg.scheme
         self.session = session
-        self.h_star = _resolve_h_star(initial, params, bath)
+        self.h_star = params.h_star
+        if self.h_star == 0.0:
+            if initial_depth is None:
+                initial_depth = make_depth(params, initial.zeta.data, bath)
+            self.h_star = initial_depth.h_min
         form = params.formulation
         if form is Formulation.GN_V:
             spec = icfg.mollifier
@@ -329,9 +337,11 @@ def run(
     cfg = cfg if cfg is not None else EllipticSolveConfig()
     step_session = SolverSession(cfg)
     diag_session = SolverSession(cfg)
-    stepper = _Stepper(initial, params, bath, icfg, cfg, step_session)
+    # one water column of the initial state serves the floor and the advisory
+    initial_depth = make_depth(params, initial.zeta.data, bath)
+    stepper = _Stepper(initial, params, bath, icfg, cfg, step_session, initial_depth)
 
-    advisory = cfl_time_step(initial, params, bath)
+    advisory = _advisory_step(initial, params, initial_depth)
     if icfg.dt > advisory:
         warnings.warn(
             f"dt = {icfg.dt:.4g} exceeds the advisory bound {advisory:.4g} "

@@ -373,61 +373,113 @@ class TestInversion:
         assert session.initial_guess((1, 8)) is session.last_solution
 
     @staticmethod
-    def _stage_history(session, starts, dt, solution, stages=(0, 1)):
-        """Record ``solution(start, index)`` for every stage of steps at ``starts``."""
+    def _solve_stages(session, starts, dt, error, stages=(0, 1)):
+        """Solve every stage of steps at ``starts`` as a solver would: ask for a
+        guess, then record a solution.  Each solution is the in-step guess plus
+        ``error(start, index)``; stage ``index`` sits at ``start + index·dt/2``."""
         for start in starts:
             for index in stages:
-                session.stage = (index, start, dt)
+                session.stage = None
                 session.time = start + 0.5 * index * dt
-                session.record(solution(start, index), 1)
+                in_step = session.initial_guess((1, 8))
+                session.stage = (index, start, dt)
+                session.initial_guess((1, 8))
+                base = 0.0 if in_step is None else in_step
+                session.record(base + error(start, index), 1)
 
     @staticmethod
-    def _cubic(seed):
-        coeffs = np.random.default_rng(seed).standard_normal((2, 4, 1, 8))
+    def _quadratic(seed):
+        coeffs = np.random.default_rng(seed).standard_normal((3, 3, 1, 8))
         return lambda t, index: sum(c * t**p for p, c in enumerate(coeffs[index]))
 
-    def test_session_extrapolates_each_stage_over_steps(self):
-        """A stage solution cubic in step time is continued to round-off."""
-        solution = self._cubic(5)
+    def test_session_continues_stage_errors_over_steps(self):
+        """An in-step guess error quadratic in step time is continued to round-off."""
+        error = self._quadratic(5)
         dt, t0 = 0.1, 2.0
         session = SolverSession(EllipticSolveConfig())
-        self._stage_history(session, [t0 + n * dt for n in range(6)], dt, solution)
+        self._solve_stages(session, [t0 + n * dt for n in range(6)], dt, error)
         start = t0 + 6 * dt
         for index in (0, 1):
-            session.stage = (index, start, dt)
+            session.stage = None
             session.time = start + 0.5 * index * dt
+            in_step = session.initial_guess((1, 8))
+            session.stage = (index, start, dt)
             guess = session.initial_guess((1, 8))
-            exact = solution(start, index)
+            exact = in_step + error(start, index)
             assert np.max(np.abs(guess - exact)) <= 1e-11 * np.max(np.abs(exact))
+            session.record(exact, 1)
 
     def test_session_stage_guess_falls_back(self):
-        """Without four evenly spaced predecessors at this dt, the guess is the one in time."""
-        solution = self._cubic(6)
+        """Without three evenly spaced predecessors at this dt, measured against an
+        in-step guess of the current weight, the guess is the in-step one."""
+        error = self._quadratic(6)
         dt = 0.1
 
-        def guesses(starts, stage, warm_start=True):
+        def guesses(starts, stage, offset=0.5, warm_start=True):
+            index, start, step = stage
             session = SolverSession(EllipticSolveConfig(warm_start=warm_start))
-            self._stage_history(session, starts, dt, solution)
+            self._solve_stages(session, starts, dt, error)
+            # the earlier stages of this step
+            self._solve_stages(session, [start], step, error, stages=range(index))
             session.stage = stage
-            session.time = stage[1] + 0.5 * stage[0] * stage[2]
+            session.time = start + offset * index * step
             with_stage = session.initial_guess((1, 8))
             session.stage = None
             return with_stage, session.initial_guess((1, 8))
 
         even = [n * dt for n in range(4)]
-        cubic, in_time = guesses(even, (0, 4 * dt, dt))
-        assert not np.array_equal(cubic, in_time)
-        for starts, stage in (
-            (even, (0, 4 * dt, 0.5 * dt)),  # a shorter step
-            (even, (0, 4 * dt, 2.0 * dt)),  # a longer step
-            (even, (0, 5 * dt, dt)),  # a step missing from the history
-            ([0.0, dt, 2.5 * dt, 3 * dt], (0, 4 * dt, dt)),  # uneven starts
-            (even[1:], (0, 4 * dt, dt)),  # three predecessors only
-            (even, (2, 4 * dt, dt)),  # a stage index never solved
+        corrected, in_step = guesses(even, (0, 4 * dt, dt))
+        assert not np.array_equal(corrected, in_step)
+        corrected, in_step = guesses(even, (1, 4 * dt, dt))
+        assert not np.array_equal(corrected, in_step)
+        for starts, stage, offset in (
+            (even, (0, 4 * dt, 0.5 * dt), 0.5),  # a shorter step
+            (even, (0, 4 * dt, 2.0 * dt), 0.5),  # a longer step
+            (even, (0, 5 * dt, dt), 0.5),  # a step missing from the history
+            ([0.0, dt, 2.5 * dt, 3 * dt], (0, 4 * dt, dt), 0.5),  # uneven starts
+            (even[1:], (0, 4 * dt, dt), 0.5),  # the first solve has no guess: two errors
+            (even, (2, 4 * dt, dt), 0.5),  # a stage index never solved
+            (even, (1, 4 * dt, dt), 0.25),  # an in-step guess of weight 1/2, not 1
         ):
-            with_stage, in_time = guesses(starts, stage)
-            assert np.array_equal(with_stage, in_time)
+            with_stage, in_step = guesses(starts, stage, offset)
+            assert np.array_equal(with_stage, in_step)
         assert guesses(even, (0, 4 * dt, dt), warm_start=False) == (None, None)
+
+    def test_session_pairs_each_error_with_its_own_guess(self):
+        """A solve that asks for no guess records no error: a μ = 0 solve
+        between two stages leaves its stage's history without that step, and a
+        zero right-hand side leaves the session as it was."""
+        g = grid1(8)
+        depth = DepthState(BathymetryState.flat(g), np.ones(g.shape))
+        error = self._quadratic(7)
+        dt = 0.1
+        session = SolverSession(EllipticSolveConfig())
+        self._solve_stages(session, [n * dt for n in range(4)], dt, error, stages=(0, 1, 2))
+
+        def solve_stage(index, start, rhs, mu):
+            session.stage = (index, start, dt)
+            session.time = start + 0.5 * index * dt
+            invert_frakT(depth, rhs, mu, session=session)
+
+        start = 4 * dt
+        rhs = np.random.default_rng(8).standard_normal((1, 8))
+        solve_stage(0, start, rhs, MU)
+        solves = session.solves
+        solve_stage(1, start, np.zeros((1, 8)), MU)
+        assert session.solves == solves
+        solve_stage(1, start, rhs, 0.0)
+        assert session.solves == solves + 1
+        solve_stage(2, start, rhs, MU)
+
+        after = start + dt
+        for index, engaged in ((0, True), (1, False), (2, True)):
+            session.stage = None
+            session.time = after + 0.5 * index * dt
+            in_step = session.initial_guess((1, 8))
+            session.stage = (index, after, dt)
+            guess = session.initial_guess((1, 8))
+            assert np.array_equal(guess, in_step) != engaged, index
+            session.record(in_step + error(after, index), 1)
 
     def test_extrapolated_warm_start_saves_iterations(self):
         """A solution that moves linearly in time is guessed exactly."""

@@ -155,12 +155,46 @@ class TestSmoothedTendency:
         )
         return g, state, params, bath, MollifierSpec(iota=iota)
 
+    @staticmethod
+    def vortical_state_2d(n=32):
+        """A 2-D state over a bottom, whose v has a nonzero curl."""
+        g = PeriodicGrid((n, n), (2.0 * np.pi, 2.0 * np.pi))
+        rng = np.random.default_rng(9)
+        params = ModelParams(epsilon=0.5, beta=0.3, mu=0.7)
+        bath = BathymetryState(ScalarField(g, band_limited_scalar(g, rng, 2, 0.15)), 0.3)
+        state = FluidState(
+            ScalarField(g, band_limited_scalar(g, rng, 3, 0.1)),
+            VectorField(g, band_limited_vector(g, rng, 3, 0.2)),
+            VariableKind.V_VARIABLE,
+        )
+        assert np.max(np.abs(g.curl(state.vel.data))) > 0.1
+        return g, state, params, bath
+
     def test_zero_iota_identical(self):
         g, state, params, bath, spec = self.setup_state(0.0)
-        dz1, dv1, _ = rhs_gn_v(*tendency_args(state, params, bath))
-        dz2, dv2, _ = rhs_gn_v_mollified(*tendency_args(state, params, bath), spec)
-        assert np.array_equal(dz1, dz2)
-        assert np.array_equal(dv1, dv2)
+        _, state_2d, params_2d, bath_2d = self.vortical_state_2d()
+        for args in (
+            tendency_args(state, params, bath),
+            tendency_args(state_2d, params_2d, bath_2d),
+        ):
+            dz1, dv1, _ = rhs_gn_v(*args)
+            dz2, dv2, _ = rhs_gn_v_mollified(*args, spec)
+            assert np.array_equal(dz1, dz2)
+            assert np.array_equal(dv1, dv2)
+
+    @pytest.mark.parametrize("profile", ["sharp_cutoff", "smooth_bump"])
+    def test_smoothing_in_spectrum_is_mollify(self, profile):
+        """Smoothing the tendency's spectra equals mollifying the plain tendency."""
+        g, state, params, bath = self.vortical_state_2d()
+        spec = MollifierSpec(iota=0.15, profile=profile)
+        args = tendency_args(state, params, bath)
+        dz, dv, _ = rhs_gn_v(*args)
+        dz_s, dv_s, _ = rhs_gn_v_mollified(*args, spec)
+        for smoothed, plain in ((dz_s, dz), (dv_s, dv)):
+            reference = mollify(g, plain, spec)
+            assert not np.allclose(reference, plain)
+            gap = np.max(np.abs(smoothed - reference))
+            assert gap <= 1e-13 * np.max(np.abs(reference))
 
     def test_rest_state_fixed(self):
         g, _, params, bath, _ = self.setup_state(0.0)
