@@ -198,8 +198,8 @@ class SolverSession:
       that time, of the two latest solutions at distinct times:
       u₀ + w·(u₀ − u₋₁), with weight w = (t − t₀)/(t₀ − t₋₁).  A solve at the
       time of the latest solution, a weight beyond ±2 (up to round-off) or a
-      caller without a time gets the latest solution itself (w = 0).  Within a time step the
-      two latest solutions include the stage just solved.
+      caller without a time gets the latest solution itself (w = 0).  Within
+      a time step the two latest solutions include the stage just solved.
     - ``stage = (index, step_start, dt)`` (the time stepper sets it before
       each RK stage): the session keeps, per stage index, the error
       u − g that the in-step guess g made in the three latest steps, with
@@ -214,8 +214,8 @@ class SolverSession:
 
     A solve that asks for no guess (a zero right-hand side, μ = 0) records
     no error: each recorded error pairs a solution with the guess asked for
-    just before it.  ``cfg.warm_start = False`` disables
-    every guess.  Mutable by design; keep one session per concurrent run.
+    just before it.  ``cfg.warm_start = False`` disables every guess.
+    Mutable by design; keep one session per concurrent run.
     """
 
     cfg: EllipticSolveConfig = dataclasses.field(default_factory=EllipticSolveConfig)
