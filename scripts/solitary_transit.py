@@ -51,7 +51,7 @@ def main() -> int:
     grid = PeriodicGrid((args.resolution,), (args.length,))
     params = ModelParams(epsilon=1.0, mu=1.0, formulation=Formulation.GN_V)
     bath = BathymetryState(ScalarField(grid, np.zeros(grid.shape)), 0.0)
-    cfg = EllipticSolveConfig(rel_tolerance=1e-10, preconditioner="flat_state")
+    cfg = EllipticSolveConfig(rel_tolerance=1e-10)
 
     print(f"N = {args.resolution}, L = {args.length}, {args.periods} crossings,"
           " dt = advisory/4")

@@ -4,4 +4,6 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .grid import PeriodicGrid, ScalarField, VectorField  # noqa: F401
+from .grid import PeriodicGrid, ScalarField, VectorField
+
+__all__ = ["PeriodicGrid", "ScalarField", "VectorField"]

@@ -268,18 +268,6 @@ class _SectionView:
             self.error(key, f"not an integer: {raw!r}")
             return default
 
-    def bool_(self, key: str, default: bool) -> bool:
-        raw = self.take(key)
-        if raw is None:
-            return default
-        lowered = raw.strip().lower()
-        if lowered in ("true", "yes", "on", "1"):
-            return True
-        if lowered in ("false", "no", "off", "0"):
-            return False
-        self.error(key, f"not a boolean: {raw!r}")
-        return default
-
     def int_list(self, key: str, required: bool = False) -> tuple[int, ...] | None:
         raw = self.take(key)
         if raw is None:
@@ -588,8 +576,6 @@ def load_config(text: str, overrides: Sequence[str] = ()) -> RunConfig:
         elliptic = EllipticSolveConfig(
             rel_tolerance=ev.float_("rel_tolerance", 1e-12),
             max_iterations=max_iterations,
-            preconditioner=ev.choice("preconditioner", ("none", "flat_state"), "flat_state"),
-            warm_start=ev.bool_("warm_start", True),
         )
     except ValidationError as exc:
         ev.error("*", str(exc))
@@ -673,8 +659,6 @@ def save_config(cfg: RunConfig) -> str:
         f"rel_tolerance = {_fmt_float(ecfg.rel_tolerance)}",
         "max_iterations = "
         + ("none" if ecfg.max_iterations is None else str(ecfg.max_iterations)),
-        f"preconditioner = {ecfg.preconditioner}",
-        f"warm_start = {'true' if ecfg.warm_start else 'false'}",
         "",
         "[initial]",
         f"type = {cfg.initial.kind}",

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -56,7 +55,6 @@ __all__ = [
     "VariableKind",
     "ModelParams",
     "FluidState",
-    "SolveStats",
     "make_depth",
     "rest_depth",
     "rhs_gn_u",
@@ -79,6 +77,15 @@ class Formulation(enum.Enum):
 class VariableKind(enum.Enum):
     U_VARIABLE = "u"
     V_VARIABLE = "v"
+
+
+def _member(cls: type[enum.Enum], value, what: str):
+    """The member of ``cls`` with ``value``; anything else is refused."""
+    try:
+        return cls(value)
+    except ValueError:
+        accepted = ", ".join(repr(m.value) for m in cls)
+        raise ValidationError(f"unknown {what} {value!r}, expected one of {accepted}") from None
 
 
 def _kind_for(formulation: Formulation) -> VariableKind:
@@ -112,7 +119,9 @@ class ModelParams:
                 raise ValidationError(f"{name} must be a finite real >= 0, got {val}")
             object.__setattr__(self, name, val)
         if not isinstance(self.formulation, Formulation):
-            object.__setattr__(self, "formulation", Formulation(self.formulation))
+            object.__setattr__(
+                self, "formulation", _member(Formulation, self.formulation, "formulation")
+            )
         if self.formulation is Formulation.SV and self.mu != 0.0:
             raise ValidationError("the hydrostatic variant requires mu = 0")
 
@@ -134,7 +143,7 @@ class FluidState:
         if not self.zeta.grid.compatible(self.vel.grid):
             raise GridMismatchError("zeta and velocity must live on one grid")
         if not isinstance(self.kind, VariableKind):
-            object.__setattr__(self, "kind", VariableKind(self.kind))
+            object.__setattr__(self, "kind", _member(VariableKind, self.kind, "variable kind"))
         time = float(self.time)
         if not np.isfinite(time):
             raise ValidationError(f"time must be finite, got {time}")
@@ -152,14 +161,6 @@ class FluidState:
         return max(
             float(np.max(np.abs(self.zeta.data))), float(np.max(np.abs(self.vel.data)))
         )
-
-
-class SolveStats(NamedTuple):
-    iterations: int
-    residual: float
-
-
-_NO_SOLVE = SolveStats(0, 0.0)
 
 
 def make_depth(params: ModelParams, zeta: np.ndarray, bath: BathymetryState) -> DepthState:
@@ -221,7 +222,7 @@ def rhs_gn_u(
     depth: DepthState,
     cfg: EllipticSolveConfig | None = None,
     session: SolverSession | None = None,
-) -> tuple[np.ndarray, np.ndarray, SolveStats]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Classical-variable tendency; one elliptic solve for the velocity part.
 
     (Id + μT) du = −(∇ζ + ε(u·∇)u + με(Q + Q_b)) is realized through the
@@ -235,11 +236,10 @@ def rhs_gn_u(
     if mu_eps > 0.0:
         forcing = forcing + mu_eps * (apply_Q(depth, vel) + apply_Qb(depth, vel))
     if params.mu == 0.0:
-        return dzeta, -forcing, _NO_SOLVE
+        return dzeta, -forcing
 
     v_rhs = -grid.dealias(depth.h * forcing)
-    du, iterations, residual = invert_frakT(depth, v_rhs, params.mu, cfg, session)
-    return dzeta, du, SolveStats(iterations, residual)
+    return dzeta, invert_frakT(depth, v_rhs, params.mu, cfg, session).u
 
 
 def _solve_velocity(
@@ -248,10 +248,9 @@ def _solve_velocity(
     mu: float,
     cfg: EllipticSolveConfig | None,
     session: SolverSession | None,
-) -> tuple[np.ndarray, SolveStats]:
+) -> np.ndarray:
     hv = depth.grid.dealias(depth.h * v)
-    u, iterations, residual = invert_frakT(depth, hv, mu, cfg, session)
-    return u, SolveStats(iterations, residual)
+    return invert_frakT(depth, hv, mu, cfg, session).u
 
 
 def rhs_gn_v(
@@ -262,7 +261,7 @@ def rhs_gn_v(
     cfg: EllipticSolveConfig | None = None,
     session: SolverSession | None = None,
     multiplier: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, SolveStats]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Conjugate-variable tendency. u = 𝔗⁻¹(hv) is solved once, then
 
     dζ = −∇·(hu),  dv = −∇ζ − ε (curl v) u^⊥ − (ε/2)∇|u|² + με ∇(R + R_b).
@@ -272,7 +271,7 @@ def rhs_gn_v(
     both spectra before it.
     """
     grid = depth.grid
-    u, stats = _solve_velocity(depth, vel, params.mu, cfg, session)
+    u = _solve_velocity(depth, vel, params.mu, cfg, session)
 
     dzeta_spec = -grid.contract(grid.ik_dealiased, grid.rfft(depth.h * u))
 
@@ -295,7 +294,7 @@ def rhs_gn_v(
     if multiplier is not None:
         out_spec *= multiplier
     out = grid.irfft(out_spec)
-    return out[0], out[1:], stats
+    return out[0], out[1:]
 
 
 def rhs_gn_v_compact(
@@ -305,7 +304,7 @@ def rhs_gn_v_compact(
     depth: DepthState,
     cfg: EllipticSolveConfig | None = None,
     session: SolverSession | None = None,
-) -> tuple[np.ndarray, np.ndarray, SolveStats]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Equivalent compact form of the conjugate-variable tendency:
 
     dv = −ε (curl v) u^⊥ − ∇(ζ + ε u·v − (ε/2)|u|² − (εμ/2) w²),
@@ -313,7 +312,7 @@ def rhs_gn_v_compact(
     with w = (β∇b)·u − h∇·u. Used as a cross-check of rhs_gn_v.
     """
     grid = depth.grid
-    u, stats = _solve_velocity(depth, vel, params.mu, cfg, session)
+    u = _solve_velocity(depth, vel, params.mu, cfg, session)
 
     dzeta = -_mass_flux_divergence(grid, depth.h, u)
 
@@ -330,7 +329,7 @@ def rhs_gn_v_compact(
         curl_v = grid.curl(vel)
         if float(np.max(np.abs(curl_v))) > 0.0:
             dv -= eps * grid.dealias(curl_v * grid.perp(u))
-    return dzeta, dv, stats
+    return dzeta, dv
 
 
 def rhs_bp(
@@ -341,7 +340,7 @@ def rhs_bp(
     cfg: EllipticSolveConfig | None = None,
     session: SolverSession | None = None,
     frozen_depth: DepthState | None = None,
-) -> tuple[np.ndarray, np.ndarray, SolveStats]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Weakly nonlinear tendency with the operator frozen at rest depth:
 
     dζ = −∇·(hu) (full depth), (Id + μT[1−βb, βb]) du = −(∇ζ + ε(u·∇)u).
@@ -354,12 +353,11 @@ def rhs_bp(
 
     forcing = -_sv_velocity_tendency(grid, params, zeta, vel)
     if params.mu == 0.0:
-        return dzeta, -forcing, _NO_SOLVE
+        return dzeta, -forcing
 
     rest = frozen_depth if frozen_depth is not None else rest_depth(params, depth.bath)
     v_rhs = -grid.dealias(rest.h * forcing)
-    du, iterations, residual = invert_frakT(rest, v_rhs, params.mu, cfg, session)
-    return dzeta, du, SolveStats(iterations, residual)
+    return dzeta, invert_frakT(rest, v_rhs, params.mu, cfg, session).u
 
 
 def v_from_u(state: FluidState, params: ModelParams, bath: BathymetryState) -> FluidState:
@@ -386,5 +384,5 @@ def u_from_v(
     """
     _require_kind(state, VariableKind.V_VARIABLE, "u_from_v")
     depth = make_depth(params, state.zeta.data, bath)
-    u, _, _ = invert_frakT(depth, depth.h * state.vel.data, params.mu, cfg, session)
+    u = invert_frakT(depth, depth.h * state.vel.data, params.mu, cfg, session).u
     return FluidState(state.zeta, VectorField(state.grid, u), VariableKind.U_VARIABLE, state.time)

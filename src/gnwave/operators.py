@@ -167,20 +167,17 @@ class EllipticSolveConfig:
 
     rel_tolerance: float = 1e-12
     max_iterations: int | None = None
-    preconditioner: str = "flat_state"
-    warm_start: bool = True
 
     def __post_init__(self) -> None:
         if not (0.0 < self.rel_tolerance <= 1e-6):
             raise ValidationError(
                 f"rel_tolerance must lie in (0, 1e-6], got {self.rel_tolerance}"
             )
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValidationError("max_iterations must be >= 1")
-        if self.preconditioner not in ("none", "flat_state"):
-            raise ValidationError(
-                f"unknown preconditioner {self.preconditioner!r}; use 'none' or 'flat_state'"
-            )
+        n = self.max_iterations
+        if n is not None and (
+            isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1
+        ):
+            raise ValidationError(f"max_iterations must be an integer >= 1, got {n!r}")
 
     def resolve_max_iterations(self, grid: PeriodicGrid) -> int:
         if self.max_iterations is not None:
@@ -214,11 +211,9 @@ class SolverSession:
 
     A solve that asks for no guess (a zero right-hand side, μ = 0) records
     no error: each recorded error pairs a solution with the guess asked for
-    just before it.  ``cfg.warm_start = False`` disables every guess.
-    Mutable by design; keep one session per concurrent run.
+    just before it.  Mutable by design; keep one session per concurrent run.
     """
 
-    cfg: EllipticSolveConfig = dataclasses.field(default_factory=EllipticSolveConfig)
     last_solution: np.ndarray | None = None
     solves: int = 0
     total_iterations: int = 0
@@ -240,7 +235,7 @@ class SolverSession:
     def initial_guess(self, shape: tuple[int, ...]) -> np.ndarray | None:
         self._pending = None
         last = self.last_solution
-        if not (self.cfg.warm_start and last is not None and last.shape == shape):
+        if last is None or last.shape != shape:
             return None
         guess, weight = self._in_step_guess()
         if self.stage is not None:
@@ -451,20 +446,18 @@ def invert_frakT(
     cfg: EllipticSolveConfig | None = None,
     session: SolverSession | None = None,
 ) -> EllipticSolveResult:
-    """Solve 𝔗[h, βb] u = v_rhs by preconditioned conjugate gradients.
+    """Solve 𝔗[h, βb] u = v_rhs by conjugate gradients preconditioned with the
+    flat-state inverse at the mean depth.
 
     Returns ``(u, iterations, residual)`` with the relative residual
-    ``‖𝔗u - v_rhs‖ / ‖v_rhs‖`` guaranteed at most ``cfg.rel_tolerance``.
-    A session provides the warm-start cache; pass one per simulation.
+    ``‖𝔗u - v_rhs‖ / ‖v_rhs‖`` guaranteed at most ``cfg.rel_tolerance``
+    (:class:`EllipticSolveConfig` defaults when ``cfg`` is None).  A session
+    provides the warm starts; pass one per simulation.
     """
     grid = _check_velocity(depth, v_rhs)
     mu = _validate_mu(mu)
     if cfg is None:
-        cfg = session.cfg if session is not None else EllipticSolveConfig()
-    if depth.h_min <= 0.0:
-        raise CoercivityViolationError(
-            f"cannot invert: min h = {depth.h_min} <= 0", depth.h_min
-        )
+        cfg = EllipticSolveConfig()
 
     h = depth.h
     b = v_rhs
@@ -484,10 +477,7 @@ def invert_frakT(
     def matvec(x: np.ndarray, x_spec: np.ndarray) -> np.ndarray:
         return h * x + mu * _h_times_T(grid, h, h2d, h3d, bgb, x, x_spec)
 
-    if cfg.preconditioner == "flat_state":
-        precond = _flat_preconditioner(grid, depth.mean_depth, mu)
-    else:
-        precond = lambda r: (r, grid.rfft(r))  # noqa: E731
+    precond = _flat_preconditioner(grid, depth.mean_depth, mu)
 
     guess = session.initial_guess(b.shape) if session is not None else None
     if guess is None:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .grid import PeriodicGrid
-from .models import ModelParams, SolveStats, rhs_gn_v
+from .models import ModelParams, rhs_gn_v
 from .operators import DepthState, EllipticSolveConfig, SolverSession
 
 __all__ = ["MollifierSpec", "mollify", "rhs_gn_v_mollified"]
@@ -126,7 +126,7 @@ def rhs_gn_v_mollified(
     spec: MollifierSpec,
     cfg: EllipticSolveConfig | None = None,
     session: SolverSession | None = None,
-) -> tuple[np.ndarray, np.ndarray, SolveStats]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Conjugate-variable tendency with J^ι wrapped around both equation groups.
 
     The smoothing acts on the entire mass flux divergence and on the entire

@@ -205,20 +205,19 @@ class _Stepper:
             spec = icfg.mollifier
 
             def tendency(zeta: np.ndarray, vel: np.ndarray, depth: DepthState):
-                dz, dv, _ = rhs_gn_v_mollified(zeta, vel, params, depth, spec, cfg, session)
-                return dz, dv
+                return rhs_gn_v_mollified(zeta, vel, params, depth, spec, cfg, session)
 
         elif form is Formulation.GN_U:
 
             def tendency(zeta: np.ndarray, vel: np.ndarray, depth: DepthState):
-                dz, dv, _ = rhs_gn_u(zeta, vel, params, depth, cfg, session)
+                dz, dv = rhs_gn_u(zeta, vel, params, depth, cfg, session)
                 return dz, self.grid.dealias(dv)
 
         elif form is Formulation.BP:
             frozen = rest_depth(params, bath)
 
             def tendency(zeta: np.ndarray, vel: np.ndarray, depth: DepthState):
-                dz, dv, _ = rhs_bp(zeta, vel, params, depth, cfg, session, frozen_depth=frozen)
+                dz, dv = rhs_bp(zeta, vel, params, depth, cfg, session, frozen_depth=frozen)
                 return dz, self.grid.dealias(dv)
 
         else:
@@ -334,9 +333,8 @@ def run(
     attribute with the last accepted state and the failure time.
     """
     t_start = time.perf_counter()
-    cfg = cfg if cfg is not None else EllipticSolveConfig()
-    step_session = SolverSession(cfg)
-    diag_session = SolverSession(cfg)
+    step_session = SolverSession()
+    diag_session = SolverSession()
     # one water column of the initial state serves the floor and the advisory
     initial_depth = make_depth(params, initial.zeta.data, bath)
     stepper = _Stepper(initial, params, bath, icfg, cfg, step_session, initial_depth)

@@ -40,7 +40,6 @@ from .operators import (
     BathymetryState,
     DepthState,
     EllipticSolveConfig,
-    SolverSession,
     apply_Q,
     apply_Qb,
     apply_T,
@@ -323,13 +322,11 @@ def check_rhs_equivalence(
         su = FluidState(ScalarField(g, z_g), VectorField(g, u_g), VariableKind.U_VARIABLE)
         sv = v_from_u(su, params, bath_g)
         depth = make_depth(params, z_g, bath_g)
-        dz_u, du, _ = rhs_gn_u(z_g, u_g, params, depth, cfg, session=SolverSession(cfg))
-        dz_v, dv, _ = rhs_gn_v(z_g, sv.vel.data, params, depth, cfg, session=SolverSession(cfg))
+        dz_u, du = rhs_gn_u(z_g, u_g, params, depth, cfg)
+        dz_v, dv = rhs_gn_v(z_g, sv.vel.data, params, depth, cfg)
         f = eps * dz_v
         mapped_rhs = depth.h * dv + f * sv.vel.data - dh_frakT(depth, f, u_g, params.mu)
-        du_mapped, _, _ = invert_frakT(
-            depth, mapped_rhs, params.mu, cfg, session=SolverSession(cfg)
-        )
+        du_mapped = invert_frakT(depth, mapped_rhs, params.mu, cfg).u
         gap_u = g.norm_l2(du - du_mapped)
         gap_z = g.norm_l2(dz_u - dz_v)
         residuals.append(math.hypot(gap_u, gap_z))
@@ -523,9 +520,7 @@ def fd_skew_reproduction_gap(
     g = state.grid
     cfg = cfg if cfg is not None else EllipticSolveConfig(rel_tolerance=1e-13)
     depth = make_depth(params, state.zeta.data, bath)
-    dz, dv, _ = rhs_gn_v(
-        state.zeta.data, state.vel.data, params, depth, cfg, session=SolverSession(cfg)
-    )
+    dz, dv = rhs_gn_v(state.zeta.data, state.vel.data, params, depth, cfg)
 
     def assembled(step: float) -> tuple[np.ndarray, np.ndarray]:
         gz, gv = fd_variational_gradients(state.zeta, state.vel, params, bath, cfg, step)
@@ -569,9 +564,7 @@ def check_variational_structure(
         (v_g,) = _restrict_inputs(fine, g, [psi_grad.data])
         bath_g = BathymetryState(ScalarField(g, b_g), bath.beta)
         state = FluidState(ScalarField(g, z_g), VectorField(g, v_g), VariableKind.V_VARIABLE)
-        dz, dv, _ = rhs_gn_v(
-            z_g, v_g, params, make_depth(params, z_g, bath_g), cfg, session=SolverSession(cfg)
-        )
+        dz, dv = rhs_gn_v(z_g, v_g, params, make_depth(params, z_g, bath_g), cfg)
         dz_skew, dv_skew = skew_assembled_rhs(state, params, bath_g, cfg)
         scale = max(math.hypot(g.norm_l2(dz), g.norm_l2(dv)), 1e-300)
         residuals.append(
@@ -628,7 +621,6 @@ def dispersion_study(
     """
     if params.beta != 0.0:
         raise ValidationError("dispersion_study requires a flat bottom (beta = 0)")
-    cfg = cfg if cfg is not None else EllipticSolveConfig()
     bath = BathymetryState.flat(grid)
     x = grid.coords[0]
     length = grid.lengths[0]
@@ -655,15 +647,8 @@ def dispersion_study(
         sinks = CollectingSinks()
         run(state, params, bath, icfg, cfg, sinks=sinks, diag_order=1)
         times = np.array([s.time for s in sinks.snapshots])
-        coeff = np.array(
-            [
-                np.fft.rfftn(s.zeta.data, axes=(0,) if grid.dim == 1 else (0, 1)).flat[
-                    _mode_flat_index(grid, m)
-                ]
-                for s in sinks.snapshots
-            ]
-        )
-        coeff = coeff / math.prod(grid.shape)
+        mode = (m,) + (0,) * (grid.dim - 1)
+        coeff = np.array([grid.fft(s.zeta.data)[mode] for s in sinks.snapshots])
         amp = np.abs(coeff)
         phase = np.unwrap(np.angle(coeff))
         slope, intercept = np.polyfit(times, phase, 1)
@@ -676,14 +661,6 @@ def dispersion_study(
         )
         rows.append(DispersionRow(m, k, measured, omega, fit_ok))
     return rows
-
-
-def _mode_flat_index(grid: PeriodicGrid, m: int) -> int:
-    """Flat index of mode (m, 0, …) in the rfftn spectral layout."""
-    spectral = grid.spectral_shape
-    if grid.dim == 1:
-        return m
-    return int(np.ravel_multi_index((m,) + (0,) * (grid.dim - 1), spectral))
 
 
 def dispersion_as_text(rows: Sequence[DispersionRow]) -> str:
@@ -733,7 +710,7 @@ def _final_state(
     problem: ConvergenceProblem,
     grid: PeriodicGrid,
     dt: float,
-    cfg: EllipticSolveConfig,
+    cfg: EllipticSolveConfig | None,
 ) -> FluidState:
     icfg = IntegrationConfig(
         dt=dt, t_end=problem.t_end, scheme=problem.scheme, diag_stride=10**9
@@ -769,7 +746,6 @@ def convergence_study(
     largest size, restricted spectrally) must be given.  Time errors are
     fourth order for the default scheme; spatial errors fall spectrally.
     """
-    cfg = cfg if cfg is not None else EllipticSolveConfig()
     if (dt_values is None) == (resolutions is None):
         raise ValidationError("pass exactly one of dt_values or resolutions")
     if dt_values is not None:

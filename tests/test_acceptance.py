@@ -65,7 +65,7 @@ class TestAcceptance:
     def test_criterion_01_operator_algebra(self):
         """Symmetry, quadratic-form identity, and inversion round trip."""
         t0 = time.perf_counter()
-        cfg = EllipticSolveConfig(rel_tolerance=1e-12, preconditioner="flat_state")
+        cfg = EllipticSolveConfig(rel_tolerance=1e-12)
         beta = 0.4
         worst_sym = worst_quad = worst_round = 0.0
         for seed in range(20):
@@ -232,7 +232,7 @@ class TestAcceptance:
         bath2 = BathymetryState(
             ScalarField(g, verify.band_limited_scalar(g, rng2, 3, 0.5)), 0.4
         )
-        cfg = EllipticSolveConfig(rel_tolerance=1e-13, warm_start=False)
+        cfg = EllipticSolveConfig(rel_tolerance=1e-13)
         m_big, _ = verify.fd_pairing_mismatch(
             zeta2, v2, params, bath2, cfg, np.random.default_rng(7), delta=2e-3
         )
@@ -373,7 +373,7 @@ class TestAcceptance:
         icfg = IntegrationConfig(
             dt=t_end / steps, t_end=t_end, diag_stride=10**9, snapshot_stride=0
         )
-        cfg = EllipticSolveConfig(rel_tolerance=1e-8, preconditioner="flat_state")
+        cfg = EllipticSolveConfig(rel_tolerance=1e-8)
         report = run(state0, params, bath, icfg, cfg, CollectingSinks(), diag_order=1)
         gap = verify.aligned_profile_gap(
             g, report.final_state.zeta.data, state0.zeta.data
@@ -411,8 +411,8 @@ class TestAcceptance:
                 ScalarField(g, zeta), VectorField(g, u), VariableKind.U_VARIABLE
             )
             depth = make_depth(params, state.zeta.data, bath)
-            dz_g, du_g, _ = rhs_gn_u(state.zeta.data, state.vel.data, params, depth)
-            dz_b, du_b, _ = rhs_bp(state.zeta.data, state.vel.data, params, depth)
+            dz_g, du_g = rhs_gn_u(state.zeta.data, state.vel.data, params, depth)
+            dz_b, du_b = rhs_bp(state.zeta.data, state.vel.data, params, depth)
             gaps.append(math.hypot(g.norm_l2(du_g - du_b), g.norm_l2(dz_g - dz_b)))
         exponent = float(np.polyfit(np.log(eps_values), np.log(gaps), 1)[0])
         elapsed = time.perf_counter() - t0
@@ -430,7 +430,7 @@ class TestAcceptance:
         """The two energy functionals stay uniformly comparable at order 4."""
         t0 = time.perf_counter()
         params = ModelParams(epsilon=0.3, mu=0.7)
-        cfg = EllipticSolveConfig(rel_tolerance=1e-10, preconditioner="flat_state")
+        cfg = EllipticSolveConfig(rel_tolerance=1e-10)
         c_at = {}
         for n in (64, 128):
             g = _grid(n, 2)

@@ -299,7 +299,7 @@ class TestClassicalEnergyPair:
         )
         cfg = EllipticSolveConfig(rel_tolerance=1e-13)
         depth = make_depth(params, state.zeta.data, bath)
-        dzeta, du, _ = rhs_gn_u(state.zeta.data, state.vel.data, params, depth, cfg)
+        dzeta, du = rhs_gn_u(state.zeta.data, state.vel.data, params, depth, cfg)
         h = depth.h
         u = state.vel.data
         bgb = bath.beta_grad_b
@@ -378,7 +378,7 @@ class TestRecords:
     def test_collect_full_record(self):
         g = grid1()
         state, params, bath = make_v_state(11, g)
-        session = SolverSession(EllipticSolveConfig())
+        session = SolverSession()
         rec = collect_record(state, params, bath, order=2, session=session)
         assert rec.time == state.time
         assert rec.min_depth > 0

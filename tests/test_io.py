@@ -23,6 +23,7 @@ from gnwave.io import (
     write_snapshot,
 )
 from gnwave.models import FluidState, Formulation, ModelParams, VariableKind
+from gnwave.operators import EllipticSolveConfig
 from gnwave.solitary import solitary_wave_state
 from gnwave.timeloop import run
 
@@ -64,7 +65,7 @@ class TestLoadConfig:
         assert cfg.integration.diag_stride == 1
         assert cfg.integration.snapshot_stride == 0
         assert cfg.integration.mollifier.iota == 0.0
-        assert cfg.elliptic.preconditioner == "flat_state"
+        assert cfg.elliptic == EllipticSolveConfig()
         assert cfg.initial.kind == "rest"
         assert cfg.bathymetry.kind == "flat"
         assert cfg.output.directory == "out"
@@ -86,9 +87,14 @@ class TestLoadConfig:
 
     def test_unknown_key_rejected(self):
         """Keys outside the documented schema, removed ones included, are refused."""
-        for key in ("bogus", "h_star_upper"):
+        for section, key in (
+            ("model", "bogus"),
+            ("model", "h_star_upper"),
+            ("elliptic", "preconditioner"),
+            ("elliptic", "warm_start"),
+        ):
             with pytest.raises(ValidationError, match="unknown key"):
-                load_config(MINIMAL + f"\n[model]\n{key} = 3\n")
+                load_config(MINIMAL + f"\n[{section}]\n{key} = 3\n")
 
     def test_unknown_section_rejected(self):
         """Sections outside the documented schema are refused."""

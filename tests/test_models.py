@@ -25,7 +25,7 @@ from gnwave.models import (
     u_from_v,
     v_from_u,
 )
-from gnwave.operators import BathymetryState, EllipticSolveConfig
+from gnwave.operators import BathymetryState, EllipticSolveConfig, SolverSession, apply_frakT
 
 
 def grid1(n=64):
@@ -85,9 +85,9 @@ class TestLakeAtRest:
         rest_u = FluidState.rest(g, VariableKind.U_VARIABLE)
         rest_v = FluidState.rest(g, VariableKind.V_VARIABLE)
         for dzeta, dvel in (
-            rhs_gn_u(*tendency_args(rest_u, pu, bath))[:2],
-            rhs_gn_v(*tendency_args(rest_v, pv, bath))[:2],
-            rhs_bp(*tendency_args(rest_u, pu, bath))[:2],
+            rhs_gn_u(*tendency_args(rest_u, pu, bath)),
+            rhs_gn_v(*tendency_args(rest_v, pv, bath)),
+            rhs_bp(*tendency_args(rest_u, pu, bath)),
             rhs_sv(*tendency_args(rest_u, psv, bath)),
         ):
             assert np.max(np.abs(dzeta)) < 1e-14
@@ -100,7 +100,7 @@ class TestLakeAtRest:
         rng = np.random.default_rng(seed)
         bath = BathymetryState(ScalarField(g, band_limited_scalar(g, rng, 2, 0.3)), beta)
         params = ModelParams(epsilon=1.0, beta=beta, mu=1.0, formulation=Formulation.GN_V)
-        dz, dv, _ = rhs_gn_v(*tendency_args(FluidState.rest(g), params, bath))
+        dz, dv = rhs_gn_v(*tendency_args(FluidState.rest(g), params, bath))
         assert np.max(np.abs(dz)) < 1e-14
         assert np.max(np.abs(dv)) < 1e-14
 
@@ -111,9 +111,10 @@ class TestDegenerations:
         state, params, bath = make_setup(
             1, g, VariableKind.U_VARIABLE, mu=0.0, formulation=Formulation.GN_U
         )
-        dz1, dv1, stats = rhs_gn_u(*tendency_args(state, params, bath))
+        session = SolverSession()
+        dz1, dv1 = rhs_gn_u(*tendency_args(state, params, bath), session=session)
         dz2, dv2 = rhs_sv(*tendency_args(state, params, bath))
-        assert stats.iterations == 0
+        assert session.total_iterations == 0
         assert np.max(np.abs(dz1 - dz2)) < 1e-15
         assert np.max(np.abs(dv1 - dv2)) < 1e-15
 
@@ -141,8 +142,8 @@ class TestCompactForm:
         # so the gap decays spectrally; N = 64 puts it well under 1e−9.
         g = grid1(64) if dim == 1 else grid2(64)
         state, params, bath = make_setup(4, g, VariableKind.V_VARIABLE)
-        dz1, dv1, _ = rhs_gn_v(*tendency_args(state, params, bath))
-        dz2, dv2, _ = rhs_gn_v_compact(*tendency_args(state, params, bath))
+        dz1, dv1 = rhs_gn_v(*tendency_args(state, params, bath))
+        dz2, dv2 = rhs_gn_v_compact(*tendency_args(state, params, bath))
         assert np.max(np.abs(dz1 - dz2)) < 1e-13
         scale = max(float(np.max(np.abs(dv1))), 1e-30)
         assert np.max(np.abs(dv1 - dv2)) < 1e-9 * scale
@@ -152,7 +153,7 @@ class TestVorticity:
     def test_curl_law(self):
         g = grid2(48)
         state, params, bath = make_setup(5, g, VariableKind.V_VARIABLE)
-        dz, dv, _ = rhs_gn_v(*tendency_args(state, params, bath))
+        dz, dv = rhs_gn_v(*tendency_args(state, params, bath))
         u = u_from_v(state, params, bath).vel.data
         curl_v = g.curl(state.vel.data)
         expected = -params.epsilon * g.divergence(g.dealias(curl_v * u))
@@ -171,7 +172,7 @@ class TestVorticity:
             VectorField(g, g.gradient(psi)),
             VariableKind.V_VARIABLE,
         )
-        _, dv, _ = rhs_gn_v(*tendency_args(state, params, bath))
+        _, dv = rhs_gn_v(*tendency_args(state, params, bath))
         vnorm = g.norm_l2(dv)
         assert g.norm_l2(g.curl(dv)) < 1e-11 * max(vnorm, 1e-30)
 
@@ -240,7 +241,7 @@ class TestBoussinesqPeregrine:
         k = 4.0
         zeta = ScalarField(g, 0.01 * np.cos(k * g.coords[0]))
         state = FluidState(zeta, VectorField.zeros(g), VariableKind.U_VARIABLE)
-        _, du, _ = rhs_bp(*tendency_args(state, params, bath))
+        _, du = rhs_bp(*tendency_args(state, params, bath))
         expected = -g.gradient(zeta.data) / (1 + params.mu * k**2 / 3)
         assert np.max(np.abs(du - expected)) < 1e-12 * np.max(np.abs(expected))
 
@@ -256,8 +257,8 @@ class TestBoussinesqPeregrine:
             params = ModelParams(epsilon=eps, beta=beta, mu=mu, formulation=Formulation.GN_U)
             bath = BathymetryState(ScalarField(g, b), beta)
             state = FluidState(ScalarField(g, zeta), VectorField(g, u), VariableKind.U_VARIABLE)
-            _, du_gn, _ = rhs_gn_u(*tendency_args(state, params, bath))
-            _, du_bp, _ = rhs_bp(*tendency_args(state, params, bath))
+            _, du_gn = rhs_gn_u(*tendency_args(state, params, bath))
+            _, du_bp = rhs_bp(*tendency_args(state, params, bath))
             gaps[eps] = g.norm_l2(du_gn - du_bp)
         ratio = gaps[0.2] / gaps[0.1]
         assert 1.5 < ratio < 2.7
@@ -268,8 +269,8 @@ class TestBoussinesqPeregrine:
             11, g, VariableKind.U_VARIABLE, formulation=Formulation.BP
         )
         frozen = rest_depth(params, bath)
-        _, du1, _ = rhs_bp(*tendency_args(state, params, bath))
-        _, du2, _ = rhs_bp(*tendency_args(state, params, bath), frozen_depth=frozen)
+        _, du1 = rhs_bp(*tendency_args(state, params, bath))
+        _, du2 = rhs_bp(*tendency_args(state, params, bath), frozen_depth=frozen)
         assert np.max(np.abs(du1 - du2)) < 1e-14
 
 
@@ -277,9 +278,13 @@ class TestSolveStats:
     def test_stats_populated(self):
         g = grid1()
         state, params, bath = make_setup(12, g, VariableKind.V_VARIABLE)
-        _, _, stats = rhs_gn_v(*tendency_args(state, params, bath))
-        assert stats.iterations >= 1
-        assert 0.0 <= stats.residual <= 1e-12
+        zeta, vel, _, depth = tendency_args(state, params, bath)
+        session = SolverSession()
+        rhs_gn_v(zeta, vel, params, depth, session=session)
+        assert session.total_iterations >= 1
+        hv = g.dealias(depth.h * vel)
+        residual = apply_frakT(depth, session.last_solution, params.mu) - hv
+        assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(hv)
 
     def test_depth_state_formula(self):
         g = grid1()

@@ -177,8 +177,8 @@ class TestSmoothedTendency:
             tendency_args(state, params, bath),
             tendency_args(state_2d, params_2d, bath_2d),
         ):
-            dz1, dv1, _ = rhs_gn_v(*args)
-            dz2, dv2, _ = rhs_gn_v_mollified(*args, spec)
+            dz1, dv1 = rhs_gn_v(*args)
+            dz2, dv2 = rhs_gn_v_mollified(*args, spec)
             assert np.array_equal(dz1, dz2)
             assert np.array_equal(dv1, dv2)
 
@@ -188,8 +188,8 @@ class TestSmoothedTendency:
         g, state, params, bath = self.vortical_state_2d()
         spec = MollifierSpec(iota=0.15, profile=profile)
         args = tendency_args(state, params, bath)
-        dz, dv, _ = rhs_gn_v(*args)
-        dz_s, dv_s, _ = rhs_gn_v_mollified(*args, spec)
+        dz, dv = rhs_gn_v(*args)
+        dz_s, dv_s = rhs_gn_v_mollified(*args, spec)
         for smoothed, plain in ((dz_s, dz), (dv_s, dv)):
             reference = mollify(g, plain, spec)
             assert not np.allclose(reference, plain)
@@ -199,7 +199,7 @@ class TestSmoothedTendency:
     def test_rest_state_fixed(self):
         g, _, params, bath, _ = self.setup_state(0.0)
         for iota in (0.0, 0.3, 0.8):
-            dz, dv, _ = rhs_gn_v_mollified(
+            dz, dv = rhs_gn_v_mollified(
                 *tendency_args(FluidState.rest(g), params, bath), MollifierSpec(iota=iota)
             )
             assert np.max(np.abs(dz)) < 1e-14
@@ -207,7 +207,7 @@ class TestSmoothedTendency:
 
     def test_output_band_limited(self):
         g, state, params, bath, spec = self.setup_state(0.25)
-        dz, dv, _ = rhs_gn_v_mollified(*tendency_args(state, params, bath), spec)
+        dz, dv = rhs_gn_v_mollified(*tendency_args(state, params, bath), spec)
         k = np.abs(g.wavenumbers[0])
         cut = spec.iota * k > 1.0
         assert np.max(np.abs(g.fft(dz)[cut])) < 1e-16
@@ -215,5 +215,5 @@ class TestSmoothedTendency:
 
     def test_mass_flux_mean_free(self):
         g, state, params, bath, spec = self.setup_state(0.25)
-        dz, _, _ = rhs_gn_v_mollified(*tendency_args(state, params, bath), spec)
+        dz, _ = rhs_gn_v_mollified(*tendency_args(state, params, bath), spec)
         assert abs(g.integrate(dz)) < 1e-13 * g.norm_l2(dz)

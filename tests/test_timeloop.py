@@ -272,7 +272,7 @@ class TestDealiasedBand:
         state, rng = self._state(grid, VariableKind.V_VARIABLE, 20 + dim)
         bath = smooth_bathymetry(grid, rng, beta=0.3)
         params = ModelParams(epsilon=0.5, beta=0.3, mu=0.5)
-        dz, dv, _ = rhs_gn_v(*tendency_args(state, params, bath))
+        dz, dv = rhs_gn_v(*tendency_args(state, params, bath))
         assert self._out_of_band(grid, dz) < 1e-14
         assert self._out_of_band(grid, dv) < 1e-14
         sv = ModelParams(epsilon=0.5, beta=0.3, mu=0.0, formulation=Formulation.SV)
@@ -286,7 +286,7 @@ class TestDealiasedBand:
         state, rng = self._state(grid, VariableKind.U_VARIABLE, 30)
         bath = smooth_bathymetry(grid, rng, beta=0.3)
         params = ModelParams(epsilon=0.5, beta=0.3, mu=0.5, formulation=Formulation.GN_U)
-        dz, du, _ = rhs_gn_u(*tendency_args(state, params, bath))
+        dz, du = rhs_gn_u(*tendency_args(state, params, bath))
         assert self._out_of_band(grid, dz) < 1e-14
         assert self._out_of_band(grid, du) > 1e-12
 
@@ -526,7 +526,8 @@ class TestFailureModes:
         assert excinfo.value.report.failure_time == 0.0
 
     def test_kind_checked(self):
-        """run and step refuse a state of the other variable kind, both ways."""
+        """run and step refuse a state of the other variable kind, both ways;
+        an unknown kind or formulation is refused, naming the accepted ones."""
         grid = PeriodicGrid((32,), (2 * np.pi,))
         bath = BathymetryState.flat(grid)
         icfg = IntegrationConfig(dt=0.01, t_end=0.02)
@@ -541,6 +542,10 @@ class TestFailureModes:
                 run(state, params, bath, icfg, diag_order=0)
             with pytest.raises(ValidationError, match=names):
                 step(state, params, bath, icfg)
+        with pytest.raises(ValidationError, match="'u', 'v'"):
+            FluidState(pulse_state(grid).zeta, VectorField.zeros(grid), "w")
+        with pytest.raises(ValidationError, match="'gn_u', 'gn_v', 'bp', 'sv'"):
+            ModelParams(formulation="bogus")
 
     def test_smoothing_requires_conjugate_formulation(self):
         """Spectral smoothing with the velocity formulation is rejected."""

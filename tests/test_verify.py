@@ -278,7 +278,7 @@ class TestVariationalStructure:
         g = PeriodicGrid((48,), (2 * np.pi,))
         zeta, v, bath = random_inputs(g, beta=0.4, seed=3)
         params = ModelParams(epsilon=0.3, mu=0.8, beta=0.4)
-        cfg = EllipticSolveConfig(rel_tolerance=1e-13, warm_start=False)
+        cfg = EllipticSolveConfig(rel_tolerance=1e-13)
         m_big, _ = verify.fd_pairing_mismatch(
             zeta, v, params, bath, cfg, np.random.default_rng(7), delta=2e-3
         )
@@ -462,7 +462,7 @@ class TestTravelingWaveOracle:
         _, _, c = verify.solitary_wave_profile(np.zeros(1), 0.2, params)
         cfg = EllipticSolveConfig(rel_tolerance=1e-13)
         depth = make_depth(params, state.zeta.data, flat_bath(g))
-        dz, du, _ = rhs_gn_u(state.zeta.data, state.vel.data, params, depth, cfg)
+        dz, du = rhs_gn_u(state.zeta.data, state.vel.data, params, depth, cfg)
         adv_z = -c * g.gradient(state.zeta.data)[0]
         adv_u = -c * g.gradient(state.vel.data[0])
         assert g.norm_l2(dz - adv_z) / g.norm_l2(adv_z) < 1e-6
@@ -476,7 +476,7 @@ class TestTravelingWaveOracle:
         _, _, c = verify.solitary_wave_profile(np.zeros(1), 0.2, params)
         cfg = EllipticSolveConfig(rel_tolerance=1e-13)
         depth = make_depth(params, state.zeta.data, flat_bath(g))
-        dz, dv, _ = rhs_gn_v(state.zeta.data, state.vel.data, params, depth, cfg)
+        dz, dv = rhs_gn_v(state.zeta.data, state.vel.data, params, depth, cfg)
         adv_z = -c * g.gradient(state.zeta.data)[0]
         adv_v = -c * g.gradient(state.vel.data[0])
         assert g.norm_l2(dz - adv_z) / g.norm_l2(adv_z) < 1e-6
