@@ -47,7 +47,7 @@ from .io import (
 )
 from .models import FluidState, ModelParams, VariableKind, u_from_v
 from .operators import BathymetryState
-from .timeloop import cfl_time_step, run
+from .timeloop import CollectingSinks, IntegrationConfig, cfl_time_step, run
 
 __all__ = ["main", "build_parser"]
 
@@ -154,21 +154,23 @@ def _read_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _params_from_optional_config(args: argparse.Namespace) -> ModelParams | None:
+def _optional_config(args: argparse.Namespace) -> RunConfig | None:
     if args.config is None:
         if args.overrides:
             raise ValidationError("--set requires --config")
         return None
-    return _read_config(args).params
+    return _read_config(args)
 
 
 # ----------------------------------------------------------------- random IC
 
 
 def _random_case(
-    dim: int, seed: int, beta: float, n_fine: int
+    dim: int, seed: int, beta: float, n_fine: int, cfg: RunConfig | None
 ) -> tuple[ScalarField, VectorField, ModelParams, BathymetryState]:
-    """Seeded band-limited (surface, velocity, bathymetry) verification case."""
+    """Seeded band-limited (surface, velocity, bathymetry) verification case;
+    ``cfg``, when given, supplies every model parameter but the formulation
+    and β."""
     rng = np.random.default_rng(seed)
     grid = PeriodicGrid((n_fine,) * dim, (2.0 * np.pi,) * dim)
     zeta = verify.band_limited_scalar(grid, rng, 4, 0.4)
@@ -179,6 +181,8 @@ def _random_case(
     else:
         bath = BathymetryState.flat(grid)
     params = ModelParams(epsilon=0.3, beta=beta, mu=0.8)
+    if cfg is not None:
+        params = dataclasses.replace(cfg.params, formulation=params.formulation, beta=bath.beta)
     return ScalarField(grid, zeta), VectorField(grid, u), params, bath
 
 
@@ -217,8 +221,6 @@ def _mass_conservation_check(params: ModelParams, out: TextIO) -> bool:
         ScalarField(grid, zeta), VectorField.zeros(grid), VariableKind.V_VARIABLE
     )
     bath = BathymetryState.flat(grid)
-    from .timeloop import CollectingSinks, IntegrationConfig
-
     sinks = CollectingSinks()
     run(
         state,
@@ -240,26 +242,18 @@ def _mass_conservation_check(params: ModelParams, out: TextIO) -> bool:
 
 
 def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
-    base = _params_from_optional_config(args)
+    cfg = _optional_config(args)
     print(f"seed = {args.seed}", file=out)
     reports = []
 
-    zeta, u, params, bath = _random_case(1, args.seed, beta=0.5, n_fine=96)
-    if base is not None:
-        params = dataclasses.replace(
-            base, formulation=params.formulation, beta=bath.beta
-        )
+    zeta, u, params, bath = _random_case(1, args.seed, 0.5, 96, cfg)
     reports.append(verify.check_equivalence_identity(zeta, u, params, bath, grids=(24, 48, 96)))
     reports.append(verify.check_rhs_equivalence(zeta, u, params, bath, grids=(24, 48, 96)))
     reports.append(
         verify.check_variational_structure(zeta, u, params, bath, grids=(24, 48, 96))
     )
 
-    zeta2, u2, params2, bath2 = _random_case(2, args.seed + 1, beta=0.5, n_fine=64)
-    if base is not None:
-        params2 = dataclasses.replace(
-            base, formulation=params2.formulation, beta=bath2.beta
-        )
+    zeta2, u2, params2, bath2 = _random_case(2, args.seed + 1, 0.5, 64, cfg)
     reports.append(
         verify.check_equivalence_identity(zeta2, u2, params2, bath2, grids=(16, 32, 64))
     )
@@ -325,12 +319,8 @@ def _problem_from_config(cfg: RunConfig) -> verify.ConvergenceProblem:
 
 
 def _cmd_converge(args: argparse.Namespace, out: TextIO) -> int:
-    if args.config is not None:
-        problem = _problem_from_config(_read_config(args))
-    else:
-        if args.overrides:
-            raise ValidationError("--set requires --config")
-        problem = _default_convergence_problem()
+    cfg = _optional_config(args)
+    problem = _default_convergence_problem() if cfg is None else _problem_from_config(cfg)
     dt_values = args.dt_values
     resolutions = args.resolutions
     if dt_values is None and resolutions is None:
@@ -351,15 +341,11 @@ def _cmd_converge(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _cmd_dispersion(args: argparse.Namespace, out: TextIO) -> int:
-    if args.config is not None:
-        cfg = _read_config(args)
-        params = ModelParams(epsilon=cfg.params.epsilon, beta=0.0, mu=cfg.params.mu)
+    cfg = _optional_config(args)
+    params, grid = ModelParams(), PeriodicGrid((64,), (2.0 * np.pi,))
+    if cfg is not None:
+        params = ModelParams(epsilon=cfg.params.epsilon, mu=cfg.params.mu)
         grid = cfg.grid
-    else:
-        if args.overrides:
-            raise ValidationError("--set requires --config")
-        params = ModelParams(epsilon=1.0, beta=0.0, mu=1.0)
-        grid = PeriodicGrid((64,), (2.0 * np.pi,))
     print(f"seed = {args.seed}", file=out)
     rows = verify.dispersion_study(
         params, grid, args.modes, amplitude=args.amplitude, periods=args.periods
@@ -406,13 +392,9 @@ def _cmd_equivalence(args: argparse.Namespace, out: TextIO) -> int:
         reports.append(verify.check_equivalence_identity(zeta, u, params, bath, grids=grids))
         reports.append(verify.check_rhs_equivalence(zeta, u, params, bath, grids=grids))
     else:
-        base = _params_from_optional_config(args)
+        cfg = _optional_config(args)
         for dim, n_fine, grids in ((1, 128, (32, 64, 128)), (2, 64, (16, 32, 64))):
-            zeta, u, params, bath = _random_case(dim, args.seed + dim - 1, 0.5, n_fine)
-            if base is not None:
-                params = dataclasses.replace(
-                    base, formulation=params.formulation, beta=bath.beta
-                )
+            zeta, u, params, bath = _random_case(dim, args.seed + dim - 1, 0.5, n_fine, cfg)
             reports.append(
                 verify.check_equivalence_identity(zeta, u, params, bath, grids=grids)
             )

@@ -300,17 +300,45 @@ def _as_readonly(data: np.ndarray, shape: tuple[int, ...], what: str) -> np.ndar
     return arr
 
 
-def _check_same_grid(a: "ScalarField | VectorField", b: "ScalarField | VectorField") -> None:
+def _check_same_grid(a: "_Field", b: "_Field") -> None:
     if a.grid is not b.grid and not a.grid.compatible(b.grid):
         raise GridMismatchError("fields live on different grids")
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
-class ScalarField:
-    """Immutable scalar field sampled on a :class:`PeriodicGrid`."""
+class _Field:
+    """Immutable data on a :class:`PeriodicGrid` with pointwise arithmetic;
+    every result has the type of the left operand."""
 
     grid: PeriodicGrid
     data: np.ndarray
+
+    def __add__(self, other):
+        _check_same_grid(self, other)
+        return type(self)(self.grid, self.data + other.data)
+
+    def __sub__(self, other):
+        _check_same_grid(self, other)
+        return type(self)(self.grid, self.data - other.data)
+
+    def __neg__(self):
+        return type(self)(self.grid, -self.data)
+
+    def __mul__(self, other):
+        if isinstance(other, ScalarField):
+            _check_same_grid(self, other)
+            return type(self)(self.grid, self.data * other.data)
+        return type(self)(self.grid, self.data * float(other))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, scalar: float):
+        return type(self)(self.grid, self.data / float(scalar))
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class ScalarField(_Field):
+    """Immutable scalar field sampled on a :class:`PeriodicGrid`."""
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "data", _as_readonly(self.data, self.grid.shape, "scalar field"))
@@ -319,41 +347,10 @@ class ScalarField:
     def zeros(cls, grid: PeriodicGrid) -> "ScalarField":
         return cls(grid, np.zeros(grid.shape))
 
-    def __add__(self, other: "ScalarField") -> "ScalarField":
-        _check_same_grid(self, other)
-        return ScalarField(self.grid, self.data + other.data)
-
-    def __sub__(self, other: "ScalarField") -> "ScalarField":
-        _check_same_grid(self, other)
-        return ScalarField(self.grid, self.data - other.data)
-
-    def __neg__(self) -> "ScalarField":
-        return ScalarField(self.grid, -self.data)
-
-    def __mul__(self, other):
-        if isinstance(other, ScalarField):
-            _check_same_grid(self, other)
-            return ScalarField(self.grid, self.data * other.data)
-        return ScalarField(self.grid, self.data * float(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar: float) -> "ScalarField":
-        return ScalarField(self.grid, self.data / float(scalar))
-
-    def mean(self) -> float:
-        return float(self.data.mean())
-
-    def norm_l2(self) -> float:
-        return self.grid.norm_l2(self.data)
-
 
 @dataclasses.dataclass(frozen=True, eq=False)
-class VectorField:
+class VectorField(_Field):
     """Immutable velocity-like field, components stacked as ``(dim, *shape)``."""
-
-    grid: PeriodicGrid
-    data: np.ndarray
 
     def __post_init__(self) -> None:
         shape = (self.grid.dim,) + self.grid.shape
@@ -366,31 +363,6 @@ class VectorField:
     def component(self, axis: int) -> ScalarField:
         return ScalarField(self.grid, self.data[axis])
 
-    def __add__(self, other: "VectorField") -> "VectorField":
-        _check_same_grid(self, other)
-        return VectorField(self.grid, self.data + other.data)
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        _check_same_grid(self, other)
-        return VectorField(self.grid, self.data - other.data)
-
-    def __neg__(self) -> "VectorField":
-        return VectorField(self.grid, -self.data)
-
-    def __mul__(self, other):
-        if isinstance(other, ScalarField):
-            _check_same_grid(self, other)
-            return VectorField(self.grid, self.data * other.data)
-        return VectorField(self.grid, self.data * float(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar: float) -> "VectorField":
-        return VectorField(self.grid, self.data / float(scalar))
-
     def dot(self, other: "VectorField") -> ScalarField:
         _check_same_grid(self, other)
         return ScalarField(self.grid, np.einsum("i...,i...->...", self.data, other.data))
-
-    def norm_l2(self) -> float:
-        return self.grid.norm_l2(self.data)

@@ -20,11 +20,11 @@ import numpy as np
 from .diagnostics import DiagnosticsRecord
 from .errors import ParseError, SnapshotFormatError, ValidationError
 from .grid import PeriodicGrid, ScalarField, VectorField
-from .models import FluidState, Formulation, ModelParams, VariableKind
+from .models import FluidState, Formulation, ModelParams, _kind_for
 from .operators import BathymetryState, EllipticSolveConfig
-from .regularization import MollifierSpec
+from .regularization import _PROFILES, MollifierSpec
 from .solitary import solitary_wave_state
-from .timeloop import IntegrationConfig
+from .timeloop import _SCHEMES, IntegrationConfig
 
 __all__ = [
     "DIAGNOSTIC_COLUMNS",
@@ -226,47 +226,45 @@ class _SectionView:
     def unknown_keys(self) -> list[str]:
         return [k for k in self._raw if k not in self._seen]
 
-    # typed getters return the default when the key is missing or malformed;
+    # typed getters return None when the key is missing or malformed;
     # malformed values are recorded as violations.
 
-    def str_(self, key: str, default: str) -> str:
+    def str_(self, key: str) -> str | None:
         raw = self.take(key)
-        return default if raw is None else raw.strip()
+        return None if raw is None else raw.strip()
 
-    def choice(self, key: str, choices: Sequence[str], default: str) -> str:
-        value = self.str_(key, default)
-        if value not in choices:
+    def choice(self, key: str, choices: Sequence[str]) -> str | None:
+        value = self.str_(key)
+        if value is not None and value not in choices:
             self.error(key, f"must be one of {tuple(choices)}, got {value!r}")
-            return default
+            return None
         return value
 
-    def float_(self, key: str, default: float | None, required: bool = False) -> float | None:
+    def float_(self, key: str, required: bool = False) -> float | None:
         raw = self.take(key)
         if raw is None:
             if required:
                 self.error(key, "required key missing")
-            return default
+            return None
         try:
             value = float(raw)
         except ValueError:
             self.error(key, f"not a number: {raw!r}")
-            return default
+            return None
         if not math.isfinite(value):
             self.error(key, f"must be finite, got {raw!r}")
-            return default
+            return None
         return value
 
-    def int_(self, key: str, default: int | None, required: bool = False) -> int | None:
+    def int_(self, key: str) -> int | None:
         raw = self.take(key)
         if raw is None:
-            if required:
-                self.error(key, "required key missing")
-            return default
+            return None
         try:
             return int(raw, 10)
         except ValueError:
             self.error(key, f"not an integer: {raw!r}")
-            return default
+            return None
 
     def int_list(self, key: str, required: bool = False) -> tuple[int, ...] | None:
         raw = self.take(key)
@@ -327,6 +325,15 @@ class _SectionView:
             return None
         return tuple(entries)
 
+    def build(self, cls: type, **values):
+        """``cls`` from the keys the text sets, its own defaults for the rest;
+        a refusal is recorded as a ``*`` violation and gives None."""
+        try:
+            return cls(**{k: v for k, v in values.items() if v is not None})
+        except ValidationError as exc:
+            self.error("*", str(exc))
+            return None
+
 
 # --------------------------------------------------------------- config build
 
@@ -344,44 +351,39 @@ def _check_entries_in_band(
             )
 
 
-def _materialize_center(
-    view: _SectionView, grid: PeriodicGrid | None, center: tuple[float, ...] | None
-) -> tuple[float, ...]:
-    """Default the bump center to mid-domain; validate arity against the grid."""
-    if grid is None:
-        return center or ()
-    if center is None:
-        return tuple(0.5 * ell for ell in grid.lengths)
-    if len(center) != grid.dim:
-        view.error(
-            "center", f"needs {grid.dim} coordinate(s), got {len(center)}"
-        )
-        return tuple(0.5 * ell for ell in grid.lengths)
-    return center
+def _gaussian_keys(view: _SectionView, grid: PeriodicGrid | None) -> dict:
+    """Amplitude, width > 0 and center (mid-domain by default) of a bump."""
+    amplitude = view.float_("amplitude", required=True)
+    width = view.float_("width", required=True)
+    center = view.float_list("center")
+    if grid is not None:
+        if center is not None and len(center) != grid.dim:
+            view.error("center", f"needs {grid.dim} coordinate(s), got {len(center)}")
+            center = None
+        if center is None:
+            center = tuple(0.5 * ell for ell in grid.lengths)
+    if width is not None and width <= 0.0:
+        view.error("width", f"must be positive, got {width}")
+        width = None
+    return {"amplitude": amplitude, "width": width, "center": center}
+
+
+def _path_key(view: _SectionView) -> str | None:
+    path = view.str_("path")
+    if not path:
+        view.error("path", "required key missing")
+    return path
 
 
 def _build_initial_spec(
     view: _SectionView,
     grid: PeriodicGrid | None,
     params: ModelParams | None,
-) -> InitialSpec:
-    kind = view.choice("type", _INITIAL_KINDS, "rest")
-    spec = InitialSpec()
-    if kind == "rest":
-        spec = InitialSpec(kind="rest")
-    elif kind == "gaussian":
-        amplitude = view.float_("amplitude", default=None, required=True)
-        width = view.float_("width", default=None, required=True)
-        center = _materialize_center(view, grid, view.float_list("center"))
-        if width is not None and width <= 0.0:
-            view.error("width", f"must be positive, got {width}")
-            width = None
-        spec = InitialSpec(
-            kind="gaussian",
-            amplitude=amplitude if amplitude is not None else 0.0,
-            width=width if width is not None else 1.0,
-            center=center,
-        )
+) -> InitialSpec | None:
+    kind = view.choice("type", _INITIAL_KINDS) or InitialSpec.kind
+    keys: dict = {}
+    if kind == "gaussian":
+        keys = _gaussian_keys(view, grid)
     elif kind == "fourier_modes":
         dim = grid.dim if grid is not None else 1
         modes: dict[str, tuple[ModeEntry, ...]] = {}
@@ -395,9 +397,9 @@ def _build_initial_spec(
             if grid is not None:
                 _check_entries_in_band(view, key, entries, grid)
             modes[key] = entries
-        spec = InitialSpec(kind="fourier_modes", modes=modes)
+        keys = {"modes": modes}
     elif kind == "solitary_wave":
-        amplitude = view.float_("amplitude", default=None, required=True)
+        amplitude = view.float_("amplitude", required=True)
         if amplitude is not None and amplitude <= 0.0:
             view.error("amplitude", f"must be positive, got {amplitude}")
             amplitude = None
@@ -407,57 +409,34 @@ def _build_initial_spec(
             view.error(
                 "type", "solitary_wave requires mu > 0 and epsilon > 0"
             )
-        spec = InitialSpec(
-            kind="solitary_wave",
-            amplitude=amplitude if amplitude is not None else 1.0,
-        )
+        keys = {"amplitude": amplitude}
     elif kind == "file":
-        path = view.str_("path", "")
-        if not path:
-            view.error("path", "required key missing")
-        spec = InitialSpec(kind="file", path=path)
-    return spec
+        keys = {"path": _path_key(view)}
+    return view.build(InitialSpec, kind=kind, **keys)
 
 
 def _build_bathymetry_spec(
     view: _SectionView,
     grid: PeriodicGrid | None,
     params: ModelParams | None,
-) -> BathymetrySpec:
-    kind = view.choice("type", _BATHYMETRY_KINDS, "flat")
+) -> BathymetrySpec | None:
+    kind = view.choice("type", _BATHYMETRY_KINDS) or BathymetrySpec.kind
     if kind != "flat" and params is not None and params.beta == 0.0:
         view.error("type", "a varying bottom requires beta > 0, got beta = 0")
-    spec = BathymetrySpec()
-    if kind == "flat":
-        spec = BathymetrySpec(kind="flat")
-    elif kind == "gaussian_bump":
-        amplitude = view.float_("amplitude", default=None, required=True)
-        width = view.float_("width", default=None, required=True)
-        center = _materialize_center(view, grid, view.float_list("center"))
-        if width is not None and width <= 0.0:
-            view.error("width", f"must be positive, got {width}")
-            width = None
-        spec = BathymetrySpec(
-            kind="gaussian_bump",
-            amplitude=amplitude if amplitude is not None else 0.0,
-            width=width if width is not None else 1.0,
-            center=center,
-        )
+    keys: dict = {}
+    if kind == "gaussian_bump":
+        keys = _gaussian_keys(view, grid)
     elif kind == "fourier_modes":
         dim = grid.dim if grid is not None else 1
         entries = view.mode_entries("modes", dim)
         if entries is None:
             view.error("modes", "required key missing")
-            entries = ()
         elif grid is not None:
             _check_entries_in_band(view, "modes", entries, grid)
-        spec = BathymetrySpec(kind="fourier_modes", modes=entries)
+        keys = {"modes": entries}
     elif kind == "file":
-        path = view.str_("path", "")
-        if not path:
-            view.error("path", "required key missing")
-        spec = BathymetrySpec(kind="file", path=path)
-    return spec
+        keys = {"path": _path_key(view)}
+    return view.build(BathymetrySpec, kind=kind, **keys)
 
 
 _SECTIONS = (
@@ -476,9 +455,12 @@ def load_config(text: str, overrides: Sequence[str] = ()) -> RunConfig:
     """Parse and validate a config text into a :class:`RunConfig`.
 
     Parsing failures raise :class:`ParseError` with the offending line
-    number. Validation collects every violation across all sections and
-    raises one :class:`ValidationError` listing them all. ``overrides``
-    are ``section.key=value`` strings applied before validation.
+    number. Validation raises one :class:`ValidationError` that lists every
+    malformed, unknown or out-of-choice key across all sections, plus the
+    first refusal of each section's object (``mu = -1`` with
+    ``epsilon = -2`` reports only epsilon). Keys the text leaves out take
+    the defaults of the objects they configure. ``overrides`` are
+    ``section.key=value`` strings applied before validation.
     """
     mapping = _apply_overrides(_parse_ini(text), overrides)
     violations: list[str] = []
@@ -492,18 +474,14 @@ def load_config(text: str, overrides: Sequence[str] = ()) -> RunConfig:
 
     # --- model
     mv = views["model"]
-    params: ModelParams | None = None
-    formulation = mv.choice("formulation", [f.value for f in Formulation], "gn_v")
-    model_args = dict(
-        epsilon=mv.float_("epsilon", 1.0),
-        beta=mv.float_("beta", 0.0),
-        mu=mv.float_("mu", 1.0),
-        h_star=mv.float_("h_star", 0.0),
+    params = mv.build(
+        ModelParams,
+        formulation=mv.choice("formulation", [f.value for f in Formulation]),
+        epsilon=mv.float_("epsilon"),
+        beta=mv.float_("beta"),
+        mu=mv.float_("mu"),
+        h_star=mv.float_("h_star"),
     )
-    try:
-        params = ModelParams(formulation=Formulation(formulation), **model_args)
-    except ValidationError as exc:
-        mv.error("*", str(exc))
 
     # --- grid
     gv = views["grid"]
@@ -513,72 +491,53 @@ def load_config(text: str, overrides: Sequence[str] = ()) -> RunConfig:
     if shape is not None:
         if lengths is None:
             lengths = tuple(2.0 * math.pi for _ in shape)
-        try:
-            grid = PeriodicGrid(shape, lengths)
-        except ValidationError as exc:
-            gv.error("*", str(exc))
+        grid = gv.build(PeriodicGrid, shape=shape, lengths=lengths)
 
     # --- mollifier
     ov = views["mollifier"]
-    mollifier: MollifierSpec | None = None
-    try:
-        mollifier = MollifierSpec(
-            iota=ov.float_("iota", 0.0),
-            profile=ov.choice("profile", ("sharp_cutoff", "smooth_bump"), "sharp_cutoff"),
-            r0=ov.float_("r0", 0.5),
-            r1=ov.float_("r1", 1.0),
-        )
-    except ValidationError as exc:
-        ov.error("*", str(exc))
+    mollifier = ov.build(
+        MollifierSpec,
+        iota=ov.float_("iota"),
+        profile=ov.choice("profile", _PROFILES),
+        r0=ov.float_("r0"),
+        r1=ov.float_("r1"),
+    )
 
     # --- output (holds the strides fed into the integration config)
     wv = views["output"]
-    directory = wv.str_("directory", "out")
-    formats_raw = wv.str_("formats", " ".join(_OUTPUT_FORMATS)).split()
-    diag_stride = wv.int_("diag_stride", 1)
-    snapshot_stride = wv.int_("snapshot_stride", 0)
-    output: OutputSpec | None = None
-    try:
-        output = OutputSpec(directory=directory, formats=tuple(formats_raw))
-    except ValidationError as exc:
-        wv.error("*", str(exc))
+    strides = {key: wv.int_(key) for key in ("diag_stride", "snapshot_stride")}
+    formats = wv.str_("formats")
+    output = wv.build(
+        OutputSpec,
+        directory=wv.str_("directory"),
+        formats=None if formats is None else tuple(formats.split()),
+    )
 
     # --- integration
     iv = views["integration"]
     integration: IntegrationConfig | None = None
-    dt = iv.float_("dt", default=None, required=True)
-    t_end = iv.float_("t_end", default=None, required=True)
-    scheme = iv.choice("scheme", ("rk4", "rk3_ssp"), "rk4")
+    dt = iv.float_("dt", required=True)
+    t_end = iv.float_("t_end", required=True)
+    scheme = iv.choice("scheme", _SCHEMES)
     if dt is not None and t_end is not None:
-        try:
-            integration = IntegrationConfig(
-                dt=dt,
-                t_end=t_end,
-                scheme=scheme,
-                mollifier=mollifier if mollifier is not None else MollifierSpec(),
-                diag_stride=diag_stride if diag_stride is not None else 1,
-                snapshot_stride=snapshot_stride if snapshot_stride is not None else 0,
-            )
-        except ValidationError as exc:
-            iv.error("*", str(exc))
+        integration = iv.build(
+            IntegrationConfig, dt=dt, t_end=t_end, scheme=scheme, mollifier=mollifier, **strides
+        )
 
     # --- elliptic
     ev = views["elliptic"]
-    elliptic: EllipticSolveConfig | None = None
-    max_iter_raw = ev.str_("max_iterations", "none")
+    max_iter_raw = ev.str_("max_iterations")
     max_iterations: int | None = None
-    if max_iter_raw.lower() != "none":
+    if max_iter_raw is not None and max_iter_raw.lower() != "none":
         try:
             max_iterations = int(max_iter_raw, 10)
         except ValueError:
             ev.error("max_iterations", f"not an integer or 'none': {max_iter_raw!r}")
-    try:
-        elliptic = EllipticSolveConfig(
-            rel_tolerance=ev.float_("rel_tolerance", 1e-12),
-            max_iterations=max_iterations,
-        )
-    except ValidationError as exc:
-        ev.error("*", str(exc))
+    elliptic = ev.build(
+        EllipticSolveConfig,
+        rel_tolerance=ev.float_("rel_tolerance"),
+        max_iterations=max_iterations,
+    )
 
     # --- initial condition and bathymetry
     initial = _build_initial_spec(views["initial"], grid, params)
@@ -595,6 +554,7 @@ def load_config(text: str, overrides: Sequence[str] = ()) -> RunConfig:
         )
     assert params is not None and grid is not None  # guarded by violations
     assert integration is not None and elliptic is not None and output is not None
+    assert initial is not None and bathymetry is not None
     return RunConfig(
         params=params,
         grid=grid,
@@ -712,7 +672,8 @@ def save_config(cfg: RunConfig) -> str:
 def _periodic_gaussian(
     grid: PeriodicGrid, center: Sequence[float], width: float
 ) -> np.ndarray:
-    """Periodized Gaussian bump with unit peak at ``center``.
+    """Periodized Gaussian bump with unit peak at ``center`` (mid-domain
+    when empty).
 
     The periodic image sum factorizes per axis; enough images are added
     that the truncated tail is below double-precision resolution.
@@ -721,7 +682,7 @@ def _periodic_gaussian(
     for axis in range(grid.dim):
         x = grid.axis_coords[axis]
         length = grid.lengths[axis]
-        c = float(center[axis])
+        c = float(center[axis]) if center else 0.5 * length
         images = min(64, int(math.ceil((40.0 * width + 0.5 * length) / length)))
         g = np.zeros_like(x)
         for n_img in range(-images, images + 1):
@@ -750,8 +711,7 @@ def build_bathymetry(cfg: RunConfig) -> BathymetryState:
     if spec.kind == "flat":
         data = np.zeros(grid.shape)
     elif spec.kind == "gaussian_bump":
-        center = spec.center if spec.center else tuple(0.5 * ell for ell in grid.lengths)
-        data = spec.amplitude * _periodic_gaussian(grid, center, spec.width)
+        data = spec.amplitude * _periodic_gaussian(grid, spec.center, spec.width)
     elif spec.kind == "fourier_modes":
         data = _trig_sum(grid, spec.modes)
     else:  # file
@@ -780,8 +740,7 @@ def build_initial_state(cfg: RunConfig) -> FluidState:
     if spec.kind == "rest":
         return FluidState.rest(grid, kind)
     if spec.kind == "gaussian":
-        center = spec.center if spec.center else tuple(0.5 * ell for ell in grid.lengths)
-        zeta = spec.amplitude * _periodic_gaussian(grid, center, spec.width)
+        zeta = spec.amplitude * _periodic_gaussian(grid, spec.center, spec.width)
         return FluidState(ScalarField(grid, zeta), VectorField.zeros(grid), kind)
     if spec.kind == "fourier_modes":
         zeta = _trig_sum(grid, spec.modes.get("zeta", ()))
@@ -830,6 +789,11 @@ class SnapshotHeader:
         return len(self.shape)
 
 
+def _header_format(dim: int) -> str:
+    """struct layout of the GNWV1 header that follows the magic."""
+    return f"<I{dim}I{dim}d3d8sd"
+
+
 def write_snapshot(state: FluidState, params: ModelParams, path: str | Path) -> None:
     """Write one state to ``path`` in the GNWV1 binary layout.
 
@@ -840,10 +804,9 @@ def write_snapshot(state: FluidState, params: ModelParams, path: str | Path) -> 
     components in axis order.
     """
     grid = state.grid
-    dim = grid.dim
     header = SNAPSHOT_MAGIC + struct.pack(
-        f"<I{dim}I{dim}d3d8sd",
-        dim,
+        _header_format(grid.dim),
+        grid.dim,
         *grid.shape,
         *grid.lengths,
         params.epsilon,
@@ -860,22 +823,15 @@ def write_snapshot(state: FluidState, params: ModelParams, path: str | Path) -> 
         handle.write(payload.tobytes(order="C"))
 
 
-class _Cursor:
-    def __init__(self, raw: bytes, path: Path):
-        self.raw = raw
-        self.offset = 0
-        self.path = path
-
-    def unpack(self, fmt: str) -> tuple:
-        size = struct.calcsize(fmt)
-        if self.offset + size > len(self.raw):
-            raise SnapshotFormatError(
-                f"snapshot {str(self.path)!r} is truncated: header needs "
-                f"{self.offset + size} bytes, file has {len(self.raw)}"
-            )
-        values = struct.unpack_from(fmt, self.raw, self.offset)
-        self.offset += size
-        return values
+def _unpack_header(raw: bytes, path: Path, fmt: str) -> tuple[tuple, int]:
+    """The values of ``fmt`` after the magic, and the offset past them."""
+    end = len(SNAPSHOT_MAGIC) + struct.calcsize(fmt)
+    if end > len(raw):
+        raise SnapshotFormatError(
+            f"snapshot {str(path)!r} is truncated: header needs {end} bytes, "
+            f"file has {len(raw)}"
+        )
+    return struct.unpack_from(fmt, raw, len(SNAPSHOT_MAGIC)), end
 
 
 def _read_snapshot_file(path: Path) -> tuple[SnapshotHeader, FluidState]:
@@ -884,16 +840,11 @@ def _read_snapshot_file(path: Path) -> tuple[SnapshotHeader, FluidState]:
         raise SnapshotFormatError(
             f"snapshot {str(path)!r} does not start with the GNWV1 magic"
         )
-    cursor = _Cursor(raw, path)
-    cursor.offset = len(SNAPSHOT_MAGIC)
-    (dim,) = cursor.unpack("<I")
+    (dim,), _ = _unpack_header(raw, path, "<I")
     if dim not in (1, 2):
         raise SnapshotFormatError(f"snapshot {str(path)!r} header has dim = {dim}")
-    shape = cursor.unpack(f"<{dim}I")
-    lengths = cursor.unpack(f"<{dim}d")
-    epsilon, beta, mu = cursor.unpack("<3d")
-    (form_raw,) = cursor.unpack("8s")
-    (time,) = cursor.unpack("<d")
+    values, offset = _unpack_header(raw, path, _header_format(dim))
+    epsilon, beta, mu, form_raw, time = values[1 + 2 * dim :]
     try:
         formulation = Formulation(form_raw.rstrip(b"\0").decode("ascii"))
     except (UnicodeDecodeError, ValueError) as exc:
@@ -901,8 +852,8 @@ def _read_snapshot_file(path: Path) -> tuple[SnapshotHeader, FluidState]:
             f"snapshot {str(path)!r} names an unknown formulation {form_raw!r}"
         ) from exc
     header = SnapshotHeader(
-        shape=tuple(int(n) for n in shape),
-        lengths=tuple(float(ell) for ell in lengths),
+        shape=tuple(int(n) for n in values[1 : 1 + dim]),
+        lengths=tuple(float(ell) for ell in values[1 + dim : 1 + 2 * dim]),
         epsilon=float(epsilon),
         beta=float(beta),
         mu=float(mu),
@@ -915,23 +866,18 @@ def _read_snapshot_file(path: Path) -> tuple[SnapshotHeader, FluidState]:
         raise SnapshotFormatError(f"snapshot {str(path)!r} header invalid: {exc}") from exc
     count = (1 + dim) * grid.size
     expected = count * 8
-    got = len(raw) - cursor.offset
+    got = len(raw) - offset
     if got != expected:
         raise SnapshotFormatError(
             f"snapshot {str(path)!r} payload is {got} bytes, expected {expected} "
             f"({1 + dim} fields of {grid.size} float64 values)"
         )
-    data = np.frombuffer(raw, dtype="<f8", offset=cursor.offset, count=count)
+    data = np.frombuffer(raw, dtype="<f8", offset=offset, count=count)
     data = data.reshape((1 + dim, *grid.shape)).astype(float)
-    kind = (
-        VariableKind.V_VARIABLE
-        if formulation is Formulation.GN_V
-        else VariableKind.U_VARIABLE
-    )
     state = FluidState(
         ScalarField(grid, data[0]),
         VectorField(grid, data[1:]),
-        kind,
+        _kind_for(formulation),
         time=header.time,
     )
     return header, state
@@ -1023,12 +969,10 @@ class FileSinks:
         directory: str | Path,
         params: ModelParams,
         formats: Sequence[str] = _OUTPUT_FORMATS,
-        basename: str = "snapshot",
     ):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self._params = params
-        self._basename = basename
         self._formats = tuple(formats)
         self._snapshot_index = 0
         self._stream: TextIO | None = None
@@ -1047,7 +991,7 @@ class FileSinks:
     def snapshot(self, state: FluidState) -> None:
         if "snapshot" not in self._formats:
             return
-        path = self.directory / f"{self._basename}_{self._snapshot_index:06d}.gnwv"
+        path = self.directory / f"snapshot_{self._snapshot_index:06d}.gnwv"
         write_snapshot(state, self._params, path)
         self._snapshot_index += 1
 

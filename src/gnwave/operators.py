@@ -157,6 +157,11 @@ class DepthState:
         return float(self.h.mean())
 
 
+def _is_count(n, low: int) -> bool:
+    """True for a Python or numpy integer ≥ ``low``; a bool is no count."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= low
+
+
 @dataclasses.dataclass(frozen=True)
 class EllipticSolveConfig:
     """Settings for the conjugate-gradient inversion of 𝔗.
@@ -174,9 +179,7 @@ class EllipticSolveConfig:
                 f"rel_tolerance must lie in (0, 1e-6], got {self.rel_tolerance}"
             )
         n = self.max_iterations
-        if n is not None and (
-            isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1
-        ):
+        if n is not None and not _is_count(n, 1):
             raise ValidationError(f"max_iterations must be an integer >= 1, got {n!r}")
 
     def resolve_max_iterations(self, grid: PeriodicGrid) -> int:

@@ -62,7 +62,7 @@ from .models import (
     rhs_sv,
     v_from_u,
 )
-from .operators import BathymetryState, DepthState, EllipticSolveConfig, SolverSession
+from .operators import BathymetryState, DepthState, EllipticSolveConfig, SolverSession, _is_count
 from .regularization import MollifierSpec, rhs_gn_v_mollified
 
 __all__ = [
@@ -117,9 +117,9 @@ class IntegrationConfig:
             raise ValidationError(f"t_end must be finite, got {self.t_end}")
         if self.scheme not in _SCHEMES:
             raise ValidationError(f"unknown scheme {self.scheme!r}, expected one of {_SCHEMES}")
-        if not isinstance(self.diag_stride, int) or self.diag_stride < 1:
+        if not _is_count(self.diag_stride, 1):
             raise ValidationError(f"diag_stride must be an integer ≥ 1, got {self.diag_stride}")
-        if not isinstance(self.snapshot_stride, int) or self.snapshot_stride < 0:
+        if not _is_count(self.snapshot_stride, 0):
             raise ValidationError(
                 f"snapshot_stride must be an integer ≥ 0, got {self.snapshot_stride}"
             )

@@ -242,20 +242,6 @@ def _restrict_inputs(
     return [restrict_to_grid(a, fine, target) for a in arrays]
 
 
-def _dhT_times_h(depth: DepthState, f: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Directional derivative of h·T[h,βb]u along the depth perturbation f."""
-    grid, h = depth.grid, depth.h
-    d = grid.dealias(grid.divergence(u))
-    out = -grid.gradient(grid.dealias(h * h * f * d))
-    bgb = depth.beta_grad_b
-    if bgb is not None:
-        g = grid.dealias(np.einsum("i...,i...->...", bgb, u))
-        out = out + grid.gradient(grid.dealias(f * h * g))
-        out = out - grid.dealias(f * h * d) * bgb
-        out = out + grid.dealias(f * g) * bgb
-    return out
-
-
 def check_equivalence_identity(
     zeta: ScalarField,
     u: VectorField,
@@ -286,7 +272,7 @@ def check_equivalence_identity(
         h = depth.h
         Tu = apply_T(depth, u_g)
         f = -eps * g.dealias(g.divergence(g.dealias(h * u_g)))
-        comm = (_dhT_times_h(depth, f, u_g) - g.dealias(f * Tu)) / h
+        comm = (dh_frakT(depth, f, u_g, 1.0) - g.dealias(f * u_g) - g.dealias(f * Tu)) / h
         w = good_unknown_w(depth, u_g)
         u_dot_Tu = g.dealias(np.einsum("i...,i...->...", u_g, Tu))
         lhs = comm + eps * g.gradient(g.dealias(u_dot_Tu - 0.5 * g.dealias(w * w)))

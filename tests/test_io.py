@@ -71,6 +71,17 @@ class TestLoadConfig:
         assert cfg.output.directory == "out"
         assert cfg.output.formats == ("csv", "snapshot")
 
+    def test_readme_shows_normalized_minimal_config(self):
+        """README's minimal config is followed by its normalized form."""
+        import re
+        from pathlib import Path
+
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        blocks = re.findall(r"```ini\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+        assert MINIMAL.lstrip() in blocks
+        normalized = blocks[blocks.index(MINIMAL.lstrip()) + 1]
+        assert normalized == save_config(load_config(MINIMAL))
+
     def test_negative_mu_rejected(self):
         """mu < 0 is a validation failure."""
         with pytest.raises(ValidationError, match="mu"):

@@ -65,3 +65,43 @@ def test_no_unused_module_imports():
             if name not in read and (path.stem, name) not in ALLOWED:
                 unused.append(f"{path.name}:{line} {name}")
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+# errors → grid → operators → models → {regularization, diagnostics, solitary}
+# → timeloop → {io, verify} → cli; modules in one layer do not import each other
+LAYERS = (
+    ("errors",),
+    ("grid",),
+    ("operators",),
+    ("models",),
+    ("regularization", "diagnostics", "solitary"),
+    ("timeloop",),
+    ("io", "verify"),
+    ("cli",),
+)
+RANK = {module: rank for rank, layer in enumerate(LAYERS) for module in layer}
+
+
+def _package_imports(tree: ast.Module):
+    """Package modules imported anywhere in the module, with their lines."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                for alias in node.names:
+                    yield alias.name, node.lineno
+            else:
+                yield node.module.split(".")[0], node.lineno
+
+
+def test_imports_flow_one_way():
+    """Each module imports only from earlier layers of the package."""
+    back = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        assert path.stem in RANK, f"{path.name} belongs to no layer"
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for module, line in _package_imports(tree):
+            if RANK[module] >= RANK[path.stem]:
+                back.append(f"{path.name}:{line} imports {module}")
+    assert not back, "imports against the layer order: " + ", ".join(back)

@@ -62,17 +62,26 @@ class TestIntegrationConfig:
             IntegrationConfig(dt=0.1, t_end=1.0, scheme="euler")
 
     def test_diag_stride_bounds(self):
-        """Diagnostics stride must be an integer ≥ 1."""
+        """Diagnostics stride must be an integer ≥ 1: a bool is refused, a numpy
+        integer accepted."""
         with pytest.raises(ValidationError, match="diag_stride"):
             IntegrationConfig(dt=0.1, t_end=1.0, diag_stride=0)
         with pytest.raises(ValidationError, match="diag_stride"):
             IntegrationConfig(dt=0.1, t_end=1.0, diag_stride=1.5)
+        with pytest.raises(ValidationError, match="diag_stride"):
+            IntegrationConfig(dt=0.1, t_end=1.0, diag_stride=True)
+        assert IntegrationConfig(dt=0.1, t_end=1.0, diag_stride=np.int64(2)).diag_stride == 2
 
     def test_snapshot_stride_bounds(self):
-        """Snapshot stride must be an integer ≥ 0; zero disables snapshots."""
+        """Snapshot stride must be an integer ≥ 0 (not a bool); zero disables
+        snapshots."""
         with pytest.raises(ValidationError, match="snapshot_stride"):
             IntegrationConfig(dt=0.1, t_end=1.0, snapshot_stride=-1)
+        with pytest.raises(ValidationError, match="snapshot_stride"):
+            IntegrationConfig(dt=0.1, t_end=1.0, snapshot_stride=True)
         IntegrationConfig(dt=0.1, t_end=1.0, snapshot_stride=0)
+        cfg = IntegrationConfig(dt=0.1, t_end=1.0, snapshot_stride=np.int64(2))
+        assert cfg.snapshot_stride == 2
 
 
 class TestCflAdvisory:
