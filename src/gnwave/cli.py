@@ -376,9 +376,10 @@ def _supplied_case(
     if state.kind is VariableKind.V_VARIABLE:
         state = u_from_v(state, params, bath)
     n = min(state.grid.shape)
-    if n % 4 != 0 or n < 32:
+    # the coarsest rung n/4 must itself be an even grid size
+    if n % 8 != 0 or n < 32:
         raise ValidationError(
-            f"stored state needs at least 32 points per axis, a multiple of 4, got {n}"
+            f"stored state needs at least 32 points per axis, a multiple of 8, got {n}"
         )
     return state.zeta, state.vel, params, bath, (n // 4, n // 2, n)
 

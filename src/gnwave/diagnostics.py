@@ -32,6 +32,7 @@ from .models import (
     ModelParams,
     VariableKind,
     _mass_flux_divergence,
+    _require_kind,
     make_depth,
 )
 from .operators import (
@@ -183,8 +184,7 @@ def hamiltonian_gn(
 
 def energy_E(state: FluidState, params: ModelParams, n: int = DEFAULT_ORDER) -> float:
     """Regularity functional ‖ζ‖²_{H^n} + ‖v‖²_{Y^n} of a conjugate state."""
-    if state.kind is not VariableKind.V_VARIABLE:
-        raise ValidationError("energy_E expects the v-variable state")
+    _require_kind(state, VariableKind.V_VARIABLE, "energy_E")
     return norm_Hn(state.zeta, n) ** 2 + norm_Yn(state.vel, n, params.mu) ** 2
 
 
@@ -203,8 +203,7 @@ def energy_F(
     ``depth`` is the water column of ``state``.  Each term costs one elliptic
     solve for u_α = 𝔗⁻¹(h v_α).
     """
-    if state.kind is not VariableKind.V_VARIABLE:
-        raise ValidationError("energy_F expects the v-variable state")
+    _require_kind(state, VariableKind.V_VARIABLE, "energy_F")
     grid = state.grid
     _check_order(grid, n)
     h = depth.h
@@ -234,8 +233,7 @@ def energy_appendixA(
     whose ε-weighted value balances dF_α/dt along solutions; the surface
     rate ∂t ζ entering G_α is evaluated as −∇·(hu).
     """
-    if state.kind is not VariableKind.U_VARIABLE:
-        raise ValidationError("energy_appendixA expects the u-variable state")
+    _require_kind(state, VariableKind.U_VARIABLE, "energy_appendixA")
     grid = state.grid
     depth = make_depth(params, state.zeta.data, bath)
     h = depth.h
@@ -302,8 +300,7 @@ def collect_record(
 ) -> DiagnosticsRecord:
     """Assemble a full record from a conjugate-variable state; both energies
     share the state's one water column."""
-    if state.kind is not VariableKind.V_VARIABLE:
-        raise ValidationError("collect_record expects the v-variable state")
+    _require_kind(state, VariableKind.V_VARIABLE, "collect_record")
     grid = state.grid
     before = session.total_iterations if session is not None else 0
     depth = make_depth(params, state.zeta.data, bath)

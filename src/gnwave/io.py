@@ -292,10 +292,14 @@ class _SectionView:
             return None
         return values
 
-    def mode_entries(self, key: str, dim: int) -> tuple[ModeEntry, ...] | None:
+    def mode_entries(
+        self, key: str, dim: int, required: bool = False
+    ) -> tuple[ModeEntry, ...] | None:
         """Parse ``m… amplitude phase`` groups separated by ``;``."""
         raw = self.take(key)
         if raw is None:
+            if required:
+                self.error(key, "required key missing")
             return None
         entries: list[ModeEntry] = []
         for chunk in raw.split(";"):
@@ -428,10 +432,8 @@ def _build_bathymetry_spec(
         keys = _gaussian_keys(view, grid)
     elif kind == "fourier_modes":
         dim = grid.dim if grid is not None else 1
-        entries = view.mode_entries("modes", dim)
-        if entries is None:
-            view.error("modes", "required key missing")
-        elif grid is not None:
+        entries = view.mode_entries("modes", dim, required=True)
+        if entries is not None and grid is not None:
             _check_entries_in_band(view, "modes", entries, grid)
         keys = {"modes": entries}
     elif kind == "file":
@@ -919,22 +921,13 @@ def _fmt_sig(value: float) -> str:
 def append_diagnostics(record: DiagnosticsRecord, stream: TextIO) -> None:
     """Append one CSV row; the header row is written first on empty streams.
 
-    Columns are fixed (time, mass, hamiltonian, e_norm, f_norm,
-    vorticity_l2, min_depth, cg_iterations), floats carry 17 significant
-    digits so re-parsing reproduces every double exactly.
+    Columns are :data:`DIAGNOSTIC_COLUMNS`; values carry 17 significant
+    digits so re-parsing reproduces every double exactly (an integer count
+    prints as itself).
     """
     if stream.tell() == 0:
         stream.write(",".join(DIAGNOSTIC_COLUMNS) + "\n")
-    row = [
-        _fmt_sig(record.time),
-        _fmt_sig(record.mass),
-        _fmt_sig(record.hamiltonian),
-        _fmt_sig(record.e_norm),
-        _fmt_sig(record.f_norm),
-        _fmt_sig(record.vorticity_l2),
-        _fmt_sig(record.min_depth),
-        str(int(record.cg_iterations)),
-    ]
+    row = (_fmt_sig(getattr(record, key)) for key in DIAGNOSTIC_COLUMNS)
     stream.write(",".join(row) + "\n")
 
 

@@ -45,7 +45,6 @@ from .operators import (
     apply_R,
     apply_Rb,
     apply_T,
-    good_unknown_w,
     invert_frakT,
     _pressure_terms,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "rest_depth",
     "rhs_gn_u",
     "rhs_gn_v",
-    "rhs_gn_v_compact",
     "rhs_bp",
     "rhs_sv",
     "v_from_u",
@@ -242,17 +240,6 @@ def rhs_gn_u(
     return dzeta, invert_frakT(depth, v_rhs, params.mu, cfg, session).u
 
 
-def _solve_velocity(
-    depth: DepthState,
-    v: np.ndarray,
-    mu: float,
-    cfg: EllipticSolveConfig | None,
-    session: SolverSession | None,
-) -> np.ndarray:
-    hv = depth.grid.dealias(depth.h * v)
-    return invert_frakT(depth, hv, mu, cfg, session).u
-
-
 def rhs_gn_v(
     zeta: np.ndarray,
     vel: np.ndarray,
@@ -271,7 +258,7 @@ def rhs_gn_v(
     both spectra before it.
     """
     grid = depth.grid
-    u = _solve_velocity(depth, vel, params.mu, cfg, session)
+    u = invert_frakT(depth, grid.dealias(depth.h * vel), params.mu, cfg, session).u
 
     dzeta_spec = -grid.contract(grid.ik_dealiased, grid.rfft(depth.h * u))
 
@@ -295,41 +282,6 @@ def rhs_gn_v(
         out_spec *= multiplier
     out = grid.irfft(out_spec)
     return out[0], out[1:]
-
-
-def rhs_gn_v_compact(
-    zeta: np.ndarray,
-    vel: np.ndarray,
-    params: ModelParams,
-    depth: DepthState,
-    cfg: EllipticSolveConfig | None = None,
-    session: SolverSession | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Equivalent compact form of the conjugate-variable tendency:
-
-    dv = −ε (curl v) u^⊥ − ∇(ζ + ε u·v − (ε/2)|u|² − (εμ/2) w²),
-
-    with w = (β∇b)·u − h∇·u. Used as a cross-check of rhs_gn_v.
-    """
-    grid = depth.grid
-    u = _solve_velocity(depth, vel, params.mu, cfg, session)
-
-    dzeta = -_mass_flux_divergence(grid, depth.h, u)
-
-    eps, mu = params.epsilon, params.mu
-    head = zeta.copy()
-    if eps > 0.0:
-        head += eps * grid.dealias(np.einsum("i...,i...->...", u, vel))
-        head -= (eps / 2.0) * grid.dealias(np.einsum("i...,i...->...", u, u))
-        if mu > 0.0:
-            w = good_unknown_w(depth, u)
-            head -= (eps * mu / 2.0) * grid.dealias(w * w)
-    dv = -grid.gradient(head)
-    if eps > 0.0 and grid.dim == 2:
-        curl_v = grid.curl(vel)
-        if float(np.max(np.abs(curl_v))) > 0.0:
-            dv -= eps * grid.dealias(curl_v * grid.perp(u))
-    return dzeta, dv
 
 
 def rhs_bp(

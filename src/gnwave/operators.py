@@ -324,30 +324,40 @@ class EllipticSolveResult(NamedTuple):
 # ------------------------------------------------------------------- kernels
 
 
-def _h_times_T(
-    grid: PeriodicGrid,
-    h: np.ndarray,
-    h2d: np.ndarray,
-    h3d: np.ndarray,
-    bgb: np.ndarray | None,
-    u: np.ndarray,
-    u_spec: np.ndarray,
-) -> np.ndarray:
+def _div_and_slope(
+    depth: DepthState, u: np.ndarray, u_spec: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The pair (d, g) = (P∇·u, P((β∇b)·u)) behind the good unknown, with P
+    the dealiasing projection; g is None over a flat bottom.  ``u_spec``,
+    when given, is ``grid.rfft(u)``."""
+    grid = depth.grid
+    if u_spec is None:
+        d = grid.dealiased_divergence(u)
+    else:
+        d = grid.irfft(grid.contract(grid.ik_dealiased, u_spec))
+    bgb = depth.beta_grad_b
+    if bgb is None:
+        return d, None
+    return d, grid.dealias(np.einsum("i...,i...->...", bgb, u))
+
+
+def _h_times_T(depth: DepthState, u: np.ndarray, u_spec: np.ndarray) -> np.ndarray:
     """h·T[h, βb]u, the μ-independent dispersive part of the assembly.
 
     ``u_spec`` is ``grid.rfft(u)``.  With a bottom, the projection P being
     linear, this is ∇P(½h²g − ⅓h³d) + P(hg − ½h²d)·β∇b: two fields to
     transform forward.
     """
-    d = grid.irfft(grid.contract(grid.ik_dealiased, u_spec))
-    if bgb is None:
+    grid = depth.grid
+    h2d, h3d = depth.h2, depth.h3
+    d, g = _div_and_slope(depth, u, u_spec)
+    if g is None:
         return -(1.0 / 3.0) * grid.dealiased_gradient(h3d * d)
-    g = grid.dealias(np.einsum("i...,i...->...", bgb, u))
     spec = grid.rfft(
-        np.stack((0.5 * h2d * g - (1.0 / 3.0) * h3d * d, h * g - 0.5 * h2d * d))
+        np.stack((0.5 * h2d * g - (1.0 / 3.0) * h3d * d, depth.h * g - 0.5 * h2d * d))
     )
     out = grid.irfft(grid.ik_dealiased * spec[0])
-    out += grid.irfft(grid.dealias_mask * spec[1]) * bgb
+    out += grid.irfft(grid.dealias_mask * spec[1]) * depth.beta_grad_b
     return out
 
 
@@ -390,22 +400,16 @@ def _validate_mu(mu: float) -> float:
 def apply_T(depth: DepthState, u: np.ndarray) -> np.ndarray:
     """Dealiased evaluation of T[h, βb]u."""
     grid = _check_velocity(depth, u)
-    hTu = _h_times_T(
-        grid, depth.h, depth.h2, depth.h3, depth.beta_grad_b, u, grid.rfft(u)
-    )
-    return hTu / depth.h
+    return _h_times_T(depth, u, grid.rfft(u)) / depth.h
 
 
 def apply_frakT(depth: DepthState, u: np.ndarray, mu: float) -> np.ndarray:
     """𝔗[h, βb]u = h u + μ h T[h, βb]u, the forward elliptic operator."""
     grid = _check_velocity(depth, u)
     mu = _validate_mu(mu)
-    h = depth.h
-    out = h * u
+    out = depth.h * u
     if mu > 0.0:
-        out += mu * _h_times_T(
-            grid, h, depth.h2, depth.h3, depth.beta_grad_b, u, grid.rfft(u)
-        )
+        out += mu * _h_times_T(depth, u, grid.rfft(u))
     return out
 
 
@@ -474,11 +478,8 @@ def invert_frakT(
             session.record(u, 0)
         return EllipticSolveResult(u, 0, 0.0)
 
-    h2d, h3d = depth.h2, depth.h3
-    bgb = depth.beta_grad_b
-
     def matvec(x: np.ndarray, x_spec: np.ndarray) -> np.ndarray:
-        return h * x + mu * _h_times_T(grid, h, h2d, h3d, bgb, x, x_spec)
+        return h * x + mu * _h_times_T(depth, x, x_spec)
 
     precond = _flat_preconditioner(grid, depth.mean_depth, mu)
 
@@ -553,11 +554,10 @@ def dh_frakT(depth: DepthState, f: np.ndarray, u: np.ndarray, mu: float) -> np.n
     out = grid.dealias(f * u)
     if mu == 0.0:
         return out
-    d = grid.dealiased_divergence(u)
+    d, g = _div_and_slope(depth, u)
     out -= mu * grid.dealiased_gradient(h * h * f * d)
-    bgb = depth.beta_grad_b
-    if bgb is not None:
-        g = grid.dealias(np.einsum("i...,i...->...", bgb, u))
+    if g is not None:
+        bgb = depth.beta_grad_b
         out += mu * grid.dealiased_gradient(f * h * g)
         out -= mu * grid.dealias(f * h * d) * bgb
         out += mu * grid.dealias(f * g) * bgb
@@ -567,13 +567,12 @@ def dh_frakT(depth: DepthState, f: np.ndarray, u: np.ndarray, mu: float) -> np.n
 def apply_Q(depth: DepthState, u: np.ndarray) -> np.ndarray:
     """Quadratic velocity operator Q[h, u] = -(1/3h) ∇(h³ ((u·∇)(∇·u) - (∇·u)²))."""
     grid = _check_velocity(depth, u)
-    inner = _q_inner(grid, u)
+    inner = _q_inner(grid, u, grid.dealiased_divergence(u))
     return -(1.0 / 3.0) * grid.dealiased_gradient(depth.h3 * inner) / depth.h
 
 
-def _q_inner(grid: PeriodicGrid, u: np.ndarray) -> np.ndarray:
-    """(u·∇)(∇·u) - (∇·u)², dealiased."""
-    d = grid.dealiased_divergence(u)
+def _q_inner(grid: PeriodicGrid, u: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """(u·∇)d - d², dealiased, for d = P∇·u."""
     grad_d = grid.gradient(d)
     adv = np.einsum("i...,i...->...", u, grad_d)
     return grid.dealias(adv - d * d)
@@ -591,10 +590,10 @@ def apply_Qb(depth: DepthState, u: np.ndarray) -> np.ndarray:
         return np.zeros(u.shape)
     h = depth.h
     h2d = depth.h2
-    # β (u·∇)² b, built from β∇b so the β powers come out right
-    w1 = grid.dealias(np.einsum("i...,i...->...", bgb, u))
-    w2 = grid.dealias(np.einsum("i...,i...->...", u, grid.gradient(w1)))
-    inner = _q_inner(grid, u)
+    d, g = _div_and_slope(depth, u)
+    # β (u·∇)² b = P(u·∇g), built from β∇b so the β powers come out right
+    w2 = grid.dealias(np.einsum("i...,i...->...", u, grid.gradient(g)))
+    inner = _q_inner(grid, u, d)
     out = 0.5 * grid.dealiased_gradient(h2d * w2) / h
     out -= 0.5 * (grid.dealias(h2d * inner) / h) * bgb
     out += w2 * bgb
@@ -609,12 +608,10 @@ def _pressure_terms(
     share one transform pair: (u/h)·∇(h³ ∇·u / 3 − h² (β∇b)·u / 2)."""
     grid = depth.grid
     h, h2d = depth.h, depth.h2
-    bgb = depth.beta_grad_b if bottom_part else None
-    d = grid.dealiased_divergence(u)
+    d, g = _div_and_slope(depth, u)
     flux = (1.0 / 3.0) * depth.h3 * d if flat_part else 0.0
     out = 0.5 * h2d * d * d if flat_part else 0.0
-    if bgb is not None:
-        g = grid.dealias(np.einsum("i...,i...->...", bgb, u))
+    if bottom_part and g is not None:
         flux = flux - 0.5 * h2d * g
         out = out - 0.5 * (h * g * d + g * g)
     return out + np.einsum("i...,i...->...", u, grid.dealiased_gradient(flux)) / h
@@ -637,9 +634,8 @@ def apply_Rb(depth: DepthState, u: np.ndarray) -> np.ndarray:
 def good_unknown_w(depth: DepthState, u: np.ndarray) -> np.ndarray:
     """Vertical-velocity unknown w = -h ∇·u + (β∇b)·u."""
     grid = _check_velocity(depth, u)
-    d = grid.dealiased_divergence(u)
+    d, g = _div_and_slope(depth, u)
     out = -grid.dealias(depth.h * d)
-    bgb = depth.beta_grad_b
-    if bgb is not None:
-        out += grid.dealias(np.einsum("i...,i...->...", bgb, u))
+    if g is not None:
+        out += g
     return out

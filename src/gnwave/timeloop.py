@@ -262,13 +262,11 @@ class _Stepper:
         return self._tendency(zeta, vel, depth)
 
     def advance(
-        self, z: np.ndarray, v: np.ndarray, t: float, dt: float, t_next: float, project=False
+        self, z: np.ndarray, v: np.ndarray, t: float, dt: float, t_next: float
     ) -> tuple[np.ndarray, np.ndarray]:
-        """One step of size ``dt`` from ``(z, v)`` at ``t``, ending at ``t_next``;
-        ``project`` the input first unless it is a step result."""
+        """One step of size ``dt`` from the in-band ``(z, v)`` at ``t``, ending
+        at ``t_next``."""
         grid = self.grid
-        if project:
-            z, v = grid.dealias(z), grid.dealias(v)
 
         def rhs(index: int, zs: np.ndarray, vs: np.ndarray, offset: float):
             return self.rhs(zs, vs, t + offset * dt, (index, t, dt))
@@ -305,15 +303,24 @@ def step(
 ) -> FluidState:
     """Advance one full step of size icfg.dt; stages live in the dealiased band."""
     stepper = _Stepper(state, params, bath, icfg, cfg, session)
+    grid = bath.grid
     t_next = state.time + icfg.dt
-    z, v = stepper.advance(state.zeta.data, state.vel.data, state.time, icfg.dt, t_next, True)
-    return FluidState(ScalarField(bath.grid, z), VectorField(bath.grid, v), state.kind, t_next)
+    z, v = grid.dealias(state.zeta.data), grid.dealias(state.vel.data)
+    z, v = stepper.advance(z, v, state.time, icfg.dt, t_next)
+    return FluidState(ScalarField(grid, z), VectorField(grid, v), state.kind, t_next)
 
 
 def _as_v_state(state: FluidState, params: ModelParams, bath: BathymetryState) -> FluidState:
     if state.kind is VariableKind.V_VARIABLE:
         return state
     return v_from_u(state, params, bath)
+
+
+_TERMINATIONS = {
+    CoercivityViolationError: "coercivity_violation",
+    NonConvergenceError: "non_convergence",
+    BlowUpError: "blow_up",
+}
 
 
 def run(
@@ -350,15 +357,16 @@ def run(
     emit_record = getattr(sinks, "record", None)
     emit_snapshot = getattr(sinks, "snapshot", None)
 
-    # the loop carries the arrays (z, v) at time t; ``state`` wraps them once
-    # a sink, the report or a failure needs it
-    z, v, t = initial.zeta.data, initial.vel.data, initial.time
+    # the loop carries the in-band arrays (z, v) at time t; ``state`` wraps
+    # them once a sink, the report or a failure needs it
+    grid = bath.grid
+    z, v = grid.dealias(initial.zeta.data), grid.dealias(initial.vel.data)
+    t = initial.time
     state: FluidState | None = initial
 
     def accepted() -> FluidState:
         nonlocal state
         if state is None:
-            grid = bath.grid
             state = FluidState(ScalarField(grid, z), VectorField(grid, v), initial.kind, t)
         return state
 
@@ -372,62 +380,45 @@ def run(
         if want_snapshot and emit_snapshot is not None:
             emit_snapshot(accepted())
 
-    t0 = initial.time
-    span = icfg.t_end - t0
-    n_full = 0
-    remainder = 0.0
-    if span > 0.0:
-        n_full = int(math.floor(span / icfg.dt * (1.0 + 1e-12)))
-        remainder = span - n_full * icfg.dt
-        if remainder <= 1e-9 * icfg.dt:
-            remainder = 0.0
+    # the full steps, then a shorter final one unless the span is a whole
+    # number of steps up to round-off
+    span = icfg.t_end - initial.time
+    n_full = max(0, int(math.floor(span / icfg.dt * (1.0 + 1e-12))))
+    steps = [(icfg.dt, initial.time + k * icfg.dt) for k in range(1, n_full + 1)]
+    remainder = span - n_full * icfg.dt
+    if remainder > 1e-9 * icfg.dt:
+        steps.append((remainder, icfg.t_end))
 
-    steps_total = n_full + (1 if remainder else 0)
     steps_done = 0
-    termination = "completed"
-    failure_time: float | None = None
+    termination, failure_time, failure = "completed", None, None
     emit(True, icfg.snapshot_stride > 0)
     try:
-        for k in range(1, n_full + 1):
-            t_next = t0 + k * icfg.dt
-            z, v = stepper.advance(z, v, t, icfg.dt, t_next, k == 1)
+        for k, (dt, t_next) in enumerate(steps, start=1):
+            z, v = stepper.advance(z, v, t, dt, t_next)
             t, state = t_next, None
             steps_done = k
-            last = k == steps_total
+            last = k == len(steps)
             emit(
                 k % icfg.diag_stride == 0 or last,
                 icfg.snapshot_stride > 0 and (k % icfg.snapshot_stride == 0 or last),
             )
-        if remainder:
-            z, v = stepper.advance(z, v, t, remainder, icfg.t_end, n_full == 0)
-            t, state = icfg.t_end, None
-            steps_done = steps_total
-            emit(True, icfg.snapshot_stride > 0)
-    except (CoercivityViolationError, NonConvergenceError, BlowUpError) as exc:
-        termination = {
-            CoercivityViolationError: "coercivity_violation",
-            NonConvergenceError: "non_convergence",
-            BlowUpError: "blow_up",
-        }[type(exc)]
+    except tuple(_TERMINATIONS) as exc:
+        termination = _TERMINATIONS[type(exc)]
         failure_time = getattr(exc, "time", None)
         if failure_time is None:
             failure_time = t
-        exc.report = RunReport(
-            final_state=accepted(),
-            wall_time=time.perf_counter() - t_start,
-            total_elliptic_iterations=step_session.total_iterations
-            + diag_session.total_iterations,
-            termination=termination,
-            steps=steps_done,
-            failure_time=failure_time,
-        )
-        raise
+        failure = exc
 
-    return RunReport(
+    report = RunReport(
         final_state=accepted(),
         wall_time=time.perf_counter() - t_start,
         total_elliptic_iterations=step_session.total_iterations + diag_session.total_iterations,
         termination=termination,
         steps=steps_done,
-        failure_time=None,
+        failure_time=failure_time,
     )
+    if failure is not None:
+        failure.report = report
+        raise failure
+    return report
+

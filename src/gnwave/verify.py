@@ -31,6 +31,7 @@ from .models import (
     FluidState,
     ModelParams,
     VariableKind,
+    _require_kind,
     make_depth,
     rhs_gn_u,
     rhs_gn_v,
@@ -207,22 +208,18 @@ def restrict_to_grid(data: np.ndarray, fine: PeriodicGrid, coarse: PeriodicGrid)
     """
     if fine.lengths != coarse.lengths:
         raise ValidationError("restriction requires identical box lengths")
-    single = data.shape == fine.shape
-    stack = data[np.newaxis] if single else data
-    axes = tuple(range(1, 1 + fine.dim))
-    spec = np.fft.fftn(stack, axes=axes) / math.prod(fine.shape)
-    out_spec = np.zeros(stack.shape[:1] + coarse.shape, dtype=complex)
+    spec = fine.fft(data)
+    out_spec = np.zeros(data.shape[: data.ndim - fine.dim] + coarse.spectral_shape, complex)
     sel_src, sel_dst = [], []
-    for n_f, n_c in zip(fine.shape, coarse.shape):
+    for axis, (n_f, n_c) in enumerate(zip(fine.shape, coarse.shape)):
         half = (n_c - 1) // 2
-        modes = np.concatenate([np.arange(0, half + 1), np.arange(-half, 0)])
+        modes = np.arange(0, half + 1)
+        if axis < fine.dim - 1:  # the last axis of the real layout has no negative modes
+            modes = np.concatenate([modes, np.arange(-half, 0)])
         sel_src.append(np.mod(modes, n_f))
         sel_dst.append(np.mod(modes, n_c))
-    src = np.ix_(np.arange(stack.shape[0]), *sel_src)
-    dst = np.ix_(np.arange(stack.shape[0]), *sel_dst)
-    out_spec[dst] = spec[src]
-    out = np.fft.ifftn(out_spec * math.prod(coarse.shape), axes=axes).real
-    return out[0] if single else out
+    out_spec[(Ellipsis,) + np.ix_(*sel_dst)] = spec[(Ellipsis,) + np.ix_(*sel_src)]
+    return coarse.ifft(out_spec)
 
 
 # ---------------------------------------------------------------------------
@@ -230,16 +227,20 @@ def restrict_to_grid(data: np.ndarray, fine: PeriodicGrid, coarse: PeriodicGrid)
 # ---------------------------------------------------------------------------
 
 
-def _grid_ladder(grid: PeriodicGrid, resolutions: Sequence[int]) -> list[PeriodicGrid]:
-    return [PeriodicGrid((int(n),) * grid.dim, grid.lengths) for n in resolutions]
-
-
-def _restrict_inputs(
-    fine: PeriodicGrid, target: PeriodicGrid, arrays: Sequence[np.ndarray]
-) -> list[np.ndarray]:
-    if target.shape == fine.shape:
-        return list(arrays)
-    return [restrict_to_grid(a, fine, target) for a in arrays]
+def _ladder(
+    zeta: ScalarField, vel: VectorField, bath: BathymetryState, resolutions: Sequence[int]
+):
+    """``(grid, ζ, vel, bath)`` per rung of a refinement ladder: the inputs of
+    the finest grid, restricted spectrally to each size."""
+    fine = zeta.grid
+    arrays = (zeta.data, vel.data, bath.b.data)
+    for n in resolutions:
+        g = PeriodicGrid((int(n),) * fine.dim, fine.lengths)
+        if g.shape == fine.shape:
+            z_g, v_g, b_g = arrays
+        else:
+            z_g, v_g, b_g = (restrict_to_grid(a, fine, g) for a in arrays)
+        yield g, z_g, v_g, BathymetryState(ScalarField(g, b_g), bath.beta)
 
 
 def check_equivalence_identity(
@@ -261,13 +262,9 @@ def check_equivalence_identity(
     coarser size, so the residual isolates unresolved-product truncation,
     which must fall super-algebraically under refinement.
     """
-    fine = zeta.grid
     eps = params.epsilon
     residuals = []
-    for g in _grid_ladder(fine, grids):
-        z_g, b_g = _restrict_inputs(fine, g, [zeta.data, bath.b.data])
-        (u_g,) = _restrict_inputs(fine, g, [u.data])
-        bath_g = BathymetryState(ScalarField(g, b_g), bath.beta)
+    for g, z_g, u_g, bath_g in _ladder(zeta, u, bath, grids):
         depth = make_depth(params, z_g, bath_g)
         h = depth.h
         Tu = apply_T(depth, u_g)
@@ -297,14 +294,10 @@ def check_rhs_equivalence(
     tendency through the time derivative of the relation hv = 𝔗u, using the
     depth-direction derivative of 𝔗 for the moving-coefficient part.
     """
-    fine = zeta.grid
     cfg = cfg if cfg is not None else EllipticSolveConfig(rel_tolerance=1e-13)
     eps = params.epsilon
     residuals = []
-    for g in _grid_ladder(fine, grids):
-        z_g, b_g = _restrict_inputs(fine, g, [zeta.data, bath.b.data])
-        (u_g,) = _restrict_inputs(fine, g, [u.data])
-        bath_g = BathymetryState(ScalarField(g, b_g), bath.beta)
+    for g, z_g, u_g, bath_g in _ladder(zeta, u, bath, grids):
         su = FluidState(ScalarField(g, z_g), VectorField(g, u_g), VariableKind.U_VARIABLE)
         sv = v_from_u(su, params, bath_g)
         depth = make_depth(params, z_g, bath_g)
@@ -357,8 +350,7 @@ def skew_assembled_rhs(
     ∂tζ = −∇·(δ_vH), ∂tv = −∇(δ_ζH) − ε q (δ_vH)^⊥; the rotation term is
     absent on one-dimensional grids where curl vanishes identically.
     """
-    if state.kind is not VariableKind.V_VARIABLE:
-        raise ValidationError("skew_assembled_rhs expects the v-variable state")
+    _require_kind(state, VariableKind.V_VARIABLE, "skew_assembled_rhs")
     cfg = cfg if cfg is not None else EllipticSolveConfig(rel_tolerance=1e-13)
     depth = make_depth(params, state.zeta.data, bath)
     grad_z, grad_v = _variational_gradients(
@@ -501,8 +493,7 @@ def fd_skew_reproduction_gap(
     finite-difference step.  A gap at or below the tolerance confirms the
     tendency is the skew image of the energy gradient.
     """
-    if state.kind is not VariableKind.V_VARIABLE:
-        raise ValidationError("fd_skew_reproduction_gap expects the v-variable state")
+    _require_kind(state, VariableKind.V_VARIABLE, "fd_skew_reproduction_gap")
     g = state.grid
     cfg = cfg if cfg is not None else EllipticSolveConfig(rel_tolerance=1e-13)
     depth = make_depth(params, state.zeta.data, bath)
@@ -535,20 +526,15 @@ def check_variational_structure(
     Per grid size the residual is the relative gap between the tendency
     assembled from the claimed variational derivatives (skew structure with
     q = curl v/h) and the direct conjugate-variable tendency; it decays
-    spectrally.  On the coarsest grid the variational derivatives are also
-    recomputed purely by finite differences of the energy functional, and
-    the report passes only when that assembly reproduces the tendency
+    spectrally.  On the last (finest) grid the variational derivatives are
+    also recomputed purely by finite differences of the energy functional,
+    and the report passes only when that assembly reproduces the tendency
     within its finite-difference tolerance as well.
     """
-    fine = zeta.grid
     cfg = cfg if cfg is not None else EllipticSolveConfig(rel_tolerance=1e-13)
     residuals = []
     fd_ok = True
-    ladder = _grid_ladder(fine, grids)
-    for index, g in enumerate(ladder):
-        z_g, b_g = _restrict_inputs(fine, g, [zeta.data, bath.b.data])
-        (v_g,) = _restrict_inputs(fine, g, [psi_grad.data])
-        bath_g = BathymetryState(ScalarField(g, b_g), bath.beta)
+    for index, (g, z_g, v_g, bath_g) in enumerate(_ladder(zeta, psi_grad, bath, grids)):
         state = FluidState(ScalarField(g, z_g), VectorField(g, v_g), VariableKind.V_VARIABLE)
         dz, dv = rhs_gn_v(z_g, v_g, params, make_depth(params, z_g, bath_g), cfg)
         dz_skew, dv_skew = skew_assembled_rhs(state, params, bath_g, cfg)
@@ -556,7 +542,7 @@ def check_variational_structure(
         residuals.append(
             math.hypot(g.norm_l2(dz - dz_skew), g.norm_l2(dv - dv_skew)) / scale
         )
-        if index == len(ladder) - 1:
+        if index == len(grids) - 1:
             gap, tol = fd_skew_reproduction_gap(state, params, bath_g, cfg, delta)
             fd_ok = gap <= tol
     report = ResidualReport.from_residuals("variational_structure", grids, residuals)
@@ -773,15 +759,13 @@ def aligned_profile_gap(grid: PeriodicGrid, field: np.ndarray, reference: np.nda
     """
     if grid.dim != 1:
         raise ValidationError("profile alignment is one-dimensional")
-    n = grid.shape[0]
-    fa = np.fft.rfft(field)
-    fr = np.fft.rfft(reference)
-    corr = np.fft.irfft(fa * np.conj(fr), n=n)
+    fa = grid.rfft(field)
+    corr = grid.irfft(fa * np.conj(grid.rfft(reference)))
     shift0 = float(np.argmax(corr)) * grid.spacings[0]
-    k = 2.0 * np.pi * np.fft.rfftfreq(n, d=grid.spacings[0])
+    k = grid.wavenumbers[0]
 
     def gap(shift: float) -> float:
-        shifted = np.fft.irfft(fa * np.exp(1j * k * shift), n=n)
+        shifted = grid.irfft(fa * np.exp(1j * k * shift))
         return grid.norm_l2(shifted - reference)
 
     dx = grid.spacings[0]

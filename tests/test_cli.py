@@ -180,6 +180,16 @@ class TestEquivalence:
         assert main(["equivalence", "--state", str(path)]) == 0
         assert "ALL PASS" in capsys.readouterr().out
 
+    def test_snapshot_size_needs_multiple_of_8(self, tmp_path, capsys):
+        """The coarsest rung n/4 must be an even grid size: 36 points are refused."""
+        grid = PeriodicGrid((36,), (2.0 * np.pi,))
+        state = FluidState.rest(grid, VariableKind.U_VARIABLE)
+        params = ModelParams(epsilon=0.2, beta=0.0, mu=0.9, formulation=Formulation.GN_U)
+        path = tmp_path / "state.gnwv"
+        write_snapshot(state, params, path)
+        assert main(["equivalence", "--state", str(path)]) == 1
+        assert "multiple of 8" in capsys.readouterr().err
+
     def test_varying_bottom_snapshot_rejected(self, tmp_path, capsys):
         """Stored states with bathymetry are refused with a clear message."""
         grid = PeriodicGrid((64,), (2.0 * np.pi,))

@@ -162,6 +162,19 @@ class TestLoadConfig:
         with pytest.raises(ValidationError, match="band"):
             load_config(text)
 
+    @pytest.mark.parametrize("modes", ["a 0.1 0", "1 0.1", ";", None])
+    def test_bottom_modes_reported_once(self, modes):
+        """A malformed bottom ``modes`` is one violation; "required key missing"
+        means the key is absent."""
+        text = MINIMAL + "\n[model]\nbeta = 0.1\n\n[bathymetry]\ntype = fourier_modes\n"
+        if modes is not None:
+            text += f"modes = {modes}\n"
+        with pytest.raises(ValidationError) as excinfo:
+            load_config(text)
+        message = str(excinfo.value)
+        assert message.count("[bathymetry] modes:") == 1
+        assert ("required key missing" in message) == (modes is None)
+
     def test_varying_bottom_needs_beta(self):
         """A non-flat bottom with beta = 0 is inconsistent."""
         text = MINIMAL + "\n[bathymetry]\ntype = gaussian_bump\namplitude = 0.1\nwidth = 1.0\n"

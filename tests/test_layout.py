@@ -1,7 +1,9 @@
-"""Source layout checks: every module-level import of the package is read."""
+"""Source layout checks: every module-level import of the package is read,
+imports flow one way, and every transform goes through the grid."""
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import gnwave
@@ -105,3 +107,19 @@ def test_imports_flow_one_way():
             if RANK[module] >= RANK[path.stem]:
                 back.append(f"{path.name}:{line} imports {module}")
     assert not back, "imports against the layer order: " + ", ".join(back)
+
+
+TRANSFORM = re.compile(r"\b(np|numpy|scipy)\.fft\b")
+
+
+def test_transforms_go_through_the_grid():
+    """grid.py is the one transform layer: no other module calls np.fft,
+    numpy.fft or scipy.fft."""
+    calls = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.stem == "grid":
+            continue
+        for line_no, line in enumerate(path.read_text().splitlines(), start=1):
+            if TRANSFORM.search(line):
+                calls.append(f"{path.name}:{line_no}")
+    assert not calls, "transforms outside grid.py: " + ", ".join(calls)
