@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridMismatchError, ValidationError
+from .errors import ValidationError
 
 __all__ = ["PeriodicGrid", "ScalarField", "VectorField"]
 
@@ -300,40 +300,12 @@ def _as_readonly(data: np.ndarray, shape: tuple[int, ...], what: str) -> np.ndar
     return arr
 
 
-def _check_same_grid(a: "_Field", b: "_Field") -> None:
-    if a.grid is not b.grid and not a.grid.compatible(b.grid):
-        raise GridMismatchError("fields live on different grids")
-
-
 @dataclasses.dataclass(frozen=True, eq=False)
 class _Field:
-    """Immutable data on a :class:`PeriodicGrid` with pointwise arithmetic;
-    every result has the type of the left operand."""
+    """Immutable data on a :class:`PeriodicGrid`."""
 
     grid: PeriodicGrid
     data: np.ndarray
-
-    def __add__(self, other):
-        _check_same_grid(self, other)
-        return type(self)(self.grid, self.data + other.data)
-
-    def __sub__(self, other):
-        _check_same_grid(self, other)
-        return type(self)(self.grid, self.data - other.data)
-
-    def __neg__(self):
-        return type(self)(self.grid, -self.data)
-
-    def __mul__(self, other):
-        if isinstance(other, ScalarField):
-            _check_same_grid(self, other)
-            return type(self)(self.grid, self.data * other.data)
-        return type(self)(self.grid, self.data * float(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar: float):
-        return type(self)(self.grid, self.data / float(scalar))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -359,10 +331,3 @@ class VectorField(_Field):
     @classmethod
     def zeros(cls, grid: PeriodicGrid) -> "VectorField":
         return cls(grid, np.zeros((grid.dim,) + grid.shape))
-
-    def component(self, axis: int) -> ScalarField:
-        return ScalarField(self.grid, self.data[axis])
-
-    def dot(self, other: "VectorField") -> ScalarField:
-        _check_same_grid(self, other)
-        return ScalarField(self.grid, np.einsum("i...,i...->...", self.data, other.data))

@@ -2,9 +2,17 @@
 snapshot/diagnostics persistence.
 
 The run configuration is a line-oriented ``key = value`` text with sections
-in brackets. Snapshots are a small self-describing binary format (magic
-``GNWV1``, little-endian header, raw float64 payload). Diagnostics go to CSV
-with 17 significant digits so every double round-trips exactly.
+in brackets. Its language is one table, ``_TABLE``, in save order: each key
+is declared once, with the setting of :class:`RunConfig` it owns, its reader
+and writer, whether it is required, and the values of its section's ``type``
+it applies to. :func:`load_config` and :func:`save_config` both iterate the
+table, and a key not in it is unknown. What ties keys together (the spectral
+band, a bump's center and width, the solitary wave's constraints, beta > 0
+under a varying bottom) is checked in :func:`load_config`.
+
+Snapshots are a small self-describing binary format (magic ``GNWV1``,
+little-endian header, raw float64 payload). Diagnostics go to CSV with 17
+significant digits so every double round-trips exactly.
 """
 from __future__ import annotations
 
@@ -13,7 +21,7 @@ import dataclasses
 import math
 import struct
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import Callable, Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -61,7 +69,6 @@ DIAGNOSTIC_COLUMNS = (
 _INITIAL_KINDS = ("rest", "gaussian", "fourier_modes", "solitary_wave", "file")
 _BATHYMETRY_KINDS = ("flat", "gaussian_bump", "fourier_modes", "file")
 _OUTPUT_FORMATS = ("csv", "snapshot")
-_FIELD_KEYS = ("zeta", "velocity_x", "velocity_y")
 
 # one trig component: (integer mode vector, amplitude, phase)
 ModeEntry = tuple[tuple[int, ...], float, float]
@@ -167,7 +174,8 @@ class RunConfig:
 
 
 def _parse_ini(text: str) -> dict[str, dict[str, str]]:
-    """Parse ``key = value`` sections into a nested dict of raw strings."""
+    """Parse ``key = value`` sections into a nested dict of raw strings
+    (values stripped of surrounding whitespace)."""
     parser = configparser.ConfigParser(
         delimiters=("=",),
         comment_prefixes=("#",),
@@ -207,250 +215,226 @@ def _apply_overrides(
     return out
 
 
-class _SectionView:
-    """Typed access to one section's raw strings, accumulating violations."""
-
-    def __init__(self, name: str, raw: dict[str, str], violations: list[str]):
-        self.name = name
-        self._raw = raw
-        self._violations = violations
-        self._seen: set[str] = set()
-
-    def error(self, key: str, reason: str) -> None:
-        self._violations.append(f"[{self.name}] {key}: {reason}")
-
-    def take(self, key: str) -> str | None:
-        self._seen.add(key)
-        return self._raw.get(key)
-
-    def unknown_keys(self) -> list[str]:
-        return [k for k in self._raw if k not in self._seen]
-
-    # typed getters return None when the key is missing or malformed;
-    # malformed values are recorded as violations.
-
-    def str_(self, key: str) -> str | None:
-        raw = self.take(key)
-        return None if raw is None else raw.strip()
-
-    def choice(self, key: str, choices: Sequence[str]) -> str | None:
-        value = self.str_(key)
-        if value is not None and value not in choices:
-            self.error(key, f"must be one of {tuple(choices)}, got {value!r}")
-            return None
-        return value
-
-    def float_(self, key: str, required: bool = False) -> float | None:
-        raw = self.take(key)
-        if raw is None:
-            if required:
-                self.error(key, "required key missing")
-            return None
-        try:
-            value = float(raw)
-        except ValueError:
-            self.error(key, f"not a number: {raw!r}")
-            return None
-        if not math.isfinite(value):
-            self.error(key, f"must be finite, got {raw!r}")
-            return None
-        return value
-
-    def int_(self, key: str) -> int | None:
-        raw = self.take(key)
-        if raw is None:
-            return None
-        try:
-            return int(raw, 10)
-        except ValueError:
-            self.error(key, f"not an integer: {raw!r}")
-            return None
-
-    def int_list(self, key: str, required: bool = False) -> tuple[int, ...] | None:
-        raw = self.take(key)
-        if raw is None:
-            if required:
-                self.error(key, "required key missing")
-            return None
-        try:
-            return tuple(int(tok, 10) for tok in raw.split())
-        except ValueError:
-            self.error(key, f"expected whitespace-separated integers, got {raw!r}")
-            return None
-
-    def float_list(self, key: str) -> tuple[float, ...] | None:
-        raw = self.take(key)
-        if raw is None:
-            return None
-        try:
-            values = tuple(float(tok) for tok in raw.split())
-        except ValueError:
-            self.error(key, f"expected whitespace-separated numbers, got {raw!r}")
-            return None
-        if not all(math.isfinite(v) for v in values):
-            self.error(key, "entries must be finite")
-            return None
-        return values
-
-    def mode_entries(
-        self, key: str, dim: int, required: bool = False
-    ) -> tuple[ModeEntry, ...] | None:
-        """Parse ``m… amplitude phase`` groups separated by ``;``."""
-        raw = self.take(key)
-        if raw is None:
-            if required:
-                self.error(key, "required key missing")
-            return None
-        entries: list[ModeEntry] = []
-        for chunk in raw.split(";"):
-            tokens = chunk.split()
-            if not tokens:
-                continue
-            if len(tokens) != dim + 2:
-                self.error(
-                    key,
-                    f"each entry needs {dim} mode integer(s), an amplitude and a "
-                    f"phase, got {chunk.strip()!r}",
-                )
-                return None
-            try:
-                mode = tuple(int(tok, 10) for tok in tokens[:dim])
-                amplitude = float(tokens[dim])
-                phase = float(tokens[dim + 1])
-            except ValueError:
-                self.error(key, f"malformed entry {chunk.strip()!r}")
-                return None
-            if not (math.isfinite(amplitude) and math.isfinite(phase)):
-                self.error(key, "amplitude and phase must be finite")
-                return None
-            entries.append((mode, amplitude, phase))
-        if not entries:
-            self.error(key, "no entries given")
-            return None
-        return tuple(entries)
-
-    def build(self, cls: type, **values):
-        """``cls`` from the keys the text sets, its own defaults for the rest;
-        a refusal is recorded as a ``*`` violation and gives None."""
-        try:
-            return cls(**{k: v for k, v in values.items() if v is not None})
-        except ValidationError as exc:
-            self.error("*", str(exc))
-            return None
+# ---------------------------------------------------------- readers, writers
+# A reader turns a key's raw text into its value, given the grid dimension
+# (1 when the grid is invalid); a ValueError carries the violation text.
 
 
-# --------------------------------------------------------------- config build
+def _text(raw: str, dim: int) -> str:
+    return raw
 
 
-def _check_entries_in_band(
-    view: _SectionView, key: str, entries: tuple[ModeEntry, ...], grid: PeriodicGrid
-) -> None:
-    cutoffs = tuple(n // 3 for n in grid.shape)
-    for mode, _amp, _phase in entries:
-        if any(abs(m) > cut for m, cut in zip(mode, cutoffs)):
-            view.error(
-                key,
-                f"mode {mode} lies outside the retained spectral band "
-                f"(|m_i| <= {cutoffs})",
+def _words(raw: str, dim: int) -> tuple[str, ...]:
+    return tuple(raw.split())
+
+
+def _one_of(choices: Sequence[str]) -> Callable[[str, int], str]:
+    def read(raw: str, dim: int) -> str:
+        if raw not in choices:
+            raise ValueError(f"must be one of {tuple(choices)}, got {raw!r}")
+        return raw
+
+    return read
+
+
+def _number(raw: str, dim: int) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ValueError(f"not a number: {raw!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {raw!r}")
+    return value
+
+
+def _numbers(raw: str, dim: int) -> tuple[float, ...]:
+    try:
+        values = tuple(float(tok) for tok in raw.split())
+    except ValueError:
+        raise ValueError(f"expected whitespace-separated numbers, got {raw!r}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError("entries must be finite")
+    return values
+
+
+def _integer(raw: str, dim: int) -> int:
+    try:
+        return int(raw, 10)
+    except ValueError:
+        raise ValueError(f"not an integer: {raw!r}") from None
+
+
+def _integers(raw: str, dim: int) -> tuple[int, ...]:
+    try:
+        return tuple(int(tok, 10) for tok in raw.split())
+    except ValueError:
+        raise ValueError(f"expected whitespace-separated integers, got {raw!r}") from None
+
+
+def _iteration_cap(raw: str, dim: int) -> int | None:
+    if raw.lower() == "none":
+        return None
+    try:
+        return int(raw, 10)
+    except ValueError:
+        raise ValueError(f"not an integer or 'none': {raw!r}") from None
+
+
+def _path(raw: str, dim: int) -> str:
+    if not raw:
+        raise ValueError("required key missing")
+    return raw
+
+
+def _mode_entries(raw: str, dim: int) -> tuple[ModeEntry, ...]:
+    """``m… amplitude phase`` groups separated by ``;``."""
+    entries: list[ModeEntry] = []
+    for chunk in raw.split(";"):
+        tokens = chunk.split()
+        if not tokens:
+            continue
+        if len(tokens) != dim + 2:
+            raise ValueError(
+                f"each entry needs {dim} mode integer(s), an amplitude and a "
+                f"phase, got {chunk.strip()!r}"
             )
+        try:
+            mode = tuple(int(tok, 10) for tok in tokens[:dim])
+            amplitude, phase = float(tokens[dim]), float(tokens[dim + 1])
+        except ValueError:
+            raise ValueError(f"malformed entry {chunk.strip()!r}") from None
+        if not (math.isfinite(amplitude) and math.isfinite(phase)):
+            raise ValueError("amplitude and phase must be finite")
+        entries.append((mode, amplitude, phase))
+    if not entries:
+        raise ValueError("no entries given")
+    return tuple(entries)
 
 
-def _gaussian_keys(view: _SectionView, grid: PeriodicGrid | None) -> dict:
-    """Amplitude, width > 0 and center (mid-domain by default) of a bump."""
-    amplitude = view.float_("amplitude", required=True)
-    width = view.float_("width", required=True)
-    center = view.float_list("center")
-    if grid is not None:
-        if center is not None and len(center) != grid.dim:
-            view.error("center", f"needs {grid.dim} coordinate(s), got {len(center)}")
-            center = None
-        if center is None:
-            center = tuple(0.5 * ell for ell in grid.lengths)
-    if width is not None and width <= 0.0:
-        view.error("width", f"must be positive, got {width}")
-        width = None
-    return {"amplitude": amplitude, "width": width, "center": center}
+def _second_axis_entries(raw: str, dim: int) -> tuple[ModeEntry, ...]:
+    entries = _mode_entries(raw, dim)
+    if dim == 1:
+        raise ValueError("only valid on two-dimensional grids")
+    return entries
 
 
-def _path_key(view: _SectionView) -> str | None:
-    path = view.str_("path")
-    if not path:
-        view.error("path", "required key missing")
-    return path
+def _fmt_float(value: float) -> str:
+    return repr(float(value))
 
 
-def _build_initial_spec(
-    view: _SectionView,
-    grid: PeriodicGrid | None,
-    params: ModelParams | None,
-) -> InitialSpec | None:
-    kind = view.choice("type", _INITIAL_KINDS) or InitialSpec.kind
-    keys: dict = {}
-    if kind == "gaussian":
-        keys = _gaussian_keys(view, grid)
-    elif kind == "fourier_modes":
-        dim = grid.dim if grid is not None else 1
-        modes: dict[str, tuple[ModeEntry, ...]] = {}
-        for key in _FIELD_KEYS:
-            entries = view.mode_entries(key, dim)
-            if entries is None:
-                continue
-            if key == "velocity_y" and dim == 1:
-                view.error(key, "only valid on two-dimensional grids")
-                continue
-            if grid is not None:
-                _check_entries_in_band(view, key, entries, grid)
-            modes[key] = entries
-        keys = {"modes": modes}
-    elif kind == "solitary_wave":
-        amplitude = view.float_("amplitude", required=True)
-        if amplitude is not None and amplitude <= 0.0:
-            view.error("amplitude", f"must be positive, got {amplitude}")
-            amplitude = None
-        if grid is not None and grid.dim != 1:
-            view.error("type", "solitary_wave requires a one-dimensional grid")
-        if params is not None and (params.mu <= 0.0 or params.epsilon <= 0.0):
-            view.error(
-                "type", "solitary_wave requires mu > 0 and epsilon > 0"
-            )
-        keys = {"amplitude": amplitude}
-    elif kind == "file":
-        keys = {"path": _path_key(view)}
-    return view.build(InitialSpec, kind=kind, **keys)
+def _fmt_floats(values: Iterable[float]) -> str:
+    return " ".join(_fmt_float(v) for v in values)
 
 
-def _build_bathymetry_spec(
-    view: _SectionView,
-    grid: PeriodicGrid | None,
-    params: ModelParams | None,
-) -> BathymetrySpec | None:
-    kind = view.choice("type", _BATHYMETRY_KINDS) or BathymetrySpec.kind
-    if kind != "flat" and params is not None and params.beta == 0.0:
-        view.error("type", "a varying bottom requires beta > 0, got beta = 0")
-    keys: dict = {}
-    if kind == "gaussian_bump":
-        keys = _gaussian_keys(view, grid)
-    elif kind == "fourier_modes":
-        dim = grid.dim if grid is not None else 1
-        entries = view.mode_entries("modes", dim, required=True)
-        if entries is not None and grid is not None:
-            _check_entries_in_band(view, "modes", entries, grid)
-        keys = {"modes": entries}
-    elif kind == "file":
-        keys = {"path": _path_key(view)}
-    return view.build(BathymetrySpec, kind=kind, **keys)
+def _fmt_words(values: Iterable) -> str:
+    return " ".join(str(v) for v in values)
 
 
-_SECTIONS = (
-    "model",
-    "grid",
-    "integration",
-    "mollifier",
-    "elliptic",
-    "initial",
-    "bathymetry",
-    "output",
+def _fmt_entries(entries: Iterable[ModeEntry]) -> str:
+    return " ; ".join(
+        " ".join([_fmt_words(mode), _fmt_float(amplitude), _fmt_float(phase)])
+        for mode, amplitude, phase in entries
+    )
+
+
+def _fmt_iteration_cap(value: int | None) -> str:
+    return "none" if value is None else str(value)
+
+
+# ---------------------------------------------------------------- the schema
+
+
+@dataclasses.dataclass(frozen=True)
+class _Key:
+    """One config key: the setting it owns and how its text is read and
+    written.
+
+    ``field`` is the setting's dotted path from :class:`RunConfig`; its last
+    step is a dict entry for the initial-state mode fields. ``kinds`` lists
+    the values of the section's ``type`` key that the key applies to; an
+    empty tuple means every value (``type`` itself, and untyped sections).
+    """
+
+    section: str
+    name: str
+    field: str
+    read: Callable[[str, int], object]
+    write: Callable[[object], str] = _fmt_float
+    required: bool = False
+    kinds: tuple[str, ...] = ()
+
+
+# In save order; load_config reads each section's keys in this order too.
+_TABLE: tuple[_Key, ...] = (
+    _Key("model", "epsilon", "params.epsilon", _number),
+    _Key("model", "beta", "params.beta", _number),
+    _Key("model", "mu", "params.mu", _number),
+    _Key("model", "formulation", "params.formulation",
+         _one_of([f.value for f in Formulation]), lambda f: f.value),
+    _Key("model", "h_star", "params.h_star", _number),
+    _Key("grid", "shape", "grid.shape", _integers, _fmt_words, required=True),
+    _Key("grid", "lengths", "grid.lengths", _numbers, _fmt_floats),
+    _Key("integration", "dt", "integration.dt", _number, required=True),
+    _Key("integration", "t_end", "integration.t_end", _number, required=True),
+    _Key("integration", "scheme", "integration.scheme", _one_of(_SCHEMES), str),
+    _Key("mollifier", "iota", "integration.mollifier.iota", _number),
+    _Key("mollifier", "profile", "integration.mollifier.profile", _one_of(_PROFILES), str),
+    _Key("mollifier", "r0", "integration.mollifier.r0", _number),
+    _Key("mollifier", "r1", "integration.mollifier.r1", _number),
+    _Key("elliptic", "rel_tolerance", "elliptic.rel_tolerance", _number),
+    _Key("elliptic", "max_iterations", "elliptic.max_iterations",
+         _iteration_cap, _fmt_iteration_cap),
+    _Key("initial", "type", "initial.kind", _one_of(_INITIAL_KINDS), str),
+    _Key("initial", "amplitude", "initial.amplitude", _number, required=True,
+         kinds=("gaussian", "solitary_wave")),
+    _Key("initial", "width", "initial.width", _number, required=True, kinds=("gaussian",)),
+    _Key("initial", "center", "initial.center", _numbers, _fmt_floats, kinds=("gaussian",)),
+    *(
+        _Key("initial", name, f"initial.modes.{name}", read, _fmt_entries,
+             kinds=("fourier_modes",))
+        for name, read in (
+            ("zeta", _mode_entries),
+            ("velocity_x", _mode_entries),
+            ("velocity_y", _second_axis_entries),
+        )
+    ),
+    _Key("initial", "path", "initial.path", _path, str, required=True, kinds=("file",)),
+    _Key("bathymetry", "type", "bathymetry.kind", _one_of(_BATHYMETRY_KINDS), str),
+    _Key("bathymetry", "amplitude", "bathymetry.amplitude", _number, required=True,
+         kinds=("gaussian_bump",)),
+    _Key("bathymetry", "width", "bathymetry.width", _number, required=True,
+         kinds=("gaussian_bump",)),
+    _Key("bathymetry", "center", "bathymetry.center", _numbers, _fmt_floats,
+         kinds=("gaussian_bump",)),
+    _Key("bathymetry", "modes", "bathymetry.modes", _mode_entries, _fmt_entries,
+         required=True, kinds=("fourier_modes",)),
+    _Key("bathymetry", "path", "bathymetry.path", _path, str, required=True, kinds=("file",)),
+    _Key("output", "directory", "output.directory", _text, str),
+    _Key("output", "diag_stride", "integration.diag_stride", _integer, str),
+    _Key("output", "snapshot_stride", "integration.snapshot_stride", _integer, str),
+    _Key("output", "formats", "output.formats", _words, _fmt_words),
 )
+_SECTIONS = tuple(dict.fromkeys(key.section for key in _TABLE))
+
+
+def _applies(key: _Key, section: str, kind: str | None) -> bool:
+    """Whether ``key`` is read and written in ``section`` when its ``type``
+    is ``kind``: None before ``type``, which comes first, or without it."""
+    return key.section == section and (not key.kinds or kind in key.kinds)
+
+
+_ABSENT = object()
+
+
+def _get(cfg: RunConfig, path: str) -> object:
+    """The setting at ``path``; ``_ABSENT`` for a mode field not given."""
+    value: object = cfg
+    for step in path.split("."):
+        value = value.get(step, _ABSENT) if isinstance(value, dict) else getattr(value, step)
+    return value
+
+
+# --------------------------------------------------------------- config load
 
 
 def load_config(text: str, overrides: Sequence[str] = ()) -> RunConfig:
@@ -465,90 +449,122 @@ def load_config(text: str, overrides: Sequence[str] = ()) -> RunConfig:
     ``section.key=value`` strings applied before validation.
     """
     mapping = _apply_overrides(_parse_ini(text), overrides)
-    violations: list[str] = []
-    views = {
-        name: _SectionView(name, mapping.get(name, {}), violations)
-        for name in _SECTIONS
-    }
-    for name in mapping:
-        if name not in _SECTIONS:
-            violations.append(f"[{name}]: unknown section")
+    violations = [f"[{name}]: unknown section" for name in mapping if name not in _SECTIONS]
+    unread = {name: dict(mapping.get(name, {})) for name in _SECTIONS}
+    values: dict = {key.field.split(".")[0]: {} for key in _TABLE}  # settings read
 
-    # --- model
-    mv = views["model"]
-    params = mv.build(
-        ModelParams,
-        formulation=mv.choice("formulation", [f.value for f in Formulation]),
-        epsilon=mv.float_("epsilon"),
-        beta=mv.float_("beta"),
-        mu=mv.float_("mu"),
-        h_star=mv.float_("h_star"),
-    )
+    def error(section: str, key: str, reason: str) -> None:
+        violations.append(f"[{section}] {key}: {reason}")
 
-    # --- grid
-    gv = views["grid"]
-    grid: PeriodicGrid | None = None
-    shape = gv.int_list("shape", required=True)
-    lengths = gv.float_list("lengths")
-    if shape is not None:
-        if lengths is None:
-            lengths = tuple(2.0 * math.pi for _ in shape)
-        grid = gv.build(PeriodicGrid, shape=shape, lengths=lengths)
+    def read(section: str, dim: int = 1) -> bool:
+        """Read the section's keys into ``values``, along their field paths;
+        False when a required key is missing or refused."""
+        complete, kind = True, None
+        for key in _TABLE:
+            if not _applies(key, section, kind):
+                continue
+            raw = unread[section].pop(key.name, None)
+            if raw is None and not key.required:
+                continue
+            try:
+                if raw is None:
+                    raise ValueError("required key missing")
+                value = key.read(raw, dim)
+            except ValueError as exc:
+                error(section, key.name, str(exc))
+                complete = complete and not key.required
+                continue
+            *owners, attr = key.field.split(".")
+            node = values
+            for step in owners:
+                node = node.setdefault(step, {})
+            node[attr] = value
+            if key.name == "type":
+                kind = value
+        return complete
 
-    # --- mollifier
-    ov = views["mollifier"]
-    mollifier = ov.build(
-        MollifierSpec,
-        iota=ov.float_("iota"),
-        profile=ov.choice("profile", _PROFILES),
-        r0=ov.float_("r0"),
-        r1=ov.float_("r1"),
-    )
-
-    # --- output (holds the strides fed into the integration config)
-    wv = views["output"]
-    strides = {key: wv.int_(key) for key in ("diag_stride", "snapshot_stride")}
-    formats = wv.str_("formats")
-    output = wv.build(
-        OutputSpec,
-        directory=wv.str_("directory"),
-        formats=None if formats is None else tuple(formats.split()),
-    )
-
-    # --- integration
-    iv = views["integration"]
-    integration: IntegrationConfig | None = None
-    dt = iv.float_("dt", required=True)
-    t_end = iv.float_("t_end", required=True)
-    scheme = iv.choice("scheme", _SCHEMES)
-    if dt is not None and t_end is not None:
-        integration = iv.build(
-            IntegrationConfig, dt=dt, t_end=t_end, scheme=scheme, mollifier=mollifier, **strides
-        )
-
-    # --- elliptic
-    ev = views["elliptic"]
-    max_iter_raw = ev.str_("max_iterations")
-    max_iterations: int | None = None
-    if max_iter_raw is not None and max_iter_raw.lower() != "none":
+    def build(section: str, cls: type, settings: dict):
+        """``cls`` from the settings read, its own defaults for the rest; a
+        refusal is recorded as a ``*`` violation and gives None."""
         try:
-            max_iterations = int(max_iter_raw, 10)
-        except ValueError:
-            ev.error("max_iterations", f"not an integer or 'none': {max_iter_raw!r}")
-    elliptic = ev.build(
-        EllipticSolveConfig,
-        rel_tolerance=ev.float_("rel_tolerance"),
-        max_iterations=max_iterations,
-    )
+            return cls(**{k: v for k, v in settings.items() if v is not None})
+        except ValidationError as exc:
+            error(section, "*", str(exc))
+            return None
 
-    # --- initial condition and bathymetry
-    initial = _build_initial_spec(views["initial"], grid, params)
-    bathymetry = _build_bathymetry_spec(views["bathymetry"], grid, params)
+    # dependency order: the mode readers need the grid's dimension, and the
+    # integration takes the mollifier and the strides of [output]
+    read("model")
+    params = build("model", ModelParams, values["params"])
+    grid: PeriodicGrid | None = None
+    if read("grid"):
+        shape = values["grid"]["shape"]
+        values["grid"].setdefault("lengths", tuple(2.0 * math.pi for _ in shape))
+        grid = build("grid", PeriodicGrid, values["grid"])
+    dim = grid.dim if grid is not None else 1
+    read("mollifier")
+    mollifier = build("mollifier", MollifierSpec, values["integration"].pop("mollifier", {}))
+    read("output")
+    output = build("output", OutputSpec, values["output"])
+    integration: IntegrationConfig | None = None
+    if read("integration"):
+        values["integration"]["mollifier"] = mollifier
+        integration = build("integration", IntegrationConfig, values["integration"])
+    read("elliptic")
+    elliptic = build("elliptic", EllipticSolveConfig, values["elliptic"])
 
-    for view in views.values():
-        for key in view.unknown_keys():
-            view.error(key, "unknown key")
+    def check_bump(section: str) -> None:
+        """Center arity (mid-domain by default) and width > 0 of a bump."""
+        spec = values[section]
+        center, width = spec.get("center"), spec.get("width")
+        if grid is not None:
+            if center is not None and len(center) != grid.dim:
+                error(section, "center", f"needs {grid.dim} coordinate(s), got {len(center)}")
+            spec.setdefault("center", tuple(0.5 * ell for ell in grid.lengths))
+        if width is not None and width <= 0.0:
+            error(section, "width", f"must be positive, got {width}")
 
+    def check_band(section: str, key: str, entries: tuple[ModeEntry, ...]) -> None:
+        cutoffs = tuple(n // 3 for n in grid.shape)
+        for mode, _amp, _phase in entries:
+            if any(abs(m) > cut for m, cut in zip(mode, cutoffs)):
+                band = f"lies outside the retained spectral band (|m_i| <= {cutoffs})"
+                error(section, key, f"mode {mode} {band}")
+
+    complete = read("initial", dim)
+    spec = values["initial"]
+    kind = spec.get("kind", InitialSpec.kind)
+    if kind == "gaussian":
+        check_bump("initial")
+    elif kind == "fourier_modes" and grid is not None:
+        for key, entries in spec.get("modes", {}).items():
+            check_band("initial", key, entries)
+    elif kind == "solitary_wave":
+        amplitude = spec.get("amplitude")
+        if amplitude is not None and amplitude <= 0.0:
+            error("initial", "amplitude", f"must be positive, got {amplitude}")
+        if grid is not None and grid.dim != 1:
+            error("initial", "type", "solitary_wave requires a one-dimensional grid")
+        if params is not None and (params.mu <= 0.0 or params.epsilon <= 0.0):
+            error("initial", "type", "solitary_wave requires mu > 0 and epsilon > 0")
+    initial = build("initial", InitialSpec, spec) if complete else None
+
+    # a varying bottom needs beta > 0, reported ahead of the bottom's own keys
+    kind = mapping.get("bathymetry", {}).get("type")
+    if kind in _BATHYMETRY_KINDS and kind != "flat" and params is not None:
+        if params.beta == 0.0:
+            error("bathymetry", "type", "a varying bottom requires beta > 0, got beta = 0")
+    complete = read("bathymetry", dim)
+    spec = values["bathymetry"]
+    if spec.get("kind") == "gaussian_bump":
+        check_bump("bathymetry")
+    elif spec.get("kind") == "fourier_modes" and grid is not None:
+        check_band("bathymetry", "modes", spec.get("modes", ()))
+    bathymetry = build("bathymetry", BathymetrySpec, spec) if complete else None
+
+    for section in _SECTIONS:
+        for key in unread[section]:
+            error(section, key, "unknown key")
     if violations:
         raise ValidationError(
             f"configuration invalid ({len(violations)} issue(s)): "
@@ -568,18 +584,7 @@ def load_config(text: str, overrides: Sequence[str] = ()) -> RunConfig:
     )
 
 
-# ---------------------------------------------------------------- config save
-
-
-def _fmt_float(value: float) -> str:
-    return repr(float(value))
-
-
-def _fmt_entry(entry: ModeEntry) -> str:
-    mode, amplitude, phase = entry
-    return " ".join(
-        [*(str(m) for m in mode), _fmt_float(amplitude), _fmt_float(phase)]
-    )
+# --------------------------------------------------------------- config save
 
 
 def save_config(cfg: RunConfig) -> str:
@@ -590,81 +595,19 @@ def save_config(cfg: RunConfig) -> str:
     ``x`` accepted by :func:`load_config`,
     ``save_config(load_config(x))`` is a fixed point of the load/save pair.
     """
-    params, grid, icfg = cfg.params, cfg.grid, cfg.integration
-    moll, ecfg = icfg.mollifier, cfg.elliptic
     lines: list[str] = []
-
-    lines += [
-        "[model]",
-        f"epsilon = {_fmt_float(params.epsilon)}",
-        f"beta = {_fmt_float(params.beta)}",
-        f"mu = {_fmt_float(params.mu)}",
-        f"formulation = {params.formulation.value}",
-        f"h_star = {_fmt_float(params.h_star)}",
-        "",
-        "[grid]",
-        "shape = " + " ".join(str(n) for n in grid.shape),
-        "lengths = " + " ".join(_fmt_float(ell) for ell in grid.lengths),
-        "",
-        "[integration]",
-        f"dt = {_fmt_float(icfg.dt)}",
-        f"t_end = {_fmt_float(icfg.t_end)}",
-        f"scheme = {icfg.scheme}",
-        "",
-        "[mollifier]",
-        f"iota = {_fmt_float(moll.iota)}",
-        f"profile = {moll.profile}",
-        f"r0 = {_fmt_float(moll.r0)}",
-        f"r1 = {_fmt_float(moll.r1)}",
-        "",
-        "[elliptic]",
-        f"rel_tolerance = {_fmt_float(ecfg.rel_tolerance)}",
-        "max_iterations = "
-        + ("none" if ecfg.max_iterations is None else str(ecfg.max_iterations)),
-        "",
-        "[initial]",
-        f"type = {cfg.initial.kind}",
-    ]
-    ini = cfg.initial
-    if ini.kind == "gaussian":
-        lines += [
-            f"amplitude = {_fmt_float(ini.amplitude)}",
-            f"width = {_fmt_float(ini.width)}",
-            "center = " + " ".join(_fmt_float(c) for c in ini.center),
-        ]
-    elif ini.kind == "fourier_modes":
-        for key in _FIELD_KEYS:
-            if key in ini.modes:
-                lines.append(
-                    f"{key} = " + " ; ".join(_fmt_entry(e) for e in ini.modes[key])
-                )
-    elif ini.kind == "solitary_wave":
-        lines.append(f"amplitude = {_fmt_float(ini.amplitude)}")
-    elif ini.kind == "file":
-        lines.append(f"path = {ini.path}")
-
-    bat = cfg.bathymetry
-    lines += ["", "[bathymetry]", f"type = {bat.kind}"]
-    if bat.kind == "gaussian_bump":
-        lines += [
-            f"amplitude = {_fmt_float(bat.amplitude)}",
-            f"width = {_fmt_float(bat.width)}",
-            "center = " + " ".join(_fmt_float(c) for c in bat.center),
-        ]
-    elif bat.kind == "fourier_modes":
-        lines.append("modes = " + " ; ".join(_fmt_entry(e) for e in bat.modes))
-    elif bat.kind == "file":
-        lines.append(f"path = {bat.path}")
-
-    lines += [
-        "",
-        "[output]",
-        f"directory = {cfg.output.directory}",
-        f"diag_stride = {icfg.diag_stride}",
-        f"snapshot_stride = {icfg.snapshot_stride}",
-        "formats = " + " ".join(cfg.output.formats),
-        "",
-    ]
+    for section in _SECTIONS:
+        lines.append(f"[{section}]")
+        kind = None
+        for key in _TABLE:
+            if not _applies(key, section, kind):
+                continue
+            value = _get(cfg, key.field)
+            if value is not _ABSENT:
+                lines.append(f"{key.name} = {key.write(value)}")
+            if key.name == "type":
+                kind = value
+        lines.append("")
     return "\n".join(lines)
 
 

@@ -204,10 +204,15 @@ def restrict_to_grid(data: np.ndarray, fine: PeriodicGrid, coarse: PeriodicGrid)
     """Spectral restriction of scalar or stacked-vector data between grids.
 
     Copies the Fourier coefficients the coarse grid can represent (coarse
-    Nyquist rows dropped); exact for band-limited fields.
+    Nyquist rows dropped); exact for band-limited fields. A target grid finer
+    than the source on any axis is refused.
     """
     if fine.lengths != coarse.lengths:
         raise ValidationError("restriction requires identical box lengths")
+    if any(n_c > n_f for n_f, n_c in zip(fine.shape, coarse.shape)):
+        raise ValidationError(
+            f"cannot restrict from grid {fine.shape} to the finer grid {coarse.shape}"
+        )
     spec = fine.fft(data)
     out_spec = np.zeros(data.shape[: data.ndim - fine.dim] + coarse.spectral_shape, complex)
     sel_src, sel_dst = [], []

@@ -483,7 +483,7 @@ class TestAcceptance:
         base = norm_Hn(f, order)
         ratios = [
             norm_Hn(
-                f - ScalarField(g, mollify(g, f.data, MollifierSpec(iota=iota))), order - 1
+                ScalarField(g, f.data - mollify(g, f.data, MollifierSpec(iota=iota))), order - 1
             )
             / (iota * base)
             for iota in iotas

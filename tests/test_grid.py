@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gnwave.errors import GridMismatchError, ValidationError
-from gnwave.grid import PeriodicGrid, ScalarField, VectorField
+from gnwave.errors import ValidationError
+from gnwave.grid import PeriodicGrid, ScalarField
 
 
 def grid1(n=64, length=2.0 * np.pi) -> PeriodicGrid:
@@ -228,29 +228,6 @@ class TestFields:
         bad[3] = np.nan
         with pytest.raises(ValidationError, match="finite"):
             ScalarField(g, bad)
-
-    def test_grid_mismatch_raises(self):
-        a = ScalarField(grid1(16), np.ones(16))
-        b = ScalarField(grid1(32), np.ones(32))
-        with pytest.raises(GridMismatchError):
-            _ = a + b
-
-    def test_arithmetic(self):
-        g = grid1(16)
-        x = g.coords[0]
-        f = ScalarField(g, np.sin(x))
-        h = ScalarField(g, np.cos(x))
-        assert np.allclose((2.0 * f + h - f).data, np.sin(x) + np.cos(x))
-        assert np.allclose((f * h).data, np.sin(x) * np.cos(x))
-        assert np.allclose((-f / 2.0).data, -0.5 * np.sin(x))
-
-    def test_vector_field_ops(self):
-        g = grid2(16)
-        u = VectorField(g, np.ones((2,) + g.shape))
-        v = VectorField(g, 2.0 * np.ones((2,) + g.shape))
-        assert np.allclose(u.dot(v).data, 4.0)
-        assert np.allclose((u + v).data, 3.0)
-        assert np.allclose(u.component(1).data, 1.0)
 
     def test_grid_methods_on_field_data(self):
         """The calculus lives on the grid and takes a field's array."""

@@ -1,4 +1,5 @@
 """Tests for configuration parsing, snapshots, diagnostics CSV, builders."""
+import dataclasses
 import io as stdio
 
 import numpy as np
@@ -10,8 +11,12 @@ from gnwave.diagnostics import DiagnosticsRecord
 from gnwave.errors import ParseError, SnapshotFormatError, ValidationError
 from gnwave.grid import PeriodicGrid, ScalarField, VectorField
 from gnwave.io import (
+    _TABLE,
     DIAGNOSTIC_COLUMNS,
+    BathymetrySpec,
     FileSinks,
+    InitialSpec,
+    OutputSpec,
     append_diagnostics,
     build_bathymetry,
     build_initial_state,
@@ -24,8 +29,9 @@ from gnwave.io import (
 )
 from gnwave.models import FluidState, Formulation, ModelParams, VariableKind
 from gnwave.operators import EllipticSolveConfig
+from gnwave.regularization import MollifierSpec
 from gnwave.solitary import solitary_wave_state
-from gnwave.timeloop import run
+from gnwave.timeloop import IntegrationConfig, run
 
 MINIMAL = """
 [grid]
@@ -243,6 +249,98 @@ formats = csv
         assert again.params == cfg.params
         assert again.integration == cfg.integration
         assert again.grid.compatible(cfg.grid)
+
+
+MINIMAL_2D = MINIMAL.replace("shape = 16", "shape = 16 16")
+BETA = "\n[model]\nbeta = 0.4\n"
+
+# (config text, the block save_config writes for its [initial],
+# [bathymetry] or [elliptic] section)
+SAVED_BLOCKS = {
+    "gaussian": (
+        MINIMAL + "\n[initial]\ntype = gaussian\namplitude = 0.1\nwidth = 0.5\n",
+        "[initial]\ntype = gaussian\namplitude = 0.1\nwidth = 0.5\ncenter = 3.141592653589793",
+    ),
+    "fourier_modes_1d": (
+        MINIMAL
+        + "\n[initial]\ntype = fourier_modes\n"
+        + "zeta = 1 0.01 0.0 ; 2 0.005 0.5\nvelocity_x = 3 -0.02 1.5\n",
+        "[initial]\ntype = fourier_modes\n"
+        "zeta = 1 0.01 0.0 ; 2 0.005 0.5\nvelocity_x = 3 -0.02 1.5",
+    ),
+    "fourier_modes_2d": (
+        MINIMAL_2D
+        + "\n[initial]\ntype = fourier_modes\nzeta = 1 0 0.05 0.0\nvelocity_y = 0 1 0.01 0.25\n",
+        "[initial]\ntype = fourier_modes\nzeta = 1 0 0.05 0.0\nvelocity_y = 0 1 0.01 0.25",
+    ),
+    "solitary_wave": (
+        "[grid]\nshape = 128\nlengths = 50.0\n\n[integration]\ndt = 0.01\nt_end = 0.1\n"
+        "\n[initial]\ntype = solitary_wave\namplitude = 0.2\n",
+        "[initial]\ntype = solitary_wave\namplitude = 0.2",
+    ),
+    "initial_file": (
+        MINIMAL + "\n[initial]\ntype = file\npath = ic.gnwv\n",
+        "[initial]\ntype = file\npath = ic.gnwv",
+    ),
+    "gaussian_bump": (
+        MINIMAL
+        + BETA
+        + "\n[bathymetry]\ntype = gaussian_bump\namplitude = 0.3\nwidth = 0.8\ncenter = 2.5\n",
+        "[bathymetry]\ntype = gaussian_bump\namplitude = 0.3\nwidth = 0.8\ncenter = 2.5",
+    ),
+    "bottom_fourier_modes": (
+        MINIMAL_2D
+        + BETA
+        + "\n[bathymetry]\ntype = fourier_modes\nmodes = 1 1 0.15 0 ; 1 -1 0.15 0\n",
+        "[bathymetry]\ntype = fourier_modes\nmodes = 1 1 0.15 0.0 ; 1 -1 0.15 0.0",
+    ),
+    "bottom_file": (
+        MINIMAL + BETA + "\n[bathymetry]\ntype = file\npath = bottom.f64\n",
+        "[bathymetry]\ntype = file\npath = bottom.f64",
+    ),
+    "max_iterations_none": (
+        MINIMAL + "\n[elliptic]\nmax_iterations = none\n",
+        "[elliptic]\nrel_tolerance = 1e-12\nmax_iterations = none",
+    ),
+    "max_iterations_40": (
+        MINIMAL + "\n[elliptic]\nmax_iterations = 40\n",
+        "[elliptic]\nrel_tolerance = 1e-12\nmax_iterations = 40",
+    ),
+}
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize("case", SAVED_BLOCKS)
+    def test_saved_block(self, case):
+        """Each section kind saves to a fixed text, and saving what loads
+        from the saved text reproduces it."""
+        text, block = SAVED_BLOCKS[case]
+        saved = save_config(load_config(text))
+        header = block.split("\n", 1)[0]
+        assert [b for b in saved.split("\n\n") if b.startswith(header)] == [block]
+        assert save_config(load_config(saved)) == saved
+
+    def test_every_setting_has_one_key(self):
+        """Each setting of a run config is reached by exactly one key of the
+        schema, and each key reaches a setting."""
+        owners = {
+            "params": ModelParams,
+            "grid": PeriodicGrid,
+            "integration": IntegrationConfig,
+            "integration.mollifier": MollifierSpec,
+            "elliptic": EllipticSolveConfig,
+            "initial": InitialSpec,
+            "bathymetry": BathymetrySpec,
+            "output": OutputSpec,
+        }
+        settings = {
+            f"{owner}.{field.name}"
+            for owner, cls in owners.items()
+            for field in dataclasses.fields(cls)
+        }
+        settings -= {"integration.mollifier", "initial.modes"}  # reached through their parts
+        settings |= {f"initial.modes.{name}" for name in ("zeta", "velocity_x", "velocity_y")}
+        assert sorted(key.field for key in _TABLE) == sorted(settings)
 
 
 class TestSnapshots:

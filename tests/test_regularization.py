@@ -136,7 +136,7 @@ class TestOperatorProperties:
         base = norm_Hn(f, n)
         ratios = []
         for iota in (0.2, 0.1, 0.05):
-            diff = f - ScalarField(g, mollify(g, f.data, MollifierSpec(iota=iota)))
+            diff = ScalarField(g, f.data - mollify(g, f.data, MollifierSpec(iota=iota)))
             ratios.append(norm_Hn(diff, n - 1) / (iota * base))
         assert all(np.isfinite(r) and r > 0 for r in ratios)
         assert max(ratios) <= ratios[0] * (1 + 1e-12)

@@ -155,6 +155,20 @@ class TestRestriction:
         with pytest.raises(ValidationError, match="box lengths"):
             verify.restrict_to_grid(np.zeros(64), fine, coarse)
 
+    def test_finer_target_rejected(self):
+        """A target finer than the source on any axis is refused, naming both
+        shapes; the default ladder of the identity checks reaches it for any
+        input under 128 points."""
+        fine = PeriodicGrid((32, 64), (2 * np.pi, 2 * np.pi))
+        coarse = PeriodicGrid((64, 32), (2 * np.pi, 2 * np.pi))
+        with pytest.raises(ValidationError, match=r"\(32, 64\).*\(64, 32\)"):
+            verify.restrict_to_grid(np.zeros(fine.shape), fine, coarse)
+        g = PeriodicGrid((64,), (2 * np.pi,))
+        zeta, u, bath = random_inputs(g, beta=0.3)
+        params = ModelParams(epsilon=0.3, mu=1.0, beta=0.3)
+        with pytest.raises(ValidationError, match=r"\(64,\) to the finer grid \(128,\)"):
+            verify.check_equivalence_identity(zeta, u, params, bath)
+
 
 class TestEquivalenceIdentity:
     def test_flat_bottom_round_off(self):
