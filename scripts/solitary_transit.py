@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Solitary-wave transit experiment: shape retention over many box crossings.
 
-For each requested amplitude, builds the traveling-wave profile from the
-shooting oracle, integrates the conjugate-variable formulation for a number of
-transit periods at a quarter of the advisory CFL step, and reports the
-relative L² shape error after optimal realignment together with the measured
-propagation speed (from the realignment shift).
+For each requested amplitude, builds the closed-form solitary-wave profile,
+integrates the conjugate-variable formulation for a number of transit
+periods at a quarter of the advisory CFL step, and reports the relative L²
+shape error after optimal realignment together with the measured propagation
+speed (from the realignment shift).
 
 Usage:
     python3 scripts/solitary_transit.py [--amplitudes 0.1 0.2] [--periods 2]

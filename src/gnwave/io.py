@@ -108,6 +108,8 @@ class InitialSpec:
             raise ValidationError(
                 f"initial type must be one of {_INITIAL_KINDS}, got {self.kind!r}"
             )
+        if self.kind == "file" and not self.path:
+            raise ValidationError("initial type 'file' requires a snapshot path")
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
         object.__setattr__(
             self, "modes", {k: _as_entries(v) for k, v in self.modes.items()}
@@ -131,6 +133,8 @@ class BathymetrySpec:
             raise ValidationError(
                 f"bathymetry type must be one of {_BATHYMETRY_KINDS}, got {self.kind!r}"
             )
+        if self.kind == "file" and not self.path:
+            raise ValidationError("bathymetry type 'file' requires a file path")
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
         object.__setattr__(self, "modes", _as_entries(self.modes))
 
@@ -426,6 +430,11 @@ def _applies(key: _Key, section: str, kind: str | None) -> bool:
 _ABSENT = object()
 
 
+def _mid_domain(grid: PeriodicGrid) -> tuple[float, ...]:
+    """The center a bump takes when its config gives none."""
+    return tuple(0.5 * ell for ell in grid.lengths)
+
+
 def _get(cfg: RunConfig, path: str) -> object:
     """The setting at ``path``; ``_ABSENT`` for a mode field not given."""
     value: object = cfg
@@ -520,7 +529,7 @@ def load_config(text: str, overrides: Sequence[str] = ()) -> RunConfig:
         if grid is not None:
             if center is not None and len(center) != grid.dim:
                 error(section, "center", f"needs {grid.dim} coordinate(s), got {len(center)}")
-            spec.setdefault("center", tuple(0.5 * ell for ell in grid.lengths))
+            spec.setdefault("center", _mid_domain(grid))
         if width is not None and width <= 0.0:
             error(section, "width", f"must be positive, got {width}")
 
@@ -603,6 +612,8 @@ def save_config(cfg: RunConfig) -> str:
             if not _applies(key, section, kind):
                 continue
             value = _get(cfg, key.field)
+            if key.name == "center" and not value:  # the empty center is mid-domain
+                value = _mid_domain(cfg.grid)
             if value is not _ABSENT:
                 lines.append(f"{key.name} = {key.write(value)}")
             if key.name == "type":
@@ -623,11 +634,12 @@ def _periodic_gaussian(
     The periodic image sum factorizes per axis; enough images are added
     that the truncated tail is below double-precision resolution.
     """
+    center = center or _mid_domain(grid)
     out = np.ones(grid.shape)
     for axis in range(grid.dim):
         x = grid.axis_coords[axis]
         length = grid.lengths[axis]
-        c = float(center[axis]) if center else 0.5 * length
+        c = float(center[axis])
         images = min(64, int(math.ceil((40.0 * width + 0.5 * length) / length)))
         g = np.zeros_like(x)
         for n_img in range(-images, images + 1):

@@ -17,6 +17,7 @@ from gnwave.io import (
     FileSinks,
     InitialSpec,
     OutputSpec,
+    RunConfig,
     append_diagnostics,
     build_bathymetry,
     build_initial_state,
@@ -254,12 +255,24 @@ formats = csv
 MINIMAL_2D = MINIMAL.replace("shape = 16", "shape = 16 16")
 BETA = "\n[model]\nbeta = 0.4\n"
 
-# (config text, the block save_config writes for its [initial],
-# [bathymetry] or [elliptic] section)
+
+def built_config(**settings) -> RunConfig:
+    """The MINIMAL config built in code, with ``settings`` replaced."""
+    return dataclasses.replace(load_config(MINIMAL), **settings)
+
+
+MID = "center = 3.141592653589793"
+
+# (config text or a config built in code, the block save_config writes for
+# its [initial], [bathymetry] or [elliptic] section)
 SAVED_BLOCKS = {
     "gaussian": (
         MINIMAL + "\n[initial]\ntype = gaussian\namplitude = 0.1\nwidth = 0.5\n",
-        "[initial]\ntype = gaussian\namplitude = 0.1\nwidth = 0.5\ncenter = 3.141592653589793",
+        "[initial]\ntype = gaussian\namplitude = 0.1\nwidth = 0.5\n" + MID,
+    ),
+    "gaussian_built": (
+        built_config(initial=InitialSpec(kind="gaussian", amplitude=0.1)),
+        "[initial]\ntype = gaussian\namplitude = 0.1\nwidth = 1.0\n" + MID,
     ),
     "fourier_modes_1d": (
         MINIMAL
@@ -288,6 +301,13 @@ SAVED_BLOCKS = {
         + "\n[bathymetry]\ntype = gaussian_bump\namplitude = 0.3\nwidth = 0.8\ncenter = 2.5\n",
         "[bathymetry]\ntype = gaussian_bump\namplitude = 0.3\nwidth = 0.8\ncenter = 2.5",
     ),
+    "gaussian_bump_built": (
+        built_config(
+            params=ModelParams(beta=0.4),
+            bathymetry=BathymetrySpec(kind="gaussian_bump", amplitude=0.3),
+        ),
+        "[bathymetry]\ntype = gaussian_bump\namplitude = 0.3\nwidth = 1.0\n" + MID,
+    ),
     "bottom_fourier_modes": (
         MINIMAL_2D
         + BETA
@@ -312,13 +332,28 @@ SAVED_BLOCKS = {
 class TestConfigSchema:
     @pytest.mark.parametrize("case", SAVED_BLOCKS)
     def test_saved_block(self, case):
-        """Each section kind saves to a fixed text, and saving what loads
-        from the saved text reproduces it."""
-        text, block = SAVED_BLOCKS[case]
-        saved = save_config(load_config(text))
+        """Each section kind saves to a fixed text, saving what loads from
+        the saved text reproduces it, and the loaded config builds the same
+        fields."""
+        source, block = SAVED_BLOCKS[case]
+        cfg = load_config(source) if isinstance(source, str) else source
+        saved = save_config(cfg)
         header = block.split("\n", 1)[0]
         assert [b for b in saved.split("\n\n") if b.startswith(header)] == [block]
-        assert save_config(load_config(saved)) == saved
+        back = load_config(saved)
+        assert save_config(back) == saved
+        if "file" not in (cfg.initial.kind, cfg.bathymetry.kind):
+            assert np.array_equal(
+                build_initial_state(back).zeta.data, build_initial_state(cfg).zeta.data
+            )
+            assert np.array_equal(build_bathymetry(back).b.data, build_bathymetry(cfg).b.data)
+
+    @pytest.mark.parametrize("spec", [InitialSpec, BathymetrySpec])
+    def test_file_kind_needs_path(self, spec):
+        """A file kind built in code without a path is refused, so no config
+        saves an empty path."""
+        with pytest.raises(ValidationError, match="requires a .*path"):
+            spec(kind="file")
 
     def test_every_setting_has_one_key(self):
         """Each setting of a run config is reached by exactly one key of the

@@ -1,9 +1,12 @@
 """Source layout checks: every module-level import of the package is read,
-imports flow one way, and every transform goes through the grid."""
+imports flow one way, every transform goes through the grid, and importing
+the command line loads no scipy."""
 from __future__ import annotations
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import gnwave
@@ -123,3 +126,20 @@ def test_transforms_go_through_the_grid():
             if TRANSFORM.search(line):
                 calls.append(f"{path.name}:{line_no}")
     assert not calls, "transforms outside grid.py: " + ", ".join(calls)
+
+
+def test_cli_imports_no_scipy():
+    """numpy is the one runtime dependency: a fresh interpreter that imports
+    the command line has loaded no scipy module."""
+    probe = (
+        "import sys, gnwave.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        cwd=SOURCE.parent,
+    )
+    assert out.stdout.strip() == "[]"

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -458,7 +459,7 @@ class TestTravelingWaveOracle:
         assert sympy.simplify(residual) == 0
 
     def test_profile_matches_closed_form(self):
-        """The numerically integrated profile agrees with the sech² hump."""
+        """The profile agrees with the sech² hump."""
         g = PeriodicGrid((256,), (50.0,))
         params = ModelParams(epsilon=1.0, mu=1.0)
         state = verify.solitary_wave_state(g, 0.2, params, kind=VariableKind.U_VARIABLE)
@@ -467,6 +468,28 @@ class TestTravelingWaveOracle:
         kappa = math.sqrt(3 * 0.2 / (4 * 1.2))
         exact = 0.2 / np.cosh(kappa * off) ** 2
         assert np.max(np.abs(state.zeta.data - exact)) < 1e-9
+
+    @pytest.mark.parametrize("amplitude, epsilon, mu", [(0.2, 1.0, 1.0), (0.4, 0.5, 0.7)])
+    def test_profile_solves_the_ode(self, amplitude, epsilon, mu):
+        """The profile's depth satisfies h'' = (3/(2μc²))(h − 1)(2c² − 3h + 1),
+        with h'' the grid's spectral second derivative."""
+        g = PeriodicGrid((512,), (80.0,))
+        params = ModelParams(epsilon=epsilon, mu=mu)
+        zeta, _, c = verify.solitary_wave_profile(g.coords[0] - 40.0, amplitude, params)
+        h = 1.0 + epsilon * zeta
+        h_xx = g.irfft(g.laplacian_multiplier * g.rfft(h))
+        rhs = 1.5 / (mu * c**2) * (h - 1.0) * (2.0 * c**2 - 3.0 * h + 1.0)
+        assert np.max(np.abs(h_xx - rhs)) < 1e-10
+
+    def test_far_offsets_stay_finite(self):
+        """Offsets far beyond the wave's width give finite values and no
+        floating-point warning."""
+        x = np.array([-1e4, -5000.0, -710.0, 0.0, 710.0, 5000.0, 1e4])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            zeta, u, _ = verify.solitary_wave_profile(x, 0.2, ModelParams(epsilon=1.0, mu=1.0))
+        assert np.all(np.isfinite(zeta)) and np.all(np.isfinite(u))
+        assert zeta[0] == zeta[-1] == 0.0 and zeta[3] == pytest.approx(0.2, rel=1e-15)
 
     def test_profile_is_steady_in_u_form(self):
         """Classical tendencies reduce to advection at the wave speed."""
