@@ -7,6 +7,8 @@ table; ``converge`` and ``dispersion`` drive the respective studies;
 ``equivalence`` checks the two formulations against each other on random or
 supplied states; ``info`` prints the normalized configuration and derived
 run quantities.
+``run``, ``info`` and ``converge`` read a configuration; the other
+commands build their own cases.
 
 Exit codes: 0 when all requested work succeeded and every check passed,
 1 for validation problems (bad arguments, bad or missing configuration),
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import sys
 import warnings
 from pathlib import Path
@@ -26,6 +27,7 @@ from typing import Callable, Sequence, TextIO
 import numpy as np
 
 from . import verify
+from .diagnostics import DEFAULT_ORDER, _check_order
 from .errors import (
     BlowUpError,
     CoercivityViolationError,
@@ -47,7 +49,7 @@ from .io import (
 )
 from .models import FluidState, ModelParams, VariableKind, u_from_v
 from .operators import BathymetryState
-from .timeloop import CollectingSinks, IntegrationConfig, cfl_time_step, run
+from .timeloop import CollectingSinks, IntegrationConfig, cfl_time_step, run, step_schedule
 
 __all__ = ["main", "build_parser"]
 
@@ -72,28 +74,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, config_help: str) -> None:
-        p.add_argument("--config", metavar="PATH", default=None, help=config_help)
-        p.add_argument(
-            "--set",
-            dest="overrides",
-            action="append",
-            default=[],
-            metavar="SECTION.KEY=VALUE",
-            help="override one config value (repeatable)",
-        )
-        p.add_argument(
-            "--output", metavar="DIR", default=None, help="override the output directory"
-        )
+    def add_common(
+        p: argparse.ArgumentParser, config_help: str | None = None, output: bool = False
+    ) -> None:
+        if config_help is not None:
+            p.add_argument("--config", metavar="PATH", default=None, help=config_help)
+            p.add_argument(
+                "--set",
+                dest="overrides",
+                action="append",
+                default=[],
+                metavar="SECTION.KEY=VALUE",
+                help="override one config value (repeatable)",
+            )
+        if output:
+            p.add_argument(
+                "--output", metavar="DIR", default=None, help="override the output directory"
+            )
         p.add_argument("--seed", type=int, default=0, help="seed for any randomness")
 
     p_run = sub.add_parser("run", help="integrate a configured problem")
-    add_common(p_run, "run configuration (required)")
+    add_common(p_run, "run configuration (required)", output=True)
 
-    p_verify = sub.add_parser("verify", help="execute the identity/invariant suite")
-    add_common(p_verify, "optional configuration (model parameters only)")
+    p_verify = sub.add_parser("verify", help="execute the built-in identity/invariant suite")
+    add_common(p_verify)
 
-    p_conv = sub.add_parser("converge", help="self-convergence studies")
+    p_conv = sub.add_parser(
+        "converge", help="self-convergence studies of a built-in or configured problem"
+    )
     add_common(p_conv, "optional configuration defining the problem")
     p_conv.add_argument(
         "--dt-values",
@@ -113,8 +121,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_conv.add_argument("--csv", metavar="PATH", default=None, help="also write CSV")
 
-    p_disp = sub.add_parser("dispersion", help="measure linear wave frequencies")
-    add_common(p_disp, "optional configuration (grid and mu)")
+    p_disp = sub.add_parser(
+        "dispersion", help="measure linear wave frequencies on a built-in flat case"
+    )
+    add_common(p_disp)
     p_disp.add_argument(
         "--modes", type=int, nargs="+", default=[1, 2, 4, 8], metavar="M"
     )
@@ -123,9 +133,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_disp.add_argument("--csv", metavar="PATH", default=None, help="also write CSV")
 
     p_equiv = sub.add_parser(
-        "equivalence", help="check the two formulations against each other"
+        "equivalence",
+        help="check the two formulations against each other on built-in or stored states",
     )
-    add_common(p_equiv, "optional configuration (model parameters only)")
+    add_common(p_equiv)
     p_equiv.add_argument(
         "--state",
         metavar="SNAPSHOT",
@@ -133,8 +144,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the checks on a stored state instead of random fields",
     )
 
-    p_info = sub.add_parser("info", help="print the normalized configuration")
-    add_common(p_info, "configuration to describe (required)")
+    p_info = sub.add_parser(
+        "info", help="print the normalized configuration and the run it describes"
+    )
+    add_common(p_info, "configuration to describe (required)", output=True)
     return parser
 
 
@@ -147,43 +160,37 @@ def _read_config(args: argparse.Namespace) -> RunConfig:
     if not path.is_file():
         raise ValidationError(f"config file {str(path)!r} does not exist")
     cfg = load_config(path.read_text(), overrides=tuple(args.overrides))
-    if args.output is not None:
+    if getattr(args, "output", None) is not None:
         cfg = dataclasses.replace(
             cfg, output=dataclasses.replace(cfg.output, directory=args.output)
         )
     return cfg
 
 
-def _optional_config(args: argparse.Namespace) -> RunConfig | None:
-    if args.config is None:
-        if args.overrides:
-            raise ValidationError("--set requires --config")
-        return None
-    return _read_config(args)
-
-
 # ----------------------------------------------------------------- random IC
 
+# the (surface, velocity, parameters, bottom) that the agreement checks take
+_Case = tuple[ScalarField, VectorField, ModelParams, BathymetryState]
 
-def _random_case(
-    dim: int, seed: int, beta: float, n_fine: int, cfg: RunConfig | None
-) -> tuple[ScalarField, VectorField, ModelParams, BathymetryState]:
-    """Seeded band-limited (surface, velocity, bathymetry) verification case;
-    ``cfg``, when given, supplies every model parameter but the formulation
-    and β."""
+
+def _random_case(dim: int, seed: int, n_fine: int) -> _Case:
+    """Seeded band-limited (surface, velocity, bathymetry) verification case."""
     rng = np.random.default_rng(seed)
     grid = PeriodicGrid((n_fine,) * dim, (2.0 * np.pi,) * dim)
     zeta = verify.band_limited_scalar(grid, rng, 4, 0.4)
     u = verify.band_limited_vector(grid, rng, 4, 0.7)
-    if beta:
-        b = verify.band_limited_scalar(grid, rng, 3, 0.5)
-        bath = BathymetryState(ScalarField(grid, b), beta)
-    else:
-        bath = BathymetryState.flat(grid)
-    params = ModelParams(epsilon=0.3, beta=beta, mu=0.8)
-    if cfg is not None:
-        params = dataclasses.replace(cfg.params, formulation=params.formulation, beta=bath.beta)
+    b = verify.band_limited_scalar(grid, rng, 3, 0.5)
+    params = ModelParams(epsilon=0.3, beta=0.5, mu=0.8)
+    bath = BathymetryState(ScalarField(grid, b), params.beta)
     return ScalarField(grid, zeta), VectorField(grid, u), params, bath
+
+
+def _agreement_checks(case: _Case, grids: tuple[int, ...]) -> list[verify.ResidualReport]:
+    """The identity and tendency agreement reports of the two formulations."""
+    return [
+        verify.check_equivalence_identity(*case, grids=grids),
+        verify.check_rhs_equivalence(*case, grids=grids),
+    ]
 
 
 # --------------------------------------------------------------- subcommands
@@ -191,6 +198,7 @@ def _random_case(
 
 def _cmd_run(args: argparse.Namespace, out: TextIO) -> int:
     cfg = _read_config(args)
+    _check_order(cfg.grid, DEFAULT_ORDER)  # refused before the sinks write anything
     print(f"seed = {args.seed}", file=out)
     print(
         f"formulation {cfg.params.formulation.value}, grid {cfg.grid.shape} on "
@@ -242,25 +250,14 @@ def _mass_conservation_check(params: ModelParams, out: TextIO) -> bool:
 
 
 def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
-    cfg = _optional_config(args)
     print(f"seed = {args.seed}", file=out)
-    reports = []
-
-    zeta, u, params, bath = _random_case(1, args.seed, 0.5, 96, cfg)
-    reports.append(verify.check_equivalence_identity(zeta, u, params, bath, grids=(24, 48, 96)))
-    reports.append(verify.check_rhs_equivalence(zeta, u, params, bath, grids=(24, 48, 96)))
-    reports.append(
-        verify.check_variational_structure(zeta, u, params, bath, grids=(24, 48, 96))
-    )
-
-    zeta2, u2, params2, bath2 = _random_case(2, args.seed + 1, 0.5, 64, cfg)
-    reports.append(
-        verify.check_equivalence_identity(zeta2, u2, params2, bath2, grids=(16, 32, 64))
-    )
-    reports.append(verify.check_rhs_equivalence(zeta2, u2, params2, bath2, grids=(16, 32, 64)))
+    case = _random_case(1, args.seed, 96)
+    reports = _agreement_checks(case, (24, 48, 96))
+    reports.append(verify.check_variational_structure(*case, grids=(24, 48, 96)))
+    reports += _agreement_checks(_random_case(2, args.seed + 1, 64), (16, 32, 64))
     print(verify.reports_as_text(reports), end="", file=out)
 
-    flat = ModelParams(epsilon=params.epsilon, beta=0.0, mu=params.mu)
+    flat = dataclasses.replace(case[2], beta=0.0)
     rows = verify.dispersion_study(flat, PeriodicGrid((64,), (2.0 * np.pi,)), (1, 2, 4))
     print(verify.dispersion_as_text(rows), end="", file=out)
     dispersion_ok = all(
@@ -288,8 +285,7 @@ def _default_convergence_problem() -> verify.ConvergenceProblem:
     return verify.ConvergenceProblem(
         params=ModelParams(epsilon=0.1, mu=0.7),
         grid=PeriodicGrid((64,), (2.0 * np.pi,)),
-        t_end=1.0,
-        dt=0.01,
+        integration=IntegrationConfig(dt=0.01, t_end=1.0),
         initial_state=initial_state,
     )
 
@@ -310,17 +306,20 @@ def _problem_from_config(cfg: RunConfig) -> verify.ConvergenceProblem:
     return verify.ConvergenceProblem(
         params=cfg.params,
         grid=cfg.grid,
-        t_end=cfg.integration.t_end,
-        dt=cfg.integration.dt,
+        integration=cfg.integration,
         initial_state=initial_state,
         bathymetry=bathymetry,
-        scheme=cfg.integration.scheme,
     )
 
 
 def _cmd_converge(args: argparse.Namespace, out: TextIO) -> int:
-    cfg = _optional_config(args)
-    problem = _default_convergence_problem() if cfg is None else _problem_from_config(cfg)
+    if args.config is None:
+        if args.overrides:
+            raise ValidationError("--set requires --config")
+        problem, solve = _default_convergence_problem(), None
+    else:
+        cfg = _read_config(args)
+        problem, solve = _problem_from_config(cfg), cfg.elliptic
     dt_values = args.dt_values
     resolutions = args.resolutions
     if dt_values is None and resolutions is None:
@@ -331,9 +330,9 @@ def _cmd_converge(args: argparse.Namespace, out: TextIO) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         if dt_values is not None:
-            reports.append(verify.convergence_study(problem, dt_values=dt_values))
+            reports.append(verify.convergence_study(problem, dt_values=dt_values, cfg=solve))
         if resolutions is not None:
-            reports.append(verify.convergence_study(problem, resolutions=resolutions))
+            reports.append(verify.convergence_study(problem, resolutions=resolutions, cfg=solve))
     print(verify.reports_as_text(reports), end="", file=out)
     if args.csv is not None:
         Path(args.csv).write_text(verify.reports_as_csv(reports))
@@ -341,11 +340,7 @@ def _cmd_converge(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _cmd_dispersion(args: argparse.Namespace, out: TextIO) -> int:
-    cfg = _optional_config(args)
     params, grid = ModelParams(), PeriodicGrid((64,), (2.0 * np.pi,))
-    if cfg is not None:
-        params = ModelParams(epsilon=cfg.params.epsilon, mu=cfg.params.mu)
-        grid = cfg.grid
     print(f"seed = {args.seed}", file=out)
     rows = verify.dispersion_study(
         params, grid, args.modes, amplitude=args.amplitude, periods=args.periods
@@ -359,9 +354,7 @@ def _cmd_dispersion(args: argparse.Namespace, out: TextIO) -> int:
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
-def _supplied_case(
-    path: str,
-) -> tuple[ScalarField, VectorField, ModelParams, BathymetryState, tuple[int, ...]]:
+def _supplied_case(path: str) -> tuple[_Case, tuple[int, ...]]:
     header = read_snapshot_header(path)
     if header.beta != 0.0:
         raise ValidationError(
@@ -381,31 +374,27 @@ def _supplied_case(
         raise ValidationError(
             f"stored state needs at least 32 points per axis, a multiple of 8, got {n}"
         )
-    return state.zeta, state.vel, params, bath, (n // 4, n // 2, n)
+    return (state.zeta, state.vel, params, bath), (n // 4, n // 2, n)
 
 
 def _cmd_equivalence(args: argparse.Namespace, out: TextIO) -> int:
     print(f"seed = {args.seed}", file=out)
     reports = []
     if args.state is not None:
-        zeta, u, params, bath, grids = _supplied_case(args.state)
+        case, grids = _supplied_case(args.state)
         print(f"state from {args.state}", file=out)
-        reports.append(verify.check_equivalence_identity(zeta, u, params, bath, grids=grids))
-        reports.append(verify.check_rhs_equivalence(zeta, u, params, bath, grids=grids))
+        reports += _agreement_checks(case, grids)
     else:
-        cfg = _optional_config(args)
         for dim, n_fine, grids in ((1, 128, (32, 64, 128)), (2, 64, (16, 32, 64))):
-            zeta, u, params, bath = _random_case(dim, args.seed + dim - 1, 0.5, n_fine, cfg)
-            reports.append(
-                verify.check_equivalence_identity(zeta, u, params, bath, grids=grids)
-            )
-            reports.append(verify.check_rhs_equivalence(zeta, u, params, bath, grids=grids))
+            case = _random_case(dim, args.seed + dim - 1, n_fine)
+            reports += _agreement_checks(case, grids)
     print(verify.reports_as_text(reports), end="", file=out)
     return EXIT_OK if all(rep.passed for rep in reports) else EXIT_VERIFICATION
 
 
 def _cmd_info(args: argparse.Namespace, out: TextIO) -> int:
     cfg = _read_config(args)
+    _check_order(cfg.grid, DEFAULT_ORDER)  # the grid that run refuses
     print(f"seed = {args.seed}", file=out)
     print("normalized configuration:", file=out)
     print(save_config(cfg), end="", file=out)
@@ -419,7 +408,7 @@ def _cmd_info(args: argparse.Namespace, out: TextIO) -> int:
     bath = build_bathymetry(cfg)
     state = build_initial_state(cfg)
     advisory = cfl_time_step(state, cfg.params, bath)
-    steps = max(0, math.ceil((cfg.integration.t_end - state.time) / cfg.integration.dt))
+    steps = len(step_schedule(cfg.integration, state.time))
     print(
         f"initial state: {cfg.initial.kind}, starts at t = {state.time}, "
         f"max |fields| = {state.max_abs():.6g}",

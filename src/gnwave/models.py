@@ -22,7 +22,7 @@ its water column, the :class:`DepthState` that :func:`make_depth` builds from
 tendencies do not know the variable kind, which the time stepper checks once
 per run.
 :class:`FluidState` is the typed state of the API edge: the input and output
-of a run or step, snapshots, the ``u ↔ v`` maps and the diagnostics.
+of a run, snapshots, the ``u ↔ v`` maps and the diagnostics.
 """
 from __future__ import annotations
 

@@ -73,7 +73,7 @@ __all__ = [
     "RunReport",
     "cfl_time_step",
     "run",
-    "step",
+    "step_schedule",
 ]
 
 BLOWUP_LIMIT = 1e8
@@ -168,10 +168,10 @@ def _advisory_step(state: FluidState, params: ModelParams, depth: DepthState) ->
 
 class _Stepper:
     """Binds the model tendency, the stage guards and a solver session to the
-    state a run or step starts from, which must be of the formulation's kind.
+    state a run starts from, which must be of the formulation's kind.
 
     A floor ``h_star`` of 0 resolves to the minimum of ``initial_depth``, the
-    water column of the initial state, which is built here when not given.
+    water column of the initial state.
     """
 
     def __init__(
@@ -181,8 +181,8 @@ class _Stepper:
         bath: BathymetryState,
         icfg: IntegrationConfig,
         cfg: EllipticSolveConfig | None,
-        session: SolverSession | None,
-        initial_depth: DepthState | None = None,
+        session: SolverSession,
+        initial_depth: DepthState,
     ) -> None:
         _require_kind(initial, params.expected_kind, f"the {params.formulation.value} formulation")
         if icfg.mollifier.iota > 0.0 and params.formulation is not Formulation.GN_V:
@@ -195,11 +195,7 @@ class _Stepper:
         self.grid = bath.grid
         self.scheme = icfg.scheme
         self.session = session
-        self.h_star = params.h_star
-        if self.h_star == 0.0:
-            if initial_depth is None:
-                initial_depth = make_depth(params, initial.zeta.data, bath)
-            self.h_star = initial_depth.h_min
+        self.h_star = params.h_star or initial_depth.h_min
         form = params.formulation
         if form is Formulation.GN_V:
             spec = icfg.mollifier
@@ -256,9 +252,8 @@ class _Stepper:
                 f"floor {self.h_star:.6g}",
                 min_depth=h_min,
             )
-        if self.session is not None:
-            self.session.time = t
-            self.session.stage = stage
+        self.session.time = t
+        self.session.stage = stage
         return self._tendency(zeta, vel, depth)
 
     def advance(
@@ -293,27 +288,23 @@ class _Stepper:
         return nz, nv
 
 
-def step(
-    state: FluidState,
-    params: ModelParams,
-    bath: BathymetryState,
-    icfg: IntegrationConfig,
-    cfg: EllipticSolveConfig | None = None,
-    session: SolverSession | None = None,
-) -> FluidState:
-    """Advance one full step of size icfg.dt; stages live in the dealiased band."""
-    stepper = _Stepper(state, params, bath, icfg, cfg, session)
-    grid = bath.grid
-    t_next = state.time + icfg.dt
-    z, v = grid.dealias(state.zeta.data), grid.dealias(state.vel.data)
-    z, v = stepper.advance(z, v, state.time, icfg.dt, t_next)
-    return FluidState(ScalarField(grid, z), VectorField(grid, v), state.kind, t_next)
-
-
 def _as_v_state(state: FluidState, params: ModelParams, bath: BathymetryState) -> FluidState:
     if state.kind is VariableKind.V_VARIABLE:
         return state
     return v_from_u(state, params, bath)
+
+
+def step_schedule(icfg: IntegrationConfig, t0: float) -> list[tuple[float, float]]:
+    """The ``(dt, t_next)`` of each step a run from ``t0`` takes: the full
+    steps, then a shorter final one unless the span is a whole number of
+    steps up to round-off."""
+    span = icfg.t_end - t0
+    n_full = max(0, int(math.floor(span / icfg.dt * (1.0 + 1e-12))))
+    steps = [(icfg.dt, t0 + k * icfg.dt) for k in range(1, n_full + 1)]
+    remainder = span - n_full * icfg.dt
+    if remainder > 1e-9 * icfg.dt:
+        steps.append((remainder, icfg.t_end))
+    return steps
 
 
 _TERMINATIONS = {
@@ -380,15 +371,7 @@ def run(
         if want_snapshot and emit_snapshot is not None:
             emit_snapshot(accepted())
 
-    # the full steps, then a shorter final one unless the span is a whole
-    # number of steps up to round-off
-    span = icfg.t_end - initial.time
-    n_full = max(0, int(math.floor(span / icfg.dt * (1.0 + 1e-12))))
-    steps = [(icfg.dt, initial.time + k * icfg.dt) for k in range(1, n_full + 1)]
-    remainder = span - n_full * icfg.dt
-    if remainder > 1e-9 * icfg.dt:
-        steps.append((remainder, icfg.t_end))
-
+    steps = step_schedule(icfg, initial.time)
     steps_done = 0
     termination, failure_time, failure = "completed", None, None
     emit(True, icfg.snapshot_stride > 0)

@@ -50,7 +50,7 @@ from .operators import (
 )
 from .diagnostics import hamiltonian_gn
 from .solitary import solitary_wave_profile, solitary_wave_state
-from .timeloop import IntegrationConfig, CollectingSinks, cfl_time_step, run
+from .timeloop import CollectingSinks, IntegrationConfig, RunReport, cfl_time_step, run
 
 __all__ = [
     "ResidualReport",
@@ -670,36 +670,25 @@ class ConvergenceProblem:
     """A runnable initial-value problem posed on any grid resolution.
 
     ``initial_state`` and ``bathymetry`` are builders so the same continuum
-    problem can be instantiated on every rung of a refinement ladder.
+    problem can be instantiated on every rung of a refinement ladder;
+    ``integration`` describes each run, whose step the dt study replaces.
     """
 
     params: ModelParams
     grid: PeriodicGrid
-    t_end: float
-    dt: float
+    integration: IntegrationConfig
     initial_state: Callable[[PeriodicGrid], FluidState]
     bathymetry: Callable[[PeriodicGrid], BathymetryState] = BathymetryState.flat
-    scheme: str = "rk4"
 
 
-def _final_state(
+def _final_run(
     problem: ConvergenceProblem,
     grid: PeriodicGrid,
     dt: float,
     cfg: EllipticSolveConfig | None,
-) -> FluidState:
-    icfg = IntegrationConfig(
-        dt=dt, t_end=problem.t_end, scheme=problem.scheme, diag_stride=10**9
-    )
-    report = run(
-        problem.initial_state(grid),
-        problem.params,
-        problem.bathymetry(grid),
-        icfg,
-        cfg,
-        diag_order=1,
-    )
-    return report.final_state
+) -> RunReport:
+    icfg = dataclasses.replace(problem.integration, dt=dt)
+    return run(problem.initial_state(grid), problem.params, problem.bathymetry(grid), icfg, cfg)
 
 
 def _state_distance(a: FluidState, b: FluidState) -> float:
@@ -719,27 +708,28 @@ def convergence_study(
 
     Exactly one of ``dt_values`` (compared against a run at half the
     smallest step) or ``resolutions`` (compared against a run at twice the
-    largest size, restricted spectrally) must be given.  Time errors are
-    fourth order for the default scheme; spatial errors fall spectrally.
+    largest size, restricted spectrally) must be given.  A dt rung is
+    labelled by the number of steps its run takes.  Time errors are fourth
+    order for the default scheme; spatial errors fall spectrally.
     """
     if (dt_values is None) == (resolutions is None):
         raise ValidationError("pass exactly one of dt_values or resolutions")
     if dt_values is not None:
         dts = sorted((float(d) for d in dt_values), reverse=True)
-        reference = _final_state(problem, problem.grid, dts[-1] / 2.0, cfg)
-        residuals = [
-            _state_distance(_final_state(problem, problem.grid, d, cfg), reference)
-            for d in dts
-        ]
-        steps = [int(round(problem.t_end / d)) for d in dts]
-        return ResidualReport.from_residuals("dt_convergence", steps, residuals)
+        reference = _final_run(problem, problem.grid, dts[-1] / 2.0, cfg).final_state
+        runs = [_final_run(problem, problem.grid, d, cfg) for d in dts]
+        residuals = [_state_distance(r.final_state, reference) for r in runs]
+        return ResidualReport.from_residuals(
+            "dt_convergence", [r.steps for r in runs], residuals
+        )
     sizes = sorted(int(n) for n in resolutions)
     fine_grid = PeriodicGrid((2 * sizes[-1],) * problem.grid.dim, problem.grid.lengths)
-    reference = _final_state(problem, fine_grid, problem.dt, cfg)
+    dt = problem.integration.dt
+    reference = _final_run(problem, fine_grid, dt, cfg).final_state
     residuals = []
     for n in sizes:
         g = PeriodicGrid((n,) * problem.grid.dim, problem.grid.lengths)
-        final = _final_state(problem, g, problem.dt, cfg)
+        final = _final_run(problem, g, dt, cfg).final_state
         ref_z = restrict_to_grid(reference.zeta.data, fine_grid, g)
         ref_v = restrict_to_grid(reference.vel.data, fine_grid, g)
         residuals.append(

@@ -1,8 +1,13 @@
 """End-to-end tests of the command-line interface and its exit codes."""
+import argparse
+import re
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from gnwave.cli import main
+from gnwave.cli import build_parser, main
 from gnwave.grid import PeriodicGrid, ScalarField, VectorField
 from gnwave.io import read_diagnostics, read_snapshot, write_snapshot
 from gnwave.models import FluidState, Formulation, ModelParams, VariableKind
@@ -59,6 +64,70 @@ class TestArgumentHandling:
         """Config validation failures map to exit code 1."""
         cfg = write_config(tmp_path, "\n[model]\nmu = -1\n")
         assert main(["info", "--config", str(cfg)]) == 1
+
+
+# each subcommand's option strings; a change here is a change of the CLI
+OPTIONS = {
+    "run": ["--config", "--set", "--output", "--seed"],
+    "verify": ["--seed"],
+    "converge": ["--config", "--set", "--seed", "--dt-values", "--resolutions", "--csv"],
+    "dispersion": ["--seed", "--modes", "--amplitude", "--periods", "--csv"],
+    "equivalence": ["--seed", "--state"],
+    "info": ["--config", "--set", "--output", "--seed"],
+}
+
+
+class TestSurface:
+    def test_options_per_subcommand(self):
+        """Each subcommand takes exactly the options it reads."""
+        (sub,) = [
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        found = {
+            name: [
+                opt
+                for action in p._actions
+                if not isinstance(action, argparse._HelpAction)
+                for opt in action.option_strings
+            ]
+            for name, p in sub.choices.items()
+        }
+        assert found == OPTIONS
+        assert sum(map(len, found.values())) == 22
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--config", "f"],
+            ["verify", "--set", "model.mu=1"],
+            ["verify", "--output", "d"],
+            ["dispersion", "--config", "f"],
+            ["dispersion", "--set", "model.mu=1"],
+            ["dispersion", "--output", "d"],
+            ["equivalence", "--state", "s", "--config", "f"],
+            ["equivalence", "--set", "model.mu=1"],
+            ["equivalence", "--output", "d"],
+            ["converge", "--output", "d"],
+        ],
+        ids=" ".join,
+    )
+    def test_removed_option_exits_one(self, argv, capsys):
+        """A study command refuses an option it would not read."""
+        assert main(argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_readme_commands_parse(self):
+        """Every gnwave line of README's shell block parses."""
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        blocks = re.findall(r"```sh\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+        lines = [line for block in blocks for line in block.splitlines()]
+        commands = [
+            shlex.split(line, comments=True) for line in lines if line.startswith("gnwave ")
+        ]
+        assert len(commands) >= 7
+        parser = build_parser()
+        for argv in commands:
+            parser.parse_args(argv[1:])
 
 
 class TestRun:
@@ -129,6 +198,18 @@ class TestRun:
         assert rows[-1]["time"] == pytest.approx(0.04)
 
 
+    def test_grid_too_coarse_for_record_writes_nothing(self, tmp_path, capsys):
+        """A 10-point grid cannot carry an order-4 record: run and info exit 1
+        with the record's message, and run creates no output directory."""
+        argv = ["--config", str(write_config(tmp_path)), "--set", "grid.shape=10"]
+        assert main(["info", *argv]) == 1
+        assert "order 4 exceeds the resolution guard 3" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert main(["run", *argv, "--output", str(out)]) == 1
+        assert "order 4 exceeds the resolution guard 3" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestVerify:
     def test_default_suite_passes(self, capsys):
         """The documented reference invocation exits 0."""
@@ -153,6 +234,35 @@ class TestStudies:
         """The default problem converges at the scheme's order in dt."""
         assert main(["converge", "--dt-values", "0.1", "0.05", "0.025"]) == 0
         assert "dt_convergence: PASS" in capsys.readouterr().out
+
+    def test_converge_labels_rungs_by_steps_taken(self, capsys):
+        """At dt = 0.08 a run to t = 1 takes 12 full steps and a shorter 13th."""
+        assert main(["converge"]) == 0
+        text = capsys.readouterr().out
+        assert "resolution     13: residual" in text
+        assert "decay rate 4.11 per doubling" in text
+
+    def test_converge_runs_configured_settings(self, tmp_path):
+        """The configured smoothing and solve tolerance reach every run."""
+        cfg = write_config(tmp_path, "\n[initial]\ntype = gaussian\namplitude = 0.05\nwidth = 0.8\n")
+        tables = []
+        for overrides in ([], ["mollifier.iota=0.5"], ["elliptic.rel_tolerance=1e-6"]):
+            csv_path = tmp_path / "conv.csv"
+            argv = ["converge", "--config", str(cfg), "--dt-values", "0.04", "0.02"]
+            for item in overrides:
+                argv += ["--set", item]
+            assert main(argv + ["--csv", str(csv_path)]) == 0
+            tables.append(csv_path.read_text())
+        assert len(set(tables)) == 3
+
+    def test_converge_refuses_smoothing_of_velocity_form(self, tmp_path, capsys):
+        """gn_u with iota > 0 is refused as run refuses it."""
+        cfg = write_config(tmp_path, "\n[mollifier]\niota = 0.5\n")
+        argv = ["--config", str(cfg), "--set", "model.formulation=gn_u"]
+        assert main(["converge", *argv, "--dt-values", "0.04", "0.02"]) == 1
+        assert "conjugate-variable" in capsys.readouterr().err
+        assert main(["run", *argv, "--output", str(tmp_path / "o")]) == 1
+        assert "conjugate-variable" in capsys.readouterr().err
 
 
 class TestEquivalence:
@@ -211,6 +321,15 @@ class TestInfo:
         assert "[model]" in text
         assert "retained modes" in text
         assert "advisory" in text
+
+    def test_step_count_matches_run(self, tmp_path, capsys):
+        """info counts the steps that run takes: 7 steps of 0.01 reach 0.07."""
+        argv = ["--config", str(write_config(tmp_path)), "--set", "integration.t_end=0.07"]
+        argv += ["--set", "integration.dt=0.01"]
+        assert main(["info", *argv]) == 0
+        assert "time stepping: 7 steps of dt = 0.01" in capsys.readouterr().out
+        assert main(["run", *argv, "--output", str(tmp_path / "o")]) == 0
+        assert "7 steps to t = 0.07" in capsys.readouterr().out
 
     def test_non_positive_depth_exits_two(self, tmp_path, capsys):
         """info refuses the state that run refuses, with the same message."""

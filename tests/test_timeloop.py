@@ -21,7 +21,6 @@ from gnwave.timeloop import (
     RunReport,
     cfl_time_step,
     run,
-    step,
 )
 
 from _helpers import (
@@ -535,7 +534,7 @@ class TestFailureModes:
         assert excinfo.value.report.failure_time == 0.0
 
     def test_kind_checked(self):
-        """run and step refuse a state of the other variable kind, both ways;
+        """run refuses a state of the other variable kind, both ways;
         an unknown kind or formulation is refused, naming the accepted ones."""
         grid = PeriodicGrid((32,), (2 * np.pi,))
         bath = BathymetryState.flat(grid)
@@ -549,8 +548,6 @@ class TestFailureModes:
             names = f"{params.expected_kind.value}-variable.*{kind.value}-variable"
             with pytest.raises(ValidationError, match=names):
                 run(state, params, bath, icfg, diag_order=0)
-            with pytest.raises(ValidationError, match=names):
-                step(state, params, bath, icfg)
         with pytest.raises(ValidationError, match="'u', 'v'"):
             FluidState(pulse_state(grid).zeta, VectorField.zeros(grid), "w")
         with pytest.raises(ValidationError, match="'gn_u', 'gn_v', 'bp', 'sv'"):
@@ -564,21 +561,6 @@ class TestFailureModes:
         icfg = IntegrationConfig(dt=0.01, t_end=0.1, mollifier=MollifierSpec(iota=0.3))
         with pytest.raises(ValidationError, match="conjugate-variable"):
             run(state, params, BathymetryState.flat(grid), icfg, diag_order=0)
-
-
-class TestSingleStep:
-    def test_step_matches_one_step_run(self):
-        """step() reproduces a one-step run up to elliptic solver tolerance."""
-        grid = PeriodicGrid((32,), (2 * np.pi,))
-        params = ModelParams(epsilon=0.2, beta=0.0, mu=0.5)
-        bath = BathymetryState.flat(grid)
-        state = pulse_state(grid, amplitude=0.4)
-        icfg = IntegrationConfig(dt=0.02, t_end=0.02)
-        via_step = step(state, params, bath, icfg)
-        via_run = run(state, params, bath, icfg, diag_order=0).final_state
-        assert via_step.time == via_run.time == 0.02
-        assert np.allclose(via_step.zeta.data, via_run.zeta.data, rtol=0, atol=1e-10)
-        assert np.allclose(via_step.vel.data, via_run.vel.data, rtol=0, atol=1e-10)
 
 
 class TestFieldWrappers:

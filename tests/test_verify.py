@@ -25,6 +25,7 @@ from gnwave.models import (
 )
 from gnwave.operators import BathymetryState, EllipticSolveConfig
 from gnwave import verify
+from gnwave.timeloop import IntegrationConfig
 
 
 def flat_bath(grid):
@@ -402,8 +403,7 @@ def gaussian_problem(eps=0.3, mu=0.7, width=3.0, n=64, t_end=2.0, dt=0.01):
     return verify.ConvergenceProblem(
         params=ModelParams(epsilon=eps, mu=mu, formulation=Formulation.GN_V),
         grid=PeriodicGrid((n,), (2 * np.pi,)),
-        t_end=t_end,
-        dt=dt,
+        integration=IntegrationConfig(dt=dt, t_end=t_end),
         initial_state=initial_state,
     )
 
