@@ -325,6 +325,8 @@ def _cmd_converge(args: argparse.Namespace, out: TextIO) -> int:
     if dt_values is None and resolutions is None:
         dt_values = (0.08, 0.04, 0.02)
         resolutions = (16, 32, 64)
+    if resolutions is not None:
+        verify.check_resolution_study(problem)
     print(f"seed = {args.seed}", file=out)
     reports = []
     with warnings.catch_warnings():

@@ -22,6 +22,11 @@ import numpy as np
 
 from .errors import ValidationError
 
+try:  # numpy >= 2.0: the transform kernels under np.fft's Python wrapper
+    from numpy.fft import _pocketfft_umath as _pocketfft
+except ImportError:  # older numpy: every transform goes through np.fft
+    _pocketfft = None
+
 __all__ = ["PeriodicGrid", "ScalarField", "VectorField"]
 
 
@@ -203,20 +208,30 @@ class PeriodicGrid:
     #
     # Every transform of the package goes through :meth:`rfft`/:meth:`irfft`.
     # They act on the trailing ``dim`` axes, so a stacked ``(dim, *shape)``
-    # vector is transformed in one call.  A 1-D grid uses numpy's one-axis
-    # real transform, whose per-call overhead is well below the n-axis one;
-    # both give the same numbers.
+    # vector is transformed in one call.  A 1-D grid calls numpy's pocketfft
+    # gufuncs directly: at the package's sizes np.fft's Python wrapper costs
+    # as much as the transform under it, and the gufuncs are what it calls,
+    # so the numbers are the same; the grid refuses odd N, so the forward
+    # kernel is always ``rfft_n_even``.  Numpy before 2.0 has no such module
+    # and takes np.fft.  A 2-D grid stays on np.fft.rfftn/irfftn, whose wrapper
+    # is small beside a 2-D transform.
 
     def rfft(self, f: np.ndarray) -> np.ndarray:
         """Unnormalized real spectrum over the trailing grid axes."""
         if self.dim == 1:
-            return np.fft.rfft(f)
+            if _pocketfft is None:
+                return np.fft.rfft(f)
+            out = np.empty(f.shape[:-1] + self.spectral_shape, dtype=np.complex128)
+            return _pocketfft.rfft_n_even(f, 1.0, out=out)
         return np.fft.rfftn(f, axes=(-2, -1))
 
     def irfft(self, spec: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`rfft`, real arrays of the grid shape."""
         if self.dim == 1:
-            return np.fft.irfft(spec, self.shape[0])
+            if _pocketfft is None:
+                return np.fft.irfft(spec, self.shape[0])
+            out = np.empty(spec.shape[:-1] + self.shape, dtype=np.float64)
+            return _pocketfft.irfft(spec, 1.0 / self.shape[0], out=out)
         return np.fft.irfftn(spec, s=self.shape, axes=(-2, -1))
 
     def fft(self, f: np.ndarray) -> np.ndarray:

@@ -48,7 +48,7 @@ from .errors import (
     NonConvergenceError,
     ValidationError,
 )
-from .grid import ScalarField, VectorField
+from .grid import PeriodicGrid, ScalarField, VectorField
 from .models import (
     FluidState,
     Formulation,
@@ -261,7 +261,6 @@ class _Stepper:
     ) -> tuple[np.ndarray, np.ndarray]:
         """One step of size ``dt`` from the in-band ``(z, v)`` at ``t``, ending
         at ``t_next``."""
-        grid = self.grid
 
         def rhs(index: int, zs: np.ndarray, vs: np.ndarray, offset: float):
             return self.rhs(zs, vs, t + offset * dt, (index, t, dt))
@@ -282,10 +281,17 @@ class _Stepper:
             k3z, k3v = rhs(2, z2, v2, 0.5)
             nz = z / 3.0 + (2.0 / 3.0) * (z2 + dt * k3z)
             nv = v / 3.0 + (2.0 / 3.0) * (v2 + dt * k3v)
-        nz = grid.dealias(nz)
-        nv = grid.dealias(nv)
+        nz, nv = _dealias_pair(self.grid, nz, nv)
         self.check_fields(nz, nv, t_next)
         return nz, nv
+
+
+def _dealias_pair(
+    grid: PeriodicGrid, z: np.ndarray, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Project ``(z, v)`` onto the dealiased band in one stacked transform pair."""
+    both = grid.dealias(np.concatenate((z[None], v)))
+    return both[0], both[1:]
 
 
 def _as_v_state(state: FluidState, params: ModelParams, bath: BathymetryState) -> FluidState:
@@ -351,7 +357,7 @@ def run(
     # the loop carries the in-band arrays (z, v) at time t; ``state`` wraps
     # them once a sink, the report or a failure needs it
     grid = bath.grid
-    z, v = grid.dealias(initial.zeta.data), grid.dealias(initial.vel.data)
+    z, v = _dealias_pair(grid, initial.zeta.data, initial.vel.data)
     t = initial.time
     state: FluidState | None = initial
 

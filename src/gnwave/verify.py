@@ -64,6 +64,7 @@ __all__ = [
     "check_variational_structure",
     "dispersion_study",
     "convergence_study",
+    "check_resolution_study",
     "solitary_wave_profile",
     "solitary_wave_state",
     "aligned_profile_gap",
@@ -681,6 +682,16 @@ class ConvergenceProblem:
     bathymetry: Callable[[PeriodicGrid], BathymetryState] = BathymetryState.flat
 
 
+def check_resolution_study(problem: ConvergenceProblem) -> None:
+    """Refuse a resolution study of a grid whose axes differ: its rungs have
+    the same points on every axis, so they would study another grid."""
+    if len(set(problem.grid.shape)) > 1:
+        raise ValidationError(
+            "a resolution study runs square grids, but the configured "
+            f"shape = {' '.join(map(str, problem.grid.shape))} has unequal axes"
+        )
+
+
 def _final_run(
     problem: ConvergenceProblem,
     grid: PeriodicGrid,
@@ -708,7 +719,8 @@ def convergence_study(
 
     Exactly one of ``dt_values`` (compared against a run at half the
     smallest step) or ``resolutions`` (compared against a run at twice the
-    largest size, restricted spectrally) must be given.  A dt rung is
+    largest size, restricted spectrally) must be given.  Resolution rungs
+    are square, so a grid whose axes differ is refused.  A dt rung is
     labelled by the number of steps its run takes.  Time errors are fourth
     order for the default scheme; spatial errors fall spectrally.
     """
@@ -722,6 +734,7 @@ def convergence_study(
         return ResidualReport.from_residuals(
             "dt_convergence", [r.steps for r in runs], residuals
         )
+    check_resolution_study(problem)
     sizes = sorted(int(n) for n in resolutions)
     fine_grid = PeriodicGrid((2 * sizes[-1],) * problem.grid.dim, problem.grid.lengths)
     dt = problem.integration.dt

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gnwave import verify
 from gnwave.cli import build_parser, main
 from gnwave.grid import PeriodicGrid, ScalarField, VectorField
 from gnwave.io import read_diagnostics, read_snapshot, write_snapshot
@@ -263,6 +264,25 @@ class TestStudies:
         assert "conjugate-variable" in capsys.readouterr().err
         assert main(["run", *argv, "--output", str(tmp_path / "o")]) == 1
         assert "conjugate-variable" in capsys.readouterr().err
+
+    def test_converge_refuses_resolution_study_of_unequal_axes(self, tmp_path, capsys, monkeypatch):
+        """Resolution rungs are square: a 2-D config whose axes differ is
+        refused before any run, and its dt study alone still runs."""
+        cfg = write_config(
+            tmp_path,
+            "\n[initial]\ntype = gaussian\namplitude = 0.05\nwidth = 0.8\n",
+            base=BASE.replace("shape = 32", "shape = 16 12"),
+        )
+        runs = []
+        real_run = verify.run
+        monkeypatch.setattr(verify, "run", lambda *a, **k: runs.append(a) or real_run(*a, **k))
+        for extra in ([], ["--resolutions", "8", "16"]):
+            assert main(["converge", "--config", str(cfg), *extra]) == 1
+            assert "shape = 16 12 has unequal axes" in capsys.readouterr().err
+        assert runs == []
+        assert main(["converge", "--config", str(cfg), "--dt-values", "0.04", "0.02"]) == 0
+        assert "dt_convergence: PASS" in capsys.readouterr().out
+        assert runs
 
 
 class TestEquivalence:

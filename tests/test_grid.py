@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gnwave import grid as grid_module
 from gnwave.errors import ValidationError
 from gnwave.grid import PeriodicGrid, ScalarField
 
@@ -85,6 +86,20 @@ class TestTransforms:
             assert np.array_equal(
                 g.irfft(spec)[i], np.fft.irfftn(spec[i], s=g.shape, axes=axes)
             )
+
+    @pytest.mark.parametrize("fallback", [False, True], ids=["gufunc", "np.fft"])
+    @pytest.mark.parametrize("stack", [(), (2,), (3,)])
+    @pytest.mark.parametrize("n", [8, 96, 250, 256])
+    def test_1d_transforms_match_numpy(self, monkeypatch, n, stack, fallback):
+        """Both 1-D paths, the pocketfft gufuncs and the np.fft fallback, give
+        numpy's own numbers bit for bit."""
+        if fallback:
+            monkeypatch.setattr(grid_module, "_pocketfft", None)
+        g = grid1(n)
+        f = np.random.default_rng(n).standard_normal(stack + (n,))
+        spec = g.rfft(f)
+        assert np.array_equal(spec, np.fft.rfft(f))
+        assert np.array_equal(g.irfft(spec), np.fft.irfft(spec, n))
 
     def test_integrate_trig_polynomial(self):
         g = grid1(16, length=4.0)
