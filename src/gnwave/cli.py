@@ -74,35 +74,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(
-        p: argparse.ArgumentParser, config_help: str | None = None, output: bool = False
-    ) -> None:
-        if config_help is not None:
-            p.add_argument("--config", metavar="PATH", default=None, help=config_help)
-            p.add_argument(
-                "--set",
-                dest="overrides",
-                action="append",
-                default=[],
-                metavar="SECTION.KEY=VALUE",
-                help="override one config value (repeatable)",
-            )
+    def add_config(p: argparse.ArgumentParser, config_help: str, output: bool = False) -> None:
+        p.add_argument("--config", metavar="PATH", default=None, help=config_help)
+        p.add_argument(
+            "--set",
+            dest="overrides",
+            action="append",
+            default=[],
+            metavar="SECTION.KEY=VALUE",
+            help="override one config value (repeatable)",
+        )
         if output:
             p.add_argument(
                 "--output", metavar="DIR", default=None, help="override the output directory"
             )
-        p.add_argument("--seed", type=int, default=0, help="seed for any randomness")
+
+    def add_seed(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--seed", type=int, default=0, help="seed of the random fields")
 
     p_run = sub.add_parser("run", help="integrate a configured problem")
-    add_common(p_run, "run configuration (required)", output=True)
+    add_config(p_run, "run configuration (required)", output=True)
 
     p_verify = sub.add_parser("verify", help="execute the built-in identity/invariant suite")
-    add_common(p_verify)
+    add_seed(p_verify)
 
     p_conv = sub.add_parser(
         "converge", help="self-convergence studies of a built-in or configured problem"
     )
-    add_common(p_conv, "optional configuration defining the problem")
+    add_config(p_conv, "optional configuration defining the problem")
     p_conv.add_argument(
         "--dt-values",
         type=float,
@@ -124,7 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_disp = sub.add_parser(
         "dispersion", help="measure linear wave frequencies on a built-in flat case"
     )
-    add_common(p_disp)
     p_disp.add_argument(
         "--modes", type=int, nargs="+", default=[1, 2, 4, 8], metavar="M"
     )
@@ -136,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
         "equivalence",
         help="check the two formulations against each other on built-in or stored states",
     )
-    add_common(p_equiv)
+    add_seed(p_equiv)
     p_equiv.add_argument(
         "--state",
         metavar="SNAPSHOT",
@@ -147,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_info = sub.add_parser(
         "info", help="print the normalized configuration and the run it describes"
     )
-    add_common(p_info, "configuration to describe (required)", output=True)
+    add_config(p_info, "configuration to describe (required)", output=True)
     return parser
 
 
@@ -199,7 +197,6 @@ def _agreement_checks(case: _Case, grids: tuple[int, ...]) -> list[verify.Residu
 def _cmd_run(args: argparse.Namespace, out: TextIO) -> int:
     cfg = _read_config(args)
     _check_order(cfg.grid, DEFAULT_ORDER)  # refused before the sinks write anything
-    print(f"seed = {args.seed}", file=out)
     print(
         f"formulation {cfg.params.formulation.value}, grid {cfg.grid.shape} on "
         f"{tuple(round(ell, 6) for ell in cfg.grid.lengths)}, dt {cfg.integration.dt}, "
@@ -327,7 +324,6 @@ def _cmd_converge(args: argparse.Namespace, out: TextIO) -> int:
         resolutions = (16, 32, 64)
     if resolutions is not None:
         verify.check_resolution_study(problem)
-    print(f"seed = {args.seed}", file=out)
     reports = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
@@ -343,7 +339,6 @@ def _cmd_converge(args: argparse.Namespace, out: TextIO) -> int:
 
 def _cmd_dispersion(args: argparse.Namespace, out: TextIO) -> int:
     params, grid = ModelParams(), PeriodicGrid((64,), (2.0 * np.pi,))
-    print(f"seed = {args.seed}", file=out)
     rows = verify.dispersion_study(
         params, grid, args.modes, amplitude=args.amplitude, periods=args.periods
     )
@@ -397,7 +392,6 @@ def _cmd_equivalence(args: argparse.Namespace, out: TextIO) -> int:
 def _cmd_info(args: argparse.Namespace, out: TextIO) -> int:
     cfg = _read_config(args)
     _check_order(cfg.grid, DEFAULT_ORDER)  # the grid that run refuses
-    print(f"seed = {args.seed}", file=out)
     print("normalized configuration:", file=out)
     print(save_config(cfg), end="", file=out)
     grid = cfg.grid

@@ -29,6 +29,10 @@ except ImportError:  # older numpy: every transform goes through np.fft
 
 __all__ = ["PeriodicGrid", "ScalarField", "VectorField"]
 
+# gufunc ``axes`` argument of a pass along the second-to-last axis: input,
+# scale factor, output.
+_SECOND_AXIS = [(-2,), (), (-2,)]
+
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class PeriodicGrid:
@@ -41,6 +45,10 @@ class PeriodicGrid:
         and at least 8 so the Nyquist/dealiasing conventions are meaningful.
     lengths
         Box edge lengths, positive finite floats, same arity as ``shape``.
+
+    A 2-D grid keeps one work buffer per leading shape for its transforms
+    (see :meth:`rfft`), so one grid must not be transformed from two threads
+    at once.
     """
 
     shape: tuple[int, ...]
@@ -208,31 +216,51 @@ class PeriodicGrid:
     #
     # Every transform of the package goes through :meth:`rfft`/:meth:`irfft`.
     # They act on the trailing ``dim`` axes, so a stacked ``(dim, *shape)``
-    # vector is transformed in one call.  A 1-D grid calls numpy's pocketfft
-    # gufuncs directly: at the package's sizes np.fft's Python wrapper costs
-    # as much as the transform under it, and the gufuncs are what it calls,
-    # so the numbers are the same; the grid refuses odd N, so the forward
-    # kernel is always ``rfft_n_even``.  Numpy before 2.0 has no such module
-    # and takes np.fft.  A 2-D grid stays on np.fft.rfftn/irfftn, whose wrapper
-    # is small beside a 2-D transform.
+    # vector is transformed in one call.  Both call numpy's pocketfft gufuncs,
+    # the kernels under np.fft, so the numbers are np.fft's bit for bit; the
+    # grid refuses odd N, so the forward kernel is always ``rfft_n_even``.
+    # In 1-D this skips np.fft's Python wrapper, which at the package's sizes
+    # costs as much as the transform.  In 2-D it is about allocation:
+    # np.fft.rfftn/irfftn allocate a fresh half spectrum between their two
+    # passes, large enough at 128² that glibc hands its pages back between
+    # calls and the next call faults them in again.  Here that intermediate
+    # is a work buffer the grid owns, one per leading shape, so one grid
+    # must not be transformed from two threads at once.
+    # Callers still get a fresh output array.  Numpy before 2.0 has no such
+    # module and takes np.fft.
+
+    @cached_property
+    def _half_spectra(self) -> dict[tuple[int, ...], np.ndarray]:
+        """Work buffers of the 2-D transforms, keyed by leading shape."""
+        return {}
+
+    def _half_spectrum(self, lead: tuple[int, ...]) -> np.ndarray:
+        """The complex ``lead + spectral_shape`` buffer between two passes."""
+        buf = self._half_spectra.get(lead)
+        if buf is None:
+            buf = np.empty(lead + self.spectral_shape, dtype=np.complex128)
+            self._half_spectra[lead] = buf
+        return buf
 
     def rfft(self, f: np.ndarray) -> np.ndarray:
         """Unnormalized real spectrum over the trailing grid axes."""
+        if _pocketfft is None:
+            return np.fft.rfftn(f, axes=tuple(range(-self.dim, 0)))
+        out = np.empty(f.shape[: f.ndim - self.dim] + self.spectral_shape, dtype=np.complex128)
         if self.dim == 1:
-            if _pocketfft is None:
-                return np.fft.rfft(f)
-            out = np.empty(f.shape[:-1] + self.spectral_shape, dtype=np.complex128)
             return _pocketfft.rfft_n_even(f, 1.0, out=out)
-        return np.fft.rfftn(f, axes=(-2, -1))
+        half = _pocketfft.rfft_n_even(f, 1.0, out=self._half_spectrum(out.shape[:-2]))
+        return _pocketfft.fft(half, 1.0, axes=_SECOND_AXIS, out=out)
 
     def irfft(self, spec: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`rfft`, real arrays of the grid shape."""
-        if self.dim == 1:
-            if _pocketfft is None:
-                return np.fft.irfft(spec, self.shape[0])
-            out = np.empty(spec.shape[:-1] + self.shape, dtype=np.float64)
-            return _pocketfft.irfft(spec, 1.0 / self.shape[0], out=out)
-        return np.fft.irfftn(spec, s=self.shape, axes=(-2, -1))
+        if _pocketfft is None:
+            return np.fft.irfftn(spec, s=self.shape, axes=tuple(range(-self.dim, 0)))
+        out = np.empty(spec.shape[: spec.ndim - self.dim] + self.shape, dtype=np.float64)
+        if self.dim == 2:
+            half = self._half_spectrum(out.shape[:-2])
+            spec = _pocketfft.ifft(spec, 1.0 / self.shape[0], axes=_SECOND_AXIS, out=half)
+        return _pocketfft.irfft(spec, 1.0 / self.shape[-1], out=out)
 
     def fft(self, f: np.ndarray) -> np.ndarray:
         """Normalized spectrum; ``fft(f)[..., 0, ..., 0]`` is the mean."""

@@ -69,12 +69,12 @@ class TestArgumentHandling:
 
 # each subcommand's option strings; a change here is a change of the CLI
 OPTIONS = {
-    "run": ["--config", "--set", "--output", "--seed"],
+    "run": ["--config", "--set", "--output"],
     "verify": ["--seed"],
-    "converge": ["--config", "--set", "--seed", "--dt-values", "--resolutions", "--csv"],
-    "dispersion": ["--seed", "--modes", "--amplitude", "--periods", "--csv"],
+    "converge": ["--config", "--set", "--dt-values", "--resolutions", "--csv"],
+    "dispersion": ["--modes", "--amplitude", "--periods", "--csv"],
     "equivalence": ["--seed", "--state"],
-    "info": ["--config", "--set", "--output", "--seed"],
+    "info": ["--config", "--set", "--output"],
 }
 
 
@@ -94,7 +94,7 @@ class TestSurface:
             for name, p in sub.choices.items()
         }
         assert found == OPTIONS
-        assert sum(map(len, found.values())) == 22
+        assert sum(map(len, found.values())) == 18
 
     @pytest.mark.parametrize(
         "argv",
@@ -109,11 +109,15 @@ class TestSurface:
             ["equivalence", "--set", "model.mu=1"],
             ["equivalence", "--output", "d"],
             ["converge", "--output", "d"],
+            ["run", "--seed", "4"],
+            ["info", "--seed", "4"],
+            ["converge", "--seed", "4"],
+            ["dispersion", "--seed", "4"],
         ],
         ids=" ".join,
     )
     def test_removed_option_exits_one(self, argv, capsys):
-        """A study command refuses an option it would not read."""
+        """A command refuses an option it would not read."""
         assert main(argv) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -138,7 +142,7 @@ class TestRun:
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--output", str(out)]) == 0
         text = capsys.readouterr().out
-        assert "seed = 0" in text
+        assert "seed" not in text
         assert "completed" in text
         assert (out / "diagnostics.csv").exists()
         assert sorted(out.glob("snapshot_*.gnwv"))
@@ -165,12 +169,12 @@ class TestRun:
         assert "runtime failure" in capsys.readouterr().err
 
     def test_identical_invocations_byte_identical(self, tmp_path):
-        """Same argv and seed reproduce artifacts bit for bit."""
+        """Same argv reproduces artifacts bit for bit."""
         cfg = write_config(tmp_path, "\n[initial]\ntype = gaussian\namplitude = 0.05\nwidth = 0.8\n")
         payloads = []
         for name in ("a", "b"):
             out = tmp_path / name
-            assert main(["run", "--config", str(cfg), "--output", str(out), "--seed", "4"]) == 0
+            assert main(["run", "--config", str(cfg), "--output", str(out)]) == 0
             payload = (out / "diagnostics.csv").read_bytes()
             for snap in sorted(out.glob("snapshot_*.gnwv")):
                 payload += snap.read_bytes()
@@ -227,7 +231,7 @@ class TestStudies:
         csv_path = tmp_path / "disp.csv"
         assert main(["dispersion", "--modes", "1", "2", "--csv", str(csv_path)]) == 0
         text = capsys.readouterr().out
-        assert "seed = 0" in text
+        assert "seed" not in text
         assert "dispersion PASSED" in text
         assert csv_path.read_text().startswith("mode,wavenumber")
 
@@ -337,7 +341,7 @@ class TestInfo:
         cfg = write_config(tmp_path)
         assert main(["info", "--config", str(cfg)]) == 0
         text = capsys.readouterr().out
-        assert "seed = 0" in text
+        assert "seed" not in text
         assert "[model]" in text
         assert "retained modes" in text
         assert "advisory" in text

@@ -101,6 +101,41 @@ class TestTransforms:
         assert np.array_equal(spec, np.fft.rfft(f))
         assert np.array_equal(g.irfft(spec), np.fft.irfft(spec, n))
 
+    @pytest.mark.parametrize("fallback", [False, True], ids=["gufunc", "np.fft"])
+    @pytest.mark.parametrize("stack", [(), (2,), (3,)])
+    @pytest.mark.parametrize("shape", [(128, 128), (64, 32), (8, 16)])
+    def test_2d_transforms_match_numpy(self, monkeypatch, shape, stack, fallback):
+        """Both 2-D paths, the pocketfft gufuncs through the grid's work buffer
+        and the np.fft fallback, give numpy's own numbers bit for bit."""
+        if fallback:
+            monkeypatch.setattr(grid_module, "_pocketfft", None)
+        g = PeriodicGrid(shape, (2.0 * np.pi, 3.0))
+        f = np.random.default_rng(shape[1]).standard_normal(stack + shape)
+        spec = g.rfft(f)
+        assert np.array_equal(spec, np.fft.rfftn(f, axes=(-2, -1)))
+        assert np.array_equal(g.irfft(spec), np.fft.irfftn(spec, s=shape, axes=(-2, -1)))
+
+    @pytest.mark.parametrize("shape", [(64,), (16, 24)])
+    @pytest.mark.parametrize("stack", [(), (2,)])
+    def test_transforms_return_fresh_arrays(self, shape, stack):
+        """Successive results share no memory, a later call leaves an earlier
+        result as it was, and irfft leaves its input spectrum unchanged."""
+        g = PeriodicGrid(shape, (2.0 * np.pi,) * len(shape))
+        rng = np.random.default_rng(5)
+        f1, f2 = rng.standard_normal((2,) + stack + shape)
+        s1 = g.rfft(f1)
+        s1_before = s1.copy()
+        s2 = g.rfft(f2)
+        assert not np.shares_memory(s1, s2)
+        assert np.array_equal(s1, s1_before)
+        b1 = g.irfft(s1)
+        b1_before = b1.copy()
+        b2 = g.irfft(s2)
+        assert not np.shares_memory(b1, b2)
+        assert np.array_equal(b1, b1_before)
+        assert np.array_equal(s1, s1_before)
+        assert np.array_equal(g.rfft(f2), s2)
+
     def test_integrate_trig_polynomial(self):
         g = grid1(16, length=4.0)
         x = g.coords[0]
