@@ -32,8 +32,7 @@ def measured_speed(
     t_end: float,
     expected: float,
 ) -> float:
-    n = grid.shape[0]
-    corr = np.fft.irfft(np.fft.rfft(final) * np.conj(np.fft.rfft(initial)), n=n)
+    corr = grid.irfft(grid.rfft(final) * np.conj(grid.rfft(initial)))
     shift = float(np.argmax(corr)) * grid.spacings[0]
     length = grid.lengths[0]
     crossings = round((t_end * expected - shift) / length)

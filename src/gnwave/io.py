@@ -4,11 +4,12 @@ snapshot/diagnostics persistence.
 The run configuration is a line-oriented ``key = value`` text with sections
 in brackets. Its language is one table, ``_TABLE``, in save order: each key
 is declared once, with the setting of :class:`RunConfig` it owns, its reader
-and writer, whether it is required, and the values of its section's ``type``
-it applies to. :func:`load_config` and :func:`save_config` both iterate the
-table, and a key not in it is unknown. What ties keys together (the spectral
-band, a bump's center and width, the solitary wave's constraints, beta > 0
-under a varying bottom) is checked in :func:`load_config`.
+and writer, whether it is required, and the values of its section's selector
+(``type``, or ``profile`` in ``[mollifier]``) it applies to. :func:`load_config`
+and :func:`save_config` both iterate the table, and a key not in it is
+unknown. What ties keys together (the spectral band, a bump's center and
+width, the solitary wave's constraints, beta > 0 under a varying bottom) is
+checked in :func:`load_config`.
 
 Snapshots are a small self-describing binary format (magic ``GNWV1``,
 little-endian header, raw float64 payload). Diagnostics go to CSV with 17
@@ -355,8 +356,9 @@ class _Key:
 
     ``field`` is the setting's dotted path from :class:`RunConfig`; its last
     step is a dict entry for the initial-state mode fields. ``kinds`` lists
-    the values of the section's ``type`` key that the key applies to; an
-    empty tuple means every value (``type`` itself, and untyped sections).
+    the values of the section's selector key (``_SELECTORS``) that the key
+    applies to; an empty tuple means every value (the selector itself, keys
+    read before it, and sections without one).
     """
 
     section: str
@@ -383,8 +385,8 @@ _TABLE: tuple[_Key, ...] = (
     _Key("integration", "scheme", "integration.scheme", _one_of(_SCHEMES), str),
     _Key("mollifier", "iota", "integration.mollifier.iota", _number),
     _Key("mollifier", "profile", "integration.mollifier.profile", _one_of(_PROFILES), str),
-    _Key("mollifier", "r0", "integration.mollifier.r0", _number),
-    _Key("mollifier", "r1", "integration.mollifier.r1", _number),
+    _Key("mollifier", "r0", "integration.mollifier.r0", _number, kinds=("smooth_bump",)),
+    _Key("mollifier", "r1", "integration.mollifier.r1", _number, kinds=("smooth_bump",)),
     _Key("elliptic", "rel_tolerance", "elliptic.rel_tolerance", _number),
     _Key("elliptic", "max_iterations", "elliptic.max_iterations",
          _iteration_cap, _fmt_iteration_cap),
@@ -419,11 +421,13 @@ _TABLE: tuple[_Key, ...] = (
     _Key("output", "formats", "output.formats", _words, _fmt_words),
 )
 _SECTIONS = tuple(dict.fromkeys(key.section for key in _TABLE))
+# the keys whose value selects which typed keys of their section apply
+_SELECTORS = ("type", "profile")
 
 
 def _applies(key: _Key, section: str, kind: str | None) -> bool:
-    """Whether ``key`` is read and written in ``section`` when its ``type``
-    is ``kind``: None before ``type``, which comes first, or without it."""
+    """Whether ``key`` is read and written in ``section`` when its selector
+    is ``kind``: None before the selector or without it."""
     return key.section == section and (not key.kinds or kind in key.kinds)
 
 
@@ -488,7 +492,7 @@ def load_config(text: str, overrides: Sequence[str] = ()) -> RunConfig:
             for step in owners:
                 node = node.setdefault(step, {})
             node[attr] = value
-            if key.name == "type":
+            if key.name in _SELECTORS:
                 kind = value
         return complete
 
@@ -534,10 +538,9 @@ def load_config(text: str, overrides: Sequence[str] = ()) -> RunConfig:
             error(section, "width", f"must be positive, got {width}")
 
     def check_band(section: str, key: str, entries: tuple[ModeEntry, ...]) -> None:
-        cutoffs = tuple(n // 3 for n in grid.shape)
         for mode, _amp, _phase in entries:
-            if any(abs(m) > cut for m, cut in zip(mode, cutoffs)):
-                band = f"lies outside the retained spectral band (|m_i| <= {cutoffs})"
+            if any(abs(m) > cut for m, cut in zip(mode, grid.band)):
+                band = f"lies outside the retained spectral band (|m_i| <= {grid.band})"
                 error(section, key, f"mode {mode} {band}")
 
     complete = read("initial", dim)
@@ -616,7 +619,7 @@ def save_config(cfg: RunConfig) -> str:
                 value = _mid_domain(cfg.grid)
             if value is not _ABSENT:
                 lines.append(f"{key.name} = {key.write(value)}")
-            if key.name == "type":
+            if key.name in _SELECTORS:
                 kind = value
         lines.append("")
     return "\n".join(lines)

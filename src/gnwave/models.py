@@ -272,9 +272,7 @@ def rhs_gn_v(
         spec = grid.rfft(np.stack((zeta, potential)))
         dv_spec = grid.ik * (grid.dealias_mask * spec[1] - spec[0])
         if grid.dim == 2:
-            curl_v = grid.curl(vel)
-            if float(np.max(np.abs(curl_v))) > 0.0:
-                dv_spec -= (eps * grid.dealias_mask) * grid.rfft(curl_v * grid.perp(u))
+            dv_spec -= (eps * grid.dealias_mask) * grid.rfft(grid.curl(vel) * grid.perp(u))
     else:
         dv_spec = -grid.ik * grid.rfft(zeta)
     out_spec = np.concatenate((dzeta_spec[None], dv_spec))

@@ -328,25 +328,24 @@ def _div_and_slope(
     depth: DepthState, u: np.ndarray, u_spec: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The pair (d, g) = (P∇·u, P((β∇b)·u)) behind the good unknown, with P
-    the dealiasing projection; g is None over a flat bottom.  ``u_spec``,
-    when given, is ``grid.rfft(u)``."""
+    the dealiasing projection; g is None over a flat bottom.  ``u_spec`` is
+    ``grid.rfft(u)``, formed here when None."""
     grid = depth.grid
     if u_spec is None:
-        d = grid.dealiased_divergence(u)
-    else:
-        d = grid.irfft(grid.contract(grid.ik_dealiased, u_spec))
+        u_spec = grid.rfft(u)
+    d = grid.irfft(grid.contract(grid.ik_dealiased, u_spec))
     bgb = depth.beta_grad_b
     if bgb is None:
         return d, None
     return d, grid.dealias(np.einsum("i...,i...->...", bgb, u))
 
 
-def _h_times_T(depth: DepthState, u: np.ndarray, u_spec: np.ndarray) -> np.ndarray:
+def _h_times_T(depth: DepthState, u: np.ndarray, u_spec: np.ndarray | None) -> np.ndarray:
     """h·T[h, βb]u, the μ-independent dispersive part of the assembly.
 
-    ``u_spec`` is ``grid.rfft(u)``.  With a bottom, the projection P being
-    linear, this is ∇P(½h²g − ⅓h³d) + P(hg − ½h²d)·β∇b: two fields to
-    transform forward.
+    ``u_spec`` is ``grid.rfft(u)`` or None (see :func:`_div_and_slope`).
+    With a bottom, the projection P being linear, this is
+    ∇P(½h²g − ⅓h³d) + P(hg − ½h²d)·β∇b: two fields to transform forward.
     """
     grid = depth.grid
     h2d, h3d = depth.h2, depth.h3
@@ -358,6 +357,15 @@ def _h_times_T(depth: DepthState, u: np.ndarray, u_spec: np.ndarray) -> np.ndarr
     )
     out = grid.irfft(grid.ik_dealiased * spec[0])
     out += grid.irfft(grid.dealias_mask * spec[1]) * depth.beta_grad_b
+    return out
+
+
+def _frakT(depth: DepthState, u: np.ndarray, u_spec: np.ndarray | None, mu: float) -> np.ndarray:
+    """𝔗[h, βb]u = h u + μ h T[h, βb]u, the one assembly behind
+    :func:`apply_frakT` and the conjugate-gradient matvec."""
+    out = depth.h * u
+    if mu > 0.0:
+        out += mu * _h_times_T(depth, u, u_spec)
     return out
 
 
@@ -399,18 +407,14 @@ def _validate_mu(mu: float) -> float:
 
 def apply_T(depth: DepthState, u: np.ndarray) -> np.ndarray:
     """Dealiased evaluation of T[h, βb]u."""
-    grid = _check_velocity(depth, u)
-    return _h_times_T(depth, u, grid.rfft(u)) / depth.h
+    _check_velocity(depth, u)
+    return _h_times_T(depth, u, None) / depth.h
 
 
 def apply_frakT(depth: DepthState, u: np.ndarray, mu: float) -> np.ndarray:
     """𝔗[h, βb]u = h u + μ h T[h, βb]u, the forward elliptic operator."""
-    grid = _check_velocity(depth, u)
-    mu = _validate_mu(mu)
-    out = depth.h * u
-    if mu > 0.0:
-        out += mu * _h_times_T(depth, u, grid.rfft(u))
-    return out
+    _check_velocity(depth, u)
+    return _frakT(depth, u, None, _validate_mu(mu))
 
 
 def _flat_preconditioner(
@@ -466,20 +470,16 @@ def invert_frakT(
     if cfg is None:
         cfg = EllipticSolveConfig()
 
-    h = depth.h
     b = v_rhs
     b_norm = _norm(b)
     if b_norm == 0.0:
         return EllipticSolveResult(np.zeros(b.shape), 0, 0.0)
 
     if mu == 0.0:
-        u = b / h
+        u = b / depth.h
         if session is not None:
             session.record(u, 0)
         return EllipticSolveResult(u, 0, 0.0)
-
-    def matvec(x: np.ndarray, x_spec: np.ndarray) -> np.ndarray:
-        return h * x + mu * _h_times_T(depth, x, x_spec)
 
     precond = _flat_preconditioner(grid, depth.mean_depth, mu)
 
@@ -490,7 +490,7 @@ def invert_frakT(
     else:
         # CG updates x in place; the guess may be an array the session keeps
         x = guess.copy()
-        r = b - matvec(x, grid.rfft(x))
+        r = b - _frakT(depth, x, None, mu)
 
     tol_abs = cfg.rel_tolerance * b_norm
     max_iter = cfg.resolve_max_iterations(grid)
@@ -503,7 +503,7 @@ def invert_frakT(
         p, p_spec = z.copy(), z_spec
         rho = _inner(r, z)
         for iterations in range(1, max_iter + 1):
-            q = matvec(p, p_spec)
+            q = _frakT(depth, p, p_spec, mu)
             pq = _inner(p, q)
             if pq <= 0.0:
                 raise CoercivityViolationError(

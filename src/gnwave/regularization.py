@@ -115,7 +115,7 @@ def mollify(grid: PeriodicGrid, f: np.ndarray, spec: MollifierSpec) -> np.ndarra
     each component's spectrum by φ(ι|k|).  ι = 0 returns ``f`` itself."""
     if spec.is_identity:
         return f
-    return grid.ifft(spec.multiplier(grid) * grid.fft(f))
+    return grid.irfft(spec.multiplier(grid) * grid.rfft(f))
 
 
 def rhs_gn_v_mollified(

@@ -161,16 +161,23 @@ def reports_as_csv(reports: Sequence[ResidualReport]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _mode_iter(dim: int, max_mode: int):
-    """One representative per ± pair of nonzero modes with |m_i| ≤ max_mode."""
-    if dim == 1:
-        for m in range(1, max_mode + 1):
+def _mode_iter(maxima: tuple[int, ...]):
+    """One representative per ± pair of nonzero modes with |m_i| ≤ maxima[i]."""
+    if len(maxima) == 1:
+        for m in range(1, maxima[0] + 1):
             yield (m,)
         return
-    for mx in range(0, max_mode + 1):
-        start = 1 if mx == 0 else -max_mode
-        for my in range(start, max_mode + 1):
+    for mx in range(0, maxima[0] + 1):
+        start = 1 if mx == 0 else -maxima[1]
+        for my in range(start, maxima[1] + 1):
             yield (mx, my)
+
+
+def _phase(grid: PeriodicGrid, mode: tuple[int, ...]) -> np.ndarray:
+    """The phase 2π m·x/L of one mode on the grid."""
+    return sum(
+        2.0 * np.pi * m * x / ell for m, x, ell in zip(mode, grid.coords, grid.lengths)
+    )
 
 
 def band_limited_scalar(
@@ -185,13 +192,10 @@ def band_limited_scalar(
     """
     out = np.zeros(grid.shape)
     bound = 0.0
-    for mode in _mode_iter(grid.dim, max_mode):
+    for mode in _mode_iter((max_mode,) * grid.dim):
         a, b = rng.normal(size=2)
         bound += math.hypot(a, b)
-        phase = sum(
-            2.0 * np.pi * m * x / ell
-            for m, x, ell in zip(mode, grid.coords, grid.lengths)
-        )
+        phase = _phase(grid, mode)
         out += a * np.cos(phase) + b * np.sin(phase)
     return amplitude * out / max(bound, 1e-300)
 
@@ -404,25 +408,9 @@ def _trig_basis(grid: PeriodicGrid):
     pair, cosine and sine branches separately, constant mode included.
     """
     vol = math.prod(grid.lengths)
-    cutoffs = [n // 3 for n in grid.shape]
-    if grid.dim == 1:
-        reps = [(m,) for m in range(0, cutoffs[0] + 1)]
-    else:
-        reps = [(0, 0)]
-        reps += [(0, my) for my in range(1, cutoffs[1] + 1)]
-        reps += [
-            (mx, my)
-            for mx in range(1, cutoffs[0] + 1)
-            for my in range(-cutoffs[1], cutoffs[1] + 1)
-        ]
-    for mode in reps:
-        phase = sum(
-            2.0 * np.pi * m * x / ell
-            for m, x, ell in zip(mode, grid.coords, grid.lengths)
-        )
-        if all(m == 0 for m in mode):
-            yield np.ones(grid.shape), vol
-            continue
+    yield np.ones(grid.shape), vol
+    for mode in _mode_iter(grid.band):
+        phase = _phase(grid, mode)
         yield np.cos(phase), 0.5 * vol
         yield np.sin(phase), 0.5 * vol
 

@@ -217,6 +217,17 @@ class TestDerivatives:
 
 
 class TestDealiasing:
+    @pytest.mark.parametrize("shape", [(8,), (10,), (96,), (250,), (16, 10), (128, 128)])
+    def test_band_is_largest_kept_mode(self, shape):
+        """``band`` is, per axis, the largest |m| the dealias mask keeps."""
+        g = PeriodicGrid(shape, (2.0 * np.pi,) * len(shape))
+        kept = [
+            int(np.max(np.abs(np.broadcast_to(m, g.spectral_shape))[g.dealias_mask]))
+            for m in g.mode_numbers
+        ]
+        assert g.band == tuple(kept)
+        assert all(type(cut) is int for cut in g.band)
+
     def test_cutoff_product_of_edge_modes(self):
         # cos²(m x) = 1/2 + cos(2m x)/2; with m at the cutoff the double mode
         # must be projected away exactly.

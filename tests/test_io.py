@@ -114,6 +114,25 @@ class TestLoadConfig:
             with pytest.raises(ValidationError, match="unknown key"):
                 load_config(MINIMAL + f"\n[{section}]\n{key} = 3\n")
 
+    @pytest.mark.parametrize("profile", ["", "profile = sharp_cutoff\n"], ids=["default", "named"])
+    def test_mollifier_radii_refused_under_sharp_cutoff(self, profile):
+        """r0 and r1 shape only the smooth profile; under the sharp cutoff,
+        named or by default, they are unknown keys."""
+        for key in ("r0", "r1"):
+            text = MINIMAL + f"\n[mollifier]\niota = 0.1\n{profile}{key} = 0.3\n"
+            with pytest.raises(ValidationError, match=f"\\[mollifier\\] {key}: unknown key"):
+                load_config(text)
+        saved = save_config(load_config(MINIMAL + f"\n[mollifier]\niota = 0.1\n{profile}"))
+        assert "r0" not in saved and "r1" not in saved
+
+    def test_mollifier_radii_read_under_smooth_bump(self):
+        """Under the smooth profile r0 and r1 are read, kept and saved."""
+        text = MINIMAL + "\n[mollifier]\niota = 0.1\nprofile = smooth_bump\nr0 = 0.3\nr1 = 0.9\n"
+        cfg = load_config(text)
+        assert (cfg.integration.mollifier.r0, cfg.integration.mollifier.r1) == (0.3, 0.9)
+        block = "[mollifier]\niota = 0.1\nprofile = smooth_bump\nr0 = 0.3\nr1 = 0.9\n"
+        assert block in save_config(cfg)
+
     def test_unknown_section_rejected(self):
         """Sections outside the documented schema are refused."""
         with pytest.raises(ValidationError, match="unknown section"):

@@ -131,6 +131,20 @@ class TestBandLimitedFields:
         assert np.max(np.abs(restricted - f_coarse)) < 1e-12
 
 
+class TestTrigBasis:
+    def test_non_square_basis_is_orthogonal_with_stated_norms(self):
+        """On a (24, 18) box the basis has (2b₀+1)(2b₁+1) functions for the
+        band (b₀, b₁) = (8, 6), and its Gram matrix is the diagonal of the
+        squared norms it states."""
+        g = PeriodicGrid((24, 18), (3.0, 5.0))
+        fields, norms = zip(*verify._trig_basis(g))
+        b0, b1 = g.band
+        assert (b0, b1) == (8, 6)
+        assert len(fields) == (2 * b0 + 1) * (2 * b1 + 1)
+        gram = np.array([[g.inner(e, f) for f in fields] for e in fields])
+        assert np.max(np.abs(gram - np.diag(norms))) < 1e-12 * g.volume
+
+
 class TestRestriction:
     def test_vector_stack(self):
         """Stacked components restrict independently."""
