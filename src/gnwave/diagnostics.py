@@ -279,7 +279,6 @@ class DiagnosticsRecord:
     vorticity_l2: float
     min_depth: float
     cg_iterations: int
-    order: int
 
     def __post_init__(self) -> None:
         for name in ("time", "mass", "hamiltonian", "e_norm", "f_norm", "vorticity_l2", "min_depth"):
@@ -317,5 +316,4 @@ def collect_record(
         vorticity_l2=vort,
         min_depth=float(depth.h_min),
         cg_iterations=int(spent),
-        order=int(order),
     )

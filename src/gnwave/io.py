@@ -221,20 +221,20 @@ def _apply_overrides(
 
 
 # ---------------------------------------------------------- readers, writers
-# A reader turns a key's raw text into its value, given the grid dimension
-# (1 when the grid is invalid); a ValueError carries the violation text.
+# A reader turns a key's raw text into its value; a ValueError carries the
+# violation text.
 
 
-def _text(raw: str, dim: int) -> str:
+def _text(raw: str) -> str:
     return raw
 
 
-def _words(raw: str, dim: int) -> tuple[str, ...]:
+def _words(raw: str) -> tuple[str, ...]:
     return tuple(raw.split())
 
 
-def _one_of(choices: Sequence[str]) -> Callable[[str, int], str]:
-    def read(raw: str, dim: int) -> str:
+def _one_of(choices: Sequence[str]) -> Callable[[str], str]:
+    def read(raw: str) -> str:
         if raw not in choices:
             raise ValueError(f"must be one of {tuple(choices)}, got {raw!r}")
         return raw
@@ -242,7 +242,7 @@ def _one_of(choices: Sequence[str]) -> Callable[[str, int], str]:
     return read
 
 
-def _number(raw: str, dim: int) -> float:
+def _number(raw: str) -> float:
     try:
         value = float(raw)
     except ValueError:
@@ -252,7 +252,7 @@ def _number(raw: str, dim: int) -> float:
     return value
 
 
-def _numbers(raw: str, dim: int) -> tuple[float, ...]:
+def _numbers(raw: str) -> tuple[float, ...]:
     try:
         values = tuple(float(tok) for tok in raw.split())
     except ValueError:
@@ -262,21 +262,21 @@ def _numbers(raw: str, dim: int) -> tuple[float, ...]:
     return values
 
 
-def _integer(raw: str, dim: int) -> int:
+def _integer(raw: str) -> int:
     try:
         return int(raw, 10)
     except ValueError:
         raise ValueError(f"not an integer: {raw!r}") from None
 
 
-def _integers(raw: str, dim: int) -> tuple[int, ...]:
+def _integers(raw: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok, 10) for tok in raw.split())
     except ValueError:
         raise ValueError(f"expected whitespace-separated integers, got {raw!r}") from None
 
 
-def _iteration_cap(raw: str, dim: int) -> int | None:
+def _iteration_cap(raw: str) -> int | None:
     if raw.lower() == "none":
         return None
     try:
@@ -285,42 +285,35 @@ def _iteration_cap(raw: str, dim: int) -> int | None:
         raise ValueError(f"not an integer or 'none': {raw!r}") from None
 
 
-def _path(raw: str, dim: int) -> str:
+def _path(raw: str) -> str:
     if not raw:
         raise ValueError("required key missing")
     return raw
 
 
-def _mode_entries(raw: str, dim: int) -> tuple[ModeEntry, ...]:
-    """``m… amplitude phase`` groups separated by ``;``."""
+def _entry_chunks(raw: str) -> list[str]:
+    """The non-empty ``;``-separated entries of a mode key's text."""
+    return [chunk.strip() for chunk in raw.split(";") if chunk.strip()]
+
+
+def _mode_entries(raw: str) -> tuple[ModeEntry, ...]:
+    """``m… amplitude phase`` groups separated by ``;``: the last two tokens
+    of an entry are its amplitude and phase, the ones before its mode (their
+    number is checked against the grid by :func:`load_config`)."""
     entries: list[ModeEntry] = []
-    for chunk in raw.split(";"):
+    for chunk in _entry_chunks(raw):
         tokens = chunk.split()
-        if not tokens:
-            continue
-        if len(tokens) != dim + 2:
-            raise ValueError(
-                f"each entry needs {dim} mode integer(s), an amplitude and a "
-                f"phase, got {chunk.strip()!r}"
-            )
         try:
-            mode = tuple(int(tok, 10) for tok in tokens[:dim])
-            amplitude, phase = float(tokens[dim]), float(tokens[dim + 1])
+            mode = tuple(int(tok, 10) for tok in tokens[:-2])
+            amplitude, phase = (float(tok) for tok in tokens[-2:])
         except ValueError:
-            raise ValueError(f"malformed entry {chunk.strip()!r}") from None
+            raise ValueError(f"malformed entry {chunk!r}") from None
         if not (math.isfinite(amplitude) and math.isfinite(phase)):
             raise ValueError("amplitude and phase must be finite")
         entries.append((mode, amplitude, phase))
     if not entries:
         raise ValueError("no entries given")
     return tuple(entries)
-
-
-def _second_axis_entries(raw: str, dim: int) -> tuple[ModeEntry, ...]:
-    entries = _mode_entries(raw, dim)
-    if dim == 1:
-        raise ValueError("only valid on two-dimensional grids")
-    return entries
 
 
 def _fmt_float(value: float) -> str:
@@ -364,7 +357,7 @@ class _Key:
     section: str
     name: str
     field: str
-    read: Callable[[str, int], object]
+    read: Callable[[str], object]
     write: Callable[[object], str] = _fmt_float
     required: bool = False
     kinds: tuple[str, ...] = ()
@@ -396,13 +389,9 @@ _TABLE: tuple[_Key, ...] = (
     _Key("initial", "width", "initial.width", _number, required=True, kinds=("gaussian",)),
     _Key("initial", "center", "initial.center", _numbers, _fmt_floats, kinds=("gaussian",)),
     *(
-        _Key("initial", name, f"initial.modes.{name}", read, _fmt_entries,
+        _Key("initial", name, f"initial.modes.{name}", _mode_entries, _fmt_entries,
              kinds=("fourier_modes",))
-        for name, read in (
-            ("zeta", _mode_entries),
-            ("velocity_x", _mode_entries),
-            ("velocity_y", _second_axis_entries),
-        )
+        for name in ("zeta", "velocity_x", "velocity_y")
     ),
     _Key("initial", "path", "initial.path", _path, str, required=True, kinds=("file",)),
     _Key("bathymetry", "type", "bathymetry.kind", _one_of(_BATHYMETRY_KINDS), str),
@@ -469,7 +458,7 @@ def load_config(text: str, overrides: Sequence[str] = ()) -> RunConfig:
     def error(section: str, key: str, reason: str) -> None:
         violations.append(f"[{section}] {key}: {reason}")
 
-    def read(section: str, dim: int = 1) -> bool:
+    def read(section: str) -> bool:
         """Read the section's keys into ``values``, along their field paths;
         False when a required key is missing or refused."""
         complete, kind = True, None
@@ -482,7 +471,7 @@ def load_config(text: str, overrides: Sequence[str] = ()) -> RunConfig:
             try:
                 if raw is None:
                     raise ValueError("required key missing")
-                value = key.read(raw, dim)
+                value = key.read(raw)
             except ValueError as exc:
                 error(section, key.name, str(exc))
                 complete = complete and not key.required
@@ -505,8 +494,8 @@ def load_config(text: str, overrides: Sequence[str] = ()) -> RunConfig:
             error(section, "*", str(exc))
             return None
 
-    # dependency order: the mode readers need the grid's dimension, and the
-    # integration takes the mollifier and the strides of [output]
+    # dependency order: the integration takes the mollifier and the strides
+    # of [output]
     read("model")
     params = build("model", ModelParams, values["params"])
     grid: PeriodicGrid | None = None
@@ -514,7 +503,6 @@ def load_config(text: str, overrides: Sequence[str] = ()) -> RunConfig:
         shape = values["grid"]["shape"]
         values["grid"].setdefault("lengths", tuple(2.0 * math.pi for _ in shape))
         grid = build("grid", PeriodicGrid, values["grid"])
-    dim = grid.dim if grid is not None else 1
     read("mollifier")
     mollifier = build("mollifier", MollifierSpec, values["integration"].pop("mollifier", {}))
     read("output")
@@ -537,20 +525,30 @@ def load_config(text: str, overrides: Sequence[str] = ()) -> RunConfig:
         if width is not None and width <= 0.0:
             error(section, "width", f"must be positive, got {width}")
 
-    def check_band(section: str, key: str, entries: tuple[ModeEntry, ...]) -> None:
+    def check_modes(section: str, key: str, entries: tuple[ModeEntry, ...]) -> None:
+        """Mode entries against the grid: one arity violation per key, else
+        one per mode outside the band."""
+        if key == "velocity_y" and grid.dim == 1:
+            error(section, key, "only valid on two-dimensional grids")
+            return
+        for chunk in _entry_chunks(mapping[section][key]):
+            if len(chunk.split()) != grid.dim + 2:
+                arity = f"each entry needs {grid.dim} mode integer(s), an amplitude and a phase"
+                error(section, key, f"{arity}, got {chunk!r}")
+                return
         for mode, _amp, _phase in entries:
             if any(abs(m) > cut for m, cut in zip(mode, grid.band)):
                 band = f"lies outside the retained spectral band (|m_i| <= {grid.band})"
                 error(section, key, f"mode {mode} {band}")
 
-    complete = read("initial", dim)
+    complete = read("initial")
     spec = values["initial"]
     kind = spec.get("kind", InitialSpec.kind)
     if kind == "gaussian":
         check_bump("initial")
     elif kind == "fourier_modes" and grid is not None:
         for key, entries in spec.get("modes", {}).items():
-            check_band("initial", key, entries)
+            check_modes("initial", key, entries)
     elif kind == "solitary_wave":
         amplitude = spec.get("amplitude")
         if amplitude is not None and amplitude <= 0.0:
@@ -566,12 +564,12 @@ def load_config(text: str, overrides: Sequence[str] = ()) -> RunConfig:
     if kind in _BATHYMETRY_KINDS and kind != "flat" and params is not None:
         if params.beta == 0.0:
             error("bathymetry", "type", "a varying bottom requires beta > 0, got beta = 0")
-    complete = read("bathymetry", dim)
+    complete = read("bathymetry")
     spec = values["bathymetry"]
     if spec.get("kind") == "gaussian_bump":
         check_bump("bathymetry")
-    elif spec.get("kind") == "fourier_modes" and grid is not None:
-        check_band("bathymetry", "modes", spec.get("modes", ()))
+    elif spec.get("kind") == "fourier_modes" and grid is not None and "modes" in spec:
+        check_modes("bathymetry", "modes", spec["modes"])
     bathymetry = build("bathymetry", BathymetrySpec, spec) if complete else None
 
     for section in _SECTIONS:
@@ -864,7 +862,11 @@ def read_snapshot(path: str | Path, expected_grid: PeriodicGrid | None = None) -
 
 
 def read_snapshot_header(path: str | Path) -> SnapshotHeader:
-    """Read only the self-describing header of a GNWV1 snapshot."""
+    """The self-describing header of a GNWV1 snapshot.
+
+    The whole file is read and validated, as :func:`read_snapshot` does, so a
+    truncated or malformed payload is refused here too.
+    """
     header, _state = _read_snapshot_file(Path(path))
     return header
 

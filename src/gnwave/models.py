@@ -55,7 +55,6 @@ __all__ = [
     "ModelParams",
     "FluidState",
     "make_depth",
-    "rest_depth",
     "rhs_gn_u",
     "rhs_gn_v",
     "rhs_bp",
@@ -171,11 +170,6 @@ def make_depth(params: ModelParams, zeta: np.ndarray, bath: BathymetryState) -> 
     return DepthState(bath, h)
 
 
-def rest_depth(params: ModelParams, bath: BathymetryState) -> DepthState:
-    """DepthState of the still water column 1 − βb (the frozen operator depth)."""
-    return make_depth(params, np.zeros(bath.grid.shape), bath)
-
-
 def _require_kind(state: FluidState, kind: VariableKind, what: str) -> None:
     if state.kind is not kind:
         raise ValidationError(
@@ -289,14 +283,14 @@ def rhs_bp(
     depth: DepthState,
     cfg: EllipticSolveConfig | None = None,
     session: SolverSession | None = None,
-    frozen_depth: DepthState | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Weakly nonlinear tendency with the operator frozen at rest depth:
 
     dζ = −∇·(hu) (full depth), (Id + μT[1−βb, βb]) du = −(∇ζ + ε(u·∇)u).
 
-    Pass ``frozen_depth`` (from :func:`rest_depth`) to reuse its cached powers
-    across calls; the dedicated session then keeps warm starts effective.
+    The rest depth is the bottom's cached ``rest_depth``, one object per
+    bottom, so its powers are formed once and a session's warm starts stay
+    effective.
     """
     grid = depth.grid
     dzeta = -_mass_flux_divergence(grid, depth.h, vel)
@@ -305,7 +299,7 @@ def rhs_bp(
     if params.mu == 0.0:
         return dzeta, -forcing
 
-    rest = frozen_depth if frozen_depth is not None else rest_depth(params, depth.bath)
+    rest = depth.bath.rest_depth
     v_rhs = -grid.dealias(rest.h * forcing)
     return dzeta, invert_frakT(rest, v_rhs, params.mu, cfg, session).u
 
@@ -325,7 +319,6 @@ def u_from_v(
     params: ModelParams,
     bath: BathymetryState,
     cfg: EllipticSolveConfig | None = None,
-    session: SolverSession | None = None,
 ) -> FluidState:
     """Inverse map u = 𝔗[h, βb]⁻¹(h v) by elliptic solve.
 
@@ -334,5 +327,5 @@ def u_from_v(
     """
     _require_kind(state, VariableKind.V_VARIABLE, "u_from_v")
     depth = make_depth(params, state.zeta.data, bath)
-    u = invert_frakT(depth, depth.h * state.vel.data, params.mu, cfg, session).u
+    u = invert_frakT(depth, depth.h * state.vel.data, params.mu, cfg).u
     return FluidState(state.zeta, VectorField(state.grid, u), VariableKind.U_VARIABLE, state.time)

@@ -105,6 +105,11 @@ class BathymetryState:
         out.flags.writeable = False
         return out
 
+    @cached_property
+    def rest_depth(self) -> "DepthState":
+        """The still water column 1 − βb over this bottom."""
+        return DepthState(self, 1.0 - self.beta * self.b.data)
+
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class DepthState:

@@ -56,7 +56,6 @@ from .models import (
     VariableKind,
     _require_kind,
     make_depth,
-    rest_depth,
     rhs_bp,
     rhs_gn_u,
     rhs_sv,
@@ -210,10 +209,9 @@ class _Stepper:
                 return dz, self.grid.dealias(dv)
 
         elif form is Formulation.BP:
-            frozen = rest_depth(params, bath)
 
             def tendency(zeta: np.ndarray, vel: np.ndarray, depth: DepthState):
-                dz, dv = rhs_bp(zeta, vel, params, depth, cfg, session, frozen_depth=frozen)
+                dz, dv = rhs_bp(zeta, vel, params, depth, cfg, session)
                 return dz, self.grid.dealias(dv)
 
         else:

@@ -298,7 +298,6 @@ def check_rhs_equivalence(
     u: VectorField,
     params: ModelParams,
     bath: BathymetryState,
-    cfg: EllipticSolveConfig = ORACLE_SOLVE,
     grids: Sequence[int] = (32, 64, 128),
 ) -> ResidualReport:
     """Gap between the classical tendency and the mapped conjugate tendency.
@@ -313,11 +312,11 @@ def check_rhs_equivalence(
         su = FluidState(ScalarField(g, z_g), VectorField(g, u_g), VariableKind.U_VARIABLE)
         sv = v_from_u(su, params, bath_g)
         depth = make_depth(params, z_g, bath_g)
-        dz_u, du = rhs_gn_u(z_g, u_g, params, depth, cfg)
-        dz_v, dv = rhs_gn_v(z_g, sv.vel.data, params, depth, cfg)
+        dz_u, du = rhs_gn_u(z_g, u_g, params, depth, ORACLE_SOLVE)
+        dz_v, dv = rhs_gn_v(z_g, sv.vel.data, params, depth, ORACLE_SOLVE)
         f = eps * dz_v
         mapped_rhs = depth.h * dv + f * sv.vel.data - dh_frakT(depth, f, u_g, params.mu)
-        du_mapped = invert_frakT(depth, mapped_rhs, params.mu, cfg).u
+        du_mapped = invert_frakT(depth, mapped_rhs, params.mu, ORACLE_SOLVE).u
         gap_u = g.norm_l2(du - du_mapped)
         gap_z = g.norm_l2(dz_u - dz_v)
         residuals.append(math.hypot(gap_u, gap_z))
@@ -378,15 +377,15 @@ def fd_pairing_mismatch(
     cfg: EllipticSolveConfig,
     rng: np.random.Generator,
     delta: float = FD_DELTA,
-    max_mode: int = 3,
 ) -> tuple[float, float]:
-    """Central-difference derivative of H along one random direction.
+    """Central-difference derivative of H along one random direction, a
+    band-limited field with modes |m_i| ≤ 3.
 
     Returns (|fd − ⟨gradients, direction⟩|, |⟨gradients, direction⟩|).
     """
     g = zeta.grid
-    sz = band_limited_scalar(g, rng, max_mode, 1.0)
-    sv = band_limited_vector(g, rng, max_mode, 1.0)
+    sz = band_limited_scalar(g, rng, 3, 1.0)
+    sv = band_limited_vector(g, rng, 3, 1.0)
     depth = make_depth(params, zeta.data, bath)
     grad_z, grad_v = _variational_gradients(zeta.data, v.data, params, depth, cfg)
     predicted = g.inner(grad_z, sz) + g.inner(grad_v, sv)
@@ -478,8 +477,6 @@ def fd_skew_reproduction_gap(
     state: FluidState,
     params: ModelParams,
     bath: BathymetryState,
-    cfg: EllipticSolveConfig = ORACLE_SOLVE,
-    delta: float = FD_DELTA,
 ) -> tuple[float, float]:
     """Gap between the FD-gradient skew assembly and the direct tendency.
 
@@ -491,14 +488,16 @@ def fd_skew_reproduction_gap(
     _require_kind(state, VariableKind.V_VARIABLE, "fd_skew_reproduction_gap")
     g = state.grid
     depth = make_depth(params, state.zeta.data, bath)
-    dz, dv = rhs_gn_v(state.zeta.data, state.vel.data, params, depth, cfg)
+    dz, dv = rhs_gn_v(state.zeta.data, state.vel.data, params, depth, ORACLE_SOLVE)
 
     def assembled(step: float) -> tuple[np.ndarray, np.ndarray]:
-        gz, gv = fd_variational_gradients(state.zeta, state.vel, params, bath, cfg, step)
+        gz, gv = fd_variational_gradients(
+            state.zeta, state.vel, params, bath, ORACLE_SOLVE, step
+        )
         return _skew_from_gradients(state.vel.data, params, depth, gz, gv)
 
-    dz_fd, dv_fd = assembled(delta)
-    dz_half, dv_half = assembled(delta / 2.0)
+    dz_fd, dv_fd = assembled(FD_DELTA)
+    dz_half, dv_half = assembled(FD_DELTA / 2.0)
     gap = math.hypot(g.norm_l2(dz - dz_fd), g.norm_l2(dv - dv_fd))
     richardson = (4.0 / 3.0) * math.hypot(
         g.norm_l2(dz_fd - dz_half), g.norm_l2(dv_fd - dv_half)
@@ -511,9 +510,7 @@ def check_variational_structure(
     psi_grad: VectorField,
     params: ModelParams,
     bath: BathymetryState,
-    cfg: EllipticSolveConfig = ORACLE_SOLVE,
     grids: Sequence[int] = (32, 64, 128),
-    delta: float = FD_DELTA,
 ) -> ResidualReport:
     """Energy functional gradients versus the assembled tendency.
 
@@ -529,14 +526,14 @@ def check_variational_structure(
     fd_ok = True
     for index, (g, z_g, v_g, bath_g) in enumerate(_ladder(zeta, psi_grad, bath, grids)):
         state = FluidState(ScalarField(g, z_g), VectorField(g, v_g), VariableKind.V_VARIABLE)
-        dz, dv = rhs_gn_v(z_g, v_g, params, make_depth(params, z_g, bath_g), cfg)
-        dz_skew, dv_skew = skew_assembled_rhs(state, params, bath_g, cfg)
+        dz, dv = rhs_gn_v(z_g, v_g, params, make_depth(params, z_g, bath_g), ORACLE_SOLVE)
+        dz_skew, dv_skew = skew_assembled_rhs(state, params, bath_g)
         scale = max(math.hypot(g.norm_l2(dz), g.norm_l2(dv)), 1e-300)
         residuals.append(
             math.hypot(g.norm_l2(dz - dz_skew), g.norm_l2(dv - dv_skew)) / scale
         )
         if index == len(grids) - 1:
-            gap, tol = fd_skew_reproduction_gap(state, params, bath_g, cfg, delta)
+            gap, tol = fd_skew_reproduction_gap(state, params, bath_g)
             fd_ok = gap <= tol
     report = ResidualReport.from_residuals("variational_structure", grids, residuals)
     return dataclasses.replace(report, passed=report.passed and fd_ok)
@@ -573,13 +570,12 @@ def dispersion_study(
     modes: Sequence[int],
     amplitude: float = 1e-6,
     periods: float = 3.0,
-    steps_per_period: int = 100,
-    cfg: EllipticSolveConfig | None = None,
 ) -> list[DispersionRow]:
     """Measure oscillation frequencies of small right-moving waves.
 
     Each mode is initialized as a linear traveling wave on a flat bottom and
-    integrated for several periods; the frequency is the fitted slope of the
+    integrated for several periods, at least 100 steps (and the CFL advisory
+    step at most) per period; the frequency is the fitted slope of the
     unwrapped phase of the mode's surface coefficient.  ``fit_ok`` is false
     when the phase deviates from linear growth or the amplitude wanders,
     which signals an unresolved or nonlinearly contaminated mode.
@@ -604,13 +600,13 @@ def dispersion_study(
         )
         period = 2.0 * np.pi / omega
         advisory = cfl_time_step(state, params, bath)
-        n_per_period = max(steps_per_period, int(math.ceil(period / advisory)))
+        n_per_period = max(100, int(math.ceil(period / advisory)))
         dt = period / n_per_period
         icfg = IntegrationConfig(
             dt=dt, t_end=periods * period, diag_stride=10**9, snapshot_stride=1
         )
         sinks = CollectingSinks()
-        run(state, params, bath, icfg, cfg, sinks=sinks, diag_order=1)
+        run(state, params, bath, icfg, sinks=sinks, diag_order=1)
         times = np.array([s.time for s in sinks.snapshots])
         mode = (m,) + (0,) * (grid.dim - 1)
         coeff = np.array([grid.fft(s.zeta.data)[mode] for s in sinks.snapshots])

@@ -385,7 +385,6 @@ class TestRecords:
         assert rec.e_norm > 0 and rec.f_norm > 0 and rec.hamiltonian > 0
         assert rec.vorticity_l2 == 0.0
         assert rec.cg_iterations > 0
-        assert rec.order == 2
 
     def test_record_builds_one_water_column(self, monkeypatch):
         """The Hamiltonian and the symmetrizer energy share the record's depth."""
@@ -406,9 +405,9 @@ class TestRecords:
 
     def test_record_validation(self):
         with pytest.raises(ValidationError, match="finite"):
-            DiagnosticsRecord(0.0, np.nan, 1.0, 1.0, 1.0, 0.0, 1.0, 3, 4)
+            DiagnosticsRecord(0.0, np.nan, 1.0, 1.0, 1.0, 0.0, 1.0, 3)
         with pytest.raises(ValidationError, match="positive"):
-            DiagnosticsRecord(0.0, 0.0, 1.0, 1.0, 1.0, 0.0, -0.2, 3, 4)
+            DiagnosticsRecord(0.0, 0.0, 1.0, 1.0, 1.0, 0.0, -0.2, 3)
 
     def test_mass_equals_surface_integral(self):
         g = grid2()

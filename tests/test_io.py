@@ -176,6 +176,33 @@ class TestLoadConfig:
         with pytest.raises(ValidationError, match="two-dimensional"):
             load_config(text)
 
+    @pytest.mark.parametrize("section", ["initial", "bathymetry"])
+    def test_refused_grid_reports_no_mode_arity(self, section):
+        """Mode entries are judged against the grid only when it is accepted:
+        with ``shape = 7 7`` refused, 2-D entries add no violation."""
+        modes = (
+            "[initial]\ntype = fourier_modes\nzeta = 1 1 0.1 0\nvelocity_y = 0 1 0.1 0\n"
+            if section == "initial"
+            else "[model]\nbeta = 0.1\n\n[bathymetry]\ntype = fourier_modes\nmodes = 1 1 0.1 0\n"
+        )
+        text = "[grid]\nshape = 7 7\n\n[integration]\ndt = 0.01\nt_end = 0.1\n\n" + modes
+        with pytest.raises(ValidationError) as excinfo:
+            load_config(text)
+        message = str(excinfo.value)
+        assert "(1 issue(s))" in message and "[grid] *:" in message
+
+    def test_entry_arity_judged_on_the_grid(self):
+        """A one-integer entry on a 2-D grid gets the arity message, once per key."""
+        text = (
+            MINIMAL.replace("shape = 16", "shape = 16 16")
+            + "\n[initial]\ntype = fourier_modes\nzeta = 1 0 0.1 0 ; 1 0.1 0 ; 2 0.1 0\n"
+        )
+        with pytest.raises(ValidationError) as excinfo:
+            load_config(text)
+        message = str(excinfo.value)
+        assert message.count("[initial] zeta:") == 1
+        assert "each entry needs 2 mode integer(s), an amplitude and a phase, got '1 0.1 0'" in message
+
     def test_solitary_needs_dispersion(self):
         """The solitary-wave initial state requires mu > 0."""
         text = MINIMAL + "\n[model]\nmu = 0\n\n[initial]\ntype = solitary_wave\namplitude = 0.2\n"
@@ -478,7 +505,6 @@ def make_record(time: float = 0.1) -> DiagnosticsRecord:
         vorticity_l2=0.0,
         min_depth=0.875,
         cg_iterations=7,
-        order=4,
     )
 
 

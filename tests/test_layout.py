@@ -1,13 +1,17 @@
 """Source layout checks: every module-level import of the package is read,
-imports flow one way, every transform goes through the grid, and importing
-the command line loads no scipy."""
+every function parameter is read, imports flow one way, every transform goes
+through the grid, importing the command line loads no scipy, and the
+benchmark's tracer finds every name it wraps."""
 from __future__ import annotations
 
 import ast
+import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import gnwave
 
@@ -70,6 +74,28 @@ def test_no_unused_module_imports():
             if name not in read and (path.stem, name) not in ALLOWED:
                 unused.append(f"{path.name}:{line} {name}")
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def test_every_parameter_is_read():
+    """A function parameter that its body never reads is accepted and then
+    ignored; ``self``, ``cls`` and ``*args``/``**kwargs`` are exempt."""
+    unread = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = fn.args
+            read = {
+                node.id
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            for arg in args.posonlyargs + args.args + args.kwonlyargs:
+                if arg.arg not in ("self", "cls") and arg.arg not in read:
+                    name = getattr(fn, "name", "<lambda>")
+                    unread.append(f"{path.name}:{fn.lineno} {name}({arg.arg})")
+    assert not unread, "parameters never read: " + ", ".join(unread)
 
 
 # errors → grid → operators → models → {regularization, diagnostics, solitary}
@@ -144,3 +170,20 @@ def test_cli_imports_no_scipy():
         cwd=SOURCE.parent,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_benchmark_tracer_installs():
+    """The layer tracer of ``perfbench/`` wraps gnwave functions by name; in a
+    fresh interpreter it installs against this source without a missing name."""
+    bench = SOURCE.parent.parent / "perfbench"
+    if not (bench / "tracer.py").is_file():
+        pytest.skip("perfbench/ is not beside this source tree")
+    probe = "from tracer import Tracer; Tracer().install()"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        cwd=bench,
+        env={**os.environ, "PYTHONPATH": str(SOURCE.parent)},
+    )
+    assert out.returncode == 0, out.stderr

@@ -16,7 +16,6 @@ from gnwave.models import (
     ModelParams,
     VariableKind,
     make_depth,
-    rest_depth,
     rhs_bp,
     rhs_gn_u,
     rhs_gn_v,
@@ -24,7 +23,13 @@ from gnwave.models import (
     u_from_v,
     v_from_u,
 )
-from gnwave.operators import BathymetryState, EllipticSolveConfig, SolverSession, apply_frakT
+from gnwave.operators import (
+    BathymetryState,
+    DepthState,
+    EllipticSolveConfig,
+    SolverSession,
+    apply_frakT,
+)
 from gnwave.verify import skew_assembled_rhs
 
 
@@ -265,15 +270,20 @@ class TestBoussinesqPeregrine:
         ratio = gaps[0.2] / gaps[0.1]
         assert 1.5 < ratio < 2.7
 
-    def test_frozen_depth_reuse_matches(self):
-        g = grid1()
-        state, params, bath = make_setup(
-            11, g, VariableKind.U_VARIABLE, formulation=Formulation.BP
-        )
-        frozen = rest_depth(params, bath)
-        _, du1 = rhs_bp(*tendency_args(state, params, bath))
-        _, du2 = rhs_bp(*tendency_args(state, params, bath), frozen_depth=frozen)
-        assert np.max(np.abs(du1 - du2)) < 1e-14
+    def test_rest_depth_is_one_object_per_bottom(self):
+        """The frozen operator depth is cached on its bottom and is the still
+        water column 1 − βb, bit for bit, as make_depth forms it at ζ = 0."""
+        for grid in (grid1(), grid2()):
+            _, params, bath = make_setup(11, grid, VariableKind.U_VARIABLE)
+            rest = bath.rest_depth
+            assert bath.rest_depth is rest and rest.bath is bath
+            assert BathymetryState(bath.b, bath.beta).rest_depth is not rest
+            for ref in (
+                DepthState(bath, 1.0 - bath.beta * bath.b.data),
+                make_depth(params, np.zeros(grid.shape), bath),
+            ):
+                for attr in ("h", "h2", "h3"):
+                    assert np.array_equal(getattr(rest, attr), getattr(ref, attr))
 
 
 class TestSolveStats:
