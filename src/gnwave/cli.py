@@ -43,8 +43,7 @@ from .io import (
     build_bathymetry,
     build_initial_state,
     load_config,
-    read_snapshot,
-    read_snapshot_header,
+    read_snapshot_with_header,
     save_config,
 )
 from .models import FluidState, ModelParams, VariableKind, u_from_v
@@ -355,13 +354,12 @@ def _cmd_dispersion(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _supplied_case(path: str) -> tuple[_Case, tuple[int, ...]]:
-    header = read_snapshot_header(path)
+    header, state = read_snapshot_with_header(path)
     if header.beta != 0.0:
         raise ValidationError(
             "equivalence checks on stored states support flat bottoms only "
             f"(snapshot has beta = {header.beta})"
         )
-    state = read_snapshot(path)
     params = ModelParams(
         epsilon=header.epsilon, beta=0.0, mu=header.mu, formulation=header.formulation
     )

@@ -31,7 +31,6 @@ from .models import (
     FluidState,
     ModelParams,
     VariableKind,
-    _mass_flux_divergence,
     _require_kind,
     make_depth,
 )
@@ -249,7 +248,7 @@ def energy_appendixA(
 
     u = state.vel.data
     div_u = grid.divergence(u)
-    dt_zeta = -_mass_flux_divergence(grid, h, u)
+    dt_zeta = -grid.dealiased_divergence(h * u)
     d_a = grid.divergence(u_a)
     if depth.beta_grad_b is None:
         g_a = np.zeros(grid.shape)

@@ -50,7 +50,7 @@ __all__ = [
     "load_config",
     "read_diagnostics",
     "read_snapshot",
-    "read_snapshot_header",
+    "read_snapshot_with_header",
     "save_config",
     "write_snapshot",
 ]
@@ -710,7 +710,7 @@ def build_initial_state(cfg: RunConfig) -> FluidState:
     if spec.kind == "solitary_wave":
         return solitary_wave_state(grid, spec.amplitude, cfg.params, kind=kind)
     # file
-    header, state = _read_snapshot_file(Path(spec.path))
+    header, state = read_snapshot_with_header(spec.path)
     _require_snapshot_grid(header, grid)
     if state.kind is not kind:
         raise ValidationError(
@@ -741,10 +741,6 @@ class SnapshotHeader:
     mu: float
     formulation: Formulation
     time: float
-
-    @property
-    def dim(self) -> int:
-        return len(self.shape)
 
 
 def _header_format(dim: int) -> str:
@@ -792,7 +788,10 @@ def _unpack_header(raw: bytes, path: Path, fmt: str) -> tuple[tuple, int]:
     return struct.unpack_from(fmt, raw, len(SNAPSHOT_MAGIC)), end
 
 
-def _read_snapshot_file(path: Path) -> tuple[SnapshotHeader, FluidState]:
+def read_snapshot_with_header(path: str | Path) -> tuple[SnapshotHeader, FluidState]:
+    """A GNWV1 snapshot's self-describing header and its state, from one read
+    that validates the whole file."""
+    path = Path(path)
     raw = path.read_bytes()
     if raw[: len(SNAPSHOT_MAGIC)] != SNAPSHOT_MAGIC:
         raise SnapshotFormatError(
@@ -855,20 +854,10 @@ def read_snapshot(path: str | Path, expected_grid: PeriodicGrid | None = None) -
     ``expected_grid`` rejects cross-resolution reads. The variable kind is
     recovered from the stored formulation name.
     """
-    header, state = _read_snapshot_file(Path(path))
+    header, state = read_snapshot_with_header(path)
     if expected_grid is not None:
         _require_snapshot_grid(header, expected_grid)
     return state
-
-
-def read_snapshot_header(path: str | Path) -> SnapshotHeader:
-    """The self-describing header of a GNWV1 snapshot.
-
-    The whole file is read and validated, as :func:`read_snapshot` does, so a
-    truncated or malformed payload is refused here too.
-    """
-    header, _state = _read_snapshot_file(Path(path))
-    return header
 
 
 # ---------------------------------------------------------------- diagnostics

@@ -11,9 +11,13 @@ and the conjugate form evolves (ζ, v) with v = (Id + μT)u::
     ∂t v + ε u^⊥ curl v + ∇ζ + (ε/2)∇|u|² = με ∇(R[h,u] + R_b[h,βb,u])
 
 The weakly nonlinear variant freezes the dispersive operator at the rest
-depth 1 − βb, and the hydrostatic variant is the μ = 0 limit. Every
-evaluation performs exactly one elliptic solve and dealiases intermediate
-products.
+depth 1 − βb and drops the με terms, and the hydrostatic variant is the
+μ = 0 limit; the three classical-variable tendencies share one body.  A
+gn_v evaluation, and a gn_u or bp one at μ > 0, performs exactly one
+elliptic solve; sv and the μ = 0 limits perform none.  Intermediate products
+are dealiased.  The time stepper projects the velocity tendency of gn_u and
+bp, a CG solution when μ > 0, onto the dealiased band; the gn_v and sv
+tendencies lie in it already.
 
 The tendencies take the ``(zeta, vel)`` arrays of a state together with
 its water column, the :class:`DepthState` that :func:`make_depth` builds from
@@ -187,24 +191,40 @@ def _advection(grid: PeriodicGrid, u: np.ndarray) -> np.ndarray:
     return grid.dealias(out)
 
 
-def _mass_flux_divergence(grid: PeriodicGrid, h: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """∇·(hu) with the product dealiased; integrates to zero exactly."""
-    return grid.dealiased_divergence(h * u)
+def _classical_tendency(
+    zeta: np.ndarray,
+    vel: np.ndarray,
+    params: ModelParams,
+    depth: DepthState,
+    form: Formulation,
+    cfg: EllipticSolveConfig | None,
+    session: SolverSession | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The tendency of the sv, gn_u or bp ``form``: dζ = −P∇·(hu), which
+    integrates to zero exactly, and du = −forcing for sv or μ = 0, else the
+    solution of 𝔗[h₀] du = −P(h₀ · forcing).  The forcing is ∇ζ + ε(u·∇)u,
+    plus με(Q + Q_b) for gn_u; h₀ is the stage's column h for gn_u and the
+    bottom's rest column for bp."""
+    grid = depth.grid
+    dzeta = -grid.dealiased_divergence(depth.h * vel)
 
+    forcing = grid.gradient(zeta) + params.epsilon * _advection(grid, vel)
+    if form is Formulation.SV or params.mu == 0.0:
+        return dzeta, -forcing
 
-def _sv_velocity_tendency(
-    grid: PeriodicGrid, params: ModelParams, zeta: np.ndarray, u: np.ndarray
-) -> np.ndarray:
-    return -(grid.gradient(zeta) + params.epsilon * _advection(grid, u))
+    mu_eps = params.mu * params.epsilon
+    if form is Formulation.GN_U and mu_eps > 0.0:
+        forcing = forcing + mu_eps * (apply_Q(depth, vel) + apply_Qb(depth, vel))
+    h0 = depth.bath.rest_depth if form is Formulation.BP else depth
+    v_rhs = -grid.dealias(h0.h * forcing)
+    return dzeta, invert_frakT(h0, v_rhs, params.mu, cfg, session).u
 
 
 def rhs_sv(
     zeta: np.ndarray, vel: np.ndarray, params: ModelParams, depth: DepthState
 ) -> tuple[np.ndarray, np.ndarray]:
     """Hydrostatic (μ = 0) right-hand side: dζ = −∇·(hu), du = −∇ζ − ε(u·∇)u."""
-    grid = depth.grid
-    dzeta = -_mass_flux_divergence(grid, depth.h, vel)
-    return dzeta, _sv_velocity_tendency(grid, params, zeta, vel)
+    return _classical_tendency(zeta, vel, params, depth, Formulation.SV, None, None)
 
 
 def rhs_gn_u(
@@ -220,18 +240,7 @@ def rhs_gn_u(
     (Id + μT) du = −(∇ζ + ε(u·∇)u + με(Q + Q_b)) is realized through the
     composed operator: 𝔗 du = h · rhs.
     """
-    grid = depth.grid
-    dzeta = -_mass_flux_divergence(grid, depth.h, vel)
-
-    forcing = -_sv_velocity_tendency(grid, params, zeta, vel)
-    mu_eps = params.mu * params.epsilon
-    if mu_eps > 0.0:
-        forcing = forcing + mu_eps * (apply_Q(depth, vel) + apply_Qb(depth, vel))
-    if params.mu == 0.0:
-        return dzeta, -forcing
-
-    v_rhs = -grid.dealias(depth.h * forcing)
-    return dzeta, invert_frakT(depth, v_rhs, params.mu, cfg, session).u
+    return _classical_tendency(zeta, vel, params, depth, Formulation.GN_U, cfg, session)
 
 
 def rhs_gn_v(
@@ -292,16 +301,7 @@ def rhs_bp(
     bottom, so its powers are formed once and a session's warm starts stay
     effective.
     """
-    grid = depth.grid
-    dzeta = -_mass_flux_divergence(grid, depth.h, vel)
-
-    forcing = -_sv_velocity_tendency(grid, params, zeta, vel)
-    if params.mu == 0.0:
-        return dzeta, -forcing
-
-    rest = depth.bath.rest_depth
-    v_rhs = -grid.dealias(rest.h * forcing)
-    return dzeta, invert_frakT(rest, v_rhs, params.mu, cfg, session).u
+    return _classical_tendency(zeta, vel, params, depth, Formulation.BP, cfg, session)
 
 
 def v_from_u(state: FluidState, params: ModelParams, bath: BathymetryState) -> FluidState:

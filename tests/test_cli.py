@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gnwave import verify
-from gnwave.cli import build_parser, main
+from gnwave.cli import _supplied_case, build_parser, main
 from gnwave.grid import PeriodicGrid, ScalarField, VectorField
 from gnwave.io import read_diagnostics, read_snapshot, write_snapshot
 from gnwave.models import FluidState, Formulation, ModelParams, VariableKind
@@ -313,6 +313,26 @@ class TestEquivalence:
         write_snapshot(state, params, path)
         assert main(["equivalence", "--state", str(path)]) == 0
         assert "ALL PASS" in capsys.readouterr().out
+
+    def test_supplied_state_read_once(self, tmp_path, monkeypatch):
+        """A stored snapshot is read and validated once: its header and its
+        state come from the same read."""
+        grid = PeriodicGrid((32,), (2.0 * np.pi,))
+        params = ModelParams(epsilon=0.2, beta=0.0, mu=0.9, formulation=Formulation.GN_U)
+        path = tmp_path / "state.gnwv"
+        write_snapshot(FluidState.rest(grid, VariableKind.U_VARIABLE), params, path)
+        reads = []
+        read_bytes = Path.read_bytes
+
+        def counted(self):
+            reads.append(self)
+            return read_bytes(self)
+
+        monkeypatch.setattr(Path, "read_bytes", counted)
+        (_zeta, _vel, stored, _bath), sizes = _supplied_case(str(path))
+        assert reads == [path]
+        assert stored == params
+        assert sizes == (8, 16, 32)
 
     def test_snapshot_size_needs_multiple_of_8(self, tmp_path, capsys):
         """The coarsest rung n/4 must be an even grid size: 36 points are refused."""

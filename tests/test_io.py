@@ -24,7 +24,7 @@ from gnwave.io import (
     load_config,
     read_diagnostics,
     read_snapshot,
-    read_snapshot_header,
+    read_snapshot_with_header,
     save_config,
     write_snapshot,
 )
@@ -482,12 +482,12 @@ class TestSnapshots:
             read_snapshot(path, expected_grid=other)
 
     def test_header_reader(self, tmp_path):
-        """The header reader exposes the stored metadata."""
+        """The header that comes with the state exposes the stored metadata."""
         grid = PeriodicGrid((16, 12), (6.0, 5.0))
         params = ModelParams(epsilon=0.25, beta=0.0, mu=1.5, formulation=Formulation.BP)
         path = tmp_path / "state.gnwv"
         write_snapshot(random_state(grid, kind=VariableKind.U_VARIABLE), params, path)
-        header = read_snapshot_header(path)
+        header, _state = read_snapshot_with_header(path)
         assert header.shape == (16, 12)
         assert header.lengths == (6.0, 5.0)
         assert (header.epsilon, header.beta, header.mu) == (0.25, 0.0, 1.5)

@@ -1,7 +1,7 @@
 """Source layout checks: every module-level import of the package is read,
 every function parameter is read, imports flow one way, every transform goes
 through the grid, importing the command line loads no scipy, and the
-benchmark's tracer finds every name it wraps."""
+benchmark's tracer and timing hooks find every name they wrap."""
 from __future__ import annotations
 
 import ast
@@ -179,6 +179,41 @@ def test_benchmark_tracer_installs():
     if not (bench / "tracer.py").is_file():
         pytest.skip("perfbench/ is not beside this source tree")
     probe = "from tracer import Tracer; Tracer().install()"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        cwd=bench,
+        env={**os.environ, "PYTHONPATH": str(SOURCE.parent)},
+    )
+    assert out.returncode == 0, out.stderr
+
+
+def test_benchmark_timing_hooks_install():
+    """The benchmark's timing hooks (``perfbench/child.py``'s ``Boundaries``)
+    replace ``_Stepper.advance``, ``timeloop.collect_record`` and ``cli.run``;
+    in a fresh interpreter they install against this source and time every
+    step and record of a short run."""
+    bench = SOURCE.parent.parent / "perfbench"
+    if not (bench / "child.py").is_file():
+        pytest.skip("perfbench/ is not beside this source tree")
+    probe = (
+        "import numpy as np\n"
+        "from child import Boundaries\n"
+        "from gnwave import cli\n"
+        "from gnwave.grid import PeriodicGrid\n"
+        "from gnwave.models import FluidState, ModelParams, VariableKind\n"
+        "from gnwave.operators import BathymetryState\n"
+        "from gnwave.timeloop import CollectingSinks, IntegrationConfig\n"
+        "hooks = Boundaries()\n"
+        "hooks.install()\n"
+        "grid = PeriodicGrid((16,), (2.0 * np.pi,))\n"
+        "cli.run(FluidState.rest(grid, VariableKind.U_VARIABLE),\n"
+        "        ModelParams(formulation='gn_u'), BathymetryState.flat(grid),\n"
+        "        IntegrationConfig(dt=0.1, t_end=0.3), None, CollectingSinks())\n"
+        "assert len(hooks.steps) == 3, hooks.steps\n"
+        "assert len(hooks.record_starts) == 4, hooks.record_starts\n"
+    )
     out = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True,
