@@ -68,6 +68,13 @@ def _dispersion_passed(rows: Sequence[verify.DispersionRow]) -> bool:
 # ------------------------------------------------------------------- plumbing
 
 
+def _seed(text: str) -> int:
+    """argparse type of ``--seed``: numpy's generators take no negative seed."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected an integer ≥ 0, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gnwave",
@@ -94,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
             )
 
     def add_seed(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=0, help="seed of the random fields")
+        p.add_argument("--seed", type=_seed, default=0, help="seed of the random fields")
 
     p_run = sub.add_parser("run", help="integrate a configured problem")
     add_config(p_run, "run configuration (required)", output=True)

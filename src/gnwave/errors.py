@@ -17,8 +17,8 @@ class GridMismatchError(ValidationError):
 
 class CoercivityViolationError(GnwaveError, ArithmeticError):
     """Raised when the water depth loses the positivity that the elliptic
-    operator needs (min h <= 0, or a stage depth under half the declared
-    floor during time stepping)."""
+    operator needs (min h <= 0, or, during time stepping, a stage depth down
+    to half the floor, the minimum depth of the initial state)."""
 
     def __init__(self, message: str, min_depth: float):
         super().__init__(message)

@@ -4,12 +4,11 @@ snapshot/diagnostics persistence.
 The run configuration is a line-oriented ``key = value`` text with sections
 in brackets. Its language is one table, ``_TABLE``, in save order: each key
 is declared once, with the setting of :class:`RunConfig` it owns, its reader
-and writer, whether it is required, and the values of its section's selector
-(``type``, or ``profile`` in ``[mollifier]``) it applies to. :func:`load_config`
-and :func:`save_config` both iterate the table, and a key not in it is
-unknown. What ties keys together (the spectral band, a bump's center and
-width, the solitary wave's constraints, beta > 0 under a varying bottom) is
-checked in :func:`load_config`.
+and writer, whether it is required, and the values of its section's ``type``
+it applies to. :func:`load_config` and :func:`save_config` both iterate the
+table, and a key not in it is unknown. What ties keys together (the spectral
+band, a bump's center and width, the solitary wave's constraints, beta > 0
+under a varying bottom) is checked in :func:`load_config`.
 
 Snapshots are a small self-describing binary format (magic ``GNWV1``,
 little-endian header, raw float64 payload). Diagnostics go to CSV with 17
@@ -197,8 +196,8 @@ def _parse_ini(text: str) -> dict[str, dict[str, str]]:
             f"line {exc.lineno}: key/value before any [section] header", exc.lineno
         ) from exc
     except (configparser.DuplicateOptionError, configparser.DuplicateSectionError) as exc:
-        line = exc.lineno or 0
-        raise ParseError(f"line {line}: {exc.message}", line) from exc
+        what = f"key {exc.option!r} in" if hasattr(exc, "option") else "section"
+        raise ParseError(f"line {exc.lineno}: {what} [{exc.section}] repeated", exc.lineno) from exc
     except configparser.ParsingError as exc:
         line = exc.errors[0][0] if exc.errors else 0
         raise ParseError(f"line {line}: malformed line (expected key = value)", line) from exc
@@ -262,11 +261,13 @@ def _numbers(raw: str) -> tuple[float, ...]:
     return values
 
 
-def _integer(raw: str) -> int:
-    try:
-        return int(raw, 10)
-    except ValueError:
-        raise ValueError(f"not an integer: {raw!r}") from None
+def _count(low: int) -> Callable[[str], int]:
+    def read(raw: str) -> int:
+        if not (raw.isascii() and raw.isdigit() and int(raw) >= low):
+            raise ValueError(f"must be an integer ≥ {low}, got {raw!r}")
+        return int(raw)
+
+    return read
 
 
 def _integers(raw: str) -> tuple[int, ...]:
@@ -274,15 +275,6 @@ def _integers(raw: str) -> tuple[int, ...]:
         return tuple(int(tok, 10) for tok in raw.split())
     except ValueError:
         raise ValueError(f"expected whitespace-separated integers, got {raw!r}") from None
-
-
-def _iteration_cap(raw: str) -> int | None:
-    if raw.lower() == "none":
-        return None
-    try:
-        return int(raw, 10)
-    except ValueError:
-        raise ValueError(f"not an integer or 'none': {raw!r}") from None
 
 
 def _path(raw: str) -> str:
@@ -335,10 +327,6 @@ def _fmt_entries(entries: Iterable[ModeEntry]) -> str:
     )
 
 
-def _fmt_iteration_cap(value: int | None) -> str:
-    return "none" if value is None else str(value)
-
-
 # ---------------------------------------------------------------- the schema
 
 
@@ -349,9 +337,9 @@ class _Key:
 
     ``field`` is the setting's dotted path from :class:`RunConfig`; its last
     step is a dict entry for the initial-state mode fields. ``kinds`` lists
-    the values of the section's selector key (``_SELECTORS``) that the key
-    applies to; an empty tuple means every value (the selector itself, keys
-    read before it, and sections without one).
+    the values of the section's ``type`` key that the key applies to; an
+    empty tuple means every value (``type`` itself, keys read before it, and
+    sections without one).
     """
 
     section: str
@@ -370,7 +358,6 @@ _TABLE: tuple[_Key, ...] = (
     _Key("model", "mu", "params.mu", _number),
     _Key("model", "formulation", "params.formulation",
          _one_of([f.value for f in Formulation]), lambda f: f.value),
-    _Key("model", "h_star", "params.h_star", _number),
     _Key("grid", "shape", "grid.shape", _integers, _fmt_words, required=True),
     _Key("grid", "lengths", "grid.lengths", _numbers, _fmt_floats),
     _Key("integration", "dt", "integration.dt", _number, required=True),
@@ -378,11 +365,7 @@ _TABLE: tuple[_Key, ...] = (
     _Key("integration", "scheme", "integration.scheme", _one_of(_SCHEMES), str),
     _Key("mollifier", "iota", "integration.mollifier.iota", _number),
     _Key("mollifier", "profile", "integration.mollifier.profile", _one_of(_PROFILES), str),
-    _Key("mollifier", "r0", "integration.mollifier.r0", _number, kinds=("smooth_bump",)),
-    _Key("mollifier", "r1", "integration.mollifier.r1", _number, kinds=("smooth_bump",)),
     _Key("elliptic", "rel_tolerance", "elliptic.rel_tolerance", _number),
-    _Key("elliptic", "max_iterations", "elliptic.max_iterations",
-         _iteration_cap, _fmt_iteration_cap),
     _Key("initial", "type", "initial.kind", _one_of(_INITIAL_KINDS), str),
     _Key("initial", "amplitude", "initial.amplitude", _number, required=True,
          kinds=("gaussian", "solitary_wave")),
@@ -405,18 +388,16 @@ _TABLE: tuple[_Key, ...] = (
          required=True, kinds=("fourier_modes",)),
     _Key("bathymetry", "path", "bathymetry.path", _path, str, required=True, kinds=("file",)),
     _Key("output", "directory", "output.directory", _text, str),
-    _Key("output", "diag_stride", "integration.diag_stride", _integer, str),
-    _Key("output", "snapshot_stride", "integration.snapshot_stride", _integer, str),
+    _Key("output", "diag_stride", "integration.diag_stride", _count(1), str),
+    _Key("output", "snapshot_stride", "integration.snapshot_stride", _count(0), str),
     _Key("output", "formats", "output.formats", _words, _fmt_words),
 )
 _SECTIONS = tuple(dict.fromkeys(key.section for key in _TABLE))
-# the keys whose value selects which typed keys of their section apply
-_SELECTORS = ("type", "profile")
 
 
 def _applies(key: _Key, section: str, kind: str | None) -> bool:
-    """Whether ``key`` is read and written in ``section`` when its selector
-    is ``kind``: None before the selector or without it."""
+    """Whether ``key`` is read and written in ``section`` when its ``type``
+    is ``kind``: None before ``type`` or without it."""
     return key.section == section and (not key.kinds or kind in key.kinds)
 
 
@@ -481,7 +462,7 @@ def load_config(text: str, overrides: Sequence[str] = ()) -> RunConfig:
             for step in owners:
                 node = node.setdefault(step, {})
             node[attr] = value
-            if key.name in _SELECTORS:
+            if key.name == "type":
                 kind = value
         return complete
 
@@ -489,7 +470,7 @@ def load_config(text: str, overrides: Sequence[str] = ()) -> RunConfig:
         """``cls`` from the settings read, its own defaults for the rest; a
         refusal is recorded as a ``*`` violation and gives None."""
         try:
-            return cls(**{k: v for k, v in settings.items() if v is not None})
+            return cls(**settings)
         except ValidationError as exc:
             error(section, "*", str(exc))
             return None
@@ -509,7 +490,7 @@ def load_config(text: str, overrides: Sequence[str] = ()) -> RunConfig:
     output = build("output", OutputSpec, values["output"])
     integration: IntegrationConfig | None = None
     if read("integration"):
-        values["integration"]["mollifier"] = mollifier
+        values["integration"]["mollifier"] = mollifier or MollifierSpec()
         integration = build("integration", IntegrationConfig, values["integration"])
     read("elliptic")
     elliptic = build("elliptic", EllipticSolveConfig, values["elliptic"])
@@ -617,7 +598,7 @@ def save_config(cfg: RunConfig) -> str:
                 value = _mid_domain(cfg.grid)
             if value is not _ABSENT:
                 lines.append(f"{key.name} = {key.write(value)}")
-            if key.name in _SELECTORS:
+            if key.name == "type":
                 kind = value
         lines.append("")
     return "\n".join(lines)
@@ -921,10 +902,6 @@ class FileSinks:
         if "csv" in self._formats:
             self._stream = open(self.directory / "diagnostics.csv", "w", newline="")
             self._stream.write(",".join(DIAGNOSTIC_COLUMNS) + "\n")
-
-    @property
-    def csv_path(self) -> Path:
-        return self.directory / "diagnostics.csv"
 
     def record(self, rec: DiagnosticsRecord) -> None:
         if self._stream is not None:

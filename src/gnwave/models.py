@@ -99,22 +99,15 @@ def _kind_for(formulation: Formulation) -> VariableKind:
 
 @dataclasses.dataclass(frozen=True)
 class ModelParams:
-    """Scaling parameters and formulation selector.
-
-    ``h_star`` is the depth floor of a run: 0 means the minimum depth of the
-    initial state.  The floor is a stage guard at half its value: a stage
-    whose minimum depth falls to ``h_star / 2`` aborts the run.  The initial
-    state is not held to the floor itself, only to a positive depth.
-    """
+    """Scaling parameters and formulation selector."""
 
     epsilon: float = 1.0
     beta: float = 0.0
     mu: float = 1.0
     formulation: Formulation = Formulation.GN_V
-    h_star: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("epsilon", "beta", "mu", "h_star"):
+        for name in ("epsilon", "beta", "mu"):
             val = float(getattr(self, name))
             if not np.isfinite(val) or val < 0.0:
                 raise ValidationError(f"{name} must be a finite real >= 0, got {val}")

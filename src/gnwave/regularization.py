@@ -44,16 +44,12 @@ class MollifierSpec:
         Smoothing scale in [0, 1).  Zero disables smoothing.
     profile : str
         ``sharp_cutoff`` keeps modes with ι|k| ≤ 1 unchanged and removes the
-        rest.  ``smooth_bump`` is 1 for ι|k| ≤ r0, 0 for ι|k| ≥ r1, with a
+        rest.  ``smooth_bump`` is 1 for ι|k| ≤ ½, 0 for ι|k| ≥ 1, with a
         C^∞ transition in between.
-    r0, r1 : float
-        Inner and outer radii of the smooth profile, 0 < r0 < r1.
     """
 
     iota: float = 0.0
     profile: str = "sharp_cutoff"
-    r0: float = 0.5
-    r1: float = 1.0
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.iota < 1.0 and math.isfinite(self.iota)):
@@ -61,10 +57,6 @@ class MollifierSpec:
         if self.profile not in _PROFILES:
             raise ValidationError(
                 f"unknown profile {self.profile!r}, expected one of {_PROFILES}"
-            )
-        if self.profile == "smooth_bump" and not 0.0 < self.r0 < self.r1:
-            raise ValidationError(
-                f"smooth_bump radii must satisfy 0 < r0 < r1, got {self.r0}, {self.r1}"
             )
 
     @property
@@ -92,22 +84,17 @@ class MollifierSpec:
         r = self.iota * np.sqrt(k2)
         if self.profile == "sharp_cutoff":
             return (r <= 1.0).astype(float)
-        return _smooth_step(self.r0, self.r1, r)
+        return _smooth_step(r)
 
 
-def _smooth_step(r0: float, r1: float, r: np.ndarray) -> np.ndarray:
-    """C^∞ cutoff: 1 on [0, r0], 0 on [r1, ∞), monotone in between."""
-    t = np.clip((r - r0) / (r1 - r0), 0.0, 1.0)
-
-    def bump(s: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(s)
-        pos = s > 0.0
-        out[pos] = np.exp(-1.0 / s[pos])
-        return out
-
-    upper = bump(1.0 - t)
-    lower = bump(t)
-    return upper / (upper + lower + np.finfo(float).tiny * (upper + lower == 0.0))
+def _smooth_step(r: np.ndarray) -> np.ndarray:
+    """C^∞ cutoff: 1 on [0, ½], 0 on [1, ∞), monotone in between: with
+    t = 2r − 1 clipped to [0, 1], e^{−1/(1−t)} / (e^{−1/(1−t)} + e^{−1/t}),
+    whose denominator is at least e^{−2}."""
+    t = np.clip(2.0 * r - 1.0, 0.0, 1.0)
+    with np.errstate(divide="ignore"):  # e^{−1/0} = e^{−∞} = 0
+        upper, lower = np.exp(-1.0 / (1.0 - t)), np.exp(-1.0 / t)
+    return upper / (upper + lower)
 
 
 def mollify(grid: PeriodicGrid, f: np.ndarray, spec: MollifierSpec) -> np.ndarray:

@@ -26,7 +26,8 @@ band.  Every stage input and step result is checked: any field magnitude
 beyond 1e8 (or a non-finite value) terminates the run as a blow-up.  Each
 stage then builds its water column once, with
 :func:`~gnwave.models.make_depth`; a stage whose minimum depth falls to half
-the configured floor aborts the step, and the tendency takes the same depth.
+the floor, the minimum depth of the initial state, aborts the step, and the
+tendency takes the same depth.
 
 Determinism: all arithmetic is fixed-order; two runs from identical inputs
 produce bit-identical states, records and snapshots.  Wall-clock time in the
@@ -61,7 +62,7 @@ from .models import (
     rhs_sv,
     v_from_u,
 )
-from .operators import BathymetryState, DepthState, EllipticSolveConfig, SolverSession, _is_count
+from .operators import BathymetryState, DepthState, EllipticSolveConfig, SolverSession
 from .regularization import MollifierSpec, rhs_gn_v_mollified
 
 __all__ = [
@@ -78,6 +79,11 @@ __all__ = [
 BLOWUP_LIMIT = 1e8
 CFL_SAFETY = 0.5
 _SCHEMES = ("rk4", "rk3_ssp")
+
+
+def _is_count(n, low: int) -> bool:
+    """True for a Python or numpy integer ≥ ``low``; a bool is no count."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= low
 
 
 @dataclasses.dataclass(frozen=True)
@@ -169,8 +175,8 @@ class _Stepper:
     """Binds the model tendency, the stage guards and a solver session to the
     state a run starts from, which must be of the formulation's kind.
 
-    A floor ``h_star`` of 0 resolves to the minimum of ``initial_depth``, the
-    water column of the initial state.
+    The depth floor is the minimum of ``initial_depth``, the water column of
+    the initial state: the bound h_min > 0 that keeps 𝔗 coercive.
     """
 
     def __init__(
@@ -194,7 +200,7 @@ class _Stepper:
         self.grid = bath.grid
         self.scheme = icfg.scheme
         self.session = session
-        self.h_star = params.h_star or initial_depth.h_min
+        self.floor = initial_depth.h_min
         form = params.formulation
         if form is Formulation.GN_V:
             spec = icfg.mollifier
@@ -242,10 +248,10 @@ class _Stepper:
         self.check_fields(zeta, vel, t)
         depth = make_depth(self.params, zeta, self.bath)
         h_min = depth.h_min
-        if h_min <= 0.5 * self.h_star:
+        if h_min <= 0.5 * self.floor:
             raise CoercivityViolationError(
                 f"stage depth {h_min:.6g} at t = {t:.6g} fell to half the "
-                f"floor {self.h_star:.6g}",
+                f"floor {self.floor:.6g}",
                 min_depth=h_min,
             )
         self.session.time = t

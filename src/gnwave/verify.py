@@ -578,18 +578,24 @@ def dispersion_study(
     step at most) per period; the frequency is the fitted slope of the
     unwrapped phase of the mode's surface coefficient.  ``fit_ok`` is false
     when the phase deviates from linear growth or the amplitude wanders,
-    which signals an unresolved or nonlinearly contaminated mode.
+    which signals an unresolved or nonlinearly contaminated mode.  The modes
+    must lie in ``1 … grid.band[0]``.
     """
     if params.beta != 0.0:
         raise ValidationError("dispersion_study requires a flat bottom (beta = 0)")
+    modes = [int(m) for m in modes]
+    for m in modes:
+        if not 0 < m <= grid.band[0]:
+            raise ValidationError(f"dispersion modes must lie in 1 … {grid.band[0]}, got {m}")
+    if not (math.isfinite(amplitude) and amplitude != 0.0 and 0.0 < periods < math.inf):
+        raise ValidationError(
+            f"dispersion needs a finite nonzero amplitude and periods > 0, got {amplitude}, {periods}"
+        )
     bath = BathymetryState.flat(grid)
     x = grid.coords[0]
     length = grid.lengths[0]
     rows = []
     for m in modes:
-        m = int(m)
-        if m <= 0:
-            raise ValidationError(f"dispersion modes must be positive, got {m}")
         k = 2.0 * np.pi * m / length
         omega = predicted_omega(k, params.mu)
         zeta0 = amplitude * np.cos(k * x)

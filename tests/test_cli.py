@@ -66,6 +66,22 @@ class TestArgumentHandling:
         cfg = write_config(tmp_path, "\n[model]\nmu = -1\n")
         assert main(["info", "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "--seed", "-5"], ["equivalence", "--seed", "-1"]],
+        ids=["verify", "equivalence"],
+    )
+    def test_negative_seed_exits_one(self, argv, capsys, monkeypatch):
+        """A negative seed is refused at parse time, before any case is built."""
+        monkeypatch.setattr(verify, "band_limited_scalar", None)  # nothing may draw
+        assert main(argv) == 1
+        assert "--seed: expected an integer ≥ 0, got '-" in capsys.readouterr().err
+
+    def test_bad_dispersion_arguments_exit_one(self, capsys):
+        """A dispersion argument outside its range is a validation error."""
+        assert main(["dispersion", "--periods", "0"]) == 1
+        assert capsys.readouterr().err.startswith("error: dispersion")
+
 
 # each subcommand's option strings; a change here is a change of the CLI
 OPTIONS = {

@@ -108,30 +108,27 @@ class TestLoadConfig:
         for section, key in (
             ("model", "bogus"),
             ("model", "h_star_upper"),
+            ("model", "h_star"),
             ("elliptic", "preconditioner"),
             ("elliptic", "warm_start"),
+            ("elliptic", "max_iterations"),
+            ("mollifier", "profile = smooth_bump\nr0"),
+            ("mollifier", "profile = smooth_bump\nr1"),
         ):
             with pytest.raises(ValidationError, match="unknown key"):
                 load_config(MINIMAL + f"\n[{section}]\n{key} = 3\n")
 
     @pytest.mark.parametrize("profile", ["", "profile = sharp_cutoff\n"], ids=["default", "named"])
     def test_mollifier_radii_refused_under_sharp_cutoff(self, profile):
-        """r0 and r1 shape only the smooth profile; under the sharp cutoff,
-        named or by default, they are unknown keys."""
+        """The smooth profile's radii are constants, so r0 and r1 are unknown
+        keys under the sharp cutoff too, named or by default, and no config
+        saves them."""
         for key in ("r0", "r1"):
             text = MINIMAL + f"\n[mollifier]\niota = 0.1\n{profile}{key} = 0.3\n"
             with pytest.raises(ValidationError, match=f"\\[mollifier\\] {key}: unknown key"):
                 load_config(text)
         saved = save_config(load_config(MINIMAL + f"\n[mollifier]\niota = 0.1\n{profile}"))
         assert "r0" not in saved and "r1" not in saved
-
-    def test_mollifier_radii_read_under_smooth_bump(self):
-        """Under the smooth profile r0 and r1 are read, kept and saved."""
-        text = MINIMAL + "\n[mollifier]\niota = 0.1\nprofile = smooth_bump\nr0 = 0.3\nr1 = 0.9\n"
-        cfg = load_config(text)
-        assert (cfg.integration.mollifier.r0, cfg.integration.mollifier.r1) == (0.3, 0.9)
-        block = "[mollifier]\niota = 0.1\nprofile = smooth_bump\nr0 = 0.3\nr1 = 0.9\n"
-        assert block in save_config(cfg)
 
     def test_unknown_section_rejected(self):
         """Sections outside the documented schema are refused."""
@@ -150,9 +147,28 @@ class TestLoadConfig:
             load_config("[grid]\nshape 16\n")
 
     def test_duplicate_key_rejected(self):
-        """The same key twice in one section is a parse error."""
-        with pytest.raises(ParseError):
-            load_config("[grid]\nshape = 16\nshape = 32\n")
+        """A key repeated in its section, or a repeated section, is a parse
+        error that states its line once, in the config's own terms."""
+        for text, line, message in (
+            ("[grid]\nshape = 16\nshape = 32\n", 3, "key 'shape' in [grid] repeated"),
+            ("[grid]\nshape = 16\n\n[grid]\nlengths = 1\n", 4, "section [grid] repeated"),
+        ):
+            with pytest.raises(ParseError) as excinfo:
+                load_config(text)
+            assert excinfo.value.line == line
+            assert str(excinfo.value) == f"line {line}: {message}"
+
+    @pytest.mark.parametrize("dt", ["dt = 0.01\n", ""], ids=["with_dt", "without_dt"])
+    def test_bad_stride_reported_under_output(self, dt):
+        """A bad output stride is reported under [output], where it is
+        written, also when [integration] is incomplete."""
+        text = f"[grid]\nshape = 16\n\n[integration]\n{dt}t_end = 0.1\n\n[output]\n"
+        for key, value, low in (("diag_stride", "0", 1), ("snapshot_stride", "-1", 0)):
+            with pytest.raises(ValidationError) as excinfo:
+                load_config(text + f"{key} = {value}\n")
+            message = str(excinfo.value)
+            assert f"[output] {key}: must be an integer ≥ {low}, got '{value}'" in message
+            assert "[integration] *" not in message
 
     def test_overrides_applied(self):
         """Dotted overrides replace values before validation."""
@@ -310,7 +326,7 @@ def built_config(**settings) -> RunConfig:
 MID = "center = 3.141592653589793"
 
 # (config text or a config built in code, the block save_config writes for
-# its [initial], [bathymetry] or [elliptic] section)
+# its [initial] or [bathymetry] section)
 SAVED_BLOCKS = {
     "gaussian": (
         MINIMAL + "\n[initial]\ntype = gaussian\namplitude = 0.1\nwidth = 0.5\n",
@@ -363,14 +379,6 @@ SAVED_BLOCKS = {
     "bottom_file": (
         MINIMAL + BETA + "\n[bathymetry]\ntype = file\npath = bottom.f64\n",
         "[bathymetry]\ntype = file\npath = bottom.f64",
-    ),
-    "max_iterations_none": (
-        MINIMAL + "\n[elliptic]\nmax_iterations = none\n",
-        "[elliptic]\nrel_tolerance = 1e-12\nmax_iterations = none",
-    ),
-    "max_iterations_40": (
-        MINIMAL + "\n[elliptic]\nmax_iterations = 40\n",
-        "[elliptic]\nrel_tolerance = 1e-12\nmax_iterations = 40",
     ),
 }
 

@@ -131,10 +131,11 @@ class TestDegenerations:
         with pytest.raises(ValidationError, match="mu = 0"):
             ModelParams(formulation=Formulation.SV, mu=0.5)
 
-    @pytest.mark.parametrize("h_star", [float("nan"), float("inf"), -1.0])
-    def test_h_star_must_be_finite_and_nonnegative(self, h_star):
-        with pytest.raises(ValidationError, match="h_star"):
-            ModelParams(h_star=h_star)
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_scaling_parameters_must_be_finite_and_nonnegative(self, bad):
+        for name in ("epsilon", "beta", "mu"):
+            with pytest.raises(ValidationError, match=f"{name} must be a finite real >= 0"):
+                ModelParams(**{name: bad})
 
     def test_beta_consistency_checked(self):
         g = grid1()

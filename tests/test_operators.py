@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _helpers import band_limited_scalar, band_limited_vector, smooth_depth
+from gnwave import operators
 from gnwave.errors import (
     CoercivityViolationError,
     GridMismatchError,
@@ -514,14 +515,40 @@ class TestInversion:
         _, with_last, _ = invert_frakT(depth, v0 + 2.0 * dv, MU, session=plain)
         assert with_line < with_last
 
-    def test_non_convergence_raises(self):
-        g, depth, rng = _random_setup(16)
-        v = band_limited_vector(g, rng, 5)
-        cfg = EllipticSolveConfig(max_iterations=1)
+    def test_non_convergence_raises(self, monkeypatch):
+        """The cap is 10 iterations per point of the longest axis; a solve
+        that meets no tolerance within it raises with the cap and residual."""
+        assert operators._CG_ITERATIONS_PER_POINT == 10
+        g = PeriodicGrid((8, 16), (2.0 * np.pi, 2.0 * np.pi))
+        rng = np.random.default_rng(3)
+        b = band_limited_scalar(g, rng, 2, 0.15)
+        bath = BathymetryState(ScalarField(g, b), 0.3)
+        depth = DepthState(bath, 1.0 + band_limited_scalar(g, rng, 2, 0.5) - 0.3 * b)
+        v = band_limited_vector(g, rng, 2)
+        assert 16 < invert_frakT(depth, v, MU).iterations <= 160
+        monkeypatch.setattr(operators, "_CG_ITERATIONS_PER_POINT", 1)
         with pytest.raises(NonConvergenceError) as exc:
-            invert_frakT(depth, v, MU, cfg)
-        assert exc.value.iterations == 1
-        assert exc.value.residual > 0.0
+            invert_frakT(depth, v, MU)
+        assert exc.value.iterations == 16  # the longer axis, not the shorter
+        assert exc.value.residual > EllipticSolveConfig().rel_tolerance
+
+    @pytest.mark.parametrize("shape", [(256,), (128, 128)], ids=["1d_256", "2d_128"])
+    def test_true_residual_meets_default_tolerance(self, shape):
+        """CG stops on its updated residual; at the default tolerance the true
+        ‖𝔗u − b‖/‖b‖ agrees with it to round-off and meets the tolerance too,
+        over a β = 0.5 bottom with a band-limited right-hand side plus white
+        noise."""
+        g = PeriodicGrid(shape, (2.0 * np.pi,) * len(shape))
+        rng = np.random.default_rng(3)
+        b = band_limited_scalar(g, rng, 3, 0.5)
+        bath = BathymetryState(ScalarField(g, b), 0.5)
+        depth = DepthState(bath, 1.0 + band_limited_scalar(g, rng, 4, 0.12) - 0.5 * b)
+        rhs = band_limited_vector(g, rng, 5) + 1e-3 * rng.standard_normal((g.dim, *shape))
+        tol = EllipticSolveConfig().rel_tolerance
+        u, _, residual = invert_frakT(depth, rhs, 0.8)
+        true = np.linalg.norm(apply_frakT(depth, u, 0.8) - rhs) / np.linalg.norm(rhs)
+        assert residual <= tol and true <= tol
+        assert abs(true - residual) <= 0.05 * tol
 
     def test_depth_positivity_enforced(self):
         g = grid1(32)
@@ -550,9 +577,6 @@ class TestInversion:
     def test_config_validation(self):
         with pytest.raises(ValidationError, match="rel_tolerance"):
             EllipticSolveConfig(rel_tolerance=1e-3)
-        for bad in (0, 2.5, True):
-            with pytest.raises(ValidationError, match="max_iterations"):
-                EllipticSolveConfig(max_iterations=bad)
 
 
 class TestShapeDerivative:

@@ -42,10 +42,6 @@ class TestSpecValidation:
         with pytest.raises(ValidationError, match="profile"):
             MollifierSpec(iota=0.1, profile="gaussian")
 
-    def test_bump_radii(self):
-        with pytest.raises(ValidationError, match="r0 < r1"):
-            MollifierSpec(iota=0.1, profile="smooth_bump", r0=1.0, r1=0.5)
-
 
 class TestMultiplier:
     def test_identity_at_zero(self):
@@ -64,7 +60,7 @@ class TestMultiplier:
 
     def test_smooth_profile_shape(self):
         g = grid1(128)
-        spec = MollifierSpec(iota=0.1, profile="smooth_bump", r0=0.5, r1=1.0)
+        spec = MollifierSpec(iota=0.1, profile="smooth_bump")
         phi = spec.multiplier(g)
         k = g.wavenumbers[0]
         assert np.all((phi >= 0.0) & (phi <= 1.0))

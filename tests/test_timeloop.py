@@ -104,8 +104,8 @@ class TestCflAdvisory:
 
     def test_floor_and_advisory_share_the_initial_depth(self, monkeypatch):
         """Up to the first step, a run builds one water column of the initial
-        state for the floor (h_star = 0) and the advisory, and the initial
-        record builds its own."""
+        state for the depth floor and the advisory, and the initial record
+        builds its own."""
         from gnwave import timeloop
         from gnwave.operators import DepthState
 
@@ -494,30 +494,24 @@ class TestEmissionPolicy:
 
 class TestFailureModes:
     def test_depth_floor_aborts_run(self):
-        """A configured depth floor above the actual depth stops the first stage."""
+        """The floor is the initial state's minimum depth: a stage whose depth
+        falls to half of it stops the run, with the last accepted state."""
         grid = PeriodicGrid((32,), (2 * np.pi,))
-        params = ModelParams(epsilon=0.1, beta=0.0, mu=0.5, h_star=3.0)
-        state = pulse_state(grid, amplitude=0.2)
-        icfg = IntegrationConfig(dt=0.01, t_end=0.1)
-        with pytest.raises(CoercivityViolationError, match="half the") as excinfo:
-            run(state, params, BathymetryState.flat(grid), icfg, diag_order=0)
+        params = ModelParams(epsilon=1.0, beta=0.0, mu=0.5)
+        v0 = 10.0 * np.sin(grid.coords[0])[None]
+        state = FluidState(
+            ScalarField.zeros(grid), VectorField(grid, v0), VariableKind.V_VARIABLE
+        )
+        icfg = IntegrationConfig(dt=0.15, t_end=0.15)
+        message = "stage depth 0.357143 at t = 0.075 fell to half the floor 1$"
+        with pytest.warns(UserWarning, match="advisory"):
+            with pytest.raises(CoercivityViolationError, match=message) as excinfo:
+                run(state, params, BathymetryState.flat(grid), icfg, diag_order=0)
         report = excinfo.value.report
         assert isinstance(report, RunReport)
         assert report.termination == "coercivity_violation"
         assert report.steps == 0
         assert report.failure_time == 0.0
-
-    def test_start_below_floor_completes(self):
-        """The floor guards stages at half its value; the initial state is not
-        held to the floor itself."""
-        grid = PeriodicGrid((32,), (2 * np.pi,))
-        params = ModelParams(epsilon=0.1, beta=0.0, mu=0.5, h_star=0.9)
-        state = pulse_state(grid, amplitude=-2.0)
-        assert 0.45 < 1.0 + params.epsilon * state.zeta.data.min() < 0.9
-        icfg = IntegrationConfig(dt=0.01, t_end=0.1)
-        report = run(state, params, BathymetryState.flat(grid), icfg, diag_order=0)
-        assert report.termination == "completed"
-        assert report.steps == 10
 
     def test_blow_up_detection(self):
         """Field magnitudes beyond the hard limit raise with a report attached."""

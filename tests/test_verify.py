@@ -394,10 +394,15 @@ class TestDispersion:
             verify.dispersion_study(ModelParams(beta=0.1), g, [1])
 
     def test_bad_mode_rejected(self):
-        """Non-positive mode numbers are invalid."""
+        """Modes outside 1 … band, a zero amplitude and a span of periods that
+        is not positive are refused before any run."""
         g = PeriodicGrid((64,), (2 * np.pi,))
-        with pytest.raises(ValidationError, match="positive"):
-            verify.dispersion_study(ModelParams(), g, [0])
+        for modes in ([0], [-1], [1, 22], [40]):
+            with pytest.raises(ValidationError, match="modes must lie in 1 … 21"):
+                verify.dispersion_study(ModelParams(), g, modes)
+        for amplitude, periods in ((0.0, 3.0), (1e-6, 0.0), (1e-6, -1.0), (np.nan, 3.0)):
+            with pytest.raises(ValidationError, match="nonzero amplitude and periods > 0"):
+                verify.dispersion_study(ModelParams(), g, [1], amplitude, periods)
 
     def test_csv_round_trip(self):
         """Dispersion CSV rows re-parse to the emitted values."""
