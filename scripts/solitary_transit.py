@@ -22,6 +22,7 @@ from gnwave import verify
 from gnwave.grid import PeriodicGrid, ScalarField
 from gnwave.models import Formulation, ModelParams
 from gnwave.operators import BathymetryState, EllipticSolveConfig
+from gnwave.solitary import solitary_wave_state
 from gnwave.timeloop import CollectingSinks, IntegrationConfig, cfl_time_step, run
 
 
@@ -57,7 +58,7 @@ def main() -> int:
     print(f"{'amplitude':>10} {'steps':>8} {'shape error':>13} {'speed':>9}"
           f" {'√(1+εa)':>9} {'wall':>7}")
     for amplitude in args.amplitudes:
-        state0 = verify.solitary_wave_state(grid, amplitude, params)
+        state0 = solitary_wave_state(grid, amplitude, params)
         speed = math.sqrt(1.0 + params.epsilon * amplitude)
         t_end = args.periods * args.length / speed
         dt_raw = cfl_time_step(state0, params, bath) / 4.0

@@ -280,9 +280,9 @@ class DiagnosticsRecord:
     cg_iterations: int
 
     def __post_init__(self) -> None:
-        for name in ("time", "mass", "hamiltonian", "e_norm", "f_norm", "vorticity_l2", "min_depth"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"diagnostics field {name} is not finite")
+        for field in dataclasses.fields(self):  # a count is finite by type
+            if not math.isfinite(getattr(self, field.name)):
+                raise ValidationError(f"diagnostics field {field.name} is not finite")
         if self.min_depth <= 0.0:
             raise ValidationError(f"recorded min_depth must be positive, got {self.min_depth}")
 

@@ -21,7 +21,7 @@ import dataclasses
 import math
 import struct
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TextIO
+from typing import Callable, Iterable, Sequence, TextIO, get_type_hints
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .models import FluidState, Formulation, ModelParams, _kind_for
 from .operators import BathymetryState, EllipticSolveConfig
 from .regularization import _PROFILES, MollifierSpec
 from .solitary import solitary_wave_state
-from .timeloop import _SCHEMES, IntegrationConfig
+from .timeloop import _SCHEMES, IntegrationConfig, _smoothing_refusal
 
 __all__ = [
     "DIAGNOSTIC_COLUMNS",
@@ -55,16 +55,7 @@ __all__ = [
 ]
 
 SNAPSHOT_MAGIC = b"GNWV1"
-DIAGNOSTIC_COLUMNS = (
-    "time",
-    "mass",
-    "hamiltonian",
-    "e_norm",
-    "f_norm",
-    "vorticity_l2",
-    "min_depth",
-    "cg_iterations",
-)
+DIAGNOSTIC_COLUMNS = tuple(f.name for f in dataclasses.fields(DiagnosticsRecord))
 
 _INITIAL_KINDS = ("rest", "gaussian", "fourier_modes", "solitary_wave", "file")
 _BATHYMETRY_KINDS = ("flat", "gaussian_bump", "fourier_modes", "file")
@@ -486,6 +477,9 @@ def load_config(text: str, overrides: Sequence[str] = ()) -> RunConfig:
         grid = build("grid", PeriodicGrid, values["grid"])
     read("mollifier")
     mollifier = build("mollifier", MollifierSpec, values["integration"].pop("mollifier", {}))
+    if mollifier is not None and params is not None:
+        if refusal := _smoothing_refusal(mollifier, params.formulation):
+            error("mollifier", "iota", refusal)
     read("output")
     output = build("output", OutputSpec, values["output"])
     integration: IntegrationConfig | None = None
@@ -868,14 +862,13 @@ def read_diagnostics(text: str) -> list[dict[str, float]]:
         raise ValidationError(
             f"diagnostics header must be {','.join(DIAGNOSTIC_COLUMNS)}"
         )
+    types = get_type_hints(DiagnosticsRecord)  # a column parses as its field's type
     rows: list[dict[str, float]] = []
     for line in lines[1:]:
         cells = line.split(",")
         if len(cells) != len(DIAGNOSTIC_COLUMNS):
             raise ValidationError(f"diagnostics row has {len(cells)} cells: {line!r}")
-        row = {key: float(cell) for key, cell in zip(DIAGNOSTIC_COLUMNS, cells)}
-        row["cg_iterations"] = int(cells[-1], 10)
-        rows.append(row)
+        rows.append({key: types[key](cell) for key, cell in zip(DIAGNOSTIC_COLUMNS, cells)})
     return rows
 
 

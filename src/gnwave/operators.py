@@ -173,9 +173,9 @@ class EllipticSolveConfig:
     rel_tolerance: float = 1e-12
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.rel_tolerance <= 1e-6):
+        if not (1e-14 <= self.rel_tolerance <= 1e-6):
             raise ValidationError(
-                f"rel_tolerance must lie in (0, 1e-6], got {self.rel_tolerance}"
+                f"rel_tolerance must lie in [1e-14, 1e-6], got {self.rel_tolerance}"
             )
 
 

@@ -11,13 +11,13 @@ the conjugate-variable tendency, which by linearity amounts to smoothing the
 plain tendency fields themselves.  The tendency assembles its fields as
 spectra, so φ multiplies them before their one inverse transform and the
 smoothing costs no transform of its own; :func:`mollify` applies J^ι to a
-finished array.
+finished array.  φ is fixed for a run: the time stepper builds it once and
+hands it to every stage's tendency.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
-import weakref
 
 import numpy as np
 
@@ -29,9 +29,6 @@ from .operators import DepthState, EllipticSolveConfig, SolverSession
 __all__ = ["MollifierSpec", "mollify", "rhs_gn_v_mollified"]
 
 _PROFILES = ("sharp_cutoff", "smooth_bump")
-
-# grid -> {spec: φ table}; an entry goes with its grid
-_MULTIPLIERS: "weakref.WeakKeyDictionary[PeriodicGrid, dict]" = weakref.WeakKeyDictionary()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -64,20 +61,7 @@ class MollifierSpec:
         return self.iota == 0.0
 
     def multiplier(self, grid: PeriodicGrid) -> np.ndarray:
-        """Diagonal spectral symbol φ(ι|k|) on the grid's transform shape.
-
-        Built once per grid and spec, then returned read-only from a cache
-        that lives as long as the grid.
-        """
-        tables = _MULTIPLIERS.setdefault(grid, {})
-        phi = tables.get(self)
-        if phi is None:
-            phi = self._build_multiplier(grid)
-            phi.flags.writeable = False
-            tables[self] = phi
-        return phi
-
-    def _build_multiplier(self, grid: PeriodicGrid) -> np.ndarray:
+        """Diagonal spectral symbol φ(ι|k|) on the grid's transform shape."""
         k2 = np.zeros(grid.spectral_shape)
         for k in grid.wavenumbers:
             k2 = k2 + k * k
@@ -110,7 +94,7 @@ def rhs_gn_v_mollified(
     vel: np.ndarray,
     params: ModelParams,
     depth: DepthState,
-    spec: MollifierSpec,
+    multiplier: np.ndarray | None,
     cfg: EllipticSolveConfig | None = None,
     session: SolverSession | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -118,9 +102,9 @@ def rhs_gn_v_mollified(
 
     The smoothing acts on the entire mass flux divergence and on the entire
     momentum forcing group (pressure gradient included), which by linearity
-    equals smoothing the plain tendency.  J^ι is applied to the tendency's
-    spectra before their inverse transform, which is :func:`mollify` of the
-    plain tendency to round-off.  ι = 0 reproduces it identically.
+    equals smoothing the plain tendency.  ``multiplier``, the symbol φ of
+    :meth:`MollifierSpec.multiplier`, scales the tendency's spectra before
+    their inverse transform: :func:`mollify` of the plain tendency to
+    round-off.  None (ι = 0) reproduces the plain tendency identically.
     """
-    multiplier = None if spec.is_identity else spec.multiplier(depth.grid)
     return rhs_gn_v(zeta, vel, params, depth, cfg, session, multiplier)

@@ -165,6 +165,16 @@ def cfl_time_step(state: FluidState, params: ModelParams, bath: BathymetryState)
     return _advisory_step(state, params, make_depth(params, state.zeta.data, bath))
 
 
+def _smoothing_refusal(spec: MollifierSpec, formulation: Formulation) -> str | None:
+    """Why ``spec`` is refused: smoothing (ι > 0) needs the conjugate variable."""
+    if spec.iota > 0.0 and formulation is not Formulation.GN_V:
+        return (
+            "spectral smoothing is defined for the conjugate-variable "
+            f"formulation only, got {formulation.value}"
+        )
+    return None
+
+
 def _advisory_step(state: FluidState, params: ModelParams, depth: DepthState) -> float:
     """:func:`cfl_time_step` of ``state`` over its water column ``depth``."""
     speed = math.sqrt(float(np.max(depth.h))) * (1.0 + params.epsilon * state.max_abs())
@@ -190,11 +200,8 @@ class _Stepper:
         initial_depth: DepthState,
     ) -> None:
         _require_kind(initial, params.expected_kind, f"the {params.formulation.value} formulation")
-        if icfg.mollifier.iota > 0.0 and params.formulation is not Formulation.GN_V:
-            raise ValidationError(
-                "spectral smoothing is defined for the conjugate-variable "
-                f"formulation only, got {params.formulation.value}"
-            )
+        if refusal := _smoothing_refusal(icfg.mollifier, params.formulation):
+            raise ValidationError(refusal)
         self.params = params
         self.bath = bath
         self.grid = bath.grid
@@ -203,10 +210,10 @@ class _Stepper:
         self.floor = initial_depth.h_min
         form = params.formulation
         if form is Formulation.GN_V:
-            spec = icfg.mollifier
+            phi = None if icfg.mollifier.is_identity else icfg.mollifier.multiplier(self.grid)
 
             def tendency(zeta: np.ndarray, vel: np.ndarray, depth: DepthState):
-                return rhs_gn_v_mollified(zeta, vel, params, depth, spec, cfg, session)
+                return rhs_gn_v_mollified(zeta, vel, params, depth, phi, cfg, session)
 
         elif form is Formulation.SV:
 

@@ -49,7 +49,6 @@ from .operators import (
     invert_frakT,
 )
 from .diagnostics import hamiltonian_gn
-from .solitary import solitary_wave_profile, solitary_wave_state
 from .timeloop import CollectingSinks, IntegrationConfig, RunReport, cfl_time_step, run
 
 __all__ = [
@@ -65,8 +64,6 @@ __all__ = [
     "dispersion_study",
     "convergence_study",
     "check_resolution_study",
-    "solitary_wave_profile",
-    "solitary_wave_state",
     "aligned_profile_gap",
     "reports_as_text",
     "reports_as_csv",
@@ -718,6 +715,8 @@ def convergence_study(
         raise ValidationError("pass exactly one of dt_values or resolutions")
     if dt_values is not None:
         dts = sorted((float(d) for d in dt_values), reverse=True)
+        for d in dts:  # each given step is checked before any run
+            dataclasses.replace(problem.integration, dt=d)
         reference = _final_run(problem, problem.grid, dts[-1] / 2.0, cfg).final_state
         runs = [_final_run(problem, problem.grid, d, cfg) for d in dts]
         residuals = [_state_distance(r.final_state, reference) for r in runs]

@@ -34,6 +34,7 @@ from gnwave.operators import (
     invert_frakT,
 )
 from gnwave.regularization import MollifierSpec, mollify
+from gnwave.solitary import solitary_wave_state
 from gnwave.timeloop import CollectingSinks, IntegrationConfig, cfl_time_step, run
 
 
@@ -365,7 +366,7 @@ class TestAcceptance:
         amplitude = 0.2
         params = ModelParams(epsilon=1.0, mu=1.0, formulation=Formulation.GN_V)
         bath = _flat(g)
-        state0 = verify.solitary_wave_state(g, amplitude, params)
+        state0 = solitary_wave_state(g, amplitude, params)
         speed = math.sqrt(1.0 + params.epsilon * amplitude)
         t_end = 10.0 * length / speed
         dt_raw = cfl_time_step(state0, params, bath) / 4.0

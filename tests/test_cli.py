@@ -231,6 +231,72 @@ class TestRun:
         assert not out.exists()
 
 
+class TestRefusals:
+    # (argv with "{cfg}" for a config of BASE plus extra text, the config's extra
+    # text, exit code, stream, message)
+    CASES = {
+        "converge_snapshot_initial": (
+            ["converge", "--config", "{cfg}", "--dt-values", "0.04", "0.02"],
+            "\n[initial]\ntype = file\npath = state.gnwv\n",
+            1,
+            "err",
+            "a snapshot-file initial condition cannot be rebuilt",
+        ),
+        "converge_set_without_config": (
+            ["converge", "--set", "model.mu=0.5"], "", 1, "err", "--set requires --config"
+        ),
+        "converge_negative_dt": (
+            ["converge", "--dt-values", "-1"],
+            "",
+            1,
+            "err",
+            "dt must be positive and finite, got -1.0",
+        ),
+        "converge_one_bad_dt": (
+            ["converge", "--dt-values", "0.04", "inf"],
+            "",
+            1,
+            "err",
+            "dt must be positive and finite, got inf",
+        ),
+        "info_dt_warning": (
+            ["info", "--config", "{cfg}", "--set", "integration.dt=0.5"],
+            "",
+            0,
+            "out",
+            "warning: dt exceeds the advisory stability bound",
+        ),
+        "info_tolerance_below_floor": (
+            ["info", "--config", "{cfg}"],
+            "\n[elliptic]\nrel_tolerance = 1e-15\n",
+            1,
+            "err",
+            "[elliptic] *: rel_tolerance must lie in [1e-14, 1e-6], got 1e-15",
+        ),
+        "run_tolerance_far_below_floor": (
+            ["run", "--config", "{cfg}", "--output", "out"],
+            "\n[elliptic]\nrel_tolerance = 1e-300\n",
+            1,
+            "err",
+            "[elliptic] *: rel_tolerance must lie in [1e-14, 1e-6], got 1e-300",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_message_and_exit_code(self, case, tmp_path, monkeypatch, capsys):
+        """Each documented refusal (and info's step warning) reports its
+        message with its exit code, before any run starts."""
+        argv, extra, code, stream, message = self.CASES[case]
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, extra)
+        runs = []
+        monkeypatch.setattr(verify, "run", lambda *a, **k: runs.append(a))
+        assert main([str(cfg) if arg == "{cfg}" else arg for arg in argv]) == code
+        assert message in getattr(capsys.readouterr(), stream)
+        assert runs == []
+        assert not (tmp_path / "out").exists()
+
+
 class TestVerify:
     def test_default_suite_passes(self, capsys):
         """The documented reference invocation exits 0."""
@@ -277,13 +343,21 @@ class TestStudies:
         assert len(set(tables)) == 3
 
     def test_converge_refuses_smoothing_of_velocity_form(self, tmp_path, capsys):
-        """gn_u with iota > 0 is refused as run refuses it."""
+        """gn_u with iota > 0 is refused by the config itself: converge, run
+        and info exit 1 with the stepper's message, and run writes nothing."""
         cfg = write_config(tmp_path, "\n[mollifier]\niota = 0.5\n")
         argv = ["--config", str(cfg), "--set", "model.formulation=gn_u"]
+        message = (
+            "[mollifier] iota: spectral smoothing is defined for the "
+            "conjugate-variable formulation only, got gn_u"
+        )
         assert main(["converge", *argv, "--dt-values", "0.04", "0.02"]) == 1
-        assert "conjugate-variable" in capsys.readouterr().err
-        assert main(["run", *argv, "--output", str(tmp_path / "o")]) == 1
-        assert "conjugate-variable" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+        out = tmp_path / "o"
+        for command in ("run", "info"):
+            assert main([command, *argv, "--output", str(out)]) == 1
+            assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_converge_refuses_resolution_study_of_unequal_axes(self, tmp_path, capsys, monkeypatch):
         """Resolution rungs are square: a 2-D config whose axes differ is
@@ -329,6 +403,23 @@ class TestEquivalence:
         write_snapshot(state, params, path)
         assert main(["equivalence", "--state", str(path)]) == 0
         assert "ALL PASS" in capsys.readouterr().out
+
+    def test_supplied_conjugate_state_is_converted(self, tmp_path):
+        """A stored gn_v state enters the checks as the velocity u = 𝔗⁻¹(hv)."""
+        from gnwave.models import u_from_v
+        from gnwave.operators import BathymetryState
+        from gnwave.verify import band_limited_vector
+
+        grid = PeriodicGrid((32,), (2.0 * np.pi,))
+        vel = VectorField(grid, band_limited_vector(grid, np.random.default_rng(5), 4, 0.5))
+        state = FluidState(ScalarField.zeros(grid), vel, VariableKind.V_VARIABLE)
+        params = ModelParams(epsilon=0.2, beta=0.0, mu=0.9)
+        path = tmp_path / "state.gnwv"
+        write_snapshot(state, params, path)
+        (_zeta, stored_u, stored, _bath), _sizes = _supplied_case(str(path))
+        expected = u_from_v(state, stored, BathymetryState.flat(grid))
+        assert stored.formulation is Formulation.GN_V
+        assert np.array_equal(stored_u.data, expected.vel.data)
 
     def test_supplied_state_read_once(self, tmp_path, monkeypatch):
         """A stored snapshot is read and validated once: its header and its

@@ -1,6 +1,7 @@
 """Tests for configuration parsing, snapshots, diagnostics CSV, builders."""
 import dataclasses
 import io as stdio
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -257,7 +258,7 @@ class TestLoadConfig:
 epsilon = 0.25
 mu = 0.5
 beta = 0.1
-formulation = gn_u
+formulation = gn_v
 
 [grid]
 shape = 16 24
@@ -381,6 +382,90 @@ SAVED_BLOCKS = {
         "[bathymetry]\ntype = file\npath = bottom.f64",
     ),
 }
+
+
+# (`--set` overrides of MINIMAL, what the refusal says)
+CONFIG_REFUSALS = {
+    "out_of_choice": (
+        ["model.formulation=gn_x"],
+        "[model] formulation: must be one of ('gn_u', 'gn_v', 'bp', 'sv'), got 'gn_x'",
+    ),
+    "infinite_number": (["model.epsilon=inf"], "[model] epsilon: must be finite, got 'inf'"),
+    "nan_number": (["model.mu=nan"], "[model] mu: must be finite, got 'nan'"),
+    "malformed_numbers": (
+        ["grid.lengths=1 x"],
+        "[grid] lengths: expected whitespace-separated numbers, got '1 x'",
+    ),
+    "infinite_numbers": (["grid.lengths=inf"], "[grid] lengths: entries must be finite"),
+    "malformed_integers": (
+        ["grid.shape=16 x"],
+        "[grid] shape: expected whitespace-separated integers, got '16 x'",
+    ),
+    "empty_path": (["initial.type=file", "initial.path="], "[initial] path: required key missing"),
+    "infinite_mode_amplitude": (
+        ["initial.type=fourier_modes", "initial.zeta=1 inf 0"],
+        "[initial] zeta: amplitude and phase must be finite",
+    ),
+    "empty_directory": (["output.directory="], "[output] *: output directory must be non-empty"),
+    "unknown_format": (
+        ["output.formats=csv png"],
+        "[output] *: unknown output format 'png', expected subset of ('csv', 'snapshot')",
+    ),
+    "bump_center_arity": (
+        ["initial.type=gaussian", "initial.amplitude=0.1", "initial.width=0.5",
+         "initial.center=1 2"],
+        "[initial] center: needs 1 coordinate(s), got 2",
+    ),
+    "bump_width": (
+        ["initial.type=gaussian", "initial.amplitude=0.1", "initial.width=0"],
+        "[initial] width: must be positive, got 0.0",
+    ),
+    "solitary_amplitude": (
+        ["initial.type=solitary_wave", "initial.amplitude=-0.1"],
+        "[initial] amplitude: must be positive, got -0.1",
+    ),
+    "solitary_in_2d": (
+        ["grid.shape=16 16", "initial.type=solitary_wave", "initial.amplitude=0.1"],
+        "[initial] type: solitary_wave requires a one-dimensional grid",
+    ),
+}
+
+# (offset into a 1-D GNWV1 file, bytes written there, what the refusal says)
+SNAPSHOT_REFUSALS = {
+    "dim_3": (5, (3).to_bytes(4, "little"), "header has dim = 3"),
+    "unknown_formulation": (45, b"gn_x\0\0\0\0", "names an unknown formulation b'gn_x"),
+    "invalid_grid": (
+        9,
+        (17).to_bytes(4, "little"),
+        "header invalid: points per axis must be even and >= 8, got 17",
+    ),
+}
+
+
+class TestDocumentedRefusals:
+    @pytest.mark.parametrize("case", [*CONFIG_REFUSALS, *SNAPSHOT_REFUSALS])
+    def test_info_refuses_with_exit_one(self, case, tmp_path, monkeypatch, capsys):
+        """Each refusal of a config value or a snapshot header stops ``gnwave
+        info`` with exit code 1 and its documented message."""
+        from gnwave.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        Path("run.ini").write_text(MINIMAL)
+        if case in CONFIG_REFUSALS:
+            overrides, message = CONFIG_REFUSALS[case]
+        else:
+            offset, patch, message = SNAPSHOT_REFUSALS[case]
+            grid = PeriodicGrid((16,), (2.0 * np.pi,))
+            write_snapshot(FluidState.rest(grid), ModelParams(), "state.gnwv")
+            raw = bytearray(Path("state.gnwv").read_bytes())
+            raw[offset : offset + len(patch)] = patch
+            Path("state.gnwv").write_bytes(bytes(raw))
+            overrides = ["initial.type=file", "initial.path=state.gnwv"]
+        argv = ["info", "--config", "run.ini"]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
 
 
 class TestConfigSchema:
@@ -516,6 +601,15 @@ def make_record(time: float = 0.1) -> DiagnosticsRecord:
     )
 
 
+@pytest.mark.parametrize(
+    "field", ["time", "mass", "hamiltonian", "e_norm", "f_norm", "vorticity_l2", "min_depth"]
+)
+def test_record_refuses_non_finite_field(field):
+    """A record with a non-finite value is refused, naming the field."""
+    with pytest.raises(ValidationError, match=f"diagnostics field {field} is not finite"):
+        dataclasses.replace(make_record(), **{field: float("nan")})
+
+
 class TestDiagnosticsCsv:
     def test_header_written_once(self):
         """The fixed header appears exactly once at the top."""
@@ -534,11 +628,20 @@ class TestDiagnosticsCsv:
         assert row["mass"] == 1.0 / 3.0
         assert row["hamiltonian"] == np.pi
         assert row["cg_iterations"] == 7
+        assert type(row["cg_iterations"]) is int and type(row["time"]) is float
 
     def test_bad_header_rejected(self):
         """Re-parsing text with a foreign header fails loudly."""
         with pytest.raises(ValidationError, match="header"):
             read_diagnostics("a,b\n1,2\n")
+
+    def test_row_with_wrong_cell_count_rejected(self):
+        """A row with a cell too few is refused, naming its cell count."""
+        buf = stdio.StringIO()
+        append_diagnostics(make_record(), buf)
+        text = buf.getvalue().rstrip("\n").rsplit(",", 1)[0] + "\n"
+        with pytest.raises(ValidationError, match="diagnostics row has 7 cells"):
+            read_diagnostics(text)
 
     def test_monotone_time_from_run(self, tmp_path):
         """A short integration emits a strictly increasing time column."""

@@ -1,7 +1,8 @@
 """Source layout checks: every module-level import of the package is read,
-every function parameter is read, imports flow one way, every transform goes
-through the grid, importing the command line loads no scipy, and the
-benchmark's tracer and timing hooks find every name they wrap."""
+every function parameter is read, every defaulted parameter is passed by some
+call, imports flow one way, every transform goes through the grid, importing
+the command line loads no scipy, and the benchmark's tracer and timing hooks
+find every name they wrap."""
 from __future__ import annotations
 
 import ast
@@ -96,6 +97,74 @@ def test_every_parameter_is_read():
                     name = getattr(fn, "name", "<lambda>")
                     unread.append(f"{path.name}:{fn.lineno} {name}({arg.arg})")
     assert not unread, "parameters never read: " + ", ".join(unread)
+
+
+def _callers(tree: ast.Module) -> dict[str, list[ast.Call]]:
+    """The calls of the module by the name they call: ``f(…)`` and ``x.f(…)``."""
+    calls: dict[str, list[ast.Call]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name is not None:
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _passes(call: ast.Call, position: int | None, name: str) -> bool:
+    """Whether ``call`` passes parameter ``name``, which sits at ``position``
+    among the positional parameters after self (None: keyword-only)."""
+    if any(kw.arg is None or kw.arg == name for kw in call.keywords):
+        return True
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """(callee name, position after self or None, parameter, line) of every
+    defaulted parameter; an ``__init__`` is called through its class name."""
+    methods = {}
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef):
+                    names = {getattr(d, "id", None) for d in fn.decorator_list}
+                    methods[fn] = (cls.name, "staticmethod" not in names)
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        owner, bound = methods.get(fn, (None, False))
+        callee = owner if fn.name == "__init__" else fn.name
+        args = fn.args
+        positional = (args.posonlyargs + args.args)[1 if bound else 0 :]
+        first = len(positional) - len(args.defaults)
+        for position, arg in enumerate(positional[first:], start=first):
+            yield callee, position, arg.arg, fn.lineno
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield callee, None, arg.arg, fn.lineno
+
+
+def test_every_defaulted_parameter_is_passed():
+    """A defaulted ``src`` parameter that no call in ``src``, ``tests``,
+    ``scripts`` or ``perfbench`` passes, by keyword, by position or through
+    ``*args``/``**kwargs``, is a setting that nobody sets."""
+    root = SOURCE.parent.parent
+    paths = sorted(SOURCE.glob("*.py"))
+    for folder in ("tests", "scripts", "perfbench"):
+        paths += sorted((root / folder).glob("*.py"))
+    calls: dict[str, list[ast.Call]] = {}
+    for path in paths:
+        for name, found in _callers(ast.parse(path.read_text(), filename=str(path))).items():
+            calls.setdefault(name, []).extend(found)
+    never = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for callee, position, name, line in _defaulted_parameters(tree):
+            if not any(_passes(call, position, name) for call in calls.get(callee, ())):
+                never.append(f"{path.name}:{line} {callee}({name})")
+    assert not never, "defaulted parameters no call passes: " + ", ".join(never)
 
 
 # errors → grid → operators → models → {regularization, diagnostics, solitary}

@@ -575,8 +575,25 @@ class TestInversion:
             apply_frakT(depth, other, MU)
 
     def test_config_validation(self):
-        with pytest.raises(ValidationError, match="rel_tolerance"):
-            EllipticSolveConfig(rel_tolerance=1e-3)
+        """rel_tolerance lies in [1e-14, 1e-6]: below it CG's residual cannot
+        follow the tolerance, and at 1e-300 it underflows to 0."""
+        for tol in (1e-3, 1e-15, 1e-300, float("nan")):
+            with pytest.raises(ValidationError, match=r"rel_tolerance must lie in \[1e-14, 1e-6\]"):
+                EllipticSolveConfig(rel_tolerance=tol)
+        assert EllipticSolveConfig(rel_tolerance=1e-14).rel_tolerance == 1e-14
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_tightest_tolerance_converges(self, n):
+        """At the floor 1e-14 a solve over a β = 0.3 bottom with μ = 0.9
+        converges to a nonzero residual at every size; the true residual
+        stays within round-off of it."""
+        g, depth, rng = _random_setup(21, n=n)
+        v = band_limited_vector(g, rng, 4, 0.5)
+        cfg = EllipticSolveConfig(rel_tolerance=1e-14)
+        u, iterations, residual = invert_frakT(depth, v, MU, cfg)
+        assert 0.0 < residual <= 1e-14
+        assert 0 < iterations < 10 * n
+        assert np.linalg.norm(apply_frakT(depth, u, MU) - v) <= 1e-12 * np.linalg.norm(v)
 
 
 class TestShapeDerivative:

@@ -369,13 +369,14 @@ class TestStageSolves:
     def test_stage_guess_cuts_soliton_iterations(self, monkeypatch):
         """On the soliton, from step 6 on, the per-stage guess needs at most 60%
         of the CG iterations that the guess over stage times alone needs."""
-        from gnwave import models, verify
+        from gnwave import models
         from gnwave.operators import EllipticSolveConfig, SolverSession
+        from gnwave.solitary import solitary_wave_state
 
         grid = PeriodicGrid((256,), (50.0,))
         params = ModelParams(epsilon=1.0, mu=1.0)
         bath = BathymetryState.flat(grid)
-        state = verify.solitary_wave_state(grid, 0.2, params)
+        state = solitary_wave_state(grid, 0.2, params)
         dt = cfl_time_step(state, params, bath) / 4.0
         icfg = IntegrationConfig(dt=dt, t_end=12 * dt, diag_stride=10**6)
         cfg = EllipticSolveConfig(rel_tolerance=1e-8)
@@ -600,6 +601,23 @@ class TestMollifiedRun:
         assert report.termination == "completed"
         masses = [rec.mass for rec in sinks.records]
         assert max(abs(m - masses[0]) for m in masses) <= 1e-13
+
+    def test_symbol_built_once_per_run(self, monkeypatch):
+        """φ is one multiplier for a run: its 40 stages reuse one table."""
+        built = []
+        multiplier = MollifierSpec.multiplier
+
+        def counted(spec, grid):
+            built.append(grid)
+            return multiplier(spec, grid)
+
+        monkeypatch.setattr(MollifierSpec, "multiplier", counted)
+        grid = PeriodicGrid((32,), (2 * np.pi,))
+        params = ModelParams(epsilon=0.2, beta=0.0, mu=0.5)
+        icfg = IntegrationConfig(dt=0.02, t_end=0.2, mollifier=MollifierSpec(iota=0.3))
+        report = run(pulse_state(grid), params, BathymetryState.flat(grid), icfg, diag_order=0)
+        assert report.steps == 10
+        assert built == [grid]
 
 
 class TestReport:

@@ -25,6 +25,7 @@ from gnwave.models import (
 )
 from gnwave.operators import BathymetryState, EllipticSolveConfig
 from gnwave import verify
+from gnwave.solitary import solitary_wave_profile, solitary_wave_state
 from gnwave.timeloop import IntegrationConfig
 
 
@@ -481,7 +482,7 @@ class TestTravelingWaveOracle:
         """The profile agrees with the sech² hump."""
         g = PeriodicGrid((256,), (50.0,))
         params = ModelParams(epsilon=1.0, mu=1.0)
-        state = verify.solitary_wave_state(g, 0.2, params, kind=VariableKind.U_VARIABLE)
+        state = solitary_wave_state(g, 0.2, params, kind=VariableKind.U_VARIABLE)
         x = g.coords[0]
         off = (x - 25.0 + 25.0) % 50.0 - 25.0
         kappa = math.sqrt(3 * 0.2 / (4 * 1.2))
@@ -494,7 +495,7 @@ class TestTravelingWaveOracle:
         with h'' the grid's spectral second derivative."""
         g = PeriodicGrid((512,), (80.0,))
         params = ModelParams(epsilon=epsilon, mu=mu)
-        zeta, _, c = verify.solitary_wave_profile(g.coords[0] - 40.0, amplitude, params)
+        zeta, _, c = solitary_wave_profile(g.coords[0] - 40.0, amplitude, params)
         h = 1.0 + epsilon * zeta
         h_xx = g.irfft(g.laplacian_multiplier * g.rfft(h))
         rhs = 1.5 / (mu * c**2) * (h - 1.0) * (2.0 * c**2 - 3.0 * h + 1.0)
@@ -506,7 +507,7 @@ class TestTravelingWaveOracle:
         x = np.array([-1e4, -5000.0, -710.0, 0.0, 710.0, 5000.0, 1e4])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            zeta, u, _ = verify.solitary_wave_profile(x, 0.2, ModelParams(epsilon=1.0, mu=1.0))
+            zeta, u, _ = solitary_wave_profile(x, 0.2, ModelParams(epsilon=1.0, mu=1.0))
         assert np.all(np.isfinite(zeta)) and np.all(np.isfinite(u))
         assert zeta[0] == zeta[-1] == 0.0 and zeta[3] == pytest.approx(0.2, rel=1e-15)
 
@@ -514,8 +515,8 @@ class TestTravelingWaveOracle:
         """Classical tendencies reduce to advection at the wave speed."""
         g = PeriodicGrid((512,), (50.0,))
         params = ModelParams(epsilon=1.0, mu=1.0)
-        state = verify.solitary_wave_state(g, 0.2, params, kind=VariableKind.U_VARIABLE)
-        _, _, c = verify.solitary_wave_profile(np.zeros(1), 0.2, params)
+        state = solitary_wave_state(g, 0.2, params, kind=VariableKind.U_VARIABLE)
+        _, _, c = solitary_wave_profile(np.zeros(1), 0.2, params)
         cfg = EllipticSolveConfig(rel_tolerance=1e-13)
         depth = make_depth(params, state.zeta.data, flat_bath(g))
         dz, du = rhs_gn_u(state.zeta.data, state.vel.data, params, depth, cfg)
@@ -528,8 +529,8 @@ class TestTravelingWaveOracle:
         """Conjugate tendencies reduce to advection at the wave speed."""
         g = PeriodicGrid((512,), (50.0,))
         params = ModelParams(epsilon=1.0, mu=1.0)
-        state = verify.solitary_wave_state(g, 0.2, params)
-        _, _, c = verify.solitary_wave_profile(np.zeros(1), 0.2, params)
+        state = solitary_wave_state(g, 0.2, params)
+        _, _, c = solitary_wave_profile(np.zeros(1), 0.2, params)
         cfg = EllipticSolveConfig(rel_tolerance=1e-13)
         depth = make_depth(params, state.zeta.data, flat_bath(g))
         dz, dv = rhs_gn_v(state.zeta.data, state.vel.data, params, depth, cfg)
@@ -542,28 +543,28 @@ class TestTravelingWaveOracle:
         """Degenerate parameters are rejected with clear messages."""
         g = PeriodicGrid((64,), (50.0,))
         with pytest.raises(ValidationError, match="amplitude"):
-            verify.solitary_wave_state(g, -0.1, ModelParams(epsilon=1.0, mu=1.0))
+            solitary_wave_state(g, -0.1, ModelParams(epsilon=1.0, mu=1.0))
         with pytest.raises(ValidationError, match="mu > 0"):
-            verify.solitary_wave_state(g, 0.2, ModelParams(epsilon=1.0, mu=0.0))
+            solitary_wave_state(g, 0.2, ModelParams(epsilon=1.0, mu=0.0))
         with pytest.raises(ValidationError, match="epsilon > 0"):
-            verify.solitary_wave_profile(np.zeros(3), 0.2, ModelParams(epsilon=0.0, mu=1.0))
+            solitary_wave_profile(np.zeros(3), 0.2, ModelParams(epsilon=0.0, mu=1.0))
         g2 = PeriodicGrid((16, 16), (50.0, 50.0))
         with pytest.raises(ValidationError, match="one-dimensional"):
-            verify.solitary_wave_state(g2, 0.2, ModelParams(epsilon=1.0, mu=1.0))
+            solitary_wave_state(g2, 0.2, ModelParams(epsilon=1.0, mu=1.0))
 
 
 class TestAlignedGap:
     def test_integer_shift_recovered(self):
         """A rolled copy aligns back to round-off."""
         g = PeriodicGrid((256,), (50.0,))
-        state = verify.solitary_wave_state(g, 0.2, ModelParams(epsilon=1.0, mu=1.0))
+        state = solitary_wave_state(g, 0.2, ModelParams(epsilon=1.0, mu=1.0))
         rolled = np.roll(state.zeta.data, 91)
         assert verify.aligned_profile_gap(g, rolled, state.zeta.data) < 1e-12
 
     def test_fractional_shift_recovered(self):
         """A spectrally shifted copy aligns back to near round-off."""
         g = PeriodicGrid((256,), (50.0,))
-        state = verify.solitary_wave_state(g, 0.2, ModelParams(epsilon=1.0, mu=1.0))
+        state = solitary_wave_state(g, 0.2, ModelParams(epsilon=1.0, mu=1.0))
         k = 2 * np.pi * np.fft.rfftfreq(256, d=50.0 / 256)
         frac = np.fft.irfft(np.fft.rfft(state.zeta.data) * np.exp(1j * k * 0.37), n=256)
         assert verify.aligned_profile_gap(g, frac, state.zeta.data) < 1e-9
@@ -571,7 +572,7 @@ class TestAlignedGap:
     def test_distortion_detected(self):
         """Shape change beyond a pure shift is reported, not hidden."""
         g = PeriodicGrid((256,), (50.0,))
-        state = verify.solitary_wave_state(g, 0.2, ModelParams(epsilon=1.0, mu=1.0))
+        state = solitary_wave_state(g, 0.2, ModelParams(epsilon=1.0, mu=1.0))
         x = g.coords[0]
         perturbed = np.roll(state.zeta.data, 11) + 3e-5 * np.sin(2 * np.pi * x / 50.0)
         gap = verify.aligned_profile_gap(g, perturbed, state.zeta.data)
