@@ -239,22 +239,40 @@ def _random_setup(seed: int, n: int = 48, beta: float = 0.3):
     return g, depth, rng
 
 
-def _plain_cg_iterations(depth: DepthState, b: np.ndarray, rel_tolerance: float) -> int:
-    """Iterations of unpreconditioned conjugate gradients on 𝔗x = b from zero
-    (only the residual is carried)."""
+def _cg_iterations(
+    depth: DepthState, b: np.ndarray, mu: float, rel_tolerance: float, precond=None
+) -> int:
+    """Iterations of conjugate gradients on 𝔗x = b from zero (only the
+    residual is carried), preconditioned by ``precond`` when it is given."""
+
+    def apply(r):
+        return r if precond is None else precond(r)[0]
+
     r = b.copy()
-    p = r.copy()
-    rho = float(np.vdot(r, r))
-    tol = rel_tolerance * np.sqrt(rho)
+    z = apply(r)
+    p = z.copy()
+    rho = float(np.vdot(r, z))
+    tol = rel_tolerance * np.sqrt(float(np.vdot(b, b)))
     for iterations in range(1, 100 * b.size):
-        q = apply_frakT(depth, p, MU)
+        q = apply_frakT(depth, p, mu)
         r -= (rho / float(np.vdot(p, q))) * q
-        rho_new = float(np.vdot(r, r))
-        if np.sqrt(rho_new) <= tol:
+        if np.sqrt(float(np.vdot(r, r))) <= tol:
             return iterations
-        p = r + (rho_new / rho) * p
+        z = apply(r)
+        rho_new = float(np.vdot(r, z))
+        p = z + (rho_new / rho) * p
         rho = rho_new
-    raise AssertionError("plain CG did not converge")
+    raise AssertionError("CG did not converge")
+
+
+def _bottom_setup_2d(seed: int = 13):
+    """A 32² depth over a band-limited bottom at β = 0.4."""
+    g = grid2(32)
+    rng = np.random.default_rng(seed)
+    b = band_limited_scalar(g, rng, 2, 0.1)
+    bath = BathymetryState(ScalarField(g, b), 0.4)
+    depth = DepthState(bath, 1.0 + band_limited_scalar(g, rng, 3, 0.15))
+    return g, depth, rng
 
 
 class TestQuadraticForm:
@@ -334,15 +352,21 @@ class TestInversion:
         assert np.max(np.abs(u - v / depth.h)) < 1e-13
 
     def test_2d_round_trip_with_bathymetry(self):
-        g = grid2(32)
-        rng = np.random.default_rng(13)
-        b = band_limited_scalar(g, rng, 2, 0.1)
-        bath = BathymetryState(ScalarField(g, b), 0.4)
-        depth = DepthState(bath, 1.0 + band_limited_scalar(g, rng, 3, 0.15))
+        g, depth, rng = _bottom_setup_2d()
         v = band_limited_vector(g, rng, 4)
         u, iters, res = invert_frakT(depth, v, 0.5)
         back = apply_frakT(depth, u, 0.5)
         assert g.norm_l2(back - v) <= 1e-11 * g.norm_l2(v)
+
+    def test_bottom_preconditioner_beats_flat_inverse(self):
+        """Over a bottom, CG with the depth-scaled map takes fewer iterations
+        than CG with the flat-state inverse alone, to the same tolerance."""
+        g, depth, rng = _bottom_setup_2d()
+        v = band_limited_vector(g, rng, 4)
+        cfg = EllipticSolveConfig()
+        _, iters, _ = invert_frakT(depth, v, 0.5, cfg)
+        flat = operators._flat_preconditioner(g, depth.mean_depth, 0.5)
+        assert iters < _cg_iterations(depth, v, 0.5, cfg.rel_tolerance, flat)
 
     def test_preconditioner_helps(self):
         """The flat-state preconditioner takes fewer iterations than plain CG
@@ -351,7 +375,7 @@ class TestInversion:
         v = band_limited_vector(g, rng, 5)
         cfg = EllipticSolveConfig()
         _, it_pc, _ = invert_frakT(depth, v, MU, cfg)
-        assert it_pc < _plain_cg_iterations(depth, v, cfg.rel_tolerance)
+        assert it_pc < _cg_iterations(depth, v, MU, cfg.rel_tolerance)
 
     def test_warm_start_session(self):
         g, depth, rng = _random_setup(15)
@@ -594,6 +618,49 @@ class TestInversion:
         assert 0.0 < residual <= 1e-14
         assert 0 < iterations < 10 * n
         assert np.linalg.norm(apply_frakT(depth, u, MU) - v) <= 1e-12 * np.linalg.norm(v)
+
+
+class TestPreconditioner:
+    """The map CG preconditions with: s·P̄(s·r), s = h̄/h, over a bottom, and
+    the flat-state inverse P̄ itself over a flat bottom."""
+
+    @staticmethod
+    def _bottom(dim):
+        if dim == 1:
+            g, depth, rng = _random_setup(16)
+        else:
+            g, depth, rng = _bottom_setup_2d(17)
+        assert depth.beta_grad_b is not None
+        return g, depth, rng
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_symmetric_over_a_bottom(self, dim):
+        g, depth, rng = self._bottom(dim)
+        precond = operators._preconditioner(depth, MU)
+        a, c = band_limited_vector(g, rng, 4), band_limited_vector(g, rng, 4)
+        za, spec = precond(a)
+        zc, _ = precond(c)
+        assert spec is None
+        lhs, rhs = g.inner(za, c), g.inner(a, zc)
+        assert abs(lhs - rhs) <= 1e-13 * g.norm_l2(a) * g.norm_l2(c)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_positive_over_a_bottom(self, dim):
+        g, depth, rng = self._bottom(dim)
+        precond = operators._preconditioner(depth, MU)
+        for _ in range(5):
+            a = band_limited_vector(g, rng, 4)
+            assert g.inner(precond(a)[0], a) > 0.0
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_flat_bottom_uses_the_flat_inverse(self, dim):
+        g = grid1(48) if dim == 1 else grid2(32)
+        rng = np.random.default_rng(18)
+        depth = smooth_depth(BathymetryState.flat(g), rng)
+        r = band_limited_vector(g, rng, 5)
+        z, spec = operators._preconditioner(depth, MU)(r)
+        z_flat, spec_flat = operators._flat_preconditioner(g, depth.mean_depth, MU)(r)
+        assert np.array_equal(z, z_flat) and np.array_equal(spec, spec_flat)
 
 
 class TestShapeDerivative:

@@ -308,9 +308,17 @@ class TestStageSolves:
         """The same for SSP-RK3, whose session keeps three stage indices."""
         self._check_stage_solves(monkeypatch, "rk3_ssp", 3)
 
+    def test_warm_started_stage_solves_over_a_bottom_meet_the_tolerance(self, monkeypatch):
+        """The RK4 case over the cosine bottom 0.3·cos x cos y at β = 0.4, where
+        CG preconditions with the depth-scaled flat inverse."""
+        grid = PeriodicGrid((32, 32), (2 * np.pi, 2 * np.pi))
+        b = 0.3 * np.cos(grid.coords[0]) * np.cos(grid.coords[1])
+        self._check_stage_solves(monkeypatch, "rk4", 4, BathymetryState(ScalarField(grid, b), 0.4))
+
     @staticmethod
-    def _check_stage_solves(monkeypatch, scheme, stages):
-        """12 full steps and a shorter final one, each stage solve checked.
+    def _check_stage_solves(monkeypatch, scheme, stages, bath=None):
+        """12 full steps and a shorter final one, each stage solve checked,
+        over ``bath`` (a flat bottom when None).
 
         The per-stage guess engages once the stage's in-step guess has left
         an error of its current weight in each of the three previous steps,
@@ -350,11 +358,13 @@ class TestStageSolves:
         monkeypatch.setattr(SolverSession, "_stage_guess", watched)
         zeta = 0.1 * np.exp(-2.0 * sum((c - np.pi) ** 2 for c in grid.coords))
         state = FluidState(ScalarField(grid, zeta), VectorField.zeros(grid), VariableKind.V_VARIABLE)
-        params = ModelParams(epsilon=0.1, mu=0.5)
+        if bath is None:
+            bath = BathymetryState.flat(grid)
+        params = ModelParams(epsilon=0.1, beta=bath.beta, mu=0.5)
         dt = 0.08
         icfg = IntegrationConfig(dt=dt, t_end=12.5 * dt, scheme=scheme, diag_stride=10**6)
         cfg = EllipticSolveConfig(rel_tolerance=1e-11)
-        report = run(state, params, BathymetryState.flat(grid), icfg, cfg, diag_order=0)
+        report = run(state, params, bath, icfg, cfg, diag_order=0)
         assert report.steps == 13
         assert len(relative) == stages * 13 - 1  # the first stage starts from rest
         assert max(relative) <= 1.001e-11
