@@ -221,7 +221,8 @@ def _cmd_run(args: argparse.Namespace, out: TextIO) -> int:
     print(
         f"{report.steps} steps to t = {report.final_state.time:.6g} in "
         f"{report.wall_time:.3f} s, {report.total_elliptic_iterations} elliptic "
-        f"iterations, termination: {report.termination}",
+        f"iterations ({report.stage_iterations} in stages, {report.record_iterations} "
+        f"in records), termination: {report.termination}",
         file=out,
     )
     print(f"artifacts in {cfg.output.directory}", file=out)

@@ -38,7 +38,6 @@ and an input whose shape does not match its grid raises
 """
 from __future__ import annotations
 
-import collections
 import dataclasses
 import math
 from functools import cached_property
@@ -196,19 +195,32 @@ class SolverSession:
       a time step the two latest solutions include the stage just solved.
     - ``stage = (index, step_start, dt)`` (the time stepper sets it before
       each RK stage): the session keeps, per stage index, the error
-      u − g that the in-step guess g made in the three latest steps, with
+      u − g that the in-step guess g made in the four latest steps, with
       that guess's weight.  A stage state is a smooth function of its step's
-      start state, so this error traces a smooth curve over steps.  When the
-      three entries start at ``step_start − k·dt`` (k = 1…3) to round-off and
-      carry the weight of the current in-step guess, the guess is
-      g + 3e₋₁ − 3e₋₂ + e₋₃, the quadratic extrapolation of the error added
-      to the in-step guess.  Otherwise it is g: the first steps of a run, a
-      step of another size (such as a shorter final step) and callers
-      without stages.
+      start state, so this error traces a smooth curve over steps.  The
+      stage guess engages when the three newest entries start at
+      ``step_start − k·dt`` (k = 1…3) to round-off and carry the weight of
+      the current in-step guess; it is then g + c, with c one of the
+      extrapolations of the error to this step: e₁, 2e₁ − e₂,
+      3e₁ − 3e₂ + e₃ and, when a fourth entry continues the pattern,
+      4e₁ − 6e₂ + 4e₃ − e₄.  Otherwise the guess is g: the first steps of a
+      run, a step of another size (such as a shorter final step) and
+      callers without stages.
+
+    Which extrapolation a stage takes is chosen from its own errors.  Each
+    recorded solve of an engaged stage scores every candidate its history
+    allowed by ‖e₀ − c‖², with e₀ the error its in-step guess made, and
+    keeps each score as a running average (:data:`_SCORE_WEIGHT` on the
+    newest value).  The next solve of that stage builds the candidate of
+    lowest score among those its history allows, or the quadratic while none
+    is scored.  The scores come from the Gram matrix of the kept errors, so
+    they cost one inner product per kept error and no matvec.
 
     A solve that asks for no guess (a zero right-hand side, μ = 0) records
     no error: each recorded error pairs a solution with the guess asked for
-    just before it.  Mutable by design; keep one session per concurrent run.
+    just before it.  The session also keeps the last few flat-state inverses
+    P̄ it built (:meth:`flat_preconditioner`).  Mutable by design; keep one
+    session per concurrent run.
     """
 
     last_solution: np.ndarray | None = None
@@ -225,7 +237,10 @@ class SolverSession:
     _pending: tuple[tuple[int, float, float], float, np.ndarray] | None = (
         dataclasses.field(default=None, init=False, repr=False)
     )
-    _errors: dict[int, collections.deque] = dataclasses.field(
+    _errors: dict[int, _StageErrors] = dataclasses.field(
+        default_factory=dict, init=False, repr=False
+    )
+    _flat: dict[tuple[PeriodicGrid, float, float], Callable] = dataclasses.field(
         default_factory=dict, init=False, repr=False
     )
 
@@ -239,6 +254,21 @@ class SolverSession:
             self._pending = (self.stage, weight, guess)
         corrected = self._stage_guess(shape)
         return guess if corrected is None else corrected
+
+    def flat_preconditioner(
+        self, grid: PeriodicGrid, mean_depth: float, mu: float
+    ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+        """:func:`_flat_preconditioner`, reused while (grid, h̄, μ) repeat bit
+        for bit.  Mass is conserved, so h̄ moves at most at round-off and a
+        run sees only a few values; the oldest of more than
+        :data:`_FLAT_INVERSES_KEPT` is dropped."""
+        key = (grid, mean_depth, mu)
+        found = self._flat.get(key)
+        if found is None:
+            if len(self._flat) == _FLAT_INVERSES_KEPT:
+                del self._flat[next(iter(self._flat))]
+            found = self._flat[key] = _flat_preconditioner(grid, mean_depth, mu)
+        return found
 
     def _in_step_guess(self) -> tuple[np.ndarray, float]:
         """Line through the two latest solutions at distinct times, and its weight."""
@@ -257,32 +287,27 @@ class SolverSession:
         return last + weight * (last - previous), weight
 
     def _stage_guess(self, shape: tuple[int, ...]) -> np.ndarray | None:
-        """The in-step guess plus the quadratic extrapolation of its error over
-        the same stage of the three previous steps."""
+        """The in-step guess plus the chosen extrapolation of its error over
+        the same stage of the previous steps, or None when the stage guess
+        does not engage."""
         if self._pending is None:
             return None
         (index, start, dt), weight, guess = self._pending
         history = self._errors.get(index)
-        if history is None or len(history) < _STAGE_HISTORY:
+        if history is None:
             return None
-        newest_first = list(reversed(history))
-        for k, (e, t, w) in enumerate(newest_first, start=1):
-            if not (
-                e.shape == shape and _same(t, start - k * dt) and _same(w, weight)
-            ):
-                return None
-        e1, e2, e3 = (e for e, _, _ in newest_first)
-        return guess + (3.0 * (e1 - e2) + e3)
+        usable = history.usable(shape, start, dt, weight)
+        if usable < _ENGAGE:
+            return None
+        return history.corrected(guess, usable)
 
     def record(self, solution: np.ndarray, iterations: int) -> None:
         stored = solution.copy()
         pending, self._pending = self._pending, None
         if pending is not None:
-            (index, start, _), weight, guess = pending
-            history = self._errors.setdefault(
-                index, collections.deque(maxlen=_STAGE_HISTORY)
-            )
-            history.append((stored - guess, start, weight))
+            (index, start, dt), weight, guess = pending
+            history = self._errors.setdefault(index, _StageErrors())
+            history.record(stored - guess, start, dt, weight)
         if self.time is None or self._last_time is None:
             self._previous = None
             self._last_time = self.time
@@ -294,14 +319,78 @@ class SolverSession:
         self.total_iterations += iterations
 
 
-# In-step guess errors kept per stage index: a quadratic through three points.
-# Measured over whole benchmark runs (iterations per stage solve; in-step
-# guess alone 3.0 on soliton_1d and 8.5 on hump_2d): extrapolating the error
-# linearly, quadratically or cubically gives 0.94, 1.31, 1.67 on the soliton
-# and 6.0, 5.5, 4.9 on the hump.  Wider stencils help the hump and hurt the
-# soliton, whose solves stop at rel_tolerance 1e-8 and whose solve error they
-# amplify; the quadratic cuts both.
-_STAGE_HISTORY = 3
+# The stage guess's candidate corrections, as coefficients of the newest
+# errors e₁, e₂, …: the extrapolations of degree 0 to 3 in step time.
+_EXTRAPOLATIONS = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0), (4.0, -6.0, 4.0, -1.0))
+# e₀ − c for the candidate c of each row above is the backward difference of
+# e₀, e₁, … of the row's length, so ‖e₀ − c‖² = Σ bᵢbⱼ⟨eᵢ, eⱼ⟩ with b the
+# binomial coefficients of alternating sign: its Gram-matrix terms (i, j, ·),
+# j ≥ i, the off-diagonal ones doubled.
+_SCORE_TERMS = tuple(
+    tuple(
+        (i, j, (1.0 if i == j else 2.0) * b[i] * b[j])
+        for i in range(len(b))
+        for j in range(i, len(b))
+    )
+    for b in ((1.0,) + tuple(-a for a in row) for row in _EXTRAPOLATIONS)
+)
+# The stage guess engages with this many usable errors, and takes the
+# extrapolation through all of them, the quadratic, until a candidate is scored.
+_ENGAGE = 3
+# Weight of the newest value in a candidate's running score.  Stage CG
+# iterations of soliton_1d (2000 steps): 7381 (seed 7) and 7624 (seed 11) at
+# 1/2, 6626 and 6792 at 1/5; on hump_2d both give 191 (seeds 7 and 11).
+_SCORE_WEIGHT = 0.2
+# Flat-state inverses a session keeps: a run sees 2 or 3 distinct h̄.
+_FLAT_INVERSES_KEPT = 4
+
+
+class _StageErrors:
+    """The in-step guess errors of one stage index, newest first, each with
+    its step start and in-step weight; their Gram matrix; and each
+    extrapolation's running score, None until scored."""
+
+    def __init__(self) -> None:
+        self.errors: list[tuple[np.ndarray, float, float]] = []
+        self.gram: list[list[float]] = []
+        self.scores: list[float | None] = [None] * len(_EXTRAPOLATIONS)
+
+    def usable(self, shape: tuple[int, ...], start: float, dt: float, weight: float) -> int:
+        """How many of the newest errors, of ``shape``, start at start − k·dt
+        (k = 1, 2, …) and were made by an in-step guess of ``weight``."""
+        for k, (e, t, w) in enumerate(self.errors, start=1):
+            if not (e.shape == shape and _same(t, start - k * dt) and _same(w, weight)):
+                return k - 1
+        return len(self.errors)
+
+    def corrected(self, guess: np.ndarray, usable: int) -> np.ndarray:
+        """``guess`` plus the lowest-scoring extrapolation that the ``usable``
+        newest errors allow (the quadratic while none is scored)."""
+        scored = [(s, n) for n, s in enumerate(self.scores[:usable]) if s is not None]
+        order = min(scored)[1] if scored else _ENGAGE - 1
+        coefficients = _EXTRAPOLATIONS[order]
+        out = guess + coefficients[0] * self.errors[0][0]
+        for a, (e, _, _) in zip(coefficients[1:], self.errors[1:]):
+            out += a * e
+        return out
+
+    def record(self, e0: np.ndarray, start: float, dt: float, weight: float) -> None:
+        """Score the extrapolations the history allowed by ‖e₀ − c‖², e₀ the
+        error just made at ``start``, then keep e₀ as the newest error."""
+        if self.errors and self.errors[0][0].shape != e0.shape:
+            self.errors, self.gram = [], []
+        dots = [_inner(e0, e) for e, _, _ in self.errors]
+        # the Gram matrix of e₀ and the kept errors
+        gram = [[_inner(e0, e0)] + dots] + [[d] + row for d, row in zip(dots, self.gram)]
+        usable = self.usable(e0.shape, start, dt, weight)
+        if usable >= _ENGAGE:
+            for n, terms in enumerate(_SCORE_TERMS[:usable]):
+                score = sum([c * gram[i][j] for i, j, c in terms])
+                old = self.scores[n]
+                self.scores[n] = score if old is None else old + _SCORE_WEIGHT * (score - old)
+        kept = len(_EXTRAPOLATIONS)
+        self.gram = [row[:kept] for row in gram[:kept]]
+        self.errors = [(e0, start, weight)] + self.errors[: kept - 1]
 
 
 def _same(a: float, b: float) -> bool:
@@ -446,18 +535,21 @@ def _flat_preconditioner(
 
 
 def _preconditioner(
-    depth: DepthState, mu: float
+    depth: DepthState, mu: float, session: SolverSession | None = None
 ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray | None]]:
     """CG's preconditioner for 𝔗[h, βb]: the flat inverse P̄ at the mean depth
     h̄ over a flat bottom, and over a bottom r ↦ s·P̄(s·r) with s = h̄/h.
+    A ``session`` supplies P̄ from the ones it keeps.
 
     Both maps are symmetric positive definite.  The scaled one returns no
     spectrum, so CG's matvec transforms the search direction itself.  Over a
     flat bottom the scaling would cost iterations, 11 258 against 10 598 in a
     soliton_1d run, so it is kept for a bottom, where a 128² hump_2d run's
-    stage solves take 216 instead of 278.
+    stage solves took 216 instead of 278 (both with the quadratic stage
+    guess alone).
     """
-    flat = _flat_preconditioner(depth.grid, depth.mean_depth, mu)
+    build = _flat_preconditioner if session is None else session.flat_preconditioner
+    flat = build(depth.grid, depth.mean_depth, mu)
     if depth.beta_grad_b is None:
         return flat
     s = depth.mean_depth / depth.h
@@ -504,7 +596,7 @@ def invert_frakT(
             session.record(u, 0)
         return EllipticSolveResult(u, 0, 0.0)
 
-    precond = _preconditioner(depth, mu)
+    precond = _preconditioner(depth, mu, session)
 
     guess = session.initial_guess(b.shape) if session is not None else None
     if guess is None:

@@ -4,11 +4,13 @@ The integrator is classical RK4 (or SSP-RK3) applied to the selected model
 tendency, with one elliptic solve per stage.  The stepper tells its solver
 session each stage's index, time, step start and dt.  A stage's warm start
 is the in-step guess, the linear extrapolation over stage times of the
-latest two stage solutions, corrected by the quadratic extrapolation of the
-error that guess made at the same stage of the three previous steps.  The
-correction needs those steps evenly spaced by the current dt, so the first
-steps and a step of another size, such as a shorter final step, take the
-in-step guess alone (see :class:`~gnwave.operators.SolverSession`).
+latest two stage solutions, corrected by an extrapolation of the error that
+guess made at the same stage of the previous steps.  Each stage picks that
+extrapolation, of degree 0 to 3, by how well each would have predicted its
+own recent errors.  The correction needs at least three previous steps
+evenly spaced by the current dt, so the first steps and a step of another
+size, such as a shorter final step, take the in-step guess alone (see
+:class:`~gnwave.operators.SolverSession`).
 
 The dispersive operator has an order-zero inverse, so explicit stepping is
 not stiffness-limited; a CFL advisory based on the gravity-wave speed
@@ -132,14 +134,21 @@ class IntegrationConfig:
 
 @dataclasses.dataclass(frozen=True)
 class RunReport:
-    """Outcome of one integration run."""
+    """Outcome of one integration run.  CG iterations are counted apart for
+    the stage solves of the steps and the solves of the diagnostics records
+    (the sum of the records' ``cg_iterations``)."""
 
     final_state: FluidState
     wall_time: float
-    total_elliptic_iterations: int
+    stage_iterations: int
+    record_iterations: int
     termination: str
     steps: int
     failure_time: float | None = None
+
+    @property
+    def total_elliptic_iterations(self) -> int:
+        return self.stage_iterations + self.record_iterations
 
 
 class CollectingSinks:
@@ -410,7 +419,8 @@ def run(
     report = RunReport(
         final_state=accepted(),
         wall_time=time.perf_counter() - t_start,
-        total_elliptic_iterations=step_session.total_iterations + diag_session.total_iterations,
+        stage_iterations=step_session.total_iterations,
+        record_iterations=diag_session.total_iterations,
         termination=termination,
         steps=steps_done,
         failure_time=failure_time,

@@ -163,6 +163,21 @@ class TestRun:
         assert (out / "diagnostics.csv").exists()
         assert sorted(out.glob("snapshot_*.gnwv"))
 
+    def test_summary_splits_iterations(self, tmp_path, capsys):
+        """The summary line counts stage and record CG iterations apart; the
+        record part is the sum of the CSV's cg_iterations."""
+        cfg = write_config(tmp_path, "\n[initial]\ntype = gaussian\namplitude = 0.05\nwidth = 0.8\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--output", str(out)]) == 0
+        found = re.search(
+            r"(\d+) elliptic iterations \((\d+) in stages, (\d+) in records\)",
+            capsys.readouterr().out,
+        )
+        total, stages, records = (int(n) for n in found.groups())
+        rows = read_diagnostics((out / "diagnostics.csv").read_text())
+        assert records == sum(row["cg_iterations"] for row in rows) > 0
+        assert stages > 0 and total == stages + records
+
     def test_rest_state_constant_diagnostics(self, tmp_path):
         """Integrating the rest state leaves every diagnostic constant."""
         cfg = write_config(tmp_path)

@@ -431,9 +431,13 @@ class TestInversion:
                 session.record(base + error(start, index), 1)
 
     @staticmethod
-    def _quadratic(seed):
-        coeffs = np.random.default_rng(seed).standard_normal((3, 3, 1, 8))
+    def _polynomial(seed, degree):
+        coeffs = np.random.default_rng(seed).standard_normal((3, degree + 1, 1, 8))
         return lambda t, index: sum(c * t**p for p, c in enumerate(coeffs[index]))
+
+    @staticmethod
+    def _quadratic(seed):
+        return TestInversion._polynomial(seed, 2)
 
     def test_session_continues_stage_errors_over_steps(self):
         """An in-step guess error quadratic in step time is continued to round-off."""
@@ -522,6 +526,108 @@ class TestInversion:
             guess = session.initial_guess((1, 8))
             assert np.array_equal(guess, in_step) != engaged, index
             session.record(in_step + error(after, index), 1)
+
+    def _continued(self, error, steps):
+        """The largest relative miss of the guess for each stage of each step
+        from ``steps`` on, when every solution is the in-step guess plus
+        ``error``; the steps start at 2 and are 0.1 apart."""
+        dt, t0 = 0.1, 2.0
+        session = SolverSession()
+        self._solve_stages(session, [t0 + n * dt for n in range(steps)], dt, error)
+        misses = []
+        for n in range(steps, steps + 4):
+            start = t0 + n * dt
+            for index in (0, 1):
+                session.stage = None
+                session.time = start + 0.5 * index * dt
+                in_step = session.initial_guess((1, 8))
+                session.stage = (index, start, dt)
+                guess = session.initial_guess((1, 8))
+                exact = in_step + error(start, index)
+                misses.append(np.max(np.abs(guess - exact)) / np.max(np.abs(exact)))
+                session.record(exact, 1)
+        return max(misses)
+
+    def test_session_continues_cubic_stage_errors(self):
+        """An in-step guess error cubic in step time is continued to round-off
+        once four errors exist and the cubic has been scored; the quadratic
+        alone misses it."""
+        error = self._polynomial(9, 3)
+        assert self._continued(error, 7) <= 1e-11
+        # step 4 is the first engaged one, and it takes the quadratic
+        assert self._continued(error, 4) > 1e-6
+
+    def test_session_continues_linear_stage_errors(self):
+        """An in-step guess error linear in step time is continued to round-off
+        from the first engaged step on, whichever extrapolation is chosen."""
+        assert self._continued(self._polynomial(10, 1), 4) <= 1e-11
+
+    def test_stage_scores_follow_the_gram_matrix(self, monkeypatch):
+        """Each recorded error scores the extrapolations its history allows by
+        ‖e₀ − c‖², as a running average, from one inner product per kept
+        error plus ⟨e₀, e₀⟩; the history keeps four errors and a broken chain
+        or a shorter step scores nothing."""
+        rng = np.random.default_rng(11)
+        dt = 0.1
+        schedule = (
+            [(n * dt, dt) for n in range(7)]  # rotates past four errors
+            + [(n * dt, dt) for n in range(8, 12)]  # a step missing
+            + [(12 * dt, 0.5 * dt)]  # a shorter step
+            + [(12.5 * dt + n * dt, dt) for n in range(5)]
+        )
+        inner = operators._inner
+        calls = []
+        monkeypatch.setattr(
+            operators, "_inner", lambda a, b: calls.append(1) or inner(a, b)
+        )
+        history = operators._StageErrors()
+        kept, expected, scored = [], [None] * 4, 0
+        for start, step in schedule:
+            e0 = rng.standard_normal((2, 16))
+            usable = 0
+            while usable < len(kept) and operators._same(
+                kept[usable][1], start - (usable + 1) * step
+            ):
+                usable += 1
+            if usable >= 3:
+                scored += 1
+                for n, coefficients in enumerate(operators._EXTRAPOLATIONS[:usable]):
+                    c = sum(a * e for a, (e, _) in zip(coefficients, kept))
+                    direct = float(np.sum((e0 - c) ** 2))
+                    old = expected[n]
+                    expected[n] = direct if old is None else (
+                        old + operators._SCORE_WEIGHT * (direct - old)
+                    )
+            calls.clear()
+            history.record(e0, start, step, 1.0)
+            assert len(calls) == len(kept) + 1
+            kept = [(e0, start)] + kept[:3]
+            assert [t for _, t, _ in history.errors] == [t for _, t in kept]
+            for got, want in zip(history.scores, expected):
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert got == pytest.approx(want, rel=1e-12)
+        assert scored == 4 + 1 + 2 and expected[3] is not None
+
+    def test_session_keeps_flat_inverses(self, monkeypatch):
+        """A session builds the flat inverse once per (grid, h̄, μ), and keeps
+        the four latest."""
+        built = []
+        build = operators._flat_preconditioner
+        monkeypatch.setattr(
+            operators, "_flat_preconditioner", lambda *key: built.append(key) or build(*key)
+        )
+        g, depth, rng = _random_setup(19)
+        session = SolverSession()
+        for _ in range(3):
+            invert_frakT(depth, band_limited_vector(g, rng, 5), MU, session=session)
+        assert built == [(g, depth.mean_depth, MU)]
+        first = session.flat_preconditioner(g, depth.mean_depth, MU)
+        for h in (1.1, 1.2, 1.3, 1.4):
+            session.flat_preconditioner(g, h, MU)
+        assert len(session._flat) == operators._FLAT_INVERSES_KEPT == 4
+        assert session.flat_preconditioner(g, depth.mean_depth, MU) is not first
+        assert len(built) == 6
 
     def test_extrapolated_warm_start_saves_iterations(self):
         """A solution that moves linearly in time is guessed exactly."""
