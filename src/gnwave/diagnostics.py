@@ -296,16 +296,18 @@ def collect_record(
     session: SolverSession | None = None,
 ) -> DiagnosticsRecord:
     """Assemble a full record from a conjugate-variable state; both energies
-    share the state's one water column."""
+    share the state's one water column.  Its solves run in ``session``, or
+    in a fresh one when None, so ``cg_iterations`` counts them either way."""
     _require_kind(state, VariableKind.V_VARIABLE, "collect_record")
     grid = state.grid
-    before = session.total_iterations if session is not None else 0
+    if session is None:
+        session = SolverSession()
+    before = session.total_iterations
     depth = make_depth(params, state.zeta.data, bath)
     ham = hamiltonian_gn(state.zeta.data, state.vel.data, params, depth, cfg, session)
     e_val = energy_E(state, params, order)
     f_val = energy_F(state, params, depth, order, cfg, session)
     vort = vorticity_norm(state) if grid.dim == 2 else 0.0
-    spent = (session.total_iterations - before) if session is not None else 0
     return DiagnosticsRecord(
         time=state.time,
         mass=grid.integrate(state.zeta.data),
@@ -314,5 +316,5 @@ def collect_record(
         f_norm=f_val,
         vorticity_l2=vort,
         min_depth=float(depth.h_min),
-        cg_iterations=int(spent),
+        cg_iterations=session.total_iterations - before,
     )

@@ -181,31 +181,30 @@ class EllipticSolveConfig:
             )
 
 
-@dataclasses.dataclass
 class SolverSession:
     """Warm-start cache for the elliptic solves of one simulation.
 
-    The guess for a solve is built from what the caller has set:
+    The guess for a solve is built from ``stage``, which the time stepper
+    sets before each RK stage to ``(index, time, step_start, dt)``; it stays
+    None for solves outside a stage, such as a record's.
 
-    - With ``time`` set, the in-step guess is the linear extrapolation, to
-      that time, of the two latest solutions at distinct times:
-      u₀ + w·(u₀ − u₋₁), with weight w = (t − t₀)/(t₀ − t₋₁).  A solve at the
-      time of the latest solution, a weight beyond ±2 (up to round-off) or a
-      caller without a time gets the latest solution itself (w = 0).  Within
-      a time step the two latest solutions include the stage just solved.
-    - ``stage = (index, step_start, dt)`` (the time stepper sets it before
-      each RK stage): the session keeps, per stage index, the error
-      u − g that the in-step guess g made in the four latest steps, with
-      that guess's weight.  A stage state is a smooth function of its step's
-      start state, so this error traces a smooth curve over steps.  The
-      stage guess engages when the three newest entries start at
-      ``step_start − k·dt`` (k = 1…3) to round-off and carry the weight of
-      the current in-step guess; it is then g + c, with c one of the
-      extrapolations of the error to this step: e₁, 2e₁ − e₂,
-      3e₁ − 3e₂ + e₃ and, when a fourth entry continues the pattern,
-      4e₁ − 6e₂ + 4e₃ − e₄.  Otherwise the guess is g: the first steps of a
-      run, a step of another size (such as a shorter final step) and
-      callers without stages.
+    - The in-step guess is the linear extrapolation, to the stage's time, of
+      the two latest solutions at distinct times: u₀ + w·(u₀ − u₋₁), with
+      weight w = (t − t₀)/(t₀ − t₋₁).  A solve at the time of the latest
+      solution, a weight beyond ±2 (up to round-off) or a solve without a
+      stage gets the latest solution itself (w = 0).  Within a time step the
+      two latest solutions include the stage just solved.
+    - Per stage index, the session keeps the error u − g that the in-step
+      guess g made in the four latest steps, with that guess's weight.  A
+      stage state is a smooth function of its step's start state, so this
+      error traces a smooth curve over steps.  The stage guess engages when
+      the three newest entries start at ``step_start − k·dt`` (k = 1…3) to
+      round-off and carry the weight of the current in-step guess; it is
+      then g + c, with c one of the extrapolations of the error to this
+      step: e₁, 2e₁ − e₂, 3e₁ − 3e₂ + e₃ and, when a fourth entry continues
+      the pattern, 4e₁ − 6e₂ + 4e₃ − e₄.  Otherwise the guess is g: the first
+      steps of a run, a step of another size (such as a shorter final step)
+      and solves without a stage.
 
     Which extrapolation a stage takes is chosen from its own errors.  Each
     recorded solve of an engaged stage scores every candidate its history
@@ -219,30 +218,23 @@ class SolverSession:
     A solve that asks for no guess (a zero right-hand side, μ = 0) records
     no error: each recorded error pairs a solution with the guess asked for
     just before it.  The session also keeps the last few flat-state inverses
-    P̄ it built (:meth:`flat_preconditioner`).  Mutable by design; keep one
-    session per concurrent run.
+    P̄ it built (:meth:`flat_preconditioner`).  A solve given no session
+    starts cold in a fresh one.  Mutable by design; keep one session per
+    concurrent run.
     """
 
-    last_solution: np.ndarray | None = None
-    solves: int = 0
-    total_iterations: int = 0
-    time: float | None = None
-    stage: tuple[int, float, float] | None = None
-    _last_time: float | None = dataclasses.field(default=None, init=False, repr=False)
-    _previous: tuple[np.ndarray, float] | None = dataclasses.field(
-        default=None, init=False, repr=False
-    )
-    # (stage, weight, in-step guess) of the guess asked for last, until the
-    # solution it belongs to is recorded
-    _pending: tuple[tuple[int, float, float], float, np.ndarray] | None = (
-        dataclasses.field(default=None, init=False, repr=False)
-    )
-    _errors: dict[int, _StageErrors] = dataclasses.field(
-        default_factory=dict, init=False, repr=False
-    )
-    _flat: dict[tuple[PeriodicGrid, float, float], Callable] = dataclasses.field(
-        default_factory=dict, init=False, repr=False
-    )
+    def __init__(self) -> None:
+        self.last_solution: np.ndarray | None = None
+        self.solves = 0
+        self.total_iterations = 0
+        self.stage: tuple[int, float, float, float] | None = None
+        self._last_time: float | None = None
+        self._previous: tuple[np.ndarray, float] | None = None
+        # (stage, weight, in-step guess) of the guess asked for last, until
+        # the solution it belongs to is recorded
+        self._pending: tuple[tuple[int, float, float, float], float, np.ndarray] | None = None
+        self._errors: dict[int, _StageErrors] = {}
+        self._flat: dict[tuple[PeriodicGrid, float, float], Callable] = {}
 
     def initial_guess(self, shape: tuple[int, ...]) -> np.ndarray | None:
         self._pending = None
@@ -273,12 +265,13 @@ class SolverSession:
     def _in_step_guess(self) -> tuple[np.ndarray, float]:
         """Line through the two latest solutions at distinct times, and its weight."""
         last = self.last_solution
-        if self.time is None or self._previous is None:
+        if self.stage is None or self._previous is None:
             return last, 0.0
+        t = self.stage[1]
         previous, t_prev = self._previous
-        if _same(self.time, self._last_time) or previous.shape != last.shape:
+        if _same(t, self._last_time) or previous.shape != last.shape:
             return last, 0.0
-        weight = (self.time - self._last_time) / (self._last_time - t_prev)
+        weight = (t - self._last_time) / (self._last_time - t_prev)
         # stage patterns need |weight| <= 2 (SSP-RK3's second stage sits on 2,
         # up to round-off); a larger one would amplify the difference of two
         # nearby solutions into a poor guess
@@ -292,7 +285,7 @@ class SolverSession:
         does not engage."""
         if self._pending is None:
             return None
-        (index, start, dt), weight, guess = self._pending
+        (index, _, start, dt), weight, guess = self._pending
         history = self._errors.get(index)
         if history is None:
             return None
@@ -305,15 +298,16 @@ class SolverSession:
         stored = solution.copy()
         pending, self._pending = self._pending, None
         if pending is not None:
-            (index, start, dt), weight, guess = pending
+            (index, _, start, dt), weight, guess = pending
             history = self._errors.setdefault(index, _StageErrors())
             history.record(stored - guess, start, dt, weight)
-        if self.time is None or self._last_time is None:
+        t = None if self.stage is None else self.stage[1]
+        if t is None or self._last_time is None:
             self._previous = None
-            self._last_time = self.time
-        elif not _same(self.time, self._last_time):
+            self._last_time = t
+        elif not _same(t, self._last_time):
             self._previous = (self.last_solution, self._last_time)
-            self._last_time = self.time
+            self._last_time = t
         self.last_solution = stored
         self.solves += 1
         self.total_iterations += iterations
@@ -535,11 +529,11 @@ def _flat_preconditioner(
 
 
 def _preconditioner(
-    depth: DepthState, mu: float, session: SolverSession | None = None
+    depth: DepthState, mu: float, session: SolverSession
 ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray | None]]:
     """CG's preconditioner for 𝔗[h, βb]: the flat inverse P̄ at the mean depth
     h̄ over a flat bottom, and over a bottom r ↦ s·P̄(s·r) with s = h̄/h.
-    A ``session`` supplies P̄ from the ones it keeps.
+    The ``session`` supplies P̄ from the ones it keeps.
 
     Both maps are symmetric positive definite.  The scaled one returns no
     spectrum, so CG's matvec transforms the search direction itself.  Over a
@@ -548,8 +542,7 @@ def _preconditioner(
     stage solves took 216 instead of 278 (both with the quadratic stage
     guess alone).
     """
-    build = _flat_preconditioner if session is None else session.flat_preconditioner
-    flat = build(depth.grid, depth.mean_depth, mu)
+    flat = session.flat_preconditioner(depth.grid, depth.mean_depth, mu)
     if depth.beta_grad_b is None:
         return flat
     s = depth.mean_depth / depth.h
@@ -577,13 +570,16 @@ def invert_frakT(
     Returns ``(u, iterations, residual)``: ``residual``, CG's updated residual
     over ‖v_rhs‖, is at most ``cfg.rel_tolerance`` (:class:`EllipticSolveConfig`
     defaults when ``cfg`` is None), and the true ‖𝔗u - v_rhs‖ / ‖v_rhs‖ agrees
-    with it to about the round-off of one 𝔗 application.  A session provides
-    the warm starts; pass one per simulation.
+    with it to about the round-off of one 𝔗 application.  The ``session``
+    provides the warm start, from its ``stage``; pass one per simulation.
+    Without one the solve starts cold in a session of its own.
     """
     grid = _check_velocity(depth, v_rhs)
     mu = _validate_mu(mu)
     if cfg is None:
         cfg = EllipticSolveConfig()
+    if session is None:
+        session = SolverSession()
 
     b = v_rhs
     b_norm = _norm(b)
@@ -592,13 +588,12 @@ def invert_frakT(
 
     if mu == 0.0:
         u = b / depth.h
-        if session is not None:
-            session.record(u, 0)
+        session.record(u, 0)
         return EllipticSolveResult(u, 0, 0.0)
 
     precond = _preconditioner(depth, mu, session)
 
-    guess = session.initial_guess(b.shape) if session is not None else None
+    guess = session.initial_guess(b.shape)
     if guess is None:
         x = np.zeros_like(b)
         r = b.copy()
@@ -647,8 +642,7 @@ def invert_frakT(
                 res / b_norm,
             )
 
-    if session is not None:
-        session.record(x, iterations)
+    session.record(x, iterations)
     return EllipticSolveResult(x, iterations, res / b_norm)
 
 
@@ -717,27 +711,25 @@ def apply_Qb(depth: DepthState, u: np.ndarray) -> np.ndarray:
     return grid.dealias(out)
 
 
-def _pressure_terms(
-    depth: DepthState, u: np.ndarray, flat_part: bool = True, bottom_part: bool = True
-) -> np.ndarray:
-    """R (when ``flat_part``) plus R_b (when ``bottom_part`` and the bottom
-    is not flat), before the final dealiasing projection.  The two gradients
+def _pressure_terms(depth: DepthState, u: np.ndarray) -> np.ndarray:
+    """R + R_b before the final dealiasing projection.  The two gradients
     share one transform pair: (u/h)·∇(h³ ∇·u / 3 − h² (β∇b)·u / 2)."""
     grid = depth.grid
     h, h2d = depth.h, depth.h2
     d, g = _div_and_slope(depth, u)
-    flux = (1.0 / 3.0) * depth.h3 * d if flat_part else 0.0
-    out = 0.5 * h2d * d * d if flat_part else 0.0
-    if bottom_part and g is not None:
+    flux = (1.0 / 3.0) * depth.h3 * d
+    out = 0.5 * h2d * d * d
+    if g is not None:
         flux = flux - 0.5 * h2d * g
         out = out - 0.5 * (h * g * d + g * g)
     return out + np.einsum("i...,i...->...", u, grid.dealiased_gradient(flux)) / h
 
 
 def apply_R(depth: DepthState, u: np.ndarray) -> np.ndarray:
-    """R[h, u] = (u/3h)·∇(h³ ∇·u) + ½ h² (∇·u)², dealiased."""
+    """R[h, u] = (u/3h)·∇(h³ ∇·u) + ½ h² (∇·u)², dealiased: the pressure
+    terms of the same column over a flat bottom."""
     grid = _check_velocity(depth, u)
-    return grid.dealias(_pressure_terms(depth, u, bottom_part=False))
+    return grid.dealias(_pressure_terms(DepthState(BathymetryState.flat(grid), depth.h), u))
 
 
 def apply_Rb(depth: DepthState, u: np.ndarray) -> np.ndarray:
@@ -745,7 +737,7 @@ def apply_Rb(depth: DepthState, u: np.ndarray) -> np.ndarray:
     grid = _check_velocity(depth, u)
     if depth.beta_grad_b is None:
         return np.zeros(grid.shape)
-    return grid.dealias(_pressure_terms(depth, u, flat_part=False))
+    return grid.dealias(_pressure_terms(depth, u)) - apply_R(depth, u)
 
 
 def good_unknown_w(depth: DepthState, u: np.ndarray) -> np.ndarray:

@@ -251,16 +251,14 @@ class _Stepper:
             )
 
     def rhs(
-        self,
-        zeta: np.ndarray,
-        vel: np.ndarray,
-        t: float,
-        stage: tuple[int, float, float],
+        self, zeta: np.ndarray, vel: np.ndarray, stage: tuple[int, float, float, float]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Tendency at a stage; ``stage`` is (index, step start, dt) for the session.
+        """Tendency at a stage; ``stage`` is (index, time, step start, dt),
+        the session's :attr:`~gnwave.operators.SolverSession.stage`.
 
         The stage's water column is built once: the depth guard reads its
         minimum and the tendency takes it."""
+        t = stage[1]
         self.check_fields(zeta, vel, t)
         depth = make_depth(self.params, zeta, self.bath)
         h_min = depth.h_min
@@ -270,7 +268,6 @@ class _Stepper:
                 f"floor {self.floor:.6g}",
                 min_depth=h_min,
             )
-        self.session.time = t
         self.session.stage = stage
         return self._tendency(zeta, vel, depth)
 
@@ -281,7 +278,7 @@ class _Stepper:
         at ``t_next``."""
 
         def rhs(index: int, zs: np.ndarray, vs: np.ndarray, offset: float):
-            return self.rhs(zs, vs, t + offset * dt, (index, t, dt))
+            return self.rhs(zs, vs, (index, t + offset * dt, t, dt))
 
         if self.scheme == "rk4":
             k1z, k1v = rhs(0, z, v, 0.0)

@@ -386,6 +386,15 @@ class TestRecords:
         assert rec.vorticity_l2 == 0.0
         assert rec.cg_iterations > 0
 
+    def test_record_without_a_session_counts_its_iterations(self):
+        """A record taken without a session solves in a fresh one: it is the
+        record a fresh session gives, CG iteration count included."""
+        state, params, bath = make_v_state(11, grid1())
+        plain = collect_record(state, params, bath, order=1)
+        fresh = collect_record(state, params, bath, order=1, session=SolverSession())
+        assert plain.cg_iterations == fresh.cg_iterations > 0
+        assert plain == fresh
+
     def test_record_builds_one_water_column(self, monkeypatch):
         """The Hamiltonian and the symmetrizer energy share the record's depth."""
         from gnwave.operators import DepthState

@@ -1,8 +1,8 @@
 """Source layout checks: every module-level import of the package is read,
-every function parameter is read, every defaulted parameter is passed by some
-call, imports flow one way, every transform goes through the grid, importing
-the command line loads no scipy, and the benchmark's tracer and timing hooks
-find every name they wrap."""
+every function parameter is read, every defaulted parameter (dataclass fields
+included) is passed by some call, imports flow one way, every transform goes
+through the grid, importing the command line loads no scipy, and the
+benchmark's tracer and timing hooks find every name they wrap."""
 from __future__ import annotations
 
 import ast
@@ -99,13 +99,16 @@ def test_every_parameter_is_read():
     assert not unread, "parameters never read: " + ", ".join(unread)
 
 
+def _called_name(node: ast.expr) -> str | None:
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
 def _callers(tree: ast.Module) -> dict[str, list[ast.Call]]:
     """The calls of the module by the name they call: ``f(…)`` and ``x.f(…)``."""
     calls: dict[str, list[ast.Call]] = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            name = _called_name(node.func)
             if name is not None:
                 calls.setdefault(name, []).append(node)
     return calls
@@ -146,24 +149,98 @@ def _defaulted_parameters(tree: ast.Module):
                 yield callee, None, arg.arg, fn.lineno
 
 
+def _dataclass_fields(tree: ast.Module):
+    """(class name, position, field, line) of every defaulted parameter of the
+    ``__init__`` that ``@dataclass`` generates: the fields with a default and
+    without ``init=False``, placed after those of the module's dataclasses
+    the class derives from."""
+    fields: dict[str, list[tuple[str, bool, int]]] = {}
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef) or not any(
+            _called_name(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+            for d in cls.decorator_list
+        ):
+            continue
+        own = [f for base in cls.bases for f in fields.get(_called_name(base), [])]
+        for node in cls.body:
+            if not isinstance(node, ast.AnnAssign) or not isinstance(node.target, ast.Name):
+                continue
+            value = node.value
+            keywords = {}
+            if isinstance(value, ast.Call) and _called_name(value.func) == "field":
+                keywords = {kw.arg: kw.value for kw in value.keywords}
+                if getattr(keywords.get("init"), "value", True) is False:
+                    continue
+                value = keywords.get("default", keywords.get("default_factory"))
+            own.append((node.target.id, value is not None, node.lineno))
+        fields[cls.name] = own
+        for position, (name, defaulted, line) in enumerate(own):
+            if defaulted:
+                yield cls.name, position, name, line
+
+
+def _handed_calls(tree: ast.Module, calls: dict[str, list[ast.Call]]):
+    """(class name, call) for each call that a function of the module makes
+    of one of its parameters, under each class that a call of the function
+    hands over as that parameter: io's ``build(section, cls, settings)``
+    calls ``cls(**settings)``."""
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef) or any(
+            _called_name(d) == "classmethod" for d in fn.decorator_list
+        ):
+            continue
+        params = [arg.arg for arg in fn.args.posonlyargs + fn.args.args]
+        for made in ast.walk(fn):
+            if not (
+                isinstance(made, ast.Call)
+                and isinstance(made.func, ast.Name)
+                and made.func.id in params
+            ):
+                continue
+            param = made.func.id
+            position = params.index(param)
+            for call in calls.get(fn.name, ()):
+                handed = [kw.value for kw in call.keywords if kw.arg == param]
+                handed += call.args[position : position + 1]
+                for node in handed:
+                    if isinstance(node, ast.Name):
+                        yield node.id, made
+
+
 def test_every_defaulted_parameter_is_passed():
     """A defaulted ``src`` parameter that no call in ``src``, ``tests``,
     ``scripts`` or ``perfbench`` passes, by keyword, by position or through
-    ``*args``/``**kwargs``, is a setting that nobody sets."""
+    ``*args``/``**kwargs``, is a setting that nobody sets.  A dataclass field
+    with a default is a parameter of the generated ``__init__``; besides a
+    call of its class, ``dataclasses.replace(…, field=…)`` passes it by
+    name, and so does the call of a parameter in ``src`` that the class is
+    handed to."""
     root = SOURCE.parent.parent
-    paths = sorted(SOURCE.glob("*.py"))
+    sources = sorted(SOURCE.glob("*.py"))
+    paths = list(sources)
     for folder in ("tests", "scripts", "perfbench"):
         paths += sorted((root / folder).glob("*.py"))
     calls: dict[str, list[ast.Call]] = {}
     for path in paths:
         for name, found in _callers(ast.parse(path.read_text(), filename=str(path))).items():
             calls.setdefault(name, []).extend(found)
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in sources}
+    for tree in trees.values():
+        for cls, made in _handed_calls(tree, calls):
+            calls.setdefault(cls, []).append(made)
     never = []
-    for path in sorted(SOURCE.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for path, tree in trees.items():
         for callee, position, name, line in _defaulted_parameters(tree):
             if not any(_passes(call, position, name) for call in calls.get(callee, ())):
                 never.append(f"{path.name}:{line} {callee}({name})")
+        for cls, position, name, line in _dataclass_fields(tree):
+            replaced = any(
+                kw.arg == name for call in calls.get("replace", ()) for kw in call.keywords
+            )
+            if not replaced and not any(
+                _passes(call, position, name) for call in calls.get(cls, ())
+            ):
+                never.append(f"{path.name}:{line} {cls}({name})")
     assert not never, "defaulted parameters no call passes: " + ", ".join(never)
 
 

@@ -388,21 +388,22 @@ class TestInversion:
         assert session.last_solution is not None
 
     def test_session_extrapolates_in_time(self):
-        """With times set, the guess is the line through the last two distinct times."""
+        """With stage times set, the guess is the line through the last two distinct times."""
         session = SolverSession()
         first, second = np.full((1, 8), 1.0), np.full((1, 8), 3.0)
-        session.time = 0.0
+        session.stage = (0, 0.0, 0.0, 1.0)
         session.record(first, 1)
         assert session.initial_guess((1, 8)) is session.last_solution
-        session.time = 0.5
+        session.stage = (0, 0.5, 0.5, 1.0)
         session.record(second, 1)
-        session.time = 1.0
+        session.stage = (0, 1.0, 1.0, 1.0)
         assert np.array_equal(session.initial_guess((1, 8)), np.full((1, 8), 5.0))
-        session.time = 0.5  # the time of the last solution: no extrapolation
+        session.stage = (0, 0.5, 0.5, 1.0)  # the time of the last solution: no extrapolation
         assert session.initial_guess((1, 8)) is session.last_solution
-        session.time = 0.1 + 0.2 + 0.2  # 0.5 up to round-off: the same time
+        t = 0.1 + 0.2 + 0.2  # 0.5 up to round-off: the same time
+        session.stage = (0, t, t, 1.0)
         assert session.initial_guess((1, 8)) is session.last_solution
-        session.time = None
+        session.stage = None
         assert session.initial_guess((1, 8)) is session.last_solution
         assert session.initial_guess((1, 9)) is None
 
@@ -410,22 +411,23 @@ class TestInversion:
         """Two solutions close in time give no guess far beyond them."""
         session = SolverSession()
         for t, value in ((1.0, 1.0), (1.0 + 1e-9, 2.0)):
-            session.time = t
+            session.stage = (0, t, t, 1.0)
             session.record(np.full((1, 8), value), 1)
-        session.time = 2.0
+        session.stage = (0, 2.0, 2.0, 1.0)
         assert session.initial_guess((1, 8)) is session.last_solution
 
     @staticmethod
     def _solve_stages(session, starts, dt, error, stages=(0, 1)):
         """Solve every stage of steps at ``starts`` as a solver would: ask for a
         guess, then record a solution.  Each solution is the in-step guess plus
-        ``error(start, index)``; stage ``index`` sits at ``start + index·dt/2``."""
+        ``error(start, index)``; stage ``index`` sits at ``start + index·dt/2``.
+        Stage index −1 is never solved, so its guess is the in-step one."""
         for start in starts:
             for index in stages:
-                session.stage = None
-                session.time = start + 0.5 * index * dt
+                time = start + 0.5 * index * dt
+                session.stage = (-1, time, start, dt)
                 in_step = session.initial_guess((1, 8))
-                session.stage = (index, start, dt)
+                session.stage = (index, time, start, dt)
                 session.initial_guess((1, 8))
                 base = 0.0 if in_step is None else in_step
                 session.record(base + error(start, index), 1)
@@ -447,10 +449,10 @@ class TestInversion:
         self._solve_stages(session, [t0 + n * dt for n in range(6)], dt, error)
         start = t0 + 6 * dt
         for index in (0, 1):
-            session.stage = None
-            session.time = start + 0.5 * index * dt
+            time = start + 0.5 * index * dt
+            session.stage = (-1, time, start, dt)
             in_step = session.initial_guess((1, 8))
-            session.stage = (index, start, dt)
+            session.stage = (index, time, start, dt)
             guess = session.initial_guess((1, 8))
             exact = in_step + error(start, index)
             assert np.max(np.abs(guess - exact)) <= 1e-11 * np.max(np.abs(exact))
@@ -468,10 +470,10 @@ class TestInversion:
             self._solve_stages(session, starts, dt, error)
             # the earlier stages of this step
             self._solve_stages(session, [start], step, error, stages=range(index))
-            session.stage = stage
-            session.time = start + offset * index * step
+            time = start + offset * index * step
+            session.stage = (index, time, start, step)
             with_stage = session.initial_guess((1, 8))
-            session.stage = None
+            session.stage = (-1, time, start, step)
             return with_stage, session.initial_guess((1, 8))
 
         even = [n * dt for n in range(4)]
@@ -503,8 +505,7 @@ class TestInversion:
         self._solve_stages(session, [n * dt for n in range(4)], dt, error, stages=(0, 1, 2))
 
         def solve_stage(index, start, rhs, mu):
-            session.stage = (index, start, dt)
-            session.time = start + 0.5 * index * dt
+            session.stage = (index, start + 0.5 * index * dt, start, dt)
             invert_frakT(depth, rhs, mu, session=session)
 
         start = 4 * dt
@@ -519,10 +520,10 @@ class TestInversion:
 
         after = start + dt
         for index, engaged in ((0, True), (1, False), (2, True)):
-            session.stage = None
-            session.time = after + 0.5 * index * dt
+            time = after + 0.5 * index * dt
+            session.stage = (-1, time, after, dt)
             in_step = session.initial_guess((1, 8))
-            session.stage = (index, after, dt)
+            session.stage = (index, time, after, dt)
             guess = session.initial_guess((1, 8))
             assert np.array_equal(guess, in_step) != engaged, index
             session.record(in_step + error(after, index), 1)
@@ -538,10 +539,10 @@ class TestInversion:
         for n in range(steps, steps + 4):
             start = t0 + n * dt
             for index in (0, 1):
-                session.stage = None
-                session.time = start + 0.5 * index * dt
+                time = start + 0.5 * index * dt
+                session.stage = (-1, time, start, dt)
                 in_step = session.initial_guess((1, 8))
-                session.stage = (index, start, dt)
+                session.stage = (index, time, start, dt)
                 guess = session.initial_guess((1, 8))
                 exact = in_step + error(start, index)
                 misses.append(np.max(np.abs(guess - exact)) / np.max(np.abs(exact)))
@@ -636,9 +637,9 @@ class TestInversion:
         dv = band_limited_vector(g, rng, 5)
         session = SolverSession()
         for t in (0.0, 1.0):
-            session.time = t
+            session.stage = (0, t, t, 1.0)
             invert_frakT(depth, v0 + t * dv, MU, session=session)
-        session.time = 2.0
+        session.stage = (0, 2.0, 2.0, 1.0)
         _, with_line, _ = invert_frakT(depth, v0 + 2.0 * dv, MU, session=session)
         plain = SolverSession()
         invert_frakT(depth, v0 + dv, MU, session=plain)
@@ -742,7 +743,7 @@ class TestPreconditioner:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_symmetric_over_a_bottom(self, dim):
         g, depth, rng = self._bottom(dim)
-        precond = operators._preconditioner(depth, MU)
+        precond = operators._preconditioner(depth, MU, SolverSession())
         a, c = band_limited_vector(g, rng, 4), band_limited_vector(g, rng, 4)
         za, spec = precond(a)
         zc, _ = precond(c)
@@ -753,7 +754,7 @@ class TestPreconditioner:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_positive_over_a_bottom(self, dim):
         g, depth, rng = self._bottom(dim)
-        precond = operators._preconditioner(depth, MU)
+        precond = operators._preconditioner(depth, MU, SolverSession())
         for _ in range(5):
             a = band_limited_vector(g, rng, 4)
             assert g.inner(precond(a)[0], a) > 0.0
@@ -764,7 +765,7 @@ class TestPreconditioner:
         rng = np.random.default_rng(18)
         depth = smooth_depth(BathymetryState.flat(g), rng)
         r = band_limited_vector(g, rng, 5)
-        z, spec = operators._preconditioner(depth, MU)(r)
+        z, spec = operators._preconditioner(depth, MU, SolverSession())(r)
         z_flat, spec_flat = operators._flat_preconditioner(g, depth.mean_depth, MU)(r)
         assert np.array_equal(z, z_flat) and np.array_equal(spec, spec_flat)
 

@@ -368,7 +368,7 @@ class TestStageSolves:
         assert report.steps == 13
         assert len(relative) == stages * 13 - 1  # the first stage starts from rest
         assert max(relative) <= 1.001e-11
-        for (index, start, step_dt), on in engaged.items():
+        for (index, _, start, step_dt), on in engaged.items():
             n = round(start / dt) + 1
             if step_dt != dt:
                 assert n == 13 and not on
