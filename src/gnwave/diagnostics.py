@@ -293,16 +293,14 @@ def collect_record(
     bath: BathymetryState,
     order: int = DEFAULT_ORDER,
     cfg: EllipticSolveConfig | None = None,
-    session: SolverSession | None = None,
 ) -> DiagnosticsRecord:
     """Assemble a full record from a conjugate-variable state; both energies
-    share the state's one water column.  Its solves run in ``session``, or
-    in a fresh one when None, so ``cg_iterations`` counts them either way."""
+    share the state's one water column and one fresh solver session, whose
+    CG iterations are ``cg_iterations``.  The record depends on its state
+    alone, not on the records or steps taken before it."""
     _require_kind(state, VariableKind.V_VARIABLE, "collect_record")
     grid = state.grid
-    if session is None:
-        session = SolverSession()
-    before = session.total_iterations
+    session = SolverSession()
     depth = make_depth(params, state.zeta.data, bath)
     ham = hamiltonian_gn(state.zeta.data, state.vel.data, params, depth, cfg, session)
     e_val = energy_E(state, params, order)
@@ -316,5 +314,5 @@ def collect_record(
         f_norm=f_val,
         vorticity_l2=vort,
         min_depth=float(depth.h_min),
-        cg_iterations=session.total_iterations - before,
+        cg_iterations=session.total_iterations,
     )

@@ -877,7 +877,8 @@ class FileSinks:
     GNWV1 snapshot files under one directory.
 
     Which artifacts are produced follows ``formats``; an empty run still
-    leaves a header-only CSV. One instance owns its files exclusively.
+    leaves a header-only CSV, and sinks without a CSV have no ``record``, so
+    a run takes no records. One instance owns its files exclusively.
     """
 
     def __init__(
@@ -895,10 +896,11 @@ class FileSinks:
         if "csv" in self._formats:
             self._stream = open(self.directory / "diagnostics.csv", "w", newline="")
             self._stream.write(",".join(DIAGNOSTIC_COLUMNS) + "\n")
+        else:
+            self.record = None
 
     def record(self, rec: DiagnosticsRecord) -> None:
-        if self._stream is not None:
-            append_diagnostics(rec, self._stream)
+        append_diagnostics(rec, self._stream)
 
     def snapshot(self, state: FluidState) -> None:
         if "snapshot" not in self._formats:

@@ -186,7 +186,7 @@ class SolverSession:
 
     The guess for a solve is built from ``stage``, which the time stepper
     sets before each RK stage to ``(index, time, step_start, dt)``; it stays
-    None for solves outside a stage, such as a record's.
+    None outside a stage.  A record solves in a fresh session of its own.
 
     - The in-step guess is the linear extrapolation, to the stage's time, of
       the two latest solutions at distinct times: u₀ + w·(u₀ − u₋₁), with
@@ -220,8 +220,11 @@ class SolverSession:
     just before it.  The session also keeps the last few flat-state inverses
     P̄ it built (:meth:`flat_preconditioner`).  A solve given no session
     starts cold in a fresh one.  Mutable by design; keep one session per
-    concurrent run.
+    concurrent run; ``__slots__`` refuses a write to any other attribute.
     """
+
+    __slots__ = ("last_solution", "solves", "total_iterations", "stage",
+                 "_last_time", "_previous", "_pending", "_errors", "_flat")
 
     def __init__(self) -> None:
         self.last_solution: np.ndarray | None = None

@@ -135,8 +135,9 @@ class IntegrationConfig:
 @dataclasses.dataclass(frozen=True)
 class RunReport:
     """Outcome of one integration run.  CG iterations are counted apart for
-    the stage solves of the steps and the solves of the diagnostics records
-    (the sum of the records' ``cg_iterations``)."""
+    the stage solves of the steps, in the run's one solver session, and for
+    the emitted records, each solved in a fresh session of its own (the sum
+    of their ``cg_iterations``)."""
 
     final_state: FluidState
     wall_time: float
@@ -309,12 +310,6 @@ def _dealias_pair(
     return both[0], both[1:]
 
 
-def _as_v_state(state: FluidState, params: ModelParams, bath: BathymetryState) -> FluidState:
-    if state.kind is VariableKind.V_VARIABLE:
-        return state
-    return v_from_u(state, params, bath)
-
-
 def step_schedule(icfg: IntegrationConfig, t0: float) -> list[tuple[float, float]]:
     """The ``(dt, t_next)`` of each step a run from ``t0`` takes: the full
     steps, then a shorter final one unless the span is a whole number of
@@ -352,11 +347,10 @@ def run(
     attribute with the last accepted state and the failure time.
     """
     t_start = time.perf_counter()
-    step_session = SolverSession()
-    diag_session = SolverSession()
+    session = SolverSession()
     # one water column of the initial state serves the floor and the advisory
     initial_depth = make_depth(params, initial.zeta.data, bath)
-    stepper = _Stepper(initial, params, bath, icfg, cfg, step_session, initial_depth)
+    stepper = _Stepper(initial, params, bath, icfg, cfg, session, initial_depth)
 
     advisory = _advisory_step(initial, params, initial_depth)
     if icfg.dt > advisory:
@@ -383,17 +377,19 @@ def run(
         return state
 
     def emit(want_record: bool, want_snapshot: bool) -> None:
+        nonlocal record_iterations
         if want_record and emit_record is not None:
-            emit_record(
-                collect_record(
-                    _as_v_state(accepted(), params, bath), params, bath, diag_order, cfg, diag_session
-                )
-            )
+            v_state = accepted()
+            if v_state.kind is not VariableKind.V_VARIABLE:
+                v_state = v_from_u(v_state, params, bath)
+            rec = collect_record(v_state, params, bath, diag_order, cfg)
+            record_iterations += rec.cg_iterations
+            emit_record(rec)
         if want_snapshot and emit_snapshot is not None:
             emit_snapshot(accepted())
 
     steps = step_schedule(icfg, initial.time)
-    steps_done = 0
+    steps_done = record_iterations = 0
     termination, failure_time, failure = "completed", None, None
     emit(True, icfg.snapshot_stride > 0)
     try:
@@ -416,8 +412,8 @@ def run(
     report = RunReport(
         final_state=accepted(),
         wall_time=time.perf_counter() - t_start,
-        stage_iterations=step_session.total_iterations,
-        record_iterations=diag_session.total_iterations,
+        stage_iterations=session.total_iterations,
+        record_iterations=record_iterations,
         termination=termination,
         steps=steps_done,
         failure_time=failure_time,

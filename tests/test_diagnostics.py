@@ -35,7 +35,6 @@ from gnwave.models import (
 from gnwave.operators import (
     BathymetryState,
     EllipticSolveConfig,
-    SolverSession,
     apply_frakT,
 )
 
@@ -378,22 +377,21 @@ class TestRecords:
     def test_collect_full_record(self):
         g = grid1()
         state, params, bath = make_v_state(11, g)
-        session = SolverSession()
-        rec = collect_record(state, params, bath, order=2, session=session)
+        rec = collect_record(state, params, bath, order=2)
         assert rec.time == state.time
         assert rec.min_depth > 0
         assert rec.e_norm > 0 and rec.f_norm > 0 and rec.hamiltonian > 0
         assert rec.vorticity_l2 == 0.0
         assert rec.cg_iterations > 0
 
-    def test_record_without_a_session_counts_its_iterations(self):
-        """A record taken without a session solves in a fresh one: it is the
-        record a fresh session gives, CG iteration count included."""
+    def test_record_depends_on_its_state_alone(self):
+        """Every record solves in a fresh session: two records of one state
+        are equal, CG iteration count included."""
         state, params, bath = make_v_state(11, grid1())
-        plain = collect_record(state, params, bath, order=1)
-        fresh = collect_record(state, params, bath, order=1, session=SolverSession())
-        assert plain.cg_iterations == fresh.cg_iterations > 0
-        assert plain == fresh
+        first = collect_record(state, params, bath, order=1)
+        second = collect_record(state, params, bath, order=1)
+        assert first.cg_iterations == second.cg_iterations > 0
+        assert first == second
 
     def test_record_builds_one_water_column(self, monkeypatch):
         """The Hamiltonian and the symmetrizer energy share the record's depth."""

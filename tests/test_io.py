@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gnwave import timeloop
 from gnwave.diagnostics import DiagnosticsRecord
 from gnwave.errors import ParseError, SnapshotFormatError, ValidationError
 from gnwave.grid import PeriodicGrid, ScalarField, VectorField
@@ -810,6 +811,36 @@ class TestFileSinks:
         assert first.time == 0.0
         assert last.time == pytest.approx(0.1)
         assert (tmp_path / "diagnostics.csv").exists()
+
+    def test_sinks_without_csv_take_no_records(self, tmp_path, monkeypatch):
+        """Sinks that write no CSV offer no record sink, so the run computes
+        no record; sinks with a CSV get every record."""
+        cfg = load_config(
+            MINIMAL
+            + "\n[model]\nepsilon = 0.1\nmu = 0.5\n"
+            + "\n[initial]\ntype = fourier_modes\nzeta = 1 0.01 0.0\n"
+        )
+        collect, calls = timeloop.collect_record, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return collect(*args, **kwargs)
+
+        monkeypatch.setattr(timeloop, "collect_record", counted)
+
+        def run_into(name, formats):
+            with FileSinks(tmp_path / name, cfg.params, formats) as sinks:
+                state, bath = build_initial_state(cfg), build_bathymetry(cfg)
+                return run(state, cfg.params, bath, cfg.integration, cfg.elliptic, sinks=sinks)
+
+        report = run_into("plain", ("snapshot",))
+        assert calls == []
+        assert report.record_iterations == 0
+        assert not (tmp_path / "plain" / "diagnostics.csv").exists()
+        report = run_into("csv", ("csv",))
+        rows = read_diagnostics((tmp_path / "csv" / "diagnostics.csv").read_text())
+        assert len(calls) == len(rows) == report.steps + 1
+        assert report.record_iterations == sum(row["cg_iterations"] for row in rows) > 0
 
     def test_two_runs_byte_identical(self, tmp_path):
         """Identical configs produce byte-identical CSV and snapshots."""

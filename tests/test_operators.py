@@ -387,6 +387,14 @@ class TestInversion:
         assert session.solves == 2
         assert session.last_solution is not None
 
+    def test_session_refuses_unknown_attributes(self):
+        """A write to a name the session does not have, such as ``time``,
+        which the ``stage`` tuple replaced, raises instead of being ignored."""
+        session = SolverSession()
+        with pytest.raises(AttributeError):
+            session.time = 1.0
+        session.stage = (0, 1.0, 1.0, 1.0)
+
     def test_session_extrapolates_in_time(self):
         """With stage times set, the guess is the line through the last two distinct times."""
         session = SolverSession()

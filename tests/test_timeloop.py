@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from gnwave.diagnostics import collect_record
 from gnwave.errors import BlowUpError, CoercivityViolationError, ValidationError
 from gnwave.grid import PeriodicGrid, ScalarField, VectorField
 from gnwave.models import (
@@ -501,6 +502,19 @@ class TestEmissionPolicy:
             np.array_equal(a.zeta.data, b.zeta.data)
             for a, b in zip(sinks_a.snapshots, sinks_b.snapshots)
         )
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_record_depends_on_its_state_alone(self, stride):
+        """A run's last record is the record of its final state taken on its
+        own, whatever the records before it."""
+        grid = PeriodicGrid((64,), (2 * np.pi,))
+        params = ModelParams(epsilon=0.2, beta=0.0, mu=0.5)
+        bath = BathymetryState.flat(grid)
+        sinks = CollectingSinks()
+        icfg = IntegrationConfig(dt=0.02, t_end=0.3, diag_stride=stride)
+        report = run(pulse_state(grid, 0.3, 0.5), params, bath, icfg, sinks=sinks, diag_order=2)
+        assert sinks.records[-1] == collect_record(report.final_state, params, bath, 2)
+        assert report.record_iterations == sum(rec.cg_iterations for rec in sinks.records)
 
 
 class TestFailureModes:
