@@ -158,12 +158,17 @@ class FluidState:
 
 
 def make_depth(params: ModelParams, zeta: np.ndarray, bath: BathymetryState) -> DepthState:
-    """The water column h = 1 + εζ − βb of the surface ``zeta`` over ``bath``."""
+    """The water column h = 1 + εζ − βb of the surface ``zeta`` over ``bath``.
+    Over a flat bottom (β = 0) the term βb is zero and is not subtracted,
+    which leaves every positive h the same to the bit."""
     if bath.beta != params.beta:
         raise ValidationError(
             f"bathymetry amplitude beta={bath.beta} disagrees with params.beta={params.beta}"
         )
-    h = 1.0 + params.epsilon * zeta - params.beta * bath.b.data
+    h = params.epsilon * zeta
+    h += 1.0
+    if params.beta != 0.0:
+        h -= params.beta * bath.b.data
     return DepthState(bath, h)
 
 
@@ -262,10 +267,10 @@ def rhs_gn_v(
     # nonlinear potentials and the vortical term are dealiased
     eps = params.epsilon
     if eps > 0.0:
-        potential = -(eps / 2.0) * np.einsum("i...,i...->...", u, u)
+        potential = -(eps / 2.0) * grid.contract(u, u)
         if params.mu > 0.0:
             potential += params.mu * eps * _pressure_terms(depth, u)
-        spec = grid.rfft(np.stack((zeta, potential)))
+        spec = grid.rfft(np.array((zeta, potential)))
         dv_spec = grid.ik * (grid.dealias_mask * spec[1] - spec[0])
         if grid.dim == 2:
             dv_spec -= (eps * grid.dealias_mask) * grid.rfft(grid.curl(vel) * grid.perp(u))

@@ -121,7 +121,9 @@ class DepthState:
     The depth must be finite and positive everywhere (non-cavitation), which
     is what makes 𝔗[h, βb] coercive; ``h_min`` is its minimum.  The grid and
     the slope β∇b are those of ``bath``.  ``h`` is kept as a read-only view
-    of the given array; ``h2`` and ``h3`` are read-only arrays.
+    of the given array; ``h2`` and ``h3`` are read-only arrays, the dealiased
+    rows of one stacked transform of h·h and h·h·h.  ``mean_depth`` h̄ is
+    the sum of h over the point count.
     """
 
     bath: BathymetryState
@@ -144,7 +146,10 @@ class DepthState:
                 f"depth must stay positive, got min h = {h_min}", h_min
             )
         harr.flags.writeable = False
-        powers = self.grid.dealias(np.stack((harr * harr, harr * harr * harr)))
+        powers = np.empty((2,) + harr.shape)
+        np.multiply(harr, harr, out=powers[0])
+        np.multiply(powers[0], harr, out=powers[1])
+        powers = self.grid.dealias(powers)
         powers.flags.writeable = False
         object.__setattr__(self, "h", harr)
         object.__setattr__(self, "h_min", h_min)
@@ -161,7 +166,7 @@ class DepthState:
 
     @cached_property
     def mean_depth(self) -> float:
-        return float(self.h.mean())
+        return float(self.h.sum()) / self.h.size
 
 
 # CG's iteration cap, per point of the grid's longest axis
@@ -213,7 +218,9 @@ class SolverSession:
     newest value).  The next solve of that stage builds the candidate of
     lowest score among those its history allows, or the quadratic while none
     is scored.  The scores come from the Gram matrix of the kept errors, so
-    they cost one inner product per kept error and no matvec.
+    they cost one inner product per kept error and no matvec.  How many kept
+    errors a stage may use is counted once per solve, when its guess is
+    built, and scoring its record reuses that count.
 
     A solve that asks for no guess (a zero right-hand side, μ = 0) records
     no error: each recorded error pairs a solution with the guess asked for
@@ -344,21 +351,32 @@ _FLAT_INVERSES_KEPT = 4
 
 class _StageErrors:
     """The in-step guess errors of one stage index, newest first, each with
-    its step start and in-step weight; their Gram matrix; and each
-    extrapolation's running score, None until scored."""
+    its step start and in-step weight; their Gram matrix; each
+    extrapolation's running score, None until scored; and the latest usable
+    count with the arguments it was counted for."""
 
     def __init__(self) -> None:
         self.errors: list[tuple[np.ndarray, float, float]] = []
         self.gram: list[list[float]] = []
         self.scores: list[float | None] = [None] * len(_EXTRAPOLATIONS)
+        self._counted: tuple[tuple, int] | None = None
 
     def usable(self, shape: tuple[int, ...], start: float, dt: float, weight: float) -> int:
         """How many of the newest errors, of ``shape``, start at start − k·dt
-        (k = 1, 2, …) and were made by an in-step guess of ``weight``."""
+        (k = 1, 2, …) and were made by an in-step guess of ``weight``.
+
+        The count stands until the errors change, so a solve's guess counts
+        and its :meth:`record` reuses the count."""
+        key = (shape, start, dt, weight)
+        if self._counted is not None and self._counted[0] == key:
+            return self._counted[1]
+        count = len(self.errors)
         for k, (e, t, w) in enumerate(self.errors, start=1):
             if not (e.shape == shape and _same(t, start - k * dt) and _same(w, weight)):
-                return k - 1
-        return len(self.errors)
+                count = k - 1
+                break
+        self._counted = (key, count)
+        return count
 
     def corrected(self, guess: np.ndarray, usable: int) -> np.ndarray:
         """``guess`` plus the lowest-scoring extrapolation that the ``usable``
@@ -375,7 +393,7 @@ class _StageErrors:
         """Score the extrapolations the history allowed by ‖e₀ − c‖², e₀ the
         error just made at ``start``, then keep e₀ as the newest error."""
         if self.errors and self.errors[0][0].shape != e0.shape:
-            self.errors, self.gram = [], []
+            self.errors, self.gram, self._counted = [], [], None
         dots = [_inner(e0, e) for e, _, _ in self.errors]
         # the Gram matrix of e₀ and the kept errors
         gram = [[_inner(e0, e0)] + dots] + [[d] + row for d, row in zip(dots, self.gram)]
@@ -388,6 +406,7 @@ class _StageErrors:
         kept = len(_EXTRAPOLATIONS)
         self.gram = [row[:kept] for row in gram[:kept]]
         self.errors = [(e0, start, weight)] + self.errors[: kept - 1]
+        self._counted = None
 
 
 def _same(a: float, b: float) -> bool:
@@ -477,7 +496,7 @@ def _check_velocity(depth: DepthState, u: np.ndarray) -> PeriodicGrid:
 
 def _validate_mu(mu: float) -> float:
     mu = float(mu)
-    if not np.isfinite(mu) or mu < 0.0:
+    if not math.isfinite(mu) or mu < 0.0:
         raise ValidationError(f"mu must be a finite real >= 0, got {mu}")
     return mu
 
@@ -586,6 +605,10 @@ def invert_frakT(
 
     b = v_rhs
     b_norm = _norm(b)
+    if not math.isfinite(b_norm):
+        # CG's stop test ``res > tol`` is False for NaN: it would return its
+        # guess as converged
+        raise ValidationError(f"right-hand side has non-finite norm {b_norm}")
     if b_norm == 0.0:
         return EllipticSolveResult(np.zeros(b.shape), 0, 0.0)
 
@@ -725,7 +748,7 @@ def _pressure_terms(depth: DepthState, u: np.ndarray) -> np.ndarray:
     if g is not None:
         flux = flux - 0.5 * h2d * g
         out = out - 0.5 * (h * g * d + g * g)
-    return out + np.einsum("i...,i...->...", u, grid.dealiased_gradient(flux)) / h
+    return out + grid.contract(u, grid.dealiased_gradient(flux)) / h
 
 
 def apply_R(depth: DepthState, u: np.ndarray) -> np.ndarray:

@@ -24,8 +24,10 @@ the dealiased band, and so is a state entering the first step.  Stage states
 need no projection of their own: the gn_v and sv tendencies lie in the band
 already (to round-off), and the velocity tendency of gn_u and bp, a CG
 solution when μ > 0, is projected before use, so every stage stays in the
-band.  Every stage input and step result is checked: any field magnitude
-beyond 1e8 (or a non-finite value) terminates the run as a blow-up.  Each
+band.  Each state is checked once: every step result, the input of every
+stage after the first (the first stage starts from the checked step result)
+and the initial state before step 1.  Any field magnitude beyond 1e8, or a
+non-finite value in either array, terminates the run as a blow-up.  Each
 stage then builds its water column once, with
 :func:`~gnwave.models.make_depth`; a stage whose minimum depth falls to half
 the floor, the minimum depth of the initial state, aborts the step, and the
@@ -243,8 +245,13 @@ class _Stepper:
         self._tendency = tendency
 
     def check_fields(self, zeta: np.ndarray, vel: np.ndarray, t: float) -> None:
-        peak = max(float(np.max(np.abs(zeta))), float(np.max(np.abs(vel))))
-        if not math.isfinite(peak) or peak > BLOWUP_LIMIT:
+        """Raise :class:`~gnwave.errors.BlowUpError` when a magnitude in
+        either array exceeds :data:`BLOWUP_LIMIT` or is not finite.  A peak
+        holds NaN when its array does, and ``not peak <= limit`` refuses it;
+        Python's ``max`` of a finite peak and NaN would keep the finite one."""
+        peak_z, peak_v = float(np.abs(zeta).max()), float(np.abs(vel).max())
+        if not (peak_z <= BLOWUP_LIMIT and peak_v <= BLOWUP_LIMIT):
+            peak = float(np.maximum(peak_z, peak_v))
             raise BlowUpError(
                 f"field magnitude {peak:.3e} at t = {t:.6g} exceeds {BLOWUP_LIMIT:.0e}",
                 time=t,
@@ -257,10 +264,13 @@ class _Stepper:
         """Tendency at a stage; ``stage`` is (index, time, step start, dt),
         the session's :attr:`~gnwave.operators.SolverSession.stage`.
 
-        The stage's water column is built once: the depth guard reads its
-        minimum and the tendency takes it."""
+        The input of stage 0 is the state the step starts from, which the
+        previous step (or, for step 1, :func:`run`) has checked; later stage
+        inputs are checked here.  The stage's water column is built once: the
+        depth guard reads its minimum and the tendency takes it."""
         t = stage[1]
-        self.check_fields(zeta, vel, t)
+        if stage[0]:
+            self.check_fields(zeta, vel, t)
         depth = make_depth(self.params, zeta, self.bath)
         h_min = depth.h_min
         if h_min <= 0.5 * self.floor:
@@ -393,6 +403,10 @@ def run(
     termination, failure_time, failure = "completed", None, None
     emit(True, icfg.snapshot_stride > 0)
     try:
+        if steps:
+            # each step checks the state it ends with, so the initial state
+            # is checked once, before it enters step 1
+            stepper.check_fields(z, v, t)
         for k, (dt, t_next) in enumerate(steps, start=1):
             z, v = stepper.advance(z, v, t, dt, t_next)
             t, state = t_next, None

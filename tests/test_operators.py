@@ -703,6 +703,19 @@ class TestInversion:
         with pytest.raises(ValidationError, match="non-finite"):
             DepthState(BathymetryState.flat(g), h)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rhs_refused(self, bad):
+        """A right-hand side with a non-finite value is refused, cold and
+        from a warm start, instead of returning the guess as converged."""
+        g, depth, rng = _random_setup(18)
+        v = band_limited_vector(g, rng, 5)
+        session = SolverSession()
+        invert_frakT(depth, v, MU, session=session)
+        v[0, 3] = bad
+        for warm in (None, session):
+            with pytest.raises(ValidationError, match="non-finite"):
+                invert_frakT(depth, v, MU, session=warm)
+
     def test_depth_shape_checked(self):
         with pytest.raises(GridMismatchError):
             DepthState(BathymetryState.flat(grid1(32)), np.ones(16))

@@ -552,6 +552,29 @@ class TestFailureModes:
         assert excinfo.value.report.termination == "blow_up"
         assert excinfo.value.report.failure_time == 0.0
 
+    def test_nan_velocity_is_a_blow_up(self, monkeypatch):
+        """One NaN in the velocity ends the run as a blow-up, although the
+        surface stays finite, at the first stage that takes it as input."""
+        from gnwave import timeloop
+
+        plain = timeloop.rhs_gn_v_mollified
+
+        def poisoned(*args):
+            dz, dv = plain(*args)
+            dv[0, 3] = np.nan
+            return dz, dv
+
+        monkeypatch.setattr(timeloop, "rhs_gn_v_mollified", poisoned)
+        grid = PeriodicGrid((32,), (2 * np.pi,))
+        params = ModelParams(epsilon=0.1, beta=0.0, mu=0.5)
+        icfg = IntegrationConfig(dt=0.01, t_end=0.1)
+        with pytest.raises(BlowUpError, match="nan") as excinfo:
+            run(pulse_state(grid), params, BathymetryState.flat(grid), icfg, diag_order=0)
+        report = excinfo.value.report
+        assert report.termination == "blow_up"
+        assert report.steps == 0
+        assert report.failure_time == 0.005
+
     def test_kind_checked(self):
         """run refuses a state of the other variable kind, both ways;
         an unknown kind or formulation is refused, naming the accepted ones."""
