@@ -190,26 +190,32 @@ class SolverSession:
     """Warm-start cache for the elliptic solves of one simulation.
 
     The guess for a solve is built from ``stage``, which the time stepper
-    sets before each RK stage to ``(index, time, step_start, dt)``; it stays
-    None outside a stage.  A record solves in a fresh session of its own.
+    sets before each RK stage to ``(index, step, offset, dt)``: the step
+    number and the tableau's offset place the stage at offset·dt into it.
+    It stays None outside a stage.  A record solves in a fresh session of its
+    own.  No float time enters: the time between two places ``(step, offset,
+    dt)`` is a sum of offset × dt products (:func:`_elapsed`), so at one dt
+    the weights are exact ratios of offsets and every match below is exact.
 
-    - The in-step guess is the linear extrapolation, to the stage's time, of
-      the two latest solutions at distinct times: u₀ + w·(u₀ − u₋₁), with
-      weight w = (t − t₀)/(t₀ − t₋₁).  A solve at the time of the latest
-      solution, a weight beyond ±2 (up to round-off) or a solve without a
-      stage gets the latest solution itself (w = 0).  Within a time step the
-      two latest solutions include the stage just solved.
+    - The in-step guess is the linear extrapolation, to the stage, of the
+      two latest solutions at distinct places: u₀ + w·(u₀ − u₋₁), with
+      weight w the time from u₀ to the stage over that from u₋₁ to u₀ (RK4:
+      0, 1, 0, 1; SSP-RK3: −1, 2, −½).  A solve at no time from the latest
+      solution, a weight beyond ±2 or a solve without a stage gets the
+      latest solution itself (w = 0).  Within a time step the two latest
+      solutions include the stage just solved.
     - Per stage index, the session keeps the error u − g that the in-step
-      guess g made in the four latest steps, with that guess's weight.  A
-      stage state is a smooth function of its step's start state, so this
-      error traces a smooth curve over steps.  The stage guess engages when
-      the three newest entries start at ``step_start − k·dt`` (k = 1…3) to
-      round-off and carry the weight of the current in-step guess; it is
-      then g + c, with c one of the extrapolations of the error to this
-      step: e₁, 2e₁ − e₂, 3e₁ − 3e₂ + e₃ and, when a fourth entry continues
-      the pattern, 4e₁ − 6e₂ + 4e₃ − e₄.  Otherwise the guess is g: the first
-      steps of a run, a step of another size (such as a shorter final step)
-      and solves without a stage.
+      guess g made in the four latest steps, with that step's number and dt
+      and that guess's weight.  A stage state is a smooth function of its
+      step's start state, so this error traces a smooth curve over steps.
+      The stage guess engages when the three newest entries were made at
+      steps ``step − k`` (k = 1…3), with the current dt bit for bit and the
+      weight of the current in-step guess; it is then g + c, with c one of
+      the extrapolations of the error to this step: e₁, 2e₁ − e₂,
+      3e₁ − 3e₂ + e₃ and, when a fourth entry continues the pattern,
+      4e₁ − 6e₂ + 4e₃ − e₄.  Otherwise the guess is g: the first steps of
+      a run, a step of another size (such as a shorter final step) and
+      solves without a stage.
 
     Which extrapolation a stage takes is chosen from its own errors.  Each
     recorded solve of an engaged stage scores every candidate its history
@@ -218,9 +224,7 @@ class SolverSession:
     newest value).  The next solve of that stage builds the candidate of
     lowest score among those its history allows, or the quadratic while none
     is scored.  The scores come from the Gram matrix of the kept errors, so
-    they cost one inner product per kept error and no matvec.  How many kept
-    errors a stage may use is counted once per solve, when its guess is
-    built, and scoring its record reuses that count.
+    they cost one inner product per kept error and no matvec.
 
     A solve that asks for no guess (a zero right-hand side, μ = 0) records
     no error: each recorded error pairs a solution with the guess asked for
@@ -231,18 +235,19 @@ class SolverSession:
     """
 
     __slots__ = ("last_solution", "solves", "total_iterations", "stage",
-                 "_last_time", "_previous", "_pending", "_errors", "_flat")
+                 "_last_place", "_previous", "_pending", "_errors", "_flat")
 
     def __init__(self) -> None:
         self.last_solution: np.ndarray | None = None
         self.solves = 0
         self.total_iterations = 0
-        self.stage: tuple[int, float, float, float] | None = None
-        self._last_time: float | None = None
-        self._previous: tuple[np.ndarray, float] | None = None
+        self.stage: tuple[int, int, float, float] | None = None
+        # the (step, offset, dt) of the latest solution; the one before it
+        self._last_place: tuple[int, float, float] | None = None
+        self._previous: tuple[np.ndarray, tuple[int, float, float]] | None = None
         # (stage, weight, in-step guess) of the guess asked for last, until
         # the solution it belongs to is recorded
-        self._pending: tuple[tuple[int, float, float, float], float, np.ndarray] | None = None
+        self._pending: tuple[tuple[int, int, float, float], float, np.ndarray] | None = None
         self._errors: dict[int, _StageErrors] = {}
         self._flat: dict[tuple[PeriodicGrid, float, float], Callable] = {}
 
@@ -273,19 +278,19 @@ class SolverSession:
         return found
 
     def _in_step_guess(self) -> tuple[np.ndarray, float]:
-        """Line through the two latest solutions at distinct times, and its weight."""
+        """Line through the two latest solutions at distinct places, and its weight."""
         last = self.last_solution
         if self.stage is None or self._previous is None:
             return last, 0.0
-        t = self.stage[1]
-        previous, t_prev = self._previous
-        if _same(t, self._last_time) or previous.shape != last.shape:
+        previous, previous_place = self._previous
+        ahead = _elapsed(self._last_place, self.stage[1:])
+        if ahead == 0.0 or previous.shape != last.shape:
             return last, 0.0
-        weight = (t - self._last_time) / (self._last_time - t_prev)
-        # stage patterns need |weight| <= 2 (SSP-RK3's second stage sits on 2,
-        # up to round-off); a larger one would amplify the difference of two
-        # nearby solutions into a poor guess
-        if abs(weight) > 2.0 and not _same(abs(weight), 2.0):
+        weight = ahead / _elapsed(previous_place, self._last_place)
+        # stage patterns need |weight| <= 2 (SSP-RK3's second stage sits on
+        # 2); a larger one would amplify the difference of two nearby
+        # solutions into a poor guess
+        if abs(weight) > 2.0:
             return last, 0.0
         return last + weight * (last - previous), weight
 
@@ -295,11 +300,11 @@ class SolverSession:
         does not engage."""
         if self._pending is None:
             return None
-        (index, _, start, dt), weight, guess = self._pending
+        (index, step, _, dt), weight, guess = self._pending
         history = self._errors.get(index)
         if history is None:
             return None
-        usable = history.usable(shape, start, dt, weight)
+        usable = history.usable(shape, step, dt, weight)
         if usable < _ENGAGE:
             return None
         return history.corrected(guess, usable)
@@ -308,19 +313,29 @@ class SolverSession:
         stored = solution.copy()
         pending, self._pending = self._pending, None
         if pending is not None:
-            (index, _, start, dt), weight, guess = pending
+            (index, step, _, dt), weight, guess = pending
             history = self._errors.setdefault(index, _StageErrors())
-            history.record(stored - guess, start, dt, weight)
-        t = None if self.stage is None else self.stage[1]
-        if t is None or self._last_time is None:
+            history.record(stored - guess, step, dt, weight)
+        place = None if self.stage is None else self.stage[1:]
+        if place is None or self._last_place is None:
             self._previous = None
-            self._last_time = t
-        elif not _same(t, self._last_time):
-            self._previous = (self.last_solution, self._last_time)
-            self._last_time = t
+            self._last_place = place
+        elif _elapsed(self._last_place, place) != 0.0:
+            self._previous = (self.last_solution, self._last_place)
+            self._last_place = place
         self.last_solution = stored
         self.solves += 1
         self.total_iterations += iterations
+
+
+def _elapsed(a: tuple[int, float, float], b: tuple[int, float, float]) -> float:
+    """Time from place ``a`` to place ``b``, each ``(step, offset, dt)``: the
+    rest of a's step and any whole steps between, at a's dt, then b's offset
+    into its own step.  The end of a step is the start of the next at
+    exactly 0, and for RK4 and SSP-RK3 offsets at one dt every result is an
+    exact multiple of dt/2."""
+    (step_a, offset_a, dt_a), (step_b, offset_b, dt_b) = a, b
+    return (step_b - step_a - offset_a) * dt_a + offset_b * dt_b
 
 
 # The stage guess's candidate corrections, as coefficients of the newest
@@ -351,32 +366,22 @@ _FLAT_INVERSES_KEPT = 4
 
 class _StageErrors:
     """The in-step guess errors of one stage index, newest first, each with
-    its step start and in-step weight; their Gram matrix; each
-    extrapolation's running score, None until scored; and the latest usable
-    count with the arguments it was counted for."""
+    its step number, dt and in-step weight; their Gram matrix; and each
+    extrapolation's running score, None until scored."""
 
     def __init__(self) -> None:
-        self.errors: list[tuple[np.ndarray, float, float]] = []
+        self.errors: list[tuple[np.ndarray, int, float, float]] = []
         self.gram: list[list[float]] = []
         self.scores: list[float | None] = [None] * len(_EXTRAPOLATIONS)
-        self._counted: tuple[tuple, int] | None = None
 
-    def usable(self, shape: tuple[int, ...], start: float, dt: float, weight: float) -> int:
-        """How many of the newest errors, of ``shape``, start at start − k·dt
-        (k = 1, 2, …) and were made by an in-step guess of ``weight``.
-
-        The count stands until the errors change, so a solve's guess counts
-        and its :meth:`record` reuses the count."""
-        key = (shape, start, dt, weight)
-        if self._counted is not None and self._counted[0] == key:
-            return self._counted[1]
-        count = len(self.errors)
-        for k, (e, t, w) in enumerate(self.errors, start=1):
-            if not (e.shape == shape and _same(t, start - k * dt) and _same(w, weight)):
-                count = k - 1
-                break
-        self._counted = (key, count)
-        return count
+    def usable(self, shape: tuple[int, ...], step: int, dt: float, weight: float) -> int:
+        """How many of the newest errors, of ``shape``, were made at steps
+        step − k (k = 1, 2, …) of size ``dt`` by an in-step guess of
+        ``weight``.  Every comparison is exact."""
+        for k, (e, s, d, w) in enumerate(self.errors, start=1):
+            if not (e.shape == shape and s == step - k and d == dt and w == weight):
+                return k - 1
+        return len(self.errors)
 
     def corrected(self, guess: np.ndarray, usable: int) -> np.ndarray:
         """``guess`` plus the lowest-scoring extrapolation that the ``usable``
@@ -385,19 +390,19 @@ class _StageErrors:
         order = min(scored)[1] if scored else _ENGAGE - 1
         coefficients = _EXTRAPOLATIONS[order]
         out = guess + coefficients[0] * self.errors[0][0]
-        for a, (e, _, _) in zip(coefficients[1:], self.errors[1:]):
+        for a, (e, *_) in zip(coefficients[1:], self.errors[1:]):
             out += a * e
         return out
 
-    def record(self, e0: np.ndarray, start: float, dt: float, weight: float) -> None:
+    def record(self, e0: np.ndarray, step: int, dt: float, weight: float) -> None:
         """Score the extrapolations the history allowed by ‖e₀ − c‖², e₀ the
-        error just made at ``start``, then keep e₀ as the newest error."""
+        error just made at ``step``, then keep e₀ as the newest error."""
         if self.errors and self.errors[0][0].shape != e0.shape:
-            self.errors, self.gram, self._counted = [], [], None
-        dots = [_inner(e0, e) for e, _, _ in self.errors]
+            self.errors, self.gram = [], []
+        dots = [_inner(e0, e) for e, *_ in self.errors]
         # the Gram matrix of e₀ and the kept errors
         gram = [[_inner(e0, e0)] + dots] + [[d] + row for d, row in zip(dots, self.gram)]
-        usable = self.usable(e0.shape, start, dt, weight)
+        usable = self.usable(e0.shape, step, dt, weight)
         if usable >= _ENGAGE:
             for n, terms in enumerate(_SCORE_TERMS[:usable]):
                 score = sum([c * gram[i][j] for i, j, c in terms])
@@ -405,13 +410,7 @@ class _StageErrors:
                 self.scores[n] = score if old is None else old + _SCORE_WEIGHT * (score - old)
         kept = len(_EXTRAPOLATIONS)
         self.gram = [row[:kept] for row in gram[:kept]]
-        self.errors = [(e0, start, weight)] + self.errors[: kept - 1]
-        self._counted = None
-
-
-def _same(a: float, b: float) -> bool:
-    """Equal up to round-off: stage times are sums of steps, weights their ratios."""
-    return math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12)
+        self.errors = [(e0, step, dt, weight)] + self.errors[: kept - 1]
 
 
 class EllipticSolveResult(NamedTuple):

@@ -2,14 +2,16 @@
 
 The integrator is classical RK4 (or SSP-RK3) applied to the selected model
 tendency, with one elliptic solve per stage.  The stepper tells its solver
-session each stage's index, time, step start and dt.  A stage's warm start
-is the in-step guess, the linear extrapolation over stage times of the
+session each stage's index, the step number, the tableau's offset c of the
+stage (0, ½, ½, 1 for RK4; 0, 1, ½ for SSP-RK3) and dt; the stage time
+t + c·dt is formed only for the guards' messages.  A stage's warm start is
+the in-step guess, the linear extrapolation over stage offsets of the
 latest two stage solutions, corrected by an extrapolation of the error that
 guess made at the same stage of the previous steps.  Each stage picks that
 extrapolation, of degree 0 to 3, by how well each would have predicted its
-own recent errors.  The correction needs at least three previous steps
-evenly spaced by the current dt, so the first steps and a step of another
-size, such as a shorter final step, take the in-step guess alone (see
+own recent errors.  The correction needs the three previous steps, at the
+current dt, so the first steps and a step of another size, such as a
+shorter final step, take the in-step guess alone (see
 :class:`~gnwave.operators.SolverSession`).
 
 The dispersive operator has an order-zero inverse, so explicit stepping is
@@ -259,16 +261,15 @@ class _Stepper:
             )
 
     def rhs(
-        self, zeta: np.ndarray, vel: np.ndarray, stage: tuple[int, float, float, float]
+        self, zeta: np.ndarray, vel: np.ndarray, stage: tuple[int, int, float, float], t: float
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Tendency at a stage; ``stage`` is (index, time, step start, dt),
-        the session's :attr:`~gnwave.operators.SolverSession.stage`.
+        """Tendency at a stage at time ``t``; ``stage`` is (index, step,
+        offset, dt), the session's :attr:`~gnwave.operators.SolverSession.stage`.
 
         The input of stage 0 is the state the step starts from, which the
         previous step (or, for step 1, :func:`run`) has checked; later stage
         inputs are checked here.  The stage's water column is built once: the
         depth guard reads its minimum and the tendency takes it."""
-        t = stage[1]
         if stage[0]:
             self.check_fields(zeta, vel, t)
         depth = make_depth(self.params, zeta, self.bath)
@@ -283,13 +284,13 @@ class _Stepper:
         return self._tendency(zeta, vel, depth)
 
     def advance(
-        self, z: np.ndarray, v: np.ndarray, t: float, dt: float, t_next: float
+        self, z: np.ndarray, v: np.ndarray, step: int, t: float, dt: float, t_next: float
     ) -> tuple[np.ndarray, np.ndarray]:
-        """One step of size ``dt`` from the in-band ``(z, v)`` at ``t``, ending
-        at ``t_next``."""
+        """Step number ``step``, of size ``dt``, from the in-band ``(z, v)`` at
+        ``t``, ending at ``t_next``."""
 
         def rhs(index: int, zs: np.ndarray, vs: np.ndarray, offset: float):
-            return self.rhs(zs, vs, (index, t + offset * dt, t, dt))
+            return self.rhs(zs, vs, (index, step, offset, dt), t + offset * dt)
 
         if self.scheme == "rk4":
             k1z, k1v = rhs(0, z, v, 0.0)
@@ -408,7 +409,7 @@ def run(
             # is checked once, before it enters step 1
             stepper.check_fields(z, v, t)
         for k, (dt, t_next) in enumerate(steps, start=1):
-            z, v = stepper.advance(z, v, t, dt, t_next)
+            z, v = stepper.advance(z, v, k, t, dt, t_next)
             t, state = t_next, None
             steps_done = k
             last = k == len(steps)

@@ -359,7 +359,9 @@ class TestAcceptance:
         assert elapsed < 60.0
 
     def test_criterion_08_traveling_wave(self):
-        """A solitary wave crosses the box ten times and keeps its shape."""
+        """A solitary wave crosses the box ten times and keeps its shape.  The
+        stage guesses keep engaging to the end, so the stage solves take at
+        most 90 000 CG iterations (85 076 on this case)."""
         t0 = time.perf_counter()
         length = 50.0
         g = PeriodicGrid((256,), (length,))
@@ -380,16 +382,23 @@ class TestAcceptance:
             g, report.final_state.zeta.data, state0.zeta.data
         )
         elapsed = time.perf_counter() - t0
-        ok = gap <= 1e-4 and report.termination == "completed" and elapsed < 120.0
+        cg = report.stage_iterations
+        ok = (
+            gap <= 1e-4
+            and report.termination == "completed"
+            and cg <= 90_000
+            and elapsed < 120.0
+        )
         _verdict(
             8,
             "traveling wave",
             ok,
             f"aligned shape error {gap:.2e} <= 1e-4 after 10 box crossings"
-            f" ({report.steps} steps), {elapsed:.0f}s",
+            f" ({report.steps} steps, {cg} stage CG iterations), {elapsed:.0f}s",
         )
         assert report.termination == "completed"
         assert gap <= 1e-4
+        assert cg <= 90_000
         assert elapsed < 120.0
 
     def test_criterion_09_bp_ordering(self):

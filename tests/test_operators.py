@@ -393,23 +393,24 @@ class TestInversion:
         session = SolverSession()
         with pytest.raises(AttributeError):
             session.time = 1.0
-        session.stage = (0, 1.0, 1.0, 1.0)
+        session.stage = (0, 1, 0.0, 1.0)
 
     def test_session_extrapolates_in_time(self):
-        """With stage times set, the guess is the line through the last two distinct times."""
+        """With stages set, the guess is the line through the last two solutions
+        at distinct places; the end of a step and the start of the next are
+        one place."""
         session = SolverSession()
         first, second = np.full((1, 8), 1.0), np.full((1, 8), 3.0)
-        session.stage = (0, 0.0, 0.0, 1.0)
+        session.stage = (0, 1, 0.5, 1.0)
         session.record(first, 1)
         assert session.initial_guess((1, 8)) is session.last_solution
-        session.stage = (0, 0.5, 0.5, 1.0)
+        session.stage = (0, 1, 1.0, 1.0)
         session.record(second, 1)
-        session.stage = (0, 1.0, 1.0, 1.0)
+        session.stage = (0, 2, 0.5, 1.0)
         assert np.array_equal(session.initial_guess((1, 8)), np.full((1, 8), 5.0))
-        session.stage = (0, 0.5, 0.5, 1.0)  # the time of the last solution: no extrapolation
+        session.stage = (0, 1, 1.0, 1.0)  # the place of the last solution: no extrapolation
         assert session.initial_guess((1, 8)) is session.last_solution
-        t = 0.1 + 0.2 + 0.2  # 0.5 up to round-off: the same time
-        session.stage = (0, t, t, 1.0)
+        session.stage = (0, 2, 0.0, 1.0)  # the start of the next step: the same time
         assert session.initial_guess((1, 8)) is session.last_solution
         session.stage = None
         assert session.initial_guess((1, 8)) is session.last_solution
@@ -418,32 +419,33 @@ class TestInversion:
     def test_session_does_not_extrapolate_far(self):
         """Two solutions close in time give no guess far beyond them."""
         session = SolverSession()
-        for t, value in ((1.0, 1.0), (1.0 + 1e-9, 2.0)):
-            session.stage = (0, t, t, 1.0)
+        for offset, value in ((0.0, 1.0), (1.0, 2.0)):
+            session.stage = (0, 1, offset, 1e-9)
             session.record(np.full((1, 8), value), 1)
-        session.stage = (0, 2.0, 2.0, 1.0)
+        session.stage = (0, 2, 1.0, 1.0)
         assert session.initial_guess((1, 8)) is session.last_solution
 
     @staticmethod
-    def _solve_stages(session, starts, dt, error, stages=(0, 1)):
-        """Solve every stage of steps at ``starts`` as a solver would: ask for a
-        guess, then record a solution.  Each solution is the in-step guess plus
-        ``error(start, index)``; stage ``index`` sits at ``start + index·dt/2``.
-        Stage index −1 is never solved, so its guess is the in-step one."""
-        for start in starts:
+    def _solve_stages(session, steps, dt, error, stages=(0, 1)):
+        """Solve every stage of the steps numbered ``steps`` as a solver would:
+        ask for a guess, then record a solution.  Each solution is the in-step
+        guess plus ``error(step, index)``; stage ``index`` sits at offset
+        ``index/2``.  Stage index −1 is never solved, so its guess is the
+        in-step one."""
+        for step in steps:
             for index in stages:
-                time = start + 0.5 * index * dt
-                session.stage = (-1, time, start, dt)
+                session.stage = (-1, step, 0.5 * index, dt)
                 in_step = session.initial_guess((1, 8))
-                session.stage = (index, time, start, dt)
+                session.stage = (index, step, 0.5 * index, dt)
                 session.initial_guess((1, 8))
                 base = 0.0 if in_step is None else in_step
-                session.record(base + error(start, index), 1)
+                session.record(base + error(step, index), 1)
 
     @staticmethod
     def _polynomial(seed, degree):
+        """A polynomial of ``degree`` in the step time 0.1·step, per stage index."""
         coeffs = np.random.default_rng(seed).standard_normal((3, degree + 1, 1, 8))
-        return lambda t, index: sum(c * t**p for p, c in enumerate(coeffs[index]))
+        return lambda step, index: sum(c * (0.1 * step) ** p for p, c in enumerate(coeffs[index]))
 
     @staticmethod
     def _quadratic(seed):
@@ -452,53 +454,51 @@ class TestInversion:
     def test_session_continues_stage_errors_over_steps(self):
         """An in-step guess error quadratic in step time is continued to round-off."""
         error = self._quadratic(5)
-        dt, t0 = 0.1, 2.0
+        dt = 0.1
         session = SolverSession()
-        self._solve_stages(session, [t0 + n * dt for n in range(6)], dt, error)
-        start = t0 + 6 * dt
+        self._solve_stages(session, range(20, 26), dt, error)
+        step = 26
         for index in (0, 1):
-            time = start + 0.5 * index * dt
-            session.stage = (-1, time, start, dt)
+            session.stage = (-1, step, 0.5 * index, dt)
             in_step = session.initial_guess((1, 8))
-            session.stage = (index, time, start, dt)
+            session.stage = (index, step, 0.5 * index, dt)
             guess = session.initial_guess((1, 8))
-            exact = in_step + error(start, index)
+            exact = in_step + error(step, index)
             assert np.max(np.abs(guess - exact)) <= 1e-11 * np.max(np.abs(exact))
             session.record(exact, 1)
 
     def test_session_stage_guess_falls_back(self):
-        """Without three evenly spaced predecessors at this dt, measured against an
+        """Without the three previous steps at this dt, measured against an
         in-step guess of the current weight, the guess is the in-step one."""
         error = self._quadratic(6)
         dt = 0.1
 
-        def guesses(starts, stage, offset=0.5):
-            index, start, step = stage
+        def guesses(steps, stage, offset=0.5):
+            index, step, size = stage
             session = SolverSession()
-            self._solve_stages(session, starts, dt, error)
+            self._solve_stages(session, steps, dt, error)
             # the earlier stages of this step
-            self._solve_stages(session, [start], step, error, stages=range(index))
-            time = start + offset * index * step
-            session.stage = (index, time, start, step)
+            self._solve_stages(session, [step], size, error, stages=range(index))
+            session.stage = (index, step, offset * index, size)
             with_stage = session.initial_guess((1, 8))
-            session.stage = (-1, time, start, step)
+            session.stage = (-1, step, offset * index, size)
             return with_stage, session.initial_guess((1, 8))
 
-        even = [n * dt for n in range(4)]
-        corrected, in_step = guesses(even, (0, 4 * dt, dt))
+        even = [0, 1, 2, 3]
+        corrected, in_step = guesses(even, (0, 4, dt))
         assert not np.array_equal(corrected, in_step)
-        corrected, in_step = guesses(even, (1, 4 * dt, dt))
+        corrected, in_step = guesses(even, (1, 4, dt))
         assert not np.array_equal(corrected, in_step)
-        for starts, stage, offset in (
-            (even, (0, 4 * dt, 0.5 * dt), 0.5),  # a shorter step
-            (even, (0, 4 * dt, 2.0 * dt), 0.5),  # a longer step
-            (even, (0, 5 * dt, dt), 0.5),  # a step missing from the history
-            ([0.0, dt, 2.5 * dt, 3 * dt], (0, 4 * dt, dt), 0.5),  # uneven starts
-            (even[1:], (0, 4 * dt, dt), 0.5),  # the first solve has no guess: two errors
-            (even, (2, 4 * dt, dt), 0.5),  # a stage index never solved
-            (even, (1, 4 * dt, dt), 0.25),  # an in-step guess of weight 1/2, not 1
+        for steps, stage, offset in (
+            (even, (0, 4, 0.5 * dt), 0.5),  # a shorter step
+            (even, (0, 4, 2.0 * dt), 0.5),  # a longer step
+            (even, (0, 5, dt), 0.5),  # a step missing from the history
+            ([0, 1, 3, 4], (0, 5, dt), 0.5),  # a gap in the history's step numbers
+            (even[1:], (0, 4, dt), 0.5),  # the first solve has no guess: two errors
+            (even, (2, 4, dt), 0.5),  # a stage index never solved
+            (even, (1, 4, dt), 0.25),  # an in-step guess of weight 1/2, not 1
         ):
-            with_stage, in_step = guesses(starts, stage, offset)
+            with_stage, in_step = guesses(steps, stage, offset)
             assert np.array_equal(with_stage, in_step)
 
     def test_session_pairs_each_error_with_its_own_guess(self):
@@ -510,28 +510,26 @@ class TestInversion:
         error = self._quadratic(7)
         dt = 0.1
         session = SolverSession()
-        self._solve_stages(session, [n * dt for n in range(4)], dt, error, stages=(0, 1, 2))
+        self._solve_stages(session, range(4), dt, error, stages=(0, 1, 2))
 
-        def solve_stage(index, start, rhs, mu):
-            session.stage = (index, start + 0.5 * index * dt, start, dt)
+        def solve_stage(index, step, rhs, mu):
+            session.stage = (index, step, 0.5 * index, dt)
             invert_frakT(depth, rhs, mu, session=session)
 
-        start = 4 * dt
         rhs = np.random.default_rng(8).standard_normal((1, 8))
-        solve_stage(0, start, rhs, MU)
+        solve_stage(0, 4, rhs, MU)
         solves = session.solves
-        solve_stage(1, start, np.zeros((1, 8)), MU)
+        solve_stage(1, 4, np.zeros((1, 8)), MU)
         assert session.solves == solves
-        solve_stage(1, start, rhs, 0.0)
+        solve_stage(1, 4, rhs, 0.0)
         assert session.solves == solves + 1
-        solve_stage(2, start, rhs, MU)
+        solve_stage(2, 4, rhs, MU)
 
-        after = start + dt
+        after = 5
         for index, engaged in ((0, True), (1, False), (2, True)):
-            time = after + 0.5 * index * dt
-            session.stage = (-1, time, after, dt)
+            session.stage = (-1, after, 0.5 * index, dt)
             in_step = session.initial_guess((1, 8))
-            session.stage = (index, time, after, dt)
+            session.stage = (index, after, 0.5 * index, dt)
             guess = session.initial_guess((1, 8))
             assert np.array_equal(guess, in_step) != engaged, index
             session.record(in_step + error(after, index), 1)
@@ -539,20 +537,18 @@ class TestInversion:
     def _continued(self, error, steps):
         """The largest relative miss of the guess for each stage of each step
         from ``steps`` on, when every solution is the in-step guess plus
-        ``error``; the steps start at 2 and are 0.1 apart."""
-        dt, t0 = 0.1, 2.0
+        ``error``; the steps are numbered from 20 and are 0.1 long."""
+        dt, first = 0.1, 20
         session = SolverSession()
-        self._solve_stages(session, [t0 + n * dt for n in range(steps)], dt, error)
+        self._solve_stages(session, range(first, first + steps), dt, error)
         misses = []
-        for n in range(steps, steps + 4):
-            start = t0 + n * dt
+        for step in range(first + steps, first + steps + 4):
             for index in (0, 1):
-                time = start + 0.5 * index * dt
-                session.stage = (-1, time, start, dt)
+                session.stage = (-1, step, 0.5 * index, dt)
                 in_step = session.initial_guess((1, 8))
-                session.stage = (index, time, start, dt)
+                session.stage = (index, step, 0.5 * index, dt)
                 guess = session.initial_guess((1, 8))
-                exact = in_step + error(start, index)
+                exact = in_step + error(step, index)
                 misses.append(np.max(np.abs(guess - exact)) / np.max(np.abs(exact)))
                 session.record(exact, 1)
         return max(misses)
@@ -579,10 +575,10 @@ class TestInversion:
         rng = np.random.default_rng(11)
         dt = 0.1
         schedule = (
-            [(n * dt, dt) for n in range(7)]  # rotates past four errors
-            + [(n * dt, dt) for n in range(8, 12)]  # a step missing
-            + [(12 * dt, 0.5 * dt)]  # a shorter step
-            + [(12.5 * dt + n * dt, dt) for n in range(5)]
+            [(n, dt) for n in range(7)]  # rotates past four errors
+            + [(n, dt) for n in range(8, 12)]  # a step missing
+            + [(12, 0.5 * dt)]  # a shorter step
+            + [(n, dt) for n in range(13, 18)]
         )
         inner = operators._inner
         calls = []
@@ -591,27 +587,25 @@ class TestInversion:
         )
         history = operators._StageErrors()
         kept, expected, scored = [], [None] * 4, 0
-        for start, step in schedule:
+        for step, size in schedule:
             e0 = rng.standard_normal((2, 16))
             usable = 0
-            while usable < len(kept) and operators._same(
-                kept[usable][1], start - (usable + 1) * step
-            ):
+            while usable < len(kept) and kept[usable][1:] == (step - usable - 1, size):
                 usable += 1
             if usable >= 3:
                 scored += 1
                 for n, coefficients in enumerate(operators._EXTRAPOLATIONS[:usable]):
-                    c = sum(a * e for a, (e, _) in zip(coefficients, kept))
+                    c = sum(a * e for a, (e, _, _) in zip(coefficients, kept))
                     direct = float(np.sum((e0 - c) ** 2))
                     old = expected[n]
                     expected[n] = direct if old is None else (
                         old + operators._SCORE_WEIGHT * (direct - old)
                     )
             calls.clear()
-            history.record(e0, start, step, 1.0)
+            history.record(e0, step, size, 1.0)
             assert len(calls) == len(kept) + 1
-            kept = [(e0, start)] + kept[:3]
-            assert [t for _, t, _ in history.errors] == [t for _, t in kept]
+            kept = [(e0, step, size)] + kept[:3]
+            assert [(s, d) for _, s, d, _ in history.errors] == [k[1:] for k in kept]
             for got, want in zip(history.scores, expected):
                 assert (got is None) == (want is None)
                 if want is not None:
@@ -644,10 +638,10 @@ class TestInversion:
         v0 = band_limited_vector(g, rng, 5)
         dv = band_limited_vector(g, rng, 5)
         session = SolverSession()
-        for t in (0.0, 1.0):
-            session.stage = (0, t, t, 1.0)
-            invert_frakT(depth, v0 + t * dv, MU, session=session)
-        session.stage = (0, 2.0, 2.0, 1.0)
+        for step in (1, 2):
+            session.stage = (0, step, 0.0, 1.0)
+            invert_frakT(depth, v0 + (step - 1) * dv, MU, session=session)
+        session.stage = (0, 3, 0.0, 1.0)
         _, with_line, _ = invert_frakT(depth, v0 + 2.0 * dv, MU, session=session)
         plain = SolverSession()
         invert_frakT(depth, v0 + dv, MU, session=plain)

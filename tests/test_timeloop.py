@@ -302,8 +302,12 @@ class TestDealiasedBand:
 
 class TestStageSolves:
     def test_warm_started_stage_solves_meet_the_tolerance(self, monkeypatch):
-        """Every RK4 stage solve keeps ‖𝔗u − hv‖ ≤ rel_tolerance·‖hv‖, warm start and all."""
+        """Every RK4 stage solve keeps ‖𝔗u − hv‖ ≤ rel_tolerance·‖hv‖, warm start
+        and all; from a start time of 10⁶·dt the stage guesses engage as from
+        0, as no float time enters their matching."""
         self._check_stage_solves(monkeypatch, "rk4", 4)
+        monkeypatch.undo()
+        self._check_stage_solves(monkeypatch, "rk4", 4, start=1e6)
 
     def test_warm_started_rk3_stage_solves_meet_the_tolerance(self, monkeypatch):
         """The same for SSP-RK3, whose session keeps three stage indices."""
@@ -317,9 +321,9 @@ class TestStageSolves:
         self._check_stage_solves(monkeypatch, "rk4", 4, BathymetryState(ScalarField(grid, b), 0.4))
 
     @staticmethod
-    def _check_stage_solves(monkeypatch, scheme, stages, bath=None):
-        """12 full steps and a shorter final one, each stage solve checked,
-        over ``bath`` (a flat bottom when None).
+    def _check_stage_solves(monkeypatch, scheme, stages, bath=None, start=0.0):
+        """12 full steps and a shorter final one from the time ``start``·dt,
+        each stage solve checked, over ``bath`` (a flat bottom when None).
 
         The per-stage guess engages once the stage's in-step guess has left
         an error of its current weight in each of the three previous steps,
@@ -358,19 +362,22 @@ class TestStageSolves:
         monkeypatch.setattr(models, "invert_frakT", checked)
         monkeypatch.setattr(SolverSession, "_stage_guess", watched)
         zeta = 0.1 * np.exp(-2.0 * sum((c - np.pi) ** 2 for c in grid.coords))
-        state = FluidState(ScalarField(grid, zeta), VectorField.zeros(grid), VariableKind.V_VARIABLE)
+        dt = 0.08
+        state = FluidState(
+            ScalarField(grid, zeta), VectorField.zeros(grid), VariableKind.V_VARIABLE, start * dt
+        )
         if bath is None:
             bath = BathymetryState.flat(grid)
         params = ModelParams(epsilon=0.1, beta=bath.beta, mu=0.5)
-        dt = 0.08
-        icfg = IntegrationConfig(dt=dt, t_end=12.5 * dt, scheme=scheme, diag_stride=10**6)
+        icfg = IntegrationConfig(
+            dt=dt, t_end=(start + 12.5) * dt, scheme=scheme, diag_stride=10**6
+        )
         cfg = EllipticSolveConfig(rel_tolerance=1e-11)
         report = run(state, params, bath, icfg, cfg, diag_order=0)
         assert report.steps == 13
         assert len(relative) == stages * 13 - 1  # the first stage starts from rest
         assert max(relative) <= 1.001e-11
-        for (index, _, start, step_dt), on in engaged.items():
-            n = round(start / dt) + 1
+        for (index, n, _, step_dt), on in engaged.items():
             if step_dt != dt:
                 assert n == 13 and not on
             else:
