@@ -877,8 +877,9 @@ class FileSinks:
     GNWV1 snapshot files under one directory.
 
     Which artifacts are produced follows ``formats``; an empty run still
-    leaves a header-only CSV, and sinks without a CSV have no ``record``, so
-    a run takes no records. One instance owns its files exclusively.
+    leaves a header-only CSV.  Sinks without a CSV have no ``record`` and
+    sinks without snapshots no ``snapshot``, so a run takes no records or
+    builds no snapshot states. One instance owns its files exclusively.
     """
 
     def __init__(
@@ -890,21 +891,20 @@ class FileSinks:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self._params = params
-        self._formats = tuple(formats)
         self._snapshot_index = 0
         self._stream: TextIO | None = None
-        if "csv" in self._formats:
+        if "csv" in formats:
             self._stream = open(self.directory / "diagnostics.csv", "w", newline="")
             self._stream.write(",".join(DIAGNOSTIC_COLUMNS) + "\n")
         else:
             self.record = None
+        if "snapshot" not in formats:
+            self.snapshot = None
 
     def record(self, rec: DiagnosticsRecord) -> None:
         append_diagnostics(rec, self._stream)
 
     def snapshot(self, state: FluidState) -> None:
-        if "snapshot" not in self._formats:
-            return
         path = self.directory / f"snapshot_{self._snapshot_index:06d}.gnwv"
         write_snapshot(state, self._params, path)
         self._snapshot_index += 1

@@ -50,6 +50,7 @@ from .operators import (
     apply_Rb,
     apply_T,
     invert_frakT,
+    _nonnegative,
     _pressure_terms,
 )
 
@@ -108,10 +109,7 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         for name in ("epsilon", "beta", "mu"):
-            val = float(getattr(self, name))
-            if not np.isfinite(val) or val < 0.0:
-                raise ValidationError(f"{name} must be a finite real >= 0, got {val}")
-            object.__setattr__(self, name, val)
+            object.__setattr__(self, name, _nonnegative(name, getattr(self, name)))
         if not isinstance(self.formulation, Formulation):
             object.__setattr__(
                 self, "formulation", _member(Formulation, self.formulation, "formulation")

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -74,18 +74,24 @@ __all__ = [
 # --------------------------------------------------------------------- states
 
 
+def _nonnegative(name: str, value: float) -> float:
+    """``value`` as a float, refused unless it is finite and >= 0."""
+    value = float(value)
+    if not math.isfinite(value) or value < 0.0:
+        raise ValidationError(f"{name} must be a finite real >= 0, got {value}")
+    return value
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class BathymetryState:
-    """Bottom topography b and its amplitude β."""
+    """Bottom topography b and its amplitude β, with what the solves over
+    it reuse: the slope β∇b and the flat-state inverses P̄."""
 
     b: ScalarField
     beta: float
 
     def __post_init__(self) -> None:
-        beta = float(self.beta)
-        if not np.isfinite(beta) or beta < 0.0:
-            raise ValidationError(f"beta must be a finite real >= 0, got {beta}")
-        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "beta", _nonnegative("beta", self.beta))
 
     @classmethod
     def flat(cls, grid: PeriodicGrid) -> "BathymetryState":
@@ -111,6 +117,16 @@ class BathymetryState:
     def rest_depth(self) -> "DepthState":
         """The still water column 1 − βb over this bottom."""
         return DepthState(self, 1.0 - self.beta * self.b.data)
+
+    @cached_property
+    def flat_inverse(self) -> Callable[[float, float], Callable]:
+        """(h̄, μ) ↦ :func:`_flat_preconditioner` on this grid, kept for the
+        :data:`_FLAT_INVERSES_KEPT` latest keys.  P̄ depends on its key alone,
+        and mass is conserved, so h̄ moves at most at round-off and the runs
+        and records over one bottom see only a few values."""
+        return lru_cache(maxsize=_FLAT_INVERSES_KEPT)(
+            lambda mean_depth, mu: _flat_preconditioner(self.grid, mean_depth, mu)
+        )
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -187,7 +203,7 @@ class EllipticSolveConfig:
 
 
 class SolverSession:
-    """Warm-start cache for the elliptic solves of one simulation.
+    """Warm starts and CG counts of the elliptic solves of one simulation.
 
     The guess for a solve is built from ``stage``, which the time stepper
     sets before each RK stage to ``(index, step, offset, dt)``: the step
@@ -228,14 +244,13 @@ class SolverSession:
 
     A solve that asks for no guess (a zero right-hand side, μ = 0) records
     no error: each recorded error pairs a solution with the guess asked for
-    just before it.  The session also keeps the last few flat-state inverses
-    P̄ it built (:meth:`flat_preconditioner`).  A solve given no session
-    starts cold in a fresh one.  Mutable by design; keep one session per
-    concurrent run; ``__slots__`` refuses a write to any other attribute.
+    just before it.  A solve given no session starts cold in a fresh one.
+    Mutable by design; keep one session per concurrent run; ``__slots__``
+    refuses a write to any other attribute.
     """
 
     __slots__ = ("last_solution", "solves", "total_iterations", "stage",
-                 "_last_place", "_previous", "_pending", "_errors", "_flat")
+                 "_last_place", "_previous", "_pending", "_errors")
 
     def __init__(self) -> None:
         self.last_solution: np.ndarray | None = None
@@ -249,7 +264,6 @@ class SolverSession:
         # the solution it belongs to is recorded
         self._pending: tuple[tuple[int, int, float, float], float, np.ndarray] | None = None
         self._errors: dict[int, _StageErrors] = {}
-        self._flat: dict[tuple[PeriodicGrid, float, float], Callable] = {}
 
     def initial_guess(self, shape: tuple[int, ...]) -> np.ndarray | None:
         self._pending = None
@@ -261,21 +275,6 @@ class SolverSession:
             self._pending = (self.stage, weight, guess)
         corrected = self._stage_guess(shape)
         return guess if corrected is None else corrected
-
-    def flat_preconditioner(
-        self, grid: PeriodicGrid, mean_depth: float, mu: float
-    ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-        """:func:`_flat_preconditioner`, reused while (grid, h̄, μ) repeat bit
-        for bit.  Mass is conserved, so h̄ moves at most at round-off and a
-        run sees only a few values; the oldest of more than
-        :data:`_FLAT_INVERSES_KEPT` is dropped."""
-        key = (grid, mean_depth, mu)
-        found = self._flat.get(key)
-        if found is None:
-            if len(self._flat) == _FLAT_INVERSES_KEPT:
-                del self._flat[next(iter(self._flat))]
-            found = self._flat[key] = _flat_preconditioner(grid, mean_depth, mu)
-        return found
 
     def _in_step_guess(self) -> tuple[np.ndarray, float]:
         """Line through the two latest solutions at distinct places, and its weight."""
@@ -357,10 +356,10 @@ _SCORE_TERMS = tuple(
 # extrapolation through all of them, the quadratic, until a candidate is scored.
 _ENGAGE = 3
 # Weight of the newest value in a candidate's running score.  Stage CG
-# iterations of soliton_1d (2000 steps): 7381 (seed 7) and 7624 (seed 11) at
-# 1/2, 6626 and 6792 at 1/5; on hump_2d both give 191 (seeds 7 and 11).
+# iterations of soliton_1d (2000 steps): 7220 (seed 7) and 7279 (seed 11) at
+# 1/2, 6608 and 6769 at 1/5; on hump_2d both give 191 (seed 7) and 192 (seed 11).
 _SCORE_WEIGHT = 0.2
-# Flat-state inverses a session keeps: a run sees 2 or 3 distinct h̄.
+# Flat-state inverses a bottom keeps: a run sees 2 or 3 distinct h̄.
 _FLAT_INVERSES_KEPT = 4
 
 
@@ -493,13 +492,6 @@ def _check_velocity(depth: DepthState, u: np.ndarray) -> PeriodicGrid:
     return grid
 
 
-def _validate_mu(mu: float) -> float:
-    mu = float(mu)
-    if not math.isfinite(mu) or mu < 0.0:
-        raise ValidationError(f"mu must be a finite real >= 0, got {mu}")
-    return mu
-
-
 # ------------------------------------------------------------------ operators
 
 
@@ -512,7 +504,7 @@ def apply_T(depth: DepthState, u: np.ndarray) -> np.ndarray:
 def apply_frakT(depth: DepthState, u: np.ndarray, mu: float) -> np.ndarray:
     """𝔗[h, βb]u = h u + μ h T[h, βb]u, the forward elliptic operator."""
     _check_velocity(depth, u)
-    return _frakT(depth, u, None, _validate_mu(mu))
+    return _frakT(depth, u, None, _nonnegative("mu", mu))
 
 
 def _flat_preconditioner(
@@ -550,20 +542,19 @@ def _flat_preconditioner(
 
 
 def _preconditioner(
-    depth: DepthState, mu: float, session: SolverSession
+    depth: DepthState, mu: float
 ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray | None]]:
     """CG's preconditioner for 𝔗[h, βb]: the flat inverse P̄ at the mean depth
     h̄ over a flat bottom, and over a bottom r ↦ s·P̄(s·r) with s = h̄/h.
-    The ``session`` supplies P̄ from the ones it keeps.
+    The bottom supplies P̄ from the ones it keeps
+    (:attr:`BathymetryState.flat_inverse`).
 
     Both maps are symmetric positive definite.  The scaled one returns no
-    spectrum, so CG's matvec transforms the search direction itself.  Over a
-    flat bottom the scaling would cost iterations, 11 258 against 10 598 in a
-    soliton_1d run, so it is kept for a bottom, where a 128² hump_2d run's
-    stage solves took 216 instead of 278 (both with the quadratic stage
-    guess alone).
+    spectrum, so CG's matvec transforms the search direction itself.  The
+    scaling cuts iterations over a bottom and costs some over a flat one, so
+    it is kept for a bottom only (README gives the counts).
     """
-    flat = session.flat_preconditioner(depth.grid, depth.mean_depth, mu)
+    flat = depth.bath.flat_inverse(depth.mean_depth, mu)
     if depth.beta_grad_b is None:
         return flat
     s = depth.mean_depth / depth.h
@@ -596,7 +587,7 @@ def invert_frakT(
     Without one the solve starts cold in a session of its own.
     """
     grid = _check_velocity(depth, v_rhs)
-    mu = _validate_mu(mu)
+    mu = _nonnegative("mu", mu)
     if cfg is None:
         cfg = EllipticSolveConfig()
     if session is None:
@@ -616,7 +607,7 @@ def invert_frakT(
         session.record(u, 0)
         return EllipticSolveResult(u, 0, 0.0)
 
-    precond = _preconditioner(depth, mu, session)
+    precond = _preconditioner(depth, mu)
 
     guess = session.initial_guess(b.shape)
     if guess is None:
@@ -685,7 +676,7 @@ def dh_frakT(depth: DepthState, f: np.ndarray, u: np.ndarray, mu: float) -> np.n
     grid = _check_velocity(depth, u)
     if f.shape != grid.shape:
         raise GridMismatchError(f"direction has shape {f.shape}, expected {grid.shape}")
-    mu = _validate_mu(mu)
+    mu = _nonnegative("mu", mu)
     h = depth.h
     out = grid.dealias(f * u)
     if mu == 0.0:

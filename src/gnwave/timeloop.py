@@ -12,7 +12,9 @@ extrapolation, of degree 0 to 3, by how well each would have predicted its
 own recent errors.  The correction needs the three previous steps, at the
 current dt, so the first steps and a step of another size, such as a
 shorter final step, take the in-step guess alone (see
-:class:`~gnwave.operators.SolverSession`).
+:class:`~gnwave.operators.SolverSession`).  The session holds warm starts
+only: CG's flat inverses P̄ belong to the bottom, so the stage solves and
+the records, each solved in a fresh session, share the few a run builds.
 
 The dispersive operator has an order-zero inverse, so explicit stepping is
 not stiffness-limited; a CFL advisory based on the gravity-wave speed

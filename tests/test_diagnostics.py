@@ -393,6 +393,22 @@ class TestRecords:
         assert first.cg_iterations == second.cg_iterations > 0
         assert first == second
 
+    def test_record_takes_the_flat_inverse_from_its_bottom(self, monkeypatch):
+        """P̄ is kept by the bottom, not by the record's fresh session: a
+        second record of one state builds none."""
+        from gnwave import operators
+
+        built = []
+        build = operators._flat_preconditioner
+        monkeypatch.setattr(
+            operators, "_flat_preconditioner", lambda *key: built.append(key) or build(*key)
+        )
+        state, params, bath = make_v_state(11, grid1())
+        collect_record(state, params, bath, order=1)
+        assert len(built) == 1
+        collect_record(state, params, bath, order=1)
+        assert len(built) == 1
+
     def test_record_builds_one_water_column(self, monkeypatch):
         """The Hamiltonian and the symmetrizer energy share the record's depth."""
         from gnwave.operators import DepthState

@@ -842,6 +842,37 @@ class TestFileSinks:
         assert len(calls) == len(rows) == report.steps + 1
         assert report.record_iterations == sum(row["cg_iterations"] for row in rows) > 0
 
+    def test_sinks_without_snapshots_wrap_no_states(self, tmp_path, monkeypatch):
+        """Sinks that write no snapshots offer no snapshot sink, so a run at
+        snapshot stride 1 builds as many field wrappers over 8 steps as over
+        4 when no strided record falls between."""
+        from gnwave import grid as grid_module
+
+        cfg = load_config(
+            MINIMAL
+            + "\n[model]\nepsilon = 0.1\nmu = 0.5\n"
+            + "\n[initial]\ntype = fourier_modes\nzeta = 1 0.01 0.0\n"
+        )
+        bath, state = build_bathymetry(cfg), build_initial_state(cfg)
+        calls = []
+        wrap = grid_module._as_readonly
+        monkeypatch.setattr(
+            grid_module, "_as_readonly", lambda *args: calls.append(None) or wrap(*args)
+        )
+
+        def wrappers(steps):
+            calls.clear()
+            icfg = dataclasses.replace(
+                cfg.integration, t_end=steps * 0.01, diag_stride=10**6, snapshot_stride=1
+            )
+            with FileSinks(tmp_path / str(steps), cfg.params, ("csv",)) as sinks:
+                report = run(state, cfg.params, bath, icfg, cfg.elliptic, sinks=sinks)
+            assert report.steps == steps
+            assert not list((tmp_path / str(steps)).glob("snapshot_*.gnwv"))
+            return len(calls)
+
+        assert wrappers(4) == wrappers(8)
+
     def test_two_runs_byte_identical(self, tmp_path):
         """Identical configs produce byte-identical CSV and snapshots."""
         cfg = load_config(

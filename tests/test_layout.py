@@ -104,13 +104,16 @@ def _called_name(node: ast.expr) -> str | None:
 
 
 def _callers(tree: ast.Module) -> dict[str, list[ast.Call]]:
-    """The calls of the module by the name they call: ``f(…)`` and ``x.f(…)``."""
+    """The calls of the module by the name they call: ``f(…)`` and ``x.f(…)``,
+    and ``(f if c else g)(…)`` under both names."""
     calls: dict[str, list[ast.Call]] = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
-            name = _called_name(node.func)
-            if name is not None:
-                calls.setdefault(name, []).append(node)
+            func = node.func
+            for callee in (func.body, func.orelse) if isinstance(func, ast.IfExp) else (func,):
+                name = _called_name(callee)
+                if name is not None:
+                    calls.setdefault(name, []).append(node)
     return calls
 
 

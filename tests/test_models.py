@@ -29,6 +29,8 @@ from gnwave.operators import (
     EllipticSolveConfig,
     SolverSession,
     apply_frakT,
+    dh_frakT,
+    invert_frakT,
 )
 from gnwave.verify import skew_assembled_rhs
 
@@ -133,9 +135,23 @@ class TestDegenerations:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
     def test_scaling_parameters_must_be_finite_and_nonnegative(self, bad):
+        """ε, β and μ of the model, the β of a bottom and the μ of the
+        operators are refused with one message."""
         for name in ("epsilon", "beta", "mu"):
             with pytest.raises(ValidationError, match=f"{name} must be a finite real >= 0"):
                 ModelParams(**{name: bad})
+        g = grid1()
+        with pytest.raises(ValidationError, match="beta must be a finite real >= 0"):
+            BathymetryState(ScalarField.zeros(g), bad)
+        depth = BathymetryState.flat(g).rest_depth
+        u = np.ones((1,) + g.shape)
+        for operator in (
+            lambda: apply_frakT(depth, u, bad),
+            lambda: invert_frakT(depth, u, bad),
+            lambda: dh_frakT(depth, np.ones(g.shape), u, bad),
+        ):
+            with pytest.raises(ValidationError, match="mu must be a finite real >= 0"):
+                operator()
 
     def test_beta_consistency_checked(self):
         g = grid1()

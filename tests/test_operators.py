@@ -612,26 +612,6 @@ class TestInversion:
                     assert got == pytest.approx(want, rel=1e-12)
         assert scored == 4 + 1 + 2 and expected[3] is not None
 
-    def test_session_keeps_flat_inverses(self, monkeypatch):
-        """A session builds the flat inverse once per (grid, h̄, μ), and keeps
-        the four latest."""
-        built = []
-        build = operators._flat_preconditioner
-        monkeypatch.setattr(
-            operators, "_flat_preconditioner", lambda *key: built.append(key) or build(*key)
-        )
-        g, depth, rng = _random_setup(19)
-        session = SolverSession()
-        for _ in range(3):
-            invert_frakT(depth, band_limited_vector(g, rng, 5), MU, session=session)
-        assert built == [(g, depth.mean_depth, MU)]
-        first = session.flat_preconditioner(g, depth.mean_depth, MU)
-        for h in (1.1, 1.2, 1.3, 1.4):
-            session.flat_preconditioner(g, h, MU)
-        assert len(session._flat) == operators._FLAT_INVERSES_KEPT == 4
-        assert session.flat_preconditioner(g, depth.mean_depth, MU) is not first
-        assert len(built) == 6
-
     def test_extrapolated_warm_start_saves_iterations(self):
         """A solution that moves linearly in time is guessed exactly."""
         g, depth, rng = _random_setup(17)
@@ -758,7 +738,7 @@ class TestPreconditioner:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_symmetric_over_a_bottom(self, dim):
         g, depth, rng = self._bottom(dim)
-        precond = operators._preconditioner(depth, MU, SolverSession())
+        precond = operators._preconditioner(depth, MU)
         a, c = band_limited_vector(g, rng, 4), band_limited_vector(g, rng, 4)
         za, spec = precond(a)
         zc, _ = precond(c)
@@ -769,7 +749,7 @@ class TestPreconditioner:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_positive_over_a_bottom(self, dim):
         g, depth, rng = self._bottom(dim)
-        precond = operators._preconditioner(depth, MU, SolverSession())
+        precond = operators._preconditioner(depth, MU)
         for _ in range(5):
             a = band_limited_vector(g, rng, 4)
             assert g.inner(precond(a)[0], a) > 0.0
@@ -780,9 +760,30 @@ class TestPreconditioner:
         rng = np.random.default_rng(18)
         depth = smooth_depth(BathymetryState.flat(g), rng)
         r = band_limited_vector(g, rng, 5)
-        z, spec = operators._preconditioner(depth, MU, SolverSession())(r)
+        z, spec = operators._preconditioner(depth, MU)(r)
         z_flat, spec_flat = operators._flat_preconditioner(g, depth.mean_depth, MU)(r)
         assert np.array_equal(z, z_flat) and np.array_equal(spec, spec_flat)
+
+    def test_bottom_keeps_flat_inverses(self, monkeypatch):
+        """A bottom builds the flat inverse once per (h̄, μ), for the solves of
+        a session and those without one, and keeps the four latest."""
+        built = []
+        build = operators._flat_preconditioner
+        monkeypatch.setattr(
+            operators, "_flat_preconditioner", lambda *key: built.append(key) or build(*key)
+        )
+        g, depth, rng = _random_setup(19)
+        session = SolverSession()
+        for warm in (session, session, None):
+            invert_frakT(depth, band_limited_vector(g, rng, 5), MU, session=warm)
+        assert built == [(g, depth.mean_depth, MU)]
+        kept = depth.bath.flat_inverse
+        first = kept(depth.mean_depth, MU)
+        for h in (1.1, 1.2, 1.3, 1.4):
+            kept(h, MU)
+        assert kept.cache_info().currsize == operators._FLAT_INVERSES_KEPT == 4
+        assert kept(depth.mean_depth, MU) is not first
+        assert len(built) == 6
 
 
 class TestShapeDerivative:

@@ -320,6 +320,25 @@ class TestStageSolves:
         b = 0.3 * np.cos(grid.coords[0]) * np.cos(grid.coords[1])
         self._check_stage_solves(monkeypatch, "rk4", 4, BathymetryState(ScalarField(grid, b), 0.4))
 
+    def test_run_builds_each_flat_inverse_once(self, monkeypatch):
+        """The stage and record solves of a run take P̄ from its bottom, which
+        builds it once per distinct (h̄, μ)."""
+        from gnwave import operators
+
+        built = []
+        build = operators._flat_preconditioner
+        monkeypatch.setattr(
+            operators, "_flat_preconditioner", lambda *key: built.append(key) or build(*key)
+        )
+        grid = PeriodicGrid((32,), (2 * np.pi,))
+        params = ModelParams(epsilon=0.2, beta=0.0, mu=0.5)
+        bath = BathymetryState.flat(grid)
+        icfg = IntegrationConfig(dt=0.02, t_end=0.2, diag_stride=2)
+        report = run(pulse_state(grid), params, bath, icfg, sinks=CollectingSinks(), diag_order=1)
+        assert report.steps == 10 and report.record_iterations > 0
+        assert len(built) == len(set(built))
+        assert bath.flat_inverse.cache_info().currsize == len(built)
+
     @staticmethod
     def _check_stage_solves(monkeypatch, scheme, stages, bath=None, start=0.0):
         """12 full steps and a shorter final one from the time ``start``·dt,
