@@ -338,9 +338,9 @@ def _cmd_converge(args: argparse.Namespace, out: TextIO) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         if dt_values is not None:
-            reports.append(verify.convergence_study(problem, dt_values=dt_values, cfg=solve))
+            reports.append(verify.dt_convergence(problem, dt_values, solve))
         if resolutions is not None:
-            reports.append(verify.convergence_study(problem, resolutions=resolutions, cfg=solve))
+            reports.append(verify.resolution_convergence(problem, resolutions, solve))
     print(verify.reports_as_text(reports), end="", file=out)
     if args.csv is not None:
         Path(args.csv).write_text(verify.reports_as_csv(reports))

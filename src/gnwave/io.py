@@ -843,14 +843,12 @@ def _fmt_sig(value: float) -> str:
 
 
 def append_diagnostics(record: DiagnosticsRecord, stream: TextIO) -> None:
-    """Append one CSV row; the header row is written first on empty streams.
+    """Append one CSV row; :class:`FileSinks` writes the header row.
 
     Columns are :data:`DIAGNOSTIC_COLUMNS`; values carry 17 significant
     digits so re-parsing reproduces every double exactly (an integer count
-    prints as itself).
+    prints as itself).  Only writes, so any text stream serves, a pipe too.
     """
-    if stream.tell() == 0:
-        stream.write(",".join(DIAGNOSTIC_COLUMNS) + "\n")
     row = (_fmt_sig(getattr(record, key)) for key in DIAGNOSTIC_COLUMNS)
     stream.write(",".join(row) + "\n")
 
@@ -876,10 +874,12 @@ class FileSinks:
     """Persistence sinks for the time loop: diagnostics CSV plus numbered
     GNWV1 snapshot files under one directory.
 
-    Which artifacts are produced follows ``formats``; an empty run still
-    leaves a header-only CSV.  Sinks without a CSV have no ``record`` and
-    sinks without snapshots no ``snapshot``, so a run takes no records or
-    builds no snapshot states. One instance owns its files exclusively.
+    Which artifacts are produced follows ``formats``.  The CSV's header row
+    is written when it opens, so an empty run still leaves a header-only
+    CSV; each record appends one row (:func:`append_diagnostics`).  Sinks
+    without a CSV have no ``record`` and sinks without snapshots no
+    ``snapshot``, so a run takes no records or builds no snapshot states.
+    One instance owns its files exclusively.
     """
 
     def __init__(

@@ -242,6 +242,11 @@ class SolverSession:
     is scored.  The scores come from the Gram matrix of the kept errors, so
     they cost one inner product per kept error and no matvec.
 
+    A stage solve counts its stage's usable errors once, in
+    :meth:`initial_guess`; the count stays pending with the in-step guess
+    until the solution is recorded, and chooses both the guess and the
+    candidates that the solution's error scores.
+
     A solve that asks for no guess (a zero right-hand side, μ = 0) records
     no error: each recorded error pairs a solution with the guess asked for
     just before it.  A solve given no session starts cold in a fresh one.
@@ -260,9 +265,9 @@ class SolverSession:
         # the (step, offset, dt) of the latest solution; the one before it
         self._last_place: tuple[int, float, float] | None = None
         self._previous: tuple[np.ndarray, tuple[int, float, float]] | None = None
-        # (stage, weight, in-step guess) of the guess asked for last, until
-        # the solution it belongs to is recorded
-        self._pending: tuple[tuple[int, int, float, float], float, np.ndarray] | None = None
+        # (stage errors, in-step guess, step, dt, weight, usable count) of the
+        # guess asked for last, until the solution it belongs to is recorded
+        self._pending: tuple[_StageErrors, np.ndarray, int, float, float, int] | None = None
         self._errors: dict[int, _StageErrors] = {}
 
     def initial_guess(self, shape: tuple[int, ...]) -> np.ndarray | None:
@@ -271,10 +276,13 @@ class SolverSession:
         if last is None or last.shape != shape:
             return None
         guess, weight = self._in_step_guess()
-        if self.stage is not None:
-            self._pending = (self.stage, weight, guess)
-        corrected = self._stage_guess(shape)
-        return guess if corrected is None else corrected
+        if self.stage is None:
+            return guess
+        index, step, _, dt = self.stage
+        history = self._errors.setdefault(index, _StageErrors())
+        usable = history.usable(shape, step, dt, weight)
+        self._pending = (history, guess, step, dt, weight, usable)
+        return history.corrected(guess, usable) if usable >= _ENGAGE else guess
 
     def _in_step_guess(self) -> tuple[np.ndarray, float]:
         """Line through the two latest solutions at distinct places, and its weight."""
@@ -293,28 +301,12 @@ class SolverSession:
             return last, 0.0
         return last + weight * (last - previous), weight
 
-    def _stage_guess(self, shape: tuple[int, ...]) -> np.ndarray | None:
-        """The in-step guess plus the chosen extrapolation of its error over
-        the same stage of the previous steps, or None when the stage guess
-        does not engage."""
-        if self._pending is None:
-            return None
-        (index, step, _, dt), weight, guess = self._pending
-        history = self._errors.get(index)
-        if history is None:
-            return None
-        usable = history.usable(shape, step, dt, weight)
-        if usable < _ENGAGE:
-            return None
-        return history.corrected(guess, usable)
-
     def record(self, solution: np.ndarray, iterations: int) -> None:
         stored = solution.copy()
         pending, self._pending = self._pending, None
         if pending is not None:
-            (index, step, _, dt), weight, guess = pending
-            history = self._errors.setdefault(index, _StageErrors())
-            history.record(stored - guess, step, dt, weight)
+            history, guess, step, dt, weight, usable = pending
+            history.record(stored - guess, step, dt, weight, usable)
         place = None if self.stage is None else self.stage[1:]
         if place is None or self._last_place is None:
             self._previous = None
@@ -366,7 +358,9 @@ _FLAT_INVERSES_KEPT = 4
 class _StageErrors:
     """The in-step guess errors of one stage index, newest first, each with
     its step number, dt and in-step weight; their Gram matrix; and each
-    extrapolation's running score, None until scored."""
+    extrapolation's running score, None until scored.  The session counts
+    the usable errors once per solve, and :meth:`corrected` and
+    :meth:`record` both take that count."""
 
     def __init__(self) -> None:
         self.errors: list[tuple[np.ndarray, int, float, float]] = []
@@ -393,15 +387,15 @@ class _StageErrors:
             out += a * e
         return out
 
-    def record(self, e0: np.ndarray, step: int, dt: float, weight: float) -> None:
-        """Score the extrapolations the history allowed by ‖e₀ − c‖², e₀ the
-        error just made at ``step``, then keep e₀ as the newest error."""
+    def record(self, e0: np.ndarray, step: int, dt: float, weight: float, usable: int) -> None:
+        """Score the extrapolations that the ``usable`` newest errors allowed
+        by ‖e₀ − c‖², e₀ the error just made at ``step``, then keep e₀ as the
+        newest error."""
         if self.errors and self.errors[0][0].shape != e0.shape:
             self.errors, self.gram = [], []
         dots = [_inner(e0, e) for e, *_ in self.errors]
         # the Gram matrix of e₀ and the kept errors
         gram = [[_inner(e0, e0)] + dots] + [[d] + row for d, row in zip(dots, self.gram)]
-        usable = self.usable(e0.shape, step, dt, weight)
         if usable >= _ENGAGE:
             for n, terms in enumerate(_SCORE_TERMS[:usable]):
                 score = sum([c * gram[i][j] for i, j, c in terms])

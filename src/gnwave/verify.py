@@ -62,7 +62,8 @@ __all__ = [
     "check_rhs_equivalence",
     "check_variational_structure",
     "dispersion_study",
-    "convergence_study",
+    "dt_convergence",
+    "resolution_convergence",
     "check_resolution_study",
     "aligned_profile_gap",
     "reports_as_text",
@@ -696,33 +697,31 @@ def _state_distance(a: FluidState, b: FluidState) -> float:
     )
 
 
-def convergence_study(
+def dt_convergence(
     problem: ConvergenceProblem,
-    dt_values: Sequence[float] | None = None,
-    resolutions: Sequence[int] | None = None,
+    dt_values: Sequence[float],
     cfg: EllipticSolveConfig | None = None,
 ) -> ResidualReport:
-    """Self-convergence in the time step or in spatial resolution.
+    """Self-convergence in the time step: each run against one at half the
+    smallest step.  A rung is labelled by the number of steps its run takes.
+    Time errors are fourth order for the default scheme."""
+    dts = sorted((float(d) for d in dt_values), reverse=True)
+    for d in dts:  # each given step is checked before any run
+        dataclasses.replace(problem.integration, dt=d)
+    reference = _final_run(problem, problem.grid, dts[-1] / 2.0, cfg).final_state
+    runs = [_final_run(problem, problem.grid, d, cfg) for d in dts]
+    residuals = [_state_distance(r.final_state, reference) for r in runs]
+    return ResidualReport.from_residuals("dt_convergence", [r.steps for r in runs], residuals)
 
-    Exactly one of ``dt_values`` (compared against a run at half the
-    smallest step) or ``resolutions`` (compared against a run at twice the
-    largest size, restricted spectrally) must be given.  Resolution rungs
-    are square, so a grid whose axes differ is refused.  A dt rung is
-    labelled by the number of steps its run takes.  Time errors are fourth
-    order for the default scheme; spatial errors fall spectrally.
-    """
-    if (dt_values is None) == (resolutions is None):
-        raise ValidationError("pass exactly one of dt_values or resolutions")
-    if dt_values is not None:
-        dts = sorted((float(d) for d in dt_values), reverse=True)
-        for d in dts:  # each given step is checked before any run
-            dataclasses.replace(problem.integration, dt=d)
-        reference = _final_run(problem, problem.grid, dts[-1] / 2.0, cfg).final_state
-        runs = [_final_run(problem, problem.grid, d, cfg) for d in dts]
-        residuals = [_state_distance(r.final_state, reference) for r in runs]
-        return ResidualReport.from_residuals(
-            "dt_convergence", [r.steps for r in runs], residuals
-        )
+
+def resolution_convergence(
+    problem: ConvergenceProblem,
+    resolutions: Sequence[int],
+    cfg: EllipticSolveConfig | None = None,
+) -> ResidualReport:
+    """Self-convergence in spatial resolution: each run against one at twice
+    the largest size, restricted spectrally.  Rungs are square, so a grid
+    whose axes differ is refused.  Spatial errors fall spectrally."""
     check_resolution_study(problem)
     sizes = sorted(int(n) for n in resolutions)
     fine_grid = PeriodicGrid((2 * sizes[-1],) * problem.grid.dim, problem.grid.lengths)

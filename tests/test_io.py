@@ -1,6 +1,7 @@
 """Tests for configuration parsing, snapshots, diagnostics CSV, builders."""
 import dataclasses
 import io as stdio
+import os
 from pathlib import Path
 
 import numpy as np
@@ -611,21 +612,42 @@ def test_record_refuses_non_finite_field(field):
         dataclasses.replace(make_record(), **{field: float("nan")})
 
 
+HEADER = ",".join(DIAGNOSTIC_COLUMNS) + "\n"
+
+
+def csv_text(*records: DiagnosticsRecord) -> str:
+    """The header row, then one row per record."""
+    buf = stdio.StringIO()
+    for rec in records:
+        append_diagnostics(rec, buf)
+    return HEADER + buf.getvalue()
+
+
 class TestDiagnosticsCsv:
-    def test_header_written_once(self):
-        """The fixed header appears exactly once at the top."""
-        buf = stdio.StringIO()
-        append_diagnostics(make_record(0.0), buf)
-        append_diagnostics(make_record(0.1), buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == ",".join(DIAGNOSTIC_COLUMNS)
+    def test_header_written_once(self, tmp_path):
+        """The sinks write the fixed header exactly once, at the top."""
+        with FileSinks(tmp_path, ModelParams(), formats=("csv",)) as sinks:
+            sinks.record(make_record(0.0))
+            sinks.record(make_record(0.1))
+        lines = (tmp_path / "diagnostics.csv").read_text().splitlines()
+        assert lines[0] == HEADER.rstrip("\n")
         assert len(lines) == 3
+
+    def test_rows_append_to_a_pipe(self):
+        """Appending a row only writes, so it serves a stream that cannot
+        seek, and it writes no header."""
+        read_end, write_end = os.pipe()
+        with open(write_end, "w") as pipe:
+            append_diagnostics(make_record(0.0), pipe)
+            append_diagnostics(make_record(0.1), pipe)
+        with open(read_end) as pipe:
+            text = pipe.read()
+        assert text == csv_text(make_record(0.0), make_record(0.1))[len(HEADER):]
+        assert [row["time"] for row in read_diagnostics(HEADER + text)] == [0.0, 0.1]
 
     def test_reparse_reproduces_doubles(self):
         """17 significant digits round-trip every double exactly."""
-        buf = stdio.StringIO()
-        append_diagnostics(make_record(), buf)
-        row = read_diagnostics(buf.getvalue())[0]
+        row = read_diagnostics(csv_text(make_record()))[0]
         assert row["mass"] == 1.0 / 3.0
         assert row["hamiltonian"] == np.pi
         assert row["cg_iterations"] == 7
@@ -638,9 +660,7 @@ class TestDiagnosticsCsv:
 
     def test_row_with_wrong_cell_count_rejected(self):
         """A row with a cell too few is refused, naming its cell count."""
-        buf = stdio.StringIO()
-        append_diagnostics(make_record(), buf)
-        text = buf.getvalue().rstrip("\n").rsplit(",", 1)[0] + "\n"
+        text = csv_text(make_record()).rstrip("\n").rsplit(",", 1)[0] + "\n"
         with pytest.raises(ValidationError, match="diagnostics row has 7 cells"):
             read_diagnostics(text)
 
@@ -665,7 +685,7 @@ class TestDiagnosticsCsv:
         """Sinks that never receive a record leave a header-only CSV."""
         with FileSinks(tmp_path, ModelParams(), formats=("csv",)):
             pass
-        assert (tmp_path / "diagnostics.csv").read_text() == ",".join(DIAGNOSTIC_COLUMNS) + "\n"
+        assert (tmp_path / "diagnostics.csv").read_text() == HEADER
 
 
 class TestBuilders:

@@ -1,8 +1,9 @@
 """Source layout checks: every module-level import of the package is read,
 every function parameter is read, every defaulted parameter (dataclass fields
 included) is passed by some call, imports flow one way, every transform goes
-through the grid, importing the command line loads no scipy, and the
-benchmark's tracer and timing hooks find every name they wrap."""
+through the grid, importing the command line loads no scipy, the
+benchmark's tracer and timing hooks find every name they wrap, and its
+artifact check passes on a short run."""
 from __future__ import annotations
 
 import ast
@@ -365,6 +366,50 @@ def test_benchmark_timing_hooks_install():
     )
     out = subprocess.run(
         [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        cwd=bench,
+        env={**os.environ, "PYTHONPATH": str(SOURCE.parent)},
+    )
+    assert out.returncode == 0, out.stderr
+
+
+def test_benchmark_artifact_check_passes(tmp_path):
+    """The benchmark checks a run's artifacts with ``perfbench/child.py``'s
+    ``check_artifacts``: it re-reads the CSV (``read_diagnostics``,
+    ``DIAGNOSTIC_COLUMNS``), round-trips the last snapshot through
+    ``read_snapshot`` and ``write_snapshot`` and aligns the final soliton
+    with ``verify.aligned_profile_gap``.  In a fresh interpreter, a short
+    `gnwave run` of the benchmark's soliton, with records and snapshots
+    between its first and last state, passes every check."""
+    bench = SOURCE.parent.parent / "perfbench"
+    if not (bench / "child.py").is_file():
+        pytest.skip("perfbench/ is not beside this source tree")
+    probe = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "from child import Boundaries, check_artifacts\n"
+        "from workloads import NEVER, WORKLOADS\n"
+        "from gnwave import cli\n"
+        "from gnwave.io import load_config\n"
+        "directory = Path(sys.argv[1])\n"
+        "ini = WORKLOADS['soliton_1d'].ini(7, str(directory / 'out'), steps=6)\n"
+        "ini = ini.replace(f'diag_stride = {NEVER}', 'diag_stride = 2')\n"
+        "ini = ini.replace(f'snapshot_stride = {NEVER}', 'snapshot_stride = 4')\n"
+        "config = directory / 'run.ini'\n"
+        "config.write_text(ini)\n"
+        "bounds = Boundaries()\n"
+        "bounds.install()\n"
+        "rc = cli.main(['run', '--config', str(config)])\n"
+        "checks = check_artifacts(bounds, rc, load_config(ini), 1e-4)\n"
+        "checks = {k: v for k, v in checks.items() if not k.startswith('_')}\n"
+        "assert len(checks) == 6, checks\n"
+        "assert all(v['ok'] for v in checks.values()), checks\n"
+        "assert checks['csv_matches_records']['value'] == 4, checks\n"
+        "assert len(list((directory / 'out').glob('snapshot_*.gnwv'))) == 3\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe, str(tmp_path)],
         capture_output=True,
         text=True,
         cwd=bench,

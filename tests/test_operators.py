@@ -602,7 +602,7 @@ class TestInversion:
                         old + operators._SCORE_WEIGHT * (direct - old)
                     )
             calls.clear()
-            history.record(e0, step, size, 1.0)
+            history.record(e0, step, size, 1.0, history.usable(e0.shape, step, size, 1.0))
             assert len(calls) == len(kept) + 1
             kept = [(e0, step, size)] + kept[:3]
             assert [(s, d) for _, s, d, _ in history.errors] == [k[1:] for k in kept]

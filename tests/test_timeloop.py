@@ -355,7 +355,7 @@ class TestStageSolves:
         (RK4 1; SSP-RK3 −1, 2, −1/2).  So RK4's third stage engages from
         step 4, and every other stage from step 5.
         """
-        from gnwave import models
+        from gnwave import models, operators
         from gnwave.operators import EllipticSolveConfig, SolverSession, apply_frakT
 
         grid = PeriodicGrid((32, 32), (2 * np.pi, 2 * np.pi))
@@ -371,15 +371,16 @@ class TestStageSolves:
             return out
 
         engaged = {}
-        stage_guess = SolverSession._stage_guess
+        initial_guess = SolverSession.initial_guess
 
         def watched(session, shape):
-            guess = stage_guess(session, shape)
-            engaged[session.stage] = guess is not None
+            guess = initial_guess(session, shape)
+            if guess is not None:  # the pending entry ends with the usable count
+                engaged[session.stage] = session._pending[-1] >= operators._ENGAGE
             return guess
 
         monkeypatch.setattr(models, "invert_frakT", checked)
-        monkeypatch.setattr(SolverSession, "_stage_guess", watched)
+        monkeypatch.setattr(SolverSession, "initial_guess", watched)
         zeta = 0.1 * np.exp(-2.0 * sum((c - np.pi) ** 2 for c in grid.coords))
         dt = 0.08
         state = FluidState(
@@ -406,8 +407,8 @@ class TestStageSolves:
     def test_stage_guess_cuts_soliton_iterations(self, monkeypatch):
         """On the soliton, from step 6 on, the per-stage guess needs at most 60%
         of the CG iterations that the guess over stage times alone needs."""
-        from gnwave import models
-        from gnwave.operators import EllipticSolveConfig, SolverSession
+        from gnwave import models, operators
+        from gnwave.operators import EllipticSolveConfig
         from gnwave.solitary import solitary_wave_state
 
         grid = PeriodicGrid((256,), (50.0,))
@@ -434,9 +435,41 @@ class TestStageSolves:
             return np.mean(iterations[4 * 5 :])
 
         per_stage = late_mean()
-        monkeypatch.setattr(SolverSession, "_stage_guess", lambda session, shape: None)
+        # no history reaches more usable errors than it keeps
+        monkeypatch.setattr(operators, "_ENGAGE", len(operators._EXTRAPOLATIONS) + 1)
         in_time = late_mean()
         assert per_stage <= 0.6 * in_time
+
+    def test_stage_solve_counts_its_usable_errors_once(self, monkeypatch):
+        """Each gn_v stage solve that finds an earlier solution counts its
+        stage's usable errors once, and that count both chooses the guess and
+        scores the candidates."""
+        from gnwave import models
+        from gnwave.operators import _StageErrors
+        from gnwave.solitary import solitary_wave_state
+
+        grid = PeriodicGrid((64,), (50.0,))
+        params = ModelParams(epsilon=1.0, mu=1.0)
+        bath = BathymetryState.flat(grid)
+        state = solitary_wave_state(grid, 0.2, params)
+        dt = cfl_time_step(state, params, bath) / 4.0
+        icfg = IntegrationConfig(dt=dt, t_end=8 * dt, diag_stride=10**6)
+        solve, usable = models.invert_frakT, _StageErrors.usable
+        solves, counts = [], []
+
+        def counted_solve(*args, **kwargs):
+            solves.append(1)
+            return solve(*args, **kwargs)
+
+        def counted_usable(*args, **kwargs):
+            counts.append(1)
+            return usable(*args, **kwargs)
+
+        monkeypatch.setattr(models, "invert_frakT", counted_solve)
+        monkeypatch.setattr(_StageErrors, "usable", counted_usable)
+        run(state, params, bath, icfg, diag_order=0)
+        assert len(solves) == 4 * 8
+        assert len(counts) == len(solves) - 1  # the first solve finds no earlier solution
 
 
 class TestShallowWaterReference:

@@ -429,18 +429,10 @@ def gaussian_problem(eps=0.3, mu=0.7, width=3.0, n=64, t_end=2.0, dt=0.01):
 
 
 class TestConvergence:
-    def test_argument_exclusivity(self):
-        """Exactly one refinement axis must be chosen."""
-        prob = gaussian_problem()
-        with pytest.raises(ValidationError, match="exactly one"):
-            verify.convergence_study(prob)
-        with pytest.raises(ValidationError, match="exactly one"):
-            verify.convergence_study(prob, dt_values=[0.1], resolutions=[32])
-
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_fourth_order_in_dt(self):
         """Halving dt cuts the self-convergence error about sixteenfold."""
-        rep = verify.convergence_study(gaussian_problem(width=8.0), dt_values=[0.08, 0.04, 0.02])
+        rep = verify.dt_convergence(gaussian_problem(width=8.0), [0.08, 0.04, 0.02])
         assert rep.passed
         ratios = [rep.residuals[i] / rep.residuals[i + 1] for i in range(2)]
         assert all(11.2 <= r <= 20.8 for r in ratios)
@@ -448,8 +440,8 @@ class TestConvergence:
 
     def test_spectral_in_resolution(self):
         """Doubling the resolution cuts the error by far more than 100×."""
-        rep = verify.convergence_study(
-            gaussian_problem(eps=0.1, width=2.0, t_end=1.0), resolutions=[16, 32, 64]
+        rep = verify.resolution_convergence(
+            gaussian_problem(eps=0.1, width=2.0, t_end=1.0), [16, 32, 64]
         )
         assert rep.passed
         assert rep.residuals[0] / rep.residuals[1] > 100.0
