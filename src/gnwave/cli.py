@@ -43,7 +43,7 @@ from .io import (
     build_bathymetry,
     build_initial_state,
     load_config,
-    read_snapshot_with_header,
+    read_snapshot_with_params,
     save_config,
 )
 from .models import FluidState, ModelParams, VariableKind, u_from_v
@@ -362,15 +362,12 @@ def _cmd_dispersion(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _supplied_case(path: str) -> tuple[_Case, tuple[int, ...]]:
-    header, state = read_snapshot_with_header(path)
-    if header.beta != 0.0:
+    params, state = read_snapshot_with_params(path)
+    if params.beta != 0.0:
         raise ValidationError(
             "equivalence checks on stored states support flat bottoms only "
-            f"(snapshot has beta = {header.beta})"
+            f"(snapshot has beta = {params.beta})"
         )
-    params = ModelParams(
-        epsilon=header.epsilon, beta=0.0, mu=header.mu, formulation=header.formulation
-    )
     bath = BathymetryState.flat(state.grid)
     if state.kind is VariableKind.V_VARIABLE:
         state = u_from_v(state, params, bath)

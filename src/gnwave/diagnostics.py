@@ -253,7 +253,7 @@ def energy_appendixA(
     if depth.beta_grad_b is None:
         g_a = np.zeros(grid.shape)
     else:
-        g_a = np.einsum("i...,i...->...", depth.beta_grad_b, u_a)
+        g_a = grid.contract(depth.beta_grad_b, u_a)
     mass_defect = dt_zeta + grid.divergence(h * u)
     g_val = 0.5 * (
         grid.integrate(div_u * zeta_a**2)

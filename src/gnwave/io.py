@@ -11,14 +11,18 @@ band, a bump's center and width, the solitary wave's constraints, beta > 0
 under a varying bottom) is checked in :func:`load_config`.
 
 Snapshots are a small self-describing binary format (magic ``GNWV1``,
-little-endian header, raw float64 payload). Diagnostics go to CSV with 17
-significant digits so every double round-trips exactly.
+little-endian header, raw float64 payload) that reads back as the validated
+:class:`ModelParams` and :class:`FluidState` it was written from; the stored
+formulation decides whether the velocity is u or v. Diagnostics go to CSV with
+17 significant digits so every double round-trips exactly. :class:`FileSinks`
+replaces the CSV and the numbered snapshots a previous run left.
 """
 from __future__ import annotations
 
 import configparser
 import dataclasses
 import math
+import re
 import struct
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TextIO, get_type_hints
@@ -28,7 +32,7 @@ import numpy as np
 from .diagnostics import DiagnosticsRecord
 from .errors import ParseError, SnapshotFormatError, ValidationError
 from .grid import PeriodicGrid, ScalarField, VectorField
-from .models import FluidState, Formulation, ModelParams, _kind_for
+from .models import FluidState, Formulation, ModelParams, _require_kind
 from .operators import BathymetryState, EllipticSolveConfig
 from .regularization import _PROFILES, MollifierSpec
 from .solitary import solitary_wave_state
@@ -42,14 +46,13 @@ __all__ = [
     "InitialSpec",
     "OutputSpec",
     "RunConfig",
-    "SnapshotHeader",
     "append_diagnostics",
     "build_bathymetry",
     "build_initial_state",
     "load_config",
     "read_diagnostics",
     "read_snapshot",
-    "read_snapshot_with_header",
+    "read_snapshot_with_params",
     "save_config",
     "write_snapshot",
 ]
@@ -163,6 +166,15 @@ class RunConfig:
     initial: InitialSpec = dataclasses.field(default_factory=InitialSpec)
     bathymetry: BathymetrySpec = dataclasses.field(default_factory=BathymetrySpec)
     output: OutputSpec = dataclasses.field(default_factory=OutputSpec)
+
+    def __post_init__(self) -> None:
+        if self.initial.kind == "file" and _replaced_by_sinks(
+            Path(self.initial.path).resolve(), Path(self.output.directory).resolve()
+        ):
+            raise ValidationError(
+                f"initial snapshot {self.initial.path!r} is one of the files a run into "
+                f"{self.output.directory!r} replaces; restart from a copy outside it"
+            )
 
 
 # ------------------------------------------------------------------- ini layer
@@ -685,14 +697,14 @@ def build_initial_state(cfg: RunConfig) -> FluidState:
     if spec.kind == "solitary_wave":
         return solitary_wave_state(grid, spec.amplitude, cfg.params, kind=kind)
     # file
-    header, state = read_snapshot_with_header(spec.path)
-    _require_snapshot_grid(header, grid)
+    stored_params, state = read_snapshot_with_params(spec.path)
+    _require_snapshot_grid(state.grid, grid)
     if state.kind is not kind:
         raise ValidationError(
             f"snapshot {spec.path!r} stores the {state.kind.value}-variable, the "
             f"configured formulation needs the {kind.value}-variable"
         )
-    stored = (header.epsilon, header.beta, header.mu)
+    stored = (stored_params.epsilon, stored_params.beta, stored_params.mu)
     wanted = (cfg.params.epsilon, cfg.params.beta, cfg.params.mu)
     if stored != wanted:
         raise ValidationError(
@@ -703,19 +715,6 @@ def build_initial_state(cfg: RunConfig) -> FluidState:
 
 
 # ------------------------------------------------------------------ snapshots
-
-
-@dataclasses.dataclass(frozen=True)
-class SnapshotHeader:
-    """Self-describing metadata stored ahead of the snapshot payload."""
-
-    shape: tuple[int, ...]
-    lengths: tuple[float, ...]
-    epsilon: float
-    beta: float
-    mu: float
-    formulation: Formulation
-    time: float
 
 
 def _header_format(dim: int) -> str:
@@ -730,8 +729,10 @@ def write_snapshot(state: FluidState, params: ModelParams, path: str | Path) -> 
     point counts as u32, per-axis box lengths as f64, ε/β/μ as f64, the
     formulation name as 8 NUL-padded ASCII bytes, time as f64); payload of
     row-major float64 fields, surface elevation first, then the velocity
-    components in axis order.
+    components in axis order. A state whose variable kind is not the one the
+    formulation evolves is refused: it would read back as the other kind.
     """
+    _require_kind(state, params.expected_kind, f"a {params.formulation.value} snapshot")
     grid = state.grid
     header = SNAPSHOT_MAGIC + struct.pack(
         _header_format(grid.dim),
@@ -763,9 +764,10 @@ def _unpack_header(raw: bytes, path: Path, fmt: str) -> tuple[tuple, int]:
     return struct.unpack_from(fmt, raw, len(SNAPSHOT_MAGIC)), end
 
 
-def read_snapshot_with_header(path: str | Path) -> tuple[SnapshotHeader, FluidState]:
-    """A GNWV1 snapshot's self-describing header and its state, from one read
-    that validates the whole file."""
+def read_snapshot_with_params(path: str | Path) -> tuple[ModelParams, FluidState]:
+    """A GNWV1 snapshot's model parameters and its state, from one read that
+    validates the whole file: :class:`PeriodicGrid` and :class:`ModelParams`
+    refuse a bad header, and the stored formulation decides the state's kind."""
     path = Path(path)
     raw = path.read_bytes()
     if raw[: len(SNAPSHOT_MAGIC)] != SNAPSHOT_MAGIC:
@@ -783,17 +785,11 @@ def read_snapshot_with_header(path: str | Path) -> tuple[SnapshotHeader, FluidSt
         raise SnapshotFormatError(
             f"snapshot {str(path)!r} names an unknown formulation {form_raw!r}"
         ) from exc
-    header = SnapshotHeader(
-        shape=tuple(int(n) for n in values[1 : 1 + dim]),
-        lengths=tuple(float(ell) for ell in values[1 + dim : 1 + 2 * dim]),
-        epsilon=float(epsilon),
-        beta=float(beta),
-        mu=float(mu),
-        formulation=formulation,
-        time=float(time),
-    )
     try:
-        grid = PeriodicGrid(header.shape, header.lengths)
+        grid = PeriodicGrid(values[1 : 1 + dim], values[1 + dim : 1 + 2 * dim])
+        params = ModelParams(epsilon, beta, mu, formulation)
+        if not math.isfinite(time):
+            raise ValidationError(f"time must be finite, got {time}")
     except ValidationError as exc:
         raise SnapshotFormatError(f"snapshot {str(path)!r} header invalid: {exc}") from exc
     count = (1 + dim) * grid.size
@@ -807,18 +803,15 @@ def read_snapshot_with_header(path: str | Path) -> tuple[SnapshotHeader, FluidSt
     data = np.frombuffer(raw, dtype="<f8", offset=offset, count=count)
     data = data.reshape((1 + dim, *grid.shape)).astype(float)
     state = FluidState(
-        ScalarField(grid, data[0]),
-        VectorField(grid, data[1:]),
-        _kind_for(formulation),
-        time=header.time,
+        ScalarField(grid, data[0]), VectorField(grid, data[1:]), params.expected_kind, time
     )
-    return header, state
+    return params, state
 
 
-def _require_snapshot_grid(header: SnapshotHeader, expected: PeriodicGrid) -> None:
-    if header.shape != expected.shape or header.lengths != expected.lengths:
+def _require_snapshot_grid(grid: PeriodicGrid, expected: PeriodicGrid) -> None:
+    if not grid.compatible(expected):
         raise SnapshotFormatError(
-            f"snapshot resolution {header.shape} on box {header.lengths} does not "
+            f"snapshot resolution {grid.shape} on box {grid.lengths} does not "
             f"match the expected grid {expected.shape} on {expected.lengths}"
         )
 
@@ -829,9 +822,9 @@ def read_snapshot(path: str | Path, expected_grid: PeriodicGrid | None = None) -
     ``expected_grid`` rejects cross-resolution reads. The variable kind is
     recovered from the stored formulation name.
     """
-    header, state = read_snapshot_with_header(path)
+    _params, state = read_snapshot_with_params(path)
     if expected_grid is not None:
-        _require_snapshot_grid(header, expected_grid)
+        _require_snapshot_grid(state.grid, expected_grid)
     return state
 
 
@@ -870,6 +863,12 @@ def read_diagnostics(text: str) -> list[dict[str, float]]:
     return rows
 
 
+def _replaced_by_sinks(path: Path, directory: Path) -> bool:
+    """Whether opening :class:`FileSinks` on ``directory`` removes ``path``."""
+    artifact = re.fullmatch(r"diagnostics\.csv|snapshot_[0-9]{6,}\.gnwv", path.name)
+    return path.parent == directory and artifact is not None
+
+
 class FileSinks:
     """Persistence sinks for the time loop: diagnostics CSV plus numbered
     GNWV1 snapshot files under one directory.
@@ -879,7 +878,9 @@ class FileSinks:
     CSV; each record appends one row (:func:`append_diagnostics`).  Sinks
     without a CSV have no ``record`` and sinks without snapshots no
     ``snapshot``, so a run takes no records or builds no snapshot states.
-    One instance owns its files exclusively.
+    One instance owns its files exclusively: opening removes the CSV and the
+    numbered snapshots a previous run left there (:class:`RunConfig` refuses
+    an initial snapshot among them), so what is left is this run's alone.
     """
 
     def __init__(
@@ -890,6 +891,9 @@ class FileSinks:
     ):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        for old in self.directory.iterdir():
+            if _replaced_by_sinks(old, self.directory):
+                old.unlink()
         self._params = params
         self._snapshot_index = 0
         self._stream: TextIO | None = None

@@ -90,14 +90,6 @@ def _member(cls: type[enum.Enum], value, what: str):
         raise ValidationError(f"unknown {what} {value!r}, expected one of {accepted}") from None
 
 
-def _kind_for(formulation: Formulation) -> VariableKind:
-    return (
-        VariableKind.V_VARIABLE
-        if formulation is Formulation.GN_V
-        else VariableKind.U_VARIABLE
-    )
-
-
 @dataclasses.dataclass(frozen=True)
 class ModelParams:
     """Scaling parameters and formulation selector."""
@@ -119,7 +111,10 @@ class ModelParams:
 
     @property
     def expected_kind(self) -> VariableKind:
-        return _kind_for(self.formulation)
+        """The velocity the formulation evolves: v for gn_v, u otherwise."""
+        if self.formulation is Formulation.GN_V:
+            return VariableKind.V_VARIABLE
+        return VariableKind.U_VARIABLE
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -183,7 +178,7 @@ def _advection(grid: PeriodicGrid, u: np.ndarray) -> np.ndarray:
     out = np.empty_like(u)
     for i in range(grid.dim):
         gi = grid.gradient(u[i])
-        out[i] = np.einsum("j...,j...->...", u, gi)
+        out[i] = np.einsum("j...,j...->...", u, gi)  # einsum: no per-axis temporary
     return grid.dealias(out)
 
 

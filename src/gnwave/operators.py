@@ -428,6 +428,7 @@ def _div_and_slope(
     bgb = depth.beta_grad_b
     if bgb is None:
         return d, None
+    # einsum, not grid.contract: no per-axis temporary in this CG-iteration kernel
     return d, grid.dealias(np.einsum("i...,i...->...", bgb, u))
 
 
@@ -695,7 +696,7 @@ def apply_Q(depth: DepthState, u: np.ndarray) -> np.ndarray:
 def _q_inner(grid: PeriodicGrid, u: np.ndarray, d: np.ndarray) -> np.ndarray:
     """(u·∇)d - d², dealiased, for d = P∇·u."""
     grad_d = grid.gradient(d)
-    adv = np.einsum("i...,i...->...", u, grad_d)
+    adv = grid.contract(u, grad_d)
     return grid.dealias(adv - d * d)
 
 
@@ -713,7 +714,7 @@ def apply_Qb(depth: DepthState, u: np.ndarray) -> np.ndarray:
     h2d = depth.h2
     d, g = _div_and_slope(depth, u)
     # β (u·∇)² b = P(u·∇g), built from β∇b so the β powers come out right
-    w2 = grid.dealias(np.einsum("i...,i...->...", u, grid.gradient(g)))
+    w2 = grid.dealias(grid.contract(u, grid.gradient(g)))
     inner = _q_inner(grid, u, d)
     out = 0.5 * grid.dealiased_gradient(h2d * w2) / h
     out -= 0.5 * (grid.dealias(h2d * inner) / h) * bgb

@@ -282,7 +282,7 @@ def check_equivalence_identity(
         f = -eps * g.dealias(g.divergence(g.dealias(h * u_g)))
         comm = (dh_frakT(depth, f, u_g, 1.0) - g.dealias(f * u_g) - g.dealias(f * Tu)) / h
         w = good_unknown_w(depth, u_g)
-        u_dot_Tu = g.dealias(np.einsum("i...,i...->...", u_g, Tu))
+        u_dot_Tu = g.dealias(g.contract(u_g, Tu))
         lhs = comm + eps * g.gradient(g.dealias(u_dot_Tu - 0.5 * g.dealias(w * w)))
         if g.dim == 2:
             lhs = lhs + eps * g.dealias(g.curl(Tu) * g.perp(u_g))
@@ -339,10 +339,11 @@ def _variational_gradients(
     uu, _, _ = invert_frakT(depth, depth.h * v, params.mu, cfg)
     w = good_unknown_w(depth, uu)
     grad_v = depth.h * uu
+    contract = depth.grid.contract
     grad_z = (
         zeta
-        + params.epsilon * np.einsum("i...,i...->...", uu, v)
-        - 0.5 * params.epsilon * np.einsum("i...,i...->...", uu, uu)
+        + params.epsilon * contract(uu, v)
+        - 0.5 * params.epsilon * contract(uu, uu)
         - 0.5 * params.epsilon * params.mu * w * w
     )
     return grad_z, grad_v

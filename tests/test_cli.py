@@ -191,6 +191,29 @@ class TestRun:
         assert rows[0]["mass"] == 0.0
         assert rows[0]["min_depth"] == 1.0
 
+    def test_restart_from_own_output_refused(self, tmp_path, capsys):
+        """A restart from one of the snapshots a run into the same directory
+        would replace is refused before anything is removed, however the path
+        is spelled; a restart from a copy outside it runs."""
+        cfg = write_config(tmp_path, "\n[initial]\ntype = gaussian\namplitude = 0.05\nwidth = 0.8\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--output", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert "snapshot_000002.gnwv" in before
+        capsys.readouterr()
+        restart = tmp_path / "restart.ini"
+        restart.write_text(BASE + "\n[initial]\ntype = file\npath = x.gnwv\n")
+        argv = ["run", "--config", str(restart), "--set", "output.snapshot_stride=0"]
+        argv += ["--output", str(out)]
+        source = out / ".." / "out" / "snapshot_000002.gnwv"
+        assert main([*argv, "--set", f"initial.path={source}"]) == 1
+        assert "is one of the files a run into" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        copy = tmp_path / "restart.gnwv"
+        copy.write_bytes(before["snapshot_000002.gnwv"])
+        assert main([*argv, "--set", f"initial.path={copy}"]) == 0
+        assert not list(out.glob("snapshot_*.gnwv"))
+
     def test_depth_collapse_exits_two(self, tmp_path, capsys):
         """A surface that empties the water column is a runtime failure."""
         cfg = write_config(

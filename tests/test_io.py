@@ -2,6 +2,7 @@
 import dataclasses
 import io as stdio
 import os
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from gnwave.io import (
     load_config,
     read_diagnostics,
     read_snapshot,
-    read_snapshot_with_header,
+    read_snapshot_with_params,
     save_config,
     write_snapshot,
 )
@@ -441,7 +442,32 @@ SNAPSHOT_REFUSALS = {
         (17).to_bytes(4, "little"),
         "header invalid: points per axis must be even and >= 8, got 17",
     ),
+    "negative_mu": (
+        37, struct.pack("<d", -1.0), "header invalid: mu must be a finite real >= 0, got -1.0"
+    ),
+    "nan_epsilon": (
+        21,
+        struct.pack("<d", float("nan")),
+        "header invalid: epsilon must be a finite real >= 0, got nan",
+    ),
+    "hydrostatic_with_mu": (
+        45, b"sv\0\0\0\0\0\0", "header invalid: the hydrostatic variant requires mu = 0"
+    ),
+    "nan_time": (
+        53, struct.pack("<d", float("nan")), "header invalid: time must be finite, got nan"
+    ),
 }
+
+
+def patched_snapshot(path: Path, case: str) -> str:
+    """A 1-D gn_v rest snapshot at ``path`` with the bytes of refusal ``case``
+    written over it; returns the refusal's message."""
+    offset, patch, message = SNAPSHOT_REFUSALS[case]
+    write_snapshot(FluidState.rest(PeriodicGrid((16,), (2.0 * np.pi,))), ModelParams(), path)
+    raw = bytearray(path.read_bytes())
+    raw[offset : offset + len(patch)] = patch
+    path.write_bytes(bytes(raw))
+    return message
 
 
 class TestDocumentedRefusals:
@@ -456,12 +482,7 @@ class TestDocumentedRefusals:
         if case in CONFIG_REFUSALS:
             overrides, message = CONFIG_REFUSALS[case]
         else:
-            offset, patch, message = SNAPSHOT_REFUSALS[case]
-            grid = PeriodicGrid((16,), (2.0 * np.pi,))
-            write_snapshot(FluidState.rest(grid), ModelParams(), "state.gnwv")
-            raw = bytearray(Path("state.gnwv").read_bytes())
-            raw[offset : offset + len(patch)] = patch
-            Path("state.gnwv").write_bytes(bytes(raw))
+            message = patched_snapshot(Path("state.gnwv"), case)
             overrides = ["initial.type=file", "initial.path=state.gnwv"]
         argv = ["info", "--config", "run.ini"]
         for item in overrides:
@@ -542,6 +563,14 @@ class TestSnapshots:
         write_snapshot(state, params, path)
         assert read_snapshot(path).kind is VariableKind.U_VARIABLE
 
+    @pytest.mark.parametrize("case", SNAPSHOT_REFUSALS)
+    def test_header_refusals(self, case, tmp_path):
+        """Each documented header refusal is a snapshot format error."""
+        message = patched_snapshot(tmp_path / "state.gnwv", case)
+        with pytest.raises(SnapshotFormatError) as info:
+            read_snapshot(tmp_path / "state.gnwv")
+        assert message in str(info.value)
+
     def test_truncated_payload_rejected(self, tmp_path):
         """A payload shorter than the header promises is a length error."""
         grid = PeriodicGrid((16,), (7.0,))
@@ -577,17 +606,29 @@ class TestSnapshots:
             read_snapshot(path, expected_grid=other)
 
     def test_header_reader(self, tmp_path):
-        """The header that comes with the state exposes the stored metadata."""
+        """A snapshot reads back as the params and the state's grid and time
+        it was written from."""
         grid = PeriodicGrid((16, 12), (6.0, 5.0))
         params = ModelParams(epsilon=0.25, beta=0.0, mu=1.5, formulation=Formulation.BP)
         path = tmp_path / "state.gnwv"
         write_snapshot(random_state(grid, kind=VariableKind.U_VARIABLE), params, path)
-        header, _state = read_snapshot_with_header(path)
-        assert header.shape == (16, 12)
-        assert header.lengths == (6.0, 5.0)
-        assert (header.epsilon, header.beta, header.mu) == (0.25, 0.0, 1.5)
-        assert header.formulation is Formulation.BP
-        assert header.time == 0.625
+        stored, state = read_snapshot_with_params(path)
+        assert stored == params
+        assert state.grid.compatible(grid)
+        assert state.time == 0.625
+
+    @pytest.mark.parametrize(
+        "formulation, kind",
+        [(Formulation.GN_V, VariableKind.U_VARIABLE), (Formulation.GN_U, VariableKind.V_VARIABLE)],
+    )
+    def test_writer_refuses_the_other_kind(self, formulation, kind, tmp_path):
+        """A state of the variable kind the formulation does not evolve is not
+        written: it would read back as the other kind."""
+        path = tmp_path / "state.gnwv"
+        state = random_state(PeriodicGrid((16,), (7.0,)), kind=kind)
+        with pytest.raises(ValidationError, match=f"got the {kind.value}-variable state"):
+            write_snapshot(state, ModelParams(formulation=formulation), path)
+        assert not path.exists()
 
 
 def make_record(time: float = 0.1) -> DiagnosticsRecord:
@@ -831,6 +872,35 @@ class TestFileSinks:
         assert first.time == 0.0
         assert last.time == pytest.approx(0.1)
         assert (tmp_path / "diagnostics.csv").exists()
+
+    def test_rerun_replaces_artifacts(self, tmp_path):
+        """A rerun into the same directory leaves only its own artifacts: a
+        shorter run its own snapshots, a run without csv no CSV, and files
+        the sinks never write stay."""
+        cfg = load_config(
+            MINIMAL
+            + "\n[model]\nepsilon = 0.1\nmu = 0.5\n"
+            + "\n[initial]\ntype = fourier_modes\nzeta = 1 0.01 0.0\n"
+            + "\n[output]\nsnapshot_stride = 2\n"
+        )
+
+        def run_to(t_end, formats):
+            icfg = dataclasses.replace(cfg.integration, t_end=t_end)
+            state, bath = build_initial_state(cfg), build_bathymetry(cfg)
+            with FileSinks(tmp_path, cfg.params, formats) as sinks:
+                return run(state, cfg.params, bath, icfg, cfg.elliptic, sinks=sinks)
+
+        run_to(0.1, ("csv", "snapshot"))
+        assert len(list(tmp_path.glob("snapshot_*.gnwv"))) == 6
+        kept = [tmp_path / "snapshot_final.gnwv", tmp_path / "notes.csv"]
+        for path in kept:
+            path.write_text("")
+        report = run_to(0.04, ("snapshot",))
+        snaps = sorted(tmp_path.glob("snapshot_[0-9]*.gnwv"))
+        assert [p.name for p in snaps] == [f"snapshot_{i:06d}.gnwv" for i in range(3)]
+        assert read_snapshot(snaps[-1]).time == report.final_state.time
+        assert not (tmp_path / "diagnostics.csv").exists()
+        assert all(path.exists() for path in kept)
 
     def test_sinks_without_csv_take_no_records(self, tmp_path, monkeypatch):
         """Sinks that write no CSV offer no record sink, so the run computes
