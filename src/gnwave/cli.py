@@ -205,6 +205,15 @@ def _agreement_checks(case: _Case, grids: tuple[int, ...]) -> list[verify.Residu
 # --------------------------------------------------------------- subcommands
 
 
+def _planned_run(cfg: RunConfig) -> tuple[BathymetryState, FluidState, float, int]:
+    """Bottom, initial state, advisory step and step count of a configured run;
+    refuses what ``run`` refuses at its start (depth ≤ 0, too many steps)."""
+    bath = build_bathymetry(cfg)
+    state = build_initial_state(cfg)
+    advisory = cfl_time_step(state, cfg.params, bath)
+    return bath, state, advisory, len(step_schedule(cfg.integration, state.time))
+
+
 def _cmd_run(args: argparse.Namespace, out: TextIO) -> int:
     cfg = _read_config(args)
     _check_order(cfg.grid, DEFAULT_ORDER)  # refused before the sinks write anything
@@ -214,8 +223,7 @@ def _cmd_run(args: argparse.Namespace, out: TextIO) -> int:
         f"t_end {cfg.integration.t_end}",
         file=out,
     )
-    bath = build_bathymetry(cfg)
-    state = build_initial_state(cfg)
+    bath, state, _, _ = _planned_run(cfg)  # refused before the sinks clear the directory
     with FileSinks(cfg.output.directory, cfg.params, cfg.output.formats) as sinks:
         report = run(state, cfg.params, bath, cfg.integration, cfg.elliptic, sinks=sinks)
     print(
@@ -371,7 +379,7 @@ def _supplied_case(path: str) -> tuple[_Case, tuple[int, ...]]:
     bath = BathymetryState.flat(state.grid)
     if state.kind is VariableKind.V_VARIABLE:
         state = u_from_v(state, params, bath)
-    n = min(state.grid.shape)
+    n = state.grid.shape[0]  # the ladder refuses unequal axes
     # the coarsest rung n/4 must itself be an even grid size
     if n % 8 != 0 or n < 32:
         raise ValidationError(
@@ -406,10 +414,7 @@ def _cmd_info(args: argparse.Namespace, out: TextIO) -> int:
         f"{tuple(round(s, 8) for s in grid.spacings)}, retained modes |m_i| <= {grid.band}",
         file=out,
     )
-    bath = build_bathymetry(cfg)
-    state = build_initial_state(cfg)
-    advisory = cfl_time_step(state, cfg.params, bath)
-    steps = len(step_schedule(cfg.integration, state.time))
+    _, state, advisory, steps = _planned_run(cfg)
     print(
         f"initial state: {cfg.initial.kind}, starts at t = {state.time}, "
         f"max |fields| = {state.max_abs():.6g}",

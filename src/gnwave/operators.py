@@ -23,11 +23,8 @@ for arbitrary fields and the quadratic form is a sum of squares::
     ⟨𝔗u, u⟩ = ∫ h|u|² + μ/12 h³ d² + μ/4 h (h d - 2 g)²,
 
 which gives coercivity with constant ``h_min`` whenever the depth stays
-above ``h_min > 0``. The inversion is a preconditioned conjugate-gradient
-iteration on that form.  The preconditioner is the exact inverse P̄ of 𝔗 at
-the mean depth h̄ over a flat bottom, where scaling it adds iterations, and
-s·P̄(s·r) with s = h̄/h over a bottom (Concus & Golub, 1973), where the
-scaling cuts them (see :func:`_preconditioner`).
+above ``h_min > 0``. The inversion is a conjugate-gradient iteration on
+that form, preconditioned by the flat-state inverse (:func:`_preconditioner`).
 
 Everything here works on plain numpy arrays: a velocity is stacked as
 ``(dim, *shape)``, a scalar has the grid shape, and each operator returns a
@@ -347,9 +344,9 @@ _SCORE_TERMS = tuple(
 # The stage guess engages with this many usable errors, and takes the
 # extrapolation through all of them, the quadratic, until a candidate is scored.
 _ENGAGE = 3
-# Weight of the newest value in a candidate's running score.  Stage CG
-# iterations of soliton_1d (2000 steps): 7220 (seed 7) and 7279 (seed 11) at
-# 1/2, 6608 and 6769 at 1/5; on hump_2d both give 191 (seed 7) and 192 (seed 11).
+# Weight of the newest value in a candidate's running score: of ½ and ⅕, the
+# one that gave fewer stage iterations on soliton_1d and as few on hump_2d
+# (CHANGES.md has the counts, BENCH_stage_adaptive_order.json the runs).
 _SCORE_WEIGHT = 0.2
 # Flat-state inverses a bottom keeps: a run sees 2 or 3 distinct h̄.
 _FLAT_INVERSES_KEPT = 4
@@ -540,14 +537,14 @@ def _preconditioner(
     depth: DepthState, mu: float
 ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray | None]]:
     """CG's preconditioner for 𝔗[h, βb]: the flat inverse P̄ at the mean depth
-    h̄ over a flat bottom, and over a bottom r ↦ s·P̄(s·r) with s = h̄/h.
-    The bottom supplies P̄ from the ones it keeps
+    h̄ over a flat bottom, and over a bottom r ↦ s·P̄(s·r) with s = h̄/h
+    (Concus & Golub, 1973).  The bottom supplies P̄ from the ones it keeps
     (:attr:`BathymetryState.flat_inverse`).
 
     Both maps are symmetric positive definite.  The scaled one returns no
     spectrum, so CG's matvec transforms the search direction itself.  The
     scaling cuts iterations over a bottom and costs some over a flat one, so
-    it is kept for a bottom only (README gives the counts).
+    it is kept for a bottom only (counts: BENCH_bottom_preconditioner.json).
     """
     flat = depth.bath.flat_inverse(depth.mean_depth, mu)
     if depth.beta_grad_b is None:

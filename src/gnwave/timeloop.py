@@ -3,18 +3,11 @@
 The integrator is classical RK4 (or SSP-RK3) applied to the selected model
 tendency, with one elliptic solve per stage.  The stepper tells its solver
 session each stage's index, the step number, the tableau's offset c of the
-stage (0, ½, ½, 1 for RK4; 0, 1, ½ for SSP-RK3) and dt; the stage time
-t + c·dt is formed only for the guards' messages.  A stage's warm start is
-the in-step guess, the linear extrapolation over stage offsets of the
-latest two stage solutions, corrected by an extrapolation of the error that
-guess made at the same stage of the previous steps.  Each stage picks that
-extrapolation, of degree 0 to 3, by how well each would have predicted its
-own recent errors.  The correction needs the three previous steps, at the
-current dt, so the first steps and a step of another size, such as a
-shorter final step, take the in-step guess alone (see
-:class:`~gnwave.operators.SolverSession`).  The session holds warm starts
-only: CG's flat inverses P̄ belong to the bottom, so the stage solves and
-the records, each solved in a fresh session, share the few a run builds.
+stage (0, ½, ½, 1 for RK4; 0, 1, ½ for SSP-RK3) and dt, from which the
+session builds the stage's warm start (:class:`~gnwave.operators.SolverSession`);
+the stage time t + c·dt is formed only for the guards' messages.  CG's flat
+inverses P̄ belong to the bottom, so the stage solves and the records, each
+solved in a fresh session, share the few a run builds.
 
 The dispersive operator has an order-zero inverse, so explicit stepping is
 not stiffness-limited; a CFL advisory based on the gravity-wave speed
@@ -267,11 +260,8 @@ class _Stepper:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Tendency at a stage at time ``t``; ``stage`` is (index, step,
         offset, dt), the session's :attr:`~gnwave.operators.SolverSession.stage`.
-
-        The input of stage 0 is the state the step starts from, which the
-        previous step (or, for step 1, :func:`run`) has checked; later stage
-        inputs are checked here.  The stage's water column is built once: the
-        depth guard reads its minimum and the tendency takes it."""
+        Checks the input of every stage but the first and guards the stage's
+        depth, as the module docstring says."""
         if stage[0]:
             self.check_fields(zeta, vel, t)
         depth = make_depth(self.params, zeta, self.bath)
@@ -326,9 +316,12 @@ def _dealias_pair(
 def step_schedule(icfg: IntegrationConfig, t0: float) -> list[tuple[float, float]]:
     """The ``(dt, t_next)`` of each step a run from ``t0`` takes: the full
     steps, then a shorter final one unless the span is a whole number of
-    steps up to round-off."""
+    steps up to round-off.  A span of more steps than a float counts is refused."""
     span = icfg.t_end - t0
-    n_full = max(0, int(math.floor(span / icfg.dt * (1.0 + 1e-12))))
+    count = span / icfg.dt * (1.0 + 1e-12)
+    if not math.isfinite(count):
+        raise ValidationError(f"t_end - t0 = {span!r} holds no finite count of dt = {icfg.dt!r}")
+    n_full = max(0, int(math.floor(count)))
     steps = [(icfg.dt, t0 + k * icfg.dt) for k in range(1, n_full + 1)]
     remainder = span - n_full * icfg.dt
     if remainder > 1e-9 * icfg.dt:

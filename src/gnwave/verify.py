@@ -238,12 +238,23 @@ def restrict_to_grid(data: np.ndarray, fine: PeriodicGrid, coarse: PeriodicGrid)
 # ---------------------------------------------------------------------------
 
 
+def _require_square(study: str, owner: str, grid: PeriodicGrid) -> None:
+    """Ladders run square grids: on a grid whose axes differ, a rung would
+    drop modes of the longer axis or study another grid."""
+    if len(set(grid.shape)) > 1:
+        raise ValidationError(
+            f"{study} runs square grids, but the {owner} "
+            f"shape = {' '.join(map(str, grid.shape))} has unequal axes"
+        )
+
+
 def _ladder(
     zeta: ScalarField, vel: VectorField, bath: BathymetryState, resolutions: Sequence[int]
 ):
     """``(grid, ζ, vel, bath)`` per rung of a refinement ladder: the inputs of
     the finest grid, restricted spectrally to each size."""
     fine = zeta.grid
+    _require_square("an identity ladder", "state's", fine)
     arrays = (zeta.data, vel.data, bath.b.data)
     for n in resolutions:
         g = PeriodicGrid((int(n),) * fine.dim, fine.lengths)
@@ -672,13 +683,8 @@ class ConvergenceProblem:
 
 
 def check_resolution_study(problem: ConvergenceProblem) -> None:
-    """Refuse a resolution study of a grid whose axes differ: its rungs have
-    the same points on every axis, so they would study another grid."""
-    if len(set(problem.grid.shape)) > 1:
-        raise ValidationError(
-            "a resolution study runs square grids, but the configured "
-            f"shape = {' '.join(map(str, problem.grid.shape))} has unequal axes"
-        )
+    """Refuse a resolution study of a grid whose axes differ."""
+    _require_square("a resolution study", "configured", problem.grid)
 
 
 def _final_run(
@@ -721,8 +727,7 @@ def resolution_convergence(
     cfg: EllipticSolveConfig | None = None,
 ) -> ResidualReport:
     """Self-convergence in spatial resolution: each run against one at twice
-    the largest size, restricted spectrally.  Rungs are square, so a grid
-    whose axes differ is refused.  Spatial errors fall spectrally."""
+    the largest size, restricted spectrally.  Spatial errors fall spectrally."""
     check_resolution_study(problem)
     sizes = sorted(int(n) for n in resolutions)
     fine_grid = PeriodicGrid((2 * sizes[-1],) * problem.grid.dim, problem.grid.lengths)

@@ -214,6 +214,28 @@ class TestRun:
         assert main([*argv, "--set", f"initial.path={copy}"]) == 0
         assert not list(out.glob("snapshot_*.gnwv"))
 
+    @pytest.mark.parametrize(
+        "override, code, message",
+        [
+            ("initial.amplitude=-15.0", 2, "depth must stay positive"),
+            ("integration.dt=1e-310", 1, "holds no finite count of dt"),
+        ],
+    )
+    def test_refused_rerun_keeps_previous_artifacts(
+        self, override, code, message, tmp_path, capsys
+    ):
+        """A rerun refused for its initial depth or its step count exits
+        before the sinks open: the good run's files stay byte-identical."""
+        cfg = write_config(tmp_path, "\n[initial]\ntype = gaussian\namplitude = 0.05\nwidth = 0.8\n")
+        argv = ["run", "--config", str(cfg), "--output", str(tmp_path / "out")]
+        assert main(argv) == 0
+        before = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+        assert "diagnostics.csv" in before and "snapshot_000002.gnwv" in before
+        capsys.readouterr()
+        assert main([*argv, "--set", override]) == code
+        assert message in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()} == before
+
     def test_depth_collapse_exits_two(self, tmp_path, capsys):
         """A surface that empties the water column is a runtime failure."""
         cfg = write_config(
@@ -310,6 +332,20 @@ class TestRefusals:
             1,
             "err",
             "[elliptic] *: rel_tolerance must lie in [1e-14, 1e-6], got 1e-15",
+        ),
+        "info_step_count_overflows": (
+            ["info", "--config", "{cfg}", "--set", "integration.dt=1e-310"],
+            "",
+            1,
+            "err",
+            "t_end - t0 = 0.2 holds no finite count of dt = 1e-310",
+        ),
+        "run_step_count_overflows": (
+            ["run", "--config", "{cfg}", "--output", "out", "--set", "integration.dt=1e-310"],
+            "",
+            1,
+            "err",
+            "t_end - t0 = 0.2 holds no finite count of dt = 1e-310",
         ),
         "run_tolerance_far_below_floor": (
             ["run", "--config", "{cfg}", "--output", "out"],
@@ -488,6 +524,19 @@ class TestEquivalence:
         write_snapshot(state, params, path)
         assert main(["equivalence", "--state", str(path)]) == 1
         assert "multiple of 8" in capsys.readouterr().err
+
+    def test_snapshot_of_unequal_axes_rejected(self, tmp_path, capsys):
+        """Identity ladders run square grids: a (64, 32) state whose x-modes
+        19 and 20 lie beyond the 32-point rungs is refused, not checked in part."""
+        grid = PeriodicGrid((64, 32), (2.0 * np.pi, 2.0 * np.pi))
+        x, y = grid.coords
+        zeta = 0.1 * np.cos(20 * x) + 0.1 * np.cos(y)
+        vel = np.stack([0.1 * np.sin(19 * x), 0.05 * np.cos(2 * y)])
+        state = FluidState(ScalarField(grid, zeta), VectorField(grid, vel), VariableKind.V_VARIABLE)
+        path = tmp_path / "state.gnwv"
+        write_snapshot(state, ModelParams(epsilon=0.3, mu=0.8), path)
+        assert main(["equivalence", "--state", str(path)]) == 1
+        assert "the state's shape = 64 32 has unequal axes" in capsys.readouterr().err
 
     def test_varying_bottom_snapshot_rejected(self, tmp_path, capsys):
         """Stored states with bathymetry are refused with a clear message."""

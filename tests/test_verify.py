@@ -232,6 +232,23 @@ class TestEquivalenceIdentity:
         )
         assert rep.passed
 
+    @pytest.mark.parametrize(
+        "check",
+        [
+            verify.check_equivalence_identity,
+            verify.check_rhs_equivalence,
+            verify.check_variational_structure,
+        ],
+    )
+    def test_unequal_axes_refused(self, check):
+        """Ladders run square grids: on (64, 32) the rungs 8, 16, 32 would leave
+        the x-modes 16 to 21 of the grid's band unchecked, so the state is refused."""
+        g = PeriodicGrid((64, 32), (2 * np.pi, 2 * np.pi))
+        zeta, u, bath = random_inputs(g, beta=0.0)
+        params = ModelParams(epsilon=0.3, mu=0.8)
+        with pytest.raises(ValidationError, match="the state's shape = 64 32 has unequal axes"):
+            check(zeta, u, params, bath, grids=(8, 16, 32))
+
 
 class TestRhsEquivalence:
     def test_rest_state(self):
