@@ -217,13 +217,14 @@ def _planned_run(cfg: RunConfig) -> tuple[BathymetryState, FluidState, float, in
 def _cmd_run(args: argparse.Namespace, out: TextIO) -> int:
     cfg = _read_config(args)
     _check_order(cfg.grid, DEFAULT_ORDER)  # refused before the sinks write anything
+    # refused before any output, and before the sinks clear the directory
+    bath, state, _, _ = _planned_run(cfg)
     print(
         f"formulation {cfg.params.formulation.value}, grid {cfg.grid.shape} on "
         f"{tuple(round(ell, 6) for ell in cfg.grid.lengths)}, dt {cfg.integration.dt}, "
         f"t_end {cfg.integration.t_end}",
         file=out,
     )
-    bath, state, _, _ = _planned_run(cfg)  # refused before the sinks clear the directory
     with FileSinks(cfg.output.directory, cfg.params, cfg.output.formats) as sinks:
         report = run(state, cfg.params, bath, cfg.integration, cfg.elliptic, sinks=sinks)
     print(
@@ -406,6 +407,7 @@ def _cmd_equivalence(args: argparse.Namespace, out: TextIO) -> int:
 def _cmd_info(args: argparse.Namespace, out: TextIO) -> int:
     cfg = _read_config(args)
     _check_order(cfg.grid, DEFAULT_ORDER)  # the grid that run refuses
+    _, state, advisory, steps = _planned_run(cfg)  # refused before any output
     print("normalized configuration:", file=out)
     print(save_config(cfg), end="", file=out)
     grid = cfg.grid
@@ -414,7 +416,6 @@ def _cmd_info(args: argparse.Namespace, out: TextIO) -> int:
         f"{tuple(round(s, 8) for s in grid.spacings)}, retained modes |m_i| <= {grid.band}",
         file=out,
     )
-    _, state, advisory, steps = _planned_run(cfg)
     print(
         f"initial state: {cfg.initial.kind}, starts at t = {state.time}, "
         f"max |fields| = {state.max_abs():.6g}",

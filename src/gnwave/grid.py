@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +36,16 @@ __all__ = ["PeriodicGrid", "ScalarField", "VectorField"]
 _SECOND_AXIS = [(-2,), (), (-2,)]
 
 
+class SolveWork(NamedTuple):
+    """The work arrays of the elliptic solves on a grid
+    (:attr:`PeriodicGrid.solve_work`): two pairs of spectra and two pairs of
+    fields.  A vector of the grid, or its spectrum, is the first ``dim`` rows
+    of a pair."""
+
+    spectra: np.ndarray  # complex, (2, 2, *spectral_shape)
+    pairs: np.ndarray  # real, (2, 2, *shape)
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class PeriodicGrid:
     """Uniform periodic grid with cached spectral tables.
@@ -47,9 +58,11 @@ class PeriodicGrid:
     lengths
         Box edge lengths, positive finite floats, same arity as ``shape``.
 
-    A 2-D grid keeps one work buffer per leading shape for its transforms
-    (see :meth:`rfft`), so one grid must not be transformed from two threads
-    at once.
+    A grid keeps work arrays of its own: one per leading shape for its 2-D
+    transforms (see :meth:`rfft`), one per shape and dtype for the products
+    of :meth:`contract`, and :attr:`solve_work` for the elliptic solves over
+    it.  So one grid is transformed from one thread at a time and runs one
+    solve at a time.
     """
 
     shape: tuple[int, ...]
@@ -192,6 +205,15 @@ class PeriodicGrid:
         return mask
 
     @cached_property
+    def _dealias_factor(self) -> np.ndarray:
+        """:attr:`dealias_mask` as complex ones and zeros.  A spectrum times it
+        has the bits of one times the mask, without the cast buffer numpy
+        allocates for a product of mixed dtypes (128 KiB at 128²)."""
+        out = self.dealias_mask.astype(np.complex128)
+        out.flags.writeable = False
+        return out
+
+    @cached_property
     def mode_multiplicity(self) -> np.ndarray:
         """Parseval weights on the halved layout: 1 for self-conjugate final-axis
         modes (0 and Nyquist), 2 otherwise."""
@@ -230,39 +252,72 @@ class PeriodicGrid:
     # np.fft.rfftn/irfftn allocate a fresh half spectrum between their two
     # passes, large enough at 128² that glibc hands its pages back between
     # calls and the next call faults them in again.  Here that intermediate
-    # is a work buffer the grid owns, one per leading shape, so one grid
-    # must not be transformed from two threads at once.
-    # Callers still get a fresh output array.  Numpy before 2.0 has no such
-    # module and takes np.fft.
+    # is a work array the grid owns, one per leading shape (see the class
+    # docstring).  Callers get a fresh output array, or pass ``out`` to have
+    # the result written there.  Numpy before 2.0 has no such module and
+    # takes np.fft, copying into ``out`` when one is given.
 
     @cached_property
-    def _half_spectra(self) -> dict[tuple[int, ...], np.ndarray]:
-        """Work buffers of the 2-D transforms, keyed by leading shape."""
+    def _work_arrays(self) -> dict[tuple, np.ndarray]:
+        """Work arrays of the transforms and of :meth:`contract`, keyed by
+        role, shape and dtype."""
         return {}
 
-    def _half_spectrum(self, lead: tuple[int, ...]) -> np.ndarray:
-        """The complex ``lead + spectral_shape`` buffer between two passes."""
-        buf = self._half_spectra.get(lead)
+    def _work_array(self, role: str, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+        """The ``role`` work array of ``shape`` and ``dtype``, made at its first use."""
+        key = (role, shape, dtype)
+        buf = self._work_arrays.get(key)
         if buf is None:
-            buf = np.empty(lead + self.spectral_shape, dtype=np.complex128)
-            self._half_spectra[lead] = buf
+            buf = self._work_arrays[key] = np.empty(shape, dtype)
         return buf
 
-    def rfft(self, f: np.ndarray) -> np.ndarray:
-        """Unnormalized real spectrum over the trailing grid axes."""
+    def _half_spectrum(self, lead: tuple[int, ...]) -> np.ndarray:
+        """The complex ``lead + spectral_shape`` array between two passes."""
+        return self._work_array("half", lead + self.spectral_shape, np.dtype(np.complex128))
+
+    @cached_property
+    def solve_work(self) -> SolveWork:
+        """Work arrays of the elliptic solves over this grid, made at first use.
+
+        A solve over a bottom runs its matvec, preconditioner and updates in
+        these few arrays, so its iterations allocate nothing of grid size:
+        a fresh 128² temporary is large enough that glibc may hand its pages
+        back, and the next one faults them in again.  They are few so that
+        they stay in cache.  Their contents last until the next operator of
+        ``gnwave.operators`` runs on this grid.
+        """
+        return SolveWork(
+            np.empty((2, 2) + self.spectral_shape, dtype=np.complex128),
+            np.empty((2, 2) + self.shape),
+        )
+
+    def rfft(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Unnormalized real spectrum over the trailing grid axes, into ``out``
+        when given."""
         if _pocketfft is None:
-            return np.fft.rfftn(f, axes=tuple(range(-self.dim, 0)))
-        out = np.empty(f.shape[: f.ndim - self.dim] + self.spectral_shape, dtype=np.complex128)
+            spec = np.fft.rfftn(f, axes=tuple(range(-self.dim, 0)))
+            if out is None:
+                return spec
+            out[...] = spec
+            return out
+        if out is None:
+            out = np.empty(f.shape[: f.ndim - self.dim] + self.spectral_shape, dtype=np.complex128)
         if self.dim == 1:
             return _pocketfft.rfft_n_even(f, 1.0, out=out)
         half = _pocketfft.rfft_n_even(f, 1.0, out=self._half_spectrum(out.shape[:-2]))
         return _pocketfft.fft(half, 1.0, axes=_SECOND_AXIS, out=out)
 
-    def irfft(self, spec: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`rfft`, real arrays of the grid shape."""
+    def irfft(self, spec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Inverse of :meth:`rfft`, real arrays of the grid shape, into ``out``
+        when given."""
         if _pocketfft is None:
-            return np.fft.irfftn(spec, s=self.shape, axes=tuple(range(-self.dim, 0)))
-        out = np.empty(spec.shape[: spec.ndim - self.dim] + self.shape, dtype=np.float64)
+            f = np.fft.irfftn(spec, s=self.shape, axes=tuple(range(-self.dim, 0)))
+            if out is None:
+                return f
+            out[...] = f
+            return out
+        if out is None:
+            out = np.empty(spec.shape[: spec.ndim - self.dim] + self.shape, dtype=np.float64)
         if self.dim == 2:
             half = self._half_spectrum(out.shape[:-2])
             spec = _pocketfft.ifft(spec, 1.0 / self.shape[0], axes=_SECOND_AXIS, out=half)
@@ -276,11 +331,17 @@ class PeriodicGrid:
         """Inverse of :meth:`fft`, returning real arrays of the grid shape."""
         return self.irfft(spec * self.size)
 
-    def contract(self, symbol: np.ndarray, spec: np.ndarray) -> np.ndarray:
-        """``Σ_i symbol_i spec_i`` over the stacked leading axis of both."""
-        out = symbol[0] * spec[0]
+    def contract(
+        self, symbol: np.ndarray, spec: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """``Σ_i symbol_i spec_i`` over the stacked leading axis of both, into
+        ``out`` when given.  Each product after the first goes through a work
+        array of the grid, one per shape and dtype."""
+        out = np.multiply(symbol[0], spec[0], out=out)
         for axis in range(1, self.dim):
-            out += symbol[axis] * spec[axis]
+            out += np.multiply(
+                symbol[axis], spec[axis], out=self._work_array("product", out.shape, out.dtype)
+            )
         return out
 
     # ------------------------------------------------------------------ calculus
@@ -317,9 +378,12 @@ class PeriodicGrid:
 
     def dealias(self, f: np.ndarray) -> np.ndarray:
         """Project out modes beyond the 1/3 cutoff (scalars or stacked vectors)."""
-        spec = self.rfft(f)
-        spec *= self.dealias_mask
-        return self.irfft(spec)
+        return self.irfft(self.dealias_spectrum(self.rfft(f)))
+
+    def dealias_spectrum(self, spec: np.ndarray) -> np.ndarray:
+        """Zero the modes of a spectrum beyond the 1/3 cutoff, in place."""
+        spec *= self._dealias_factor
+        return spec
 
     def multiply_dealiased(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
         """Pointwise product followed by the dealiasing projection."""

@@ -178,7 +178,8 @@ def _advection(grid: PeriodicGrid, u: np.ndarray) -> np.ndarray:
     out = np.empty_like(u)
     for i in range(grid.dim):
         gi = grid.gradient(u[i])
-        out[i] = np.einsum("j...,j...->...", u, gi)  # einsum: no per-axis temporary
+        # einsum: one pass, faster than grid.contract at 128², same bits
+        out[i] = np.einsum("j...,j...->...", u, gi)
     return grid.dealias(out)
 
 

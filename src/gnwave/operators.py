@@ -28,7 +28,9 @@ that form, preconditioned by the flat-state inverse (:func:`_preconditioner`).
 
 Everything here works on plain numpy arrays: a velocity is stacked as
 ``(dim, *shape)``, a scalar has the grid shape, and each operator returns a
-new array.  Each operator takes ``(depth, u, …)``: the :class:`DepthState`
+new array.  Their kernels work in the grid's :attr:`~PeriodicGrid.solve_work`,
+so a solve over a bottom allocates no grid-sized array per iteration.  Each
+operator takes ``(depth, u, …)``: the :class:`DepthState`
 carries the bottom it stands on, so the grid and the slope β∇b come from it,
 and an input whose shape does not match its grid raises
 :class:`~gnwave.errors.GridMismatchError`.
@@ -180,6 +182,18 @@ class DepthState:
     @cached_property
     def mean_depth(self) -> float:
         return float(self.h.sum()) / self.h.size
+
+    @cached_property
+    def half_h2(self) -> np.ndarray:
+        """½h² as ``0.5 * h2``: numpy evaluates ``0.5 * h2 * f`` as
+        ``(0.5 * h2) * f``, so ``half_h2 * f`` has its bits."""
+        return 0.5 * self.h2
+
+    @cached_property
+    def third_h3(self) -> np.ndarray:
+        """⅓h³ as ``(1.0 / 3.0) * h3``, the first product of
+        ``(1.0 / 3.0) * h3 * f``."""
+        return (1.0 / 3.0) * self.h3
 
 
 # CG's iteration cap, per point of the grid's longest axis
@@ -417,16 +431,22 @@ def _div_and_slope(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The pair (d, g) = (P∇·u, P((β∇b)·u)) behind the good unknown, with P
     the dealiasing projection; g is None over a flat bottom.  ``u_spec`` is
-    ``grid.rfft(u)``, formed here when None."""
+    ``grid.rfft(u)``, formed here when None.  d and g are the rows of the
+    grid's ``solve_work.pairs[1]``: read them before the next kernel."""
     grid = depth.grid
+    work = grid.solve_work
     if u_spec is None:
-        u_spec = grid.rfft(u)
-    d = grid.irfft(grid.contract(grid.ik_dealiased, u_spec))
+        u_spec = grid.rfft(u, out=work.spectra[0, : grid.dim])
+    spec = grid.contract(grid.ik_dealiased, u_spec, out=work.spectra[1, 0])
+    d = grid.irfft(spec, out=work.pairs[1, 0])
     bgb = depth.beta_grad_b
     if bgb is None:
         return d, None
-    # einsum, not grid.contract: no per-axis temporary in this CG-iteration kernel
-    return d, grid.dealias(np.einsum("i...,i...->...", bgb, u))
+    g = work.pairs[1, 1]
+    # P((β∇b)·u), as grid.dealias forms it; einsum, one pass, is about a
+    # third faster here than grid.contract at 128², with the same bits
+    spec = grid.rfft(np.einsum("i...,i...->...", bgb, u, out=g), out=spec)
+    return d, grid.irfft(grid.dealias_spectrum(spec), out=g)
 
 
 def _h_times_T(depth: DepthState, u: np.ndarray, u_spec: np.ndarray | None) -> np.ndarray:
@@ -435,26 +455,49 @@ def _h_times_T(depth: DepthState, u: np.ndarray, u_spec: np.ndarray | None) -> n
     ``u_spec`` is ``grid.rfft(u)`` or None (see :func:`_div_and_slope`).
     With a bottom, the projection P being linear, this is
     ∇P(½h²g − ⅓h³d) + P(hg − ½h²d)·β∇b: two fields to transform forward.
+    Over a bottom the result is the first ``dim`` rows of the grid's
+    ``solve_work.pairs[0]``, and ``pairs[1]`` is free again when it returns.
     """
     grid = depth.grid
-    h2d, h3d = depth.h2, depth.h3
     d, g = _div_and_slope(depth, u, u_spec)
     if g is None:
-        return -(1.0 / 3.0) * grid.dealiased_gradient(h3d * d)
-    spec = grid.rfft(
-        np.stack((0.5 * h2d * g - (1.0 / 3.0) * h3d * d, depth.h * g - 0.5 * h2d * d))
-    )
-    out = grid.irfft(grid.ik_dealiased * spec[0])
-    out += grid.irfft(grid.dealias_mask * spec[1]) * depth.beta_grad_b
-    return out
+        return -(1.0 / 3.0) * grid.dealiased_gradient(depth.h3 * d)
+    # each product lands in a row that nothing reads any more
+    work = grid.solve_work
+    fields = work.pairs[0]
+    half_h2 = depth.half_h2
+    np.multiply(half_h2, g, out=fields[0])
+    fields[0] -= np.multiply(depth.third_h3, d, out=fields[1])
+    np.multiply(depth.h, g, out=fields[1])
+    fields[1] -= np.multiply(half_h2, d, out=d)
+    spec = grid.rfft(fields, out=work.spectra[0])
+    # P(hg − ½h²d)·β∇b first, then ∇P(½h²g − ⅓h³d) in the spectra that frees
+    slope = grid.irfft(grid.dealias_spectrum(spec[1]), out=d)
+    slope_term = np.multiply(slope, depth.beta_grad_b, out=fields[: grid.dim])
+    ik = grid.ik_dealiased
+    for axis in reversed(range(grid.dim)):
+        np.multiply(ik[axis], spec[0], out=spec[axis])
+    # ∇P(…) + P(…)·β∇b, added the other way round: IEEE addition commutes
+    slope_term += grid.irfft(spec[: grid.dim], out=work.pairs[1, : grid.dim])
+    return slope_term
 
 
-def _frakT(depth: DepthState, u: np.ndarray, u_spec: np.ndarray | None, mu: float) -> np.ndarray:
+def _frakT(
+    depth: DepthState,
+    u: np.ndarray,
+    u_spec: np.ndarray | None,
+    mu: float,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """𝔗[h, βb]u = h u + μ h T[h, βb]u, the one assembly behind
-    :func:`apply_frakT` and the conjugate-gradient matvec."""
-    out = depth.h * u
-    if mu > 0.0:
-        out += mu * _h_times_T(depth, u, u_spec)
+    :func:`apply_frakT` and the conjugate-gradient matvec, into ``out`` when
+    given and else into a fresh array."""
+    if mu == 0.0:
+        return np.multiply(depth.h, u, out=out)
+    t = _h_times_T(depth, u, u_spec)
+    np.multiply(mu, t, out=t)
+    out = np.multiply(depth.h, u, out=out)
+    out += t
     return out
 
 
@@ -517,25 +560,35 @@ def _flat_preconditioner(
         # k kᵀ is the scalar |k|², so the inverse is one diagonal multiplier
         symbol = (1.0 + weight * grid.laplacian_multiplier) / mean_depth
 
-        def apply(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        def flat(r: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
             out_spec = grid.rfft(r) * symbol
-            return grid.irfft(out_spec), out_spec
+            return grid.irfft(out_spec, out=out), out_spec
 
-        return apply
+        return flat
 
     ik = grid.ik  # k kᵀ = −(ik)(ik)ᵀ
+    # stored complex, as numpy casts it in a product with a spectrum, so that
+    # product needs no cast buffer
+    weight = weight.astype(np.complex128)
 
-    def apply(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        specs = grid.rfft(r)
-        out_spec = (specs + ik * (weight * grid.contract(ik, specs))) / mean_depth
-        return grid.irfft(out_spec), out_spec
+    def flat(r: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        # (specs + ik (weight · contract(ik, specs))) / h̄, one axis at a time;
+        # with ``out`` the spectrum is the grid's work array
+        work = grid.solve_work.spectra
+        specs = grid.rfft(r, out=None if out is None else work[0])
+        w = grid.contract(ik, specs, out=work[1, 0])
+        np.multiply(weight, w, out=w)
+        for axis in range(grid.dim):
+            specs[axis] += np.multiply(ik[axis], w, out=work[1, 1])
+        specs /= mean_depth
+        return grid.irfft(specs, out=out), specs
 
-    return apply
+    return flat
 
 
 def _preconditioner(
     depth: DepthState, mu: float
-) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray | None]]:
+) -> Callable[..., tuple[np.ndarray, np.ndarray | None]]:
     """CG's preconditioner for 𝔗[h, βb]: the flat inverse P̄ at the mean depth
     h̄ over a flat bottom, and over a bottom r ↦ s·P̄(s·r) with s = h̄/h
     (Concus & Golub, 1973).  The bottom supplies P̄ from the ones it keeps
@@ -545,19 +598,22 @@ def _preconditioner(
     spectrum, so CG's matvec transforms the search direction itself.  The
     scaling cuts iterations over a bottom and costs some over a flat one, so
     it is kept for a bottom only (counts: BENCH_bottom_preconditioner.json).
+
+    Each map returns fresh arrays, or with ``out`` writes the result there;
+    the 2-D spectrum it then returns is a work array of the grid.
     """
     flat = depth.bath.flat_inverse(depth.mean_depth, mu)
     if depth.beta_grad_b is None:
         return flat
     s = depth.mean_depth / depth.h
-    scaled = np.empty((depth.grid.dim,) + depth.grid.shape)
+    scaled = depth.grid.solve_work.pairs[0, : depth.grid.dim]
 
-    def apply(r: np.ndarray) -> tuple[np.ndarray, None]:
-        z, _ = flat(np.multiply(s, r, out=scaled))
+    def precond(r: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, None]:
+        z, _ = flat(np.multiply(s, r, out=scaled), out=out)
         z *= s
         return z, None
 
-    return apply
+    return precond
 
 
 def invert_frakT(
@@ -600,6 +656,10 @@ def invert_frakT(
         return EllipticSolveResult(u, 0, 0.0)
 
     precond = _preconditioner(depth, mu)
+    # the updates' products and the matvec's result: grid work arrays, so an
+    # iteration allocates nothing of grid size
+    pairs = grid.solve_work.pairs
+    product, q = pairs[0, : grid.dim], pairs[1, : grid.dim]
 
     guess = session.initial_guess(b.shape)
     if guess is None:
@@ -608,7 +668,7 @@ def invert_frakT(
     else:
         # CG updates x in place; the guess may be an array the session keeps
         x = guess.copy()
-        r = b - _frakT(depth, x, None, mu)
+        r = b - _frakT(depth, x, None, mu, out=q)
 
     tol_abs = cfg.rel_tolerance * b_norm
     max_iter = _CG_ITERATIONS_PER_POINT * max(grid.shape)
@@ -618,11 +678,12 @@ def invert_frakT(
         # the search direction carries its spectrum along when the
         # preconditioner gives one, so the matvec needs no forward transform
         # of its own
-        z, z_spec = precond(r)
-        p, p_spec = z.copy(), z_spec
+        z, z_spec = precond(r, out=np.empty_like(r))
+        p = z.copy()
+        p_spec = None if z_spec is None else z_spec.copy()
         rho = _inner(r, z)
         for iterations in range(1, max_iter + 1):
-            q = _frakT(depth, p, p_spec, mu)
+            _frakT(depth, p, p_spec, mu, out=q)
             pq = _inner(p, q)
             if pq <= 0.0:
                 raise CoercivityViolationError(
@@ -631,16 +692,18 @@ def invert_frakT(
                     depth.h_min,
                 )
             alpha = rho / pq
-            x += alpha * p
-            r -= alpha * q
+            x += np.multiply(alpha, p, out=product)
+            r -= np.multiply(alpha, q, out=product)
             res = _norm(r)
             if res <= tol_abs:
                 break
-            z, z_spec = precond(r)
+            z, z_spec = precond(r, out=z)
             rho_new = _inner(r, z)
-            p = z + (rho_new / rho) * p
+            beta = rho_new / rho
+            # p ← z + βp in place: the same bits, as addition commutes
+            np.add(np.multiply(beta, p, out=p), z, out=p)
             if z_spec is not None:
-                p_spec = z_spec + (rho_new / rho) * p_spec
+                np.add(np.multiply(beta, p_spec, out=p_spec), z_spec, out=p_spec)
             rho = rho_new
         else:
             raise NonConvergenceError(

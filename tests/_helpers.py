@@ -1,11 +1,13 @@
 """Shared builders for test states: band-limited random fields and depths."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from gnwave.grid import PeriodicGrid, ScalarField, VectorField
 from gnwave.models import ModelParams, make_depth
-from gnwave.operators import BathymetryState, DepthState
+from gnwave.operators import BathymetryState, DepthState, _inner
 
 
 def band_limited_scalar(
@@ -118,3 +120,107 @@ def fv_shallow_water(
         q = 0.5 * (q + q_mid + dt * rhs(q_mid))
         t += dt
     return q[0], q[1]
+
+
+# ------------------------------------------------ the solve in expression form
+#
+# The matvec and the preconditioned CG loop as they were written before the
+# solve ran in the grid's work arrays: every temporary a fresh array.  The
+# work-array kernels keep each arithmetic order, so they must equal these bit
+# for bit.
+
+
+def _contract(symbol: np.ndarray, spec: np.ndarray) -> np.ndarray:
+    out = symbol[0] * spec[0]
+    for axis in range(1, len(spec)):
+        out += symbol[axis] * spec[axis]
+    return out
+
+
+def h_times_T_oracle(
+    depth: DepthState, u: np.ndarray, u_spec: np.ndarray | None = None
+) -> np.ndarray:
+    """h·T[h, βb]u in expression form, from ``u_spec`` = rfft(u) when given."""
+    grid = depth.grid
+    h2d, h3d, bgb = depth.h2, depth.h3, depth.beta_grad_b
+    d = grid.irfft(_contract(grid.ik_dealiased, grid.rfft(u) if u_spec is None else u_spec))
+    if bgb is None:
+        return -(1.0 / 3.0) * grid.dealiased_gradient(h3d * d)
+    g = grid.dealias(np.einsum("i...,i...->...", bgb, u))
+    spec = grid.rfft(
+        np.stack((0.5 * h2d * g - (1.0 / 3.0) * h3d * d, depth.h * g - 0.5 * h2d * d))
+    )
+    out = grid.irfft(grid.ik_dealiased * spec[0])
+    out += grid.irfft(grid.dealias_mask * spec[1]) * bgb
+    return out
+
+
+def frakT_oracle(
+    depth: DepthState, u: np.ndarray, mu: float, u_spec: np.ndarray | None = None
+) -> np.ndarray:
+    """𝔗[h, βb]u = h u + μ h T[h, βb]u in expression form."""
+    out = depth.h * u
+    if mu > 0.0:
+        out += mu * h_times_T_oracle(depth, u, u_spec)
+    return out
+
+
+def invert_frakT_oracle(
+    depth: DepthState,
+    b: np.ndarray,
+    mu: float,
+    rel_tolerance: float,
+    x0: np.ndarray | None = None,
+) -> tuple[np.ndarray, int, float]:
+    """(u, iterations, residual) of CG on 𝔗u = b from ``x0`` (zero when None),
+    preconditioned by the flat inverse at h̄, scaled by s = h̄/h on both sides
+    over a bottom; the search direction's spectrum is carried over a flat one."""
+    grid = depth.grid
+    h_bar = depth.mean_depth
+    c = mu * h_bar * h_bar / 3.0
+    weight = np.where(grid.dealias_mask, c / (1.0 - c * grid.laplacian_multiplier), 0.0)
+
+    def flat(r):
+        specs = grid.rfft(r)
+        if grid.dim == 1:
+            out_spec = specs * ((1.0 + weight * grid.laplacian_multiplier) / h_bar)
+        else:
+            out_spec = (specs + grid.ik * (weight * _contract(grid.ik, specs))) / h_bar
+        return grid.irfft(out_spec), out_spec
+
+    def precond(r):
+        if depth.beta_grad_b is None:
+            return flat(r)
+        s = h_bar / depth.h
+        z, _ = flat(s * r)
+        z *= s
+        return z, None
+
+    b_norm = math.sqrt(_inner(b, b))
+    if x0 is None:
+        x, r = np.zeros_like(b), b.copy()
+    else:
+        x = x0.copy()
+        r = b - frakT_oracle(depth, x, mu)
+    tol_abs = rel_tolerance * b_norm
+    res = math.sqrt(_inner(r, r))
+    iterations = 0
+    if res > tol_abs:
+        z, z_spec = precond(r)
+        p, p_spec = z.copy(), z_spec
+        rho = _inner(r, z)
+        for iterations in range(1, 10 * max(grid.shape) + 1):
+            q = frakT_oracle(depth, p, mu, p_spec)
+            alpha = rho / _inner(p, q)
+            x += alpha * p
+            r -= alpha * q
+            res = math.sqrt(_inner(r, r))
+            if res <= tol_abs:
+                break
+            z, z_spec = precond(r)
+            rho_new = _inner(r, z)
+            p = z + (rho_new / rho) * p
+            if z_spec is not None:
+                p_spec = z_spec + (rho_new / rho) * p_spec
+            rho = rho_new
+    return x, iterations, res / b_norm

@@ -370,6 +370,16 @@ class TestRefusals:
         assert runs == []
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("case", [c for c, spec in CASES.items() if spec[2] != 0])
+    def test_refusal_prints_nothing(self, case, tmp_path, monkeypatch, capsys):
+        """A refused command writes its message to stderr and nothing to
+        stdout: no configuration echo, grid line or run header first."""
+        argv, extra, code, _, _ = self.CASES[case]
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, extra)
+        assert main([str(cfg) if arg == "{cfg}" else arg for arg in argv]) == code
+        assert capsys.readouterr().out == ""
+
 
 class TestVerify:
     def test_default_suite_passes(self, capsys):
@@ -574,7 +584,8 @@ class TestInfo:
         cfg = write_config(
             tmp_path, "\n[initial]\ntype = gaussian\namplitude = -15.0\nwidth = 0.8\n"
         )
-        assert main(["info", "--config", str(cfg)]) == 2
-        assert "depth must stay positive" in capsys.readouterr().err
-        assert main(["run", "--config", str(cfg), "--output", str(tmp_path / "o")]) == 2
-        assert "depth must stay positive" in capsys.readouterr().err
+        for argv in (["info"], ["run", "--output", str(tmp_path / "o")]):
+            assert main([*argv, "--config", str(cfg)]) == 2
+            captured = capsys.readouterr()
+            assert "depth must stay positive" in captured.err
+            assert captured.out == ""

@@ -136,6 +136,44 @@ class TestTransforms:
         assert np.array_equal(s1, s1_before)
         assert np.array_equal(g.rfft(f2), s2)
 
+    @pytest.mark.parametrize("fallback", [False, True], ids=["gufunc", "np.fft"])
+    @pytest.mark.parametrize("shape", [(64,), (16, 24)])
+    @pytest.mark.parametrize("stack", [(), (2,)])
+    def test_transforms_write_into_out(self, monkeypatch, shape, stack, fallback):
+        """With ``out``, both paths write the numbers of a fresh result into
+        it and return it."""
+        if fallback:
+            monkeypatch.setattr(grid_module, "_pocketfft", None)
+        g = PeriodicGrid(shape, (2.0 * np.pi,) * len(shape))
+        f = np.random.default_rng(6).standard_normal(stack + shape)
+        spec = np.empty(stack + g.spectral_shape, dtype=np.complex128)
+        back = np.empty(stack + shape)
+        assert g.rfft(f, out=spec) is spec
+        assert np.array_equal(spec, g.rfft(f))
+        assert g.irfft(spec, out=back) is back
+        assert np.array_equal(back, g.irfft(spec))
+
+    @pytest.mark.parametrize("shape", [(64,), (16, 24)])
+    def test_contract_matches_expression_form(self, shape):
+        """``Σ_i symbol_i spec_i`` with each product in a work array of the grid
+        equals the sum of fresh products bit for bit, into ``out`` or not, and
+        a held result survives the next call."""
+        g = PeriodicGrid(shape, (2.0 * np.pi,) * len(shape))
+        rng = np.random.default_rng(7)
+        specs = [g.rfft(rng.standard_normal((g.dim,) + shape)) for _ in range(2)]
+        expected = []
+        for spec in specs:
+            total = g.ik[0] * spec[0]
+            for axis in range(1, g.dim):
+                total = total + g.ik[axis] * spec[axis]
+            expected.append(total)
+        first = g.contract(g.ik, specs[0])
+        out = np.empty(g.spectral_shape, dtype=np.complex128)
+        assert g.contract(g.ik, specs[1], out=out) is out
+        assert np.array_equal(first, expected[0]) and np.array_equal(out, expected[1])
+        u, v = rng.standard_normal((2, g.dim) + shape)
+        assert np.array_equal(g.contract(u, v), np.einsum("i...,i...->...", u, v))
+
     def test_integrate_trig_polynomial(self):
         g = grid1(16, length=4.0)
         x = g.coords[0]

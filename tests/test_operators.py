@@ -1,13 +1,22 @@
 """Operator calculus tests: symbolic oracles, quadratic form, CG inversion."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import band_limited_scalar, band_limited_vector, smooth_depth
+from _helpers import (
+    band_limited_scalar,
+    band_limited_vector,
+    frakT_oracle,
+    h_times_T_oracle,
+    invert_frakT_oracle,
+    smooth_depth,
+)
 from gnwave import operators
 from gnwave.errors import (
     CoercivityViolationError,
@@ -784,6 +793,110 @@ class TestPreconditioner:
         assert kept.cache_info().currsize == operators._FLAT_INVERSES_KEPT == 4
         assert kept(depth.mean_depth, MU) is not first
         assert len(built) == 6
+
+
+def _solve_cases():
+    """(depth, rng) by name: a 1-D and a 2-D depth over a bottom, a 2-D one over a flat bottom."""
+    _, depth1, rng1 = _random_setup(23)
+    _, depth2, rng2 = _bottom_setup_2d(24)
+    flat = smooth_depth(BathymetryState.flat(grid2(32)), np.random.default_rng(25))
+    return {
+        "1d_bottom": (depth1, rng1),
+        "2d_bottom": (depth2, rng2),
+        "2d_flat": (flat, np.random.default_rng(26)),
+    }
+
+
+class TestSolveWorkspace:
+    """The matvec, preconditioner and CG updates run in the grid's work
+    arrays with every arithmetic order of the expression form kept
+    (``_helpers.frakT_oracle``/``invert_frakT_oracle``), and what a caller
+    keeps is never one of those arrays."""
+
+    @pytest.mark.parametrize("case", ["1d_bottom", "2d_bottom", "2d_flat"])
+    def test_matvec_matches_expression_form(self, case):
+        depth, rng = _solve_cases()[case]
+        g = depth.grid
+        for mu in (MU, 0.0):
+            for _ in range(3):
+                u = g.dealias(band_limited_vector(g, rng, 6))
+                assert np.array_equal(apply_frakT(depth, u, mu), frakT_oracle(depth, u, mu))
+            assert np.array_equal(apply_T(depth, u), h_times_T_oracle(depth, u) / depth.h)
+
+    @pytest.mark.parametrize("case", ["1d_bottom", "2d_bottom", "2d_flat"])
+    def test_solve_matches_expression_form(self, case):
+        """Cold, and warm-started from the session's last solution."""
+        depth, rng = _solve_cases()[case]
+        g = depth.grid
+        cfg = EllipticSolveConfig(rel_tolerance=1e-11)
+        session = SolverSession()
+        v1 = g.dealias(band_limited_vector(g, rng, 5))
+        v2 = v1 + 0.1 * g.dealias(band_limited_vector(g, rng, 5))
+        cold = invert_frakT(depth, v1, MU, cfg, session)
+        expected = invert_frakT_oracle(depth, v1, MU, cfg.rel_tolerance)
+        assert cold.iterations == expected[1] > 5
+        assert np.array_equal(cold.u, expected[0]) and cold.residual == expected[2]
+        warm = invert_frakT(depth, v2, MU, cfg, session)
+        expected = invert_frakT_oracle(depth, v2, MU, cfg.rel_tolerance, x0=cold.u)
+        assert warm.iterations == expected[1] > 0
+        assert np.array_equal(warm.u, expected[0]) and warm.residual == expected[2]
+
+    def test_iterations_allocate_no_grid_sized_array(self, monkeypatch):
+        """Between two inner products of a second 128² solve over a bottom,
+        the traced memory never rises by a grid-sized array after the solve's
+        first few arrays, so its allocations do not grow with its iteration
+        count.  (Below 8192 points per field, numpy's iterator buffers a
+        broadcast product in a heap block of the field's size; 128² is the
+        size where a fresh array costs page faults.)"""
+        g = PeriodicGrid((128, 128), (4.0 * np.pi, 4.0 * np.pi))
+        rng = np.random.default_rng(27)
+        bath = BathymetryState(ScalarField(g, band_limited_scalar(g, rng, 2, 0.1)), 0.4)
+        depth = DepthState(bath, 1.0 + band_limited_scalar(g, rng, 3, 0.15))
+        scalar_bytes = 8 * g.size
+        inner = operators._inner
+        rises = []
+
+        def traced(a, b):
+            current, peak = tracemalloc.get_traced_memory()
+            rises.append(peak - level[0])
+            tracemalloc.reset_peak()
+            level[0] = current
+            return inner(a, b)
+
+        invert_frakT(depth, band_limited_vector(g, rng, 5), MU)  # makes the work arrays
+        v = band_limited_vector(g, rng, 5)
+        monkeypatch.setattr(operators, "_inner", traced)
+        tracemalloc.start()
+        try:
+            level = [tracemalloc.get_traced_memory()[0]]
+            iterations = invert_frakT(depth, v, MU).iterations
+        finally:
+            tracemalloc.stop()
+        # ‖b‖, ‖r₀‖ and ⟨r₀, z₀⟩, then ⟨p, q⟩, ‖r‖ and ⟨r, z⟩ per iteration
+        assert iterations > 10 and len(rises) == 3 * iterations + 2
+        # before ⟨r₀, z₀⟩: s = h̄/h, then x, r, z and p of two scalar fields each
+        assert sum(rises[:3]) < 10 * scalar_bytes
+        assert max(rises[3:]) < scalar_bytes // 8
+
+    @pytest.mark.parametrize("case", ["1d_bottom", "2d_bottom", "2d_flat"])
+    def test_results_are_not_overwritten(self, case):
+        """A result held across a second call keeps its values."""
+        depth, rng = _solve_cases()[case]
+        g = depth.grid
+        u1, u2 = (g.dealias(band_limited_vector(g, rng, 5)) for _ in range(2))
+        for op in (
+            lambda u: apply_frakT(depth, u, MU),
+            lambda u: apply_T(depth, u),
+            lambda u: invert_frakT(depth, u, MU).u,
+            lambda u: operators._preconditioner(depth, MU)(u)[0],
+            lambda u: good_unknown_w(depth, u),
+            lambda u: dh_frakT(depth, u[0], u, MU),
+        ):
+            first = op(u1)
+            kept = first.copy()
+            second = op(u2)
+            assert not np.shares_memory(first, second)
+            assert np.array_equal(first, kept)
 
 
 class TestShapeDerivative:
