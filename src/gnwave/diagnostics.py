@@ -22,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import os
 
 import numpy as np
 
@@ -186,6 +187,23 @@ def energy_E(state: FluidState, params: ModelParams, n: int = DEFAULT_ORDER) -> 
     return norm_Hn(state.zeta, n) ** 2 + norm_Yn(state.vel, n, params.mu) ** 2
 
 
+# energy_F shares its terms between the calling thread and one worker on
+# grids of at least this many points (128²), given two CPUs.  energy_F's
+# wall time split over serial, medians of 9 alternated calls over a bottom
+# on a 2-core x86-64 box: ×0.71–0.73 at 128², but ×1.2–1.3 at 64², ×1.9–2.5
+# at 32² and ×1.5–2.1 in 1-D at N = 256, where each thread mostly waits for
+# the other to release the interpreter.
+_SPLIT_MIN_POINTS = 16_384
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity outside Linux
+        return os.cpu_count() or 1
+
+
 def energy_F(
     state: FluidState,
     params: ModelParams,
@@ -198,25 +216,71 @@ def energy_F(
 
     ζ_α = ∂^α ζ and, for |α| ≥ 1, v_α = ∂^α v − με∇(w ∂^α ζ) with the
     derivative weight w = (β∇b)·u − h∇·u; the zero index enters uncorrected.
-    ``depth`` is the water column of ``state``.  Each term costs one elliptic
-    solve for u_α = 𝔗⁻¹(h v_α).
+    ``depth`` is the water column of ``state``.  u = 𝔗⁻¹(hv) is solved in
+    ``session``; then each term costs one elliptic solve for
+    u_α = 𝔗⁻¹(h v_α), warm-started from u in a session of its own, so a term
+    depends on (state, u, w, α) alone.  ``session`` counts every solve.
+
+    On a grid of at least :data:`_SPLIT_MIN_POINTS` points, with two CPUs
+    available, the terms are shared between the calling thread and one worker
+    thread that ends before this returns or raises; a worker's exception is
+    raised here.  The terms are summed in the order of :func:`multi_indices`
+    after both halves finish, so the result has the bits of the serial loop.
     """
     _require_kind(state, VariableKind.V_VARIABLE, "energy_F")
     grid = state.grid
     _check_order(grid, n)
-    h = depth.h
-    u, _, _ = invert_frakT(depth, h * state.vel.data, params.mu, cfg, session)
+    if session is None:
+        session = SolverSession()
+    u, _, _ = invert_frakT(depth, depth.h * state.vel.data, params.mu, cfg, session)
     w = good_unknown_w(depth, u)
-    mu_eps = params.mu * params.epsilon
+
+    def terms(alphas: list[tuple[int, ...]]) -> list[tuple[float, int, int]]:
+        return [_F_term(state, params, depth, u, w, alpha, cfg) for alpha in alphas]
+
+    alphas = multi_indices(grid.dim, n)
+    if grid.size >= _SPLIT_MIN_POINTS and _available_cpus() >= 2:
+        # imported here: concurrent.futures loads logging, 0.6 MB and 9 ms at
+        # startup that a run on a smaller grid does not need
+        from concurrent.futures import ThreadPoolExecutor
+
+        # α = 0 starts at its solution, u: the caller takes it and half of
+        # the terms that iterate
+        cut = 1 + len(alphas) // 2
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            later = worker.submit(terms, alphas[cut:])
+            done = terms(alphas[:cut]) + later.result()
+    else:
+        done = terms(alphas)
     total = 0.0
-    for alpha in multi_indices(grid.dim, n):
-        zeta_a = partial_derivative(grid, state.zeta.data, alpha)
-        v_a = partial_derivative(grid, state.vel.data, alpha)
-        if any(alpha):
-            v_a = v_a - mu_eps * grid.gradient(w * zeta_a)
-        u_a, _, _ = invert_frakT(depth, h * v_a, params.mu, cfg, session)
-        total += grid.integrate(zeta_a**2) + grid.inner(v_a, h * u_a)
+    for value, solves, iterations in done:
+        total += value
+        session.solves += solves
+        session.total_iterations += iterations
     return total
+
+
+def _F_term(
+    state: FluidState,
+    params: ModelParams,
+    depth: DepthState,
+    u: np.ndarray,
+    w: np.ndarray,
+    alpha: tuple[int, ...],
+    cfg: EllipticSolveConfig | None,
+) -> tuple[float, int, int]:
+    """The α term of :func:`energy_F`, with the solves its session recorded
+    (0 for a zero right-hand side, else 1) and their CG iterations."""
+    grid = state.grid
+    h = depth.h
+    zeta_a = partial_derivative(grid, state.zeta.data, alpha)
+    v_a = partial_derivative(grid, state.vel.data, alpha)
+    if any(alpha):
+        v_a = v_a - params.mu * params.epsilon * grid.gradient(w * zeta_a)
+    session = SolverSession(u)
+    u_a, _, _ = invert_frakT(depth, h * v_a, params.mu, cfg, session)
+    value = grid.integrate(zeta_a**2) + grid.inner(v_a, h * u_a)
+    return value, session.solves, session.total_iterations
 
 
 def energy_appendixA(
@@ -295,9 +359,14 @@ def collect_record(
     cfg: EllipticSolveConfig | None = None,
 ) -> DiagnosticsRecord:
     """Assemble a full record from a conjugate-variable state; both energies
-    share the state's one water column and one fresh solver session, whose
-    CG iterations are ``cg_iterations``.  The record depends on its state
-    alone, not on the records or steps taken before it."""
+    share the state's one water column and one fresh solver session, which
+    counts the CG iterations of every solve as ``cg_iterations``.  The record
+    depends on its state alone, not on the records or steps taken before it.
+
+    The Hamiltonian's solve runs first, on the calling thread; on a large
+    grid :func:`energy_F` then shares its terms with one worker thread (so
+    the caches of the bottom and the water column are filled before it
+    starts), and no thread outlives the call."""
     _require_kind(state, VariableKind.V_VARIABLE, "collect_record")
     grid = state.grid
     session = SolverSession()

@@ -17,6 +17,7 @@ stated once as :attr:`PeriodicGrid.band` for every reader of the package.
 from __future__ import annotations
 
 import dataclasses
+import threading
 from functools import cached_property
 from typing import NamedTuple
 
@@ -46,6 +47,17 @@ class SolveWork(NamedTuple):
     pairs: np.ndarray  # real, (2, 2, *shape)
 
 
+class _ThreadWork(threading.local):
+    """A grid's work arrays on one thread: ``arrays``, those of the
+    transforms and of :meth:`PeriodicGrid.contract` keyed by role, shape and
+    dtype, and ``solve``, :attr:`PeriodicGrid.solve_work` once made.  Each
+    thread sees its own, made at its first use there and freed when the
+    thread ends."""
+
+    def __init__(self) -> None:
+        self.arrays: dict[tuple, np.ndarray] = {}
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class PeriodicGrid:
     """Uniform periodic grid with cached spectral tables.
@@ -61,8 +73,9 @@ class PeriodicGrid:
     A grid keeps work arrays of its own: one per leading shape for its 2-D
     transforms (see :meth:`rfft`), one per shape and dtype for the products
     of :meth:`contract`, and :attr:`solve_work` for the elliptic solves over
-    it.  So one grid is transformed from one thread at a time and runs one
-    solve at a time.
+    it.  Each thread that uses the grid has its own set, so threads may
+    transform and solve on one grid at once; each thread runs one solve at a
+    time.  The read-only tables (:attr:`ik` and the others) are shared.
     """
 
     shape: tuple[int, ...]
@@ -85,6 +98,7 @@ class PeriodicGrid:
                 raise ValidationError(f"box lengths must be positive finite, got {ell}")
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "lengths", lengths)
+        object.__setattr__(self, "_thread_work", _ThreadWork())
 
     # ------------------------------------------------------------------ geometry
 
@@ -252,44 +266,45 @@ class PeriodicGrid:
     # np.fft.rfftn/irfftn allocate a fresh half spectrum between their two
     # passes, large enough at 128² that glibc hands its pages back between
     # calls and the next call faults them in again.  Here that intermediate
-    # is a work array the grid owns, one per leading shape (see the class
-    # docstring).  Callers get a fresh output array, or pass ``out`` to have
-    # the result written there.  Numpy before 2.0 has no such module and
-    # takes np.fft, copying into ``out`` when one is given.
-
-    @cached_property
-    def _work_arrays(self) -> dict[tuple, np.ndarray]:
-        """Work arrays of the transforms and of :meth:`contract`, keyed by
-        role, shape and dtype."""
-        return {}
+    # is a work array the grid owns on the calling thread, one per leading
+    # shape (see the class docstring).  Callers get a fresh output array, or
+    # pass ``out`` to have the result written there.  Numpy before 2.0 has no
+    # such module and takes np.fft, copying into ``out`` when one is given.
 
     def _work_array(self, role: str, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
-        """The ``role`` work array of ``shape`` and ``dtype``, made at its first use."""
+        """The calling thread's ``role`` work array of ``shape`` and
+        ``dtype``, made at its first use."""
+        arrays = self._thread_work.arrays
         key = (role, shape, dtype)
-        buf = self._work_arrays.get(key)
+        buf = arrays.get(key)
         if buf is None:
-            buf = self._work_arrays[key] = np.empty(shape, dtype)
+            buf = arrays[key] = np.empty(shape, dtype)
         return buf
 
     def _half_spectrum(self, lead: tuple[int, ...]) -> np.ndarray:
         """The complex ``lead + spectral_shape`` array between two passes."""
         return self._work_array("half", lead + self.spectral_shape, np.dtype(np.complex128))
 
-    @cached_property
+    @property
     def solve_work(self) -> SolveWork:
-        """Work arrays of the elliptic solves over this grid, made at first use.
+        """The calling thread's work arrays of the elliptic solves over this
+        grid, made at their first use there.
 
         A solve over a bottom runs its matvec, preconditioner and updates in
         these few arrays, so its iterations allocate nothing of grid size:
         a fresh 128² temporary is large enough that glibc may hand its pages
         back, and the next one faults them in again.  They are few so that
         they stay in cache.  Their contents last until the next operator of
-        ``gnwave.operators`` runs on this grid.
+        ``gnwave.operators`` runs on this grid from the same thread.
         """
-        return SolveWork(
-            np.empty((2, 2) + self.spectral_shape, dtype=np.complex128),
-            np.empty((2, 2) + self.shape),
-        )
+        try:  # one lookup when it exists: the 1-D solves ask for it per iteration
+            return self._thread_work.solve
+        except AttributeError:
+            work = self._thread_work.solve = SolveWork(
+                np.empty((2, 2) + self.spectral_shape, dtype=np.complex128),
+                np.empty((2, 2) + self.shape),
+            )
+            return work
 
     def rfft(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Unnormalized real spectrum over the trailing grid axes, into ``out``

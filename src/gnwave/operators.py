@@ -219,10 +219,14 @@ class SolverSession:
     The guess for a solve is built from ``stage``, which the time stepper
     sets before each RK stage to ``(index, step, offset, dt)``: the step
     number and the tableau's offset place the stage at offset·dt into it.
-    It stays None outside a stage.  A record solves in a fresh session of its
-    own.  No float time enters: the time between two places ``(step, offset,
-    dt)`` is a sum of offset × dt products (:func:`_elapsed`), so at one dt
-    the weights are exact ratios of offsets and every match below is exact.
+    It stays None outside a stage.  A session made with ``start`` takes it as
+    its latest solution, so a solve outside a stage starts there; it is read,
+    never written.  A record makes the Hamiltonian's solve and that of u in a
+    fresh session of its own, and each term of its symmetrizer energy in a
+    session started at u (:func:`~gnwave.diagnostics.energy_F`).  No float
+    time enters: the time between two places ``(step, offset, dt)`` is a sum
+    of offset × dt products (:func:`_elapsed`), so at one dt the weights are
+    exact ratios of offsets and every match below is exact.
 
     - The in-step guess is the linear extrapolation, to the stage, of the
       two latest solutions at distinct places: u₀ + w·(u₀ − u₋₁), with
@@ -268,8 +272,8 @@ class SolverSession:
     __slots__ = ("last_solution", "solves", "total_iterations", "stage",
                  "_last_place", "_previous", "_pending", "_errors")
 
-    def __init__(self) -> None:
-        self.last_solution: np.ndarray | None = None
+    def __init__(self, start: np.ndarray | None = None) -> None:
+        self.last_solution: np.ndarray | None = start
         self.solves = 0
         self.total_iterations = 0
         self.stage: tuple[int, int, float, float] | None = None
@@ -473,7 +477,7 @@ def _h_times_T(depth: DepthState, u: np.ndarray, u_spec: np.ndarray | None) -> n
     spec = grid.rfft(fields, out=work.spectra[0])
     # P(hg − ½h²d)·β∇b first, then ∇P(½h²g − ⅓h³d) in the spectra that frees
     slope = grid.irfft(grid.dealias_spectrum(spec[1]), out=d)
-    slope_term = np.multiply(slope, depth.beta_grad_b, out=fields[: grid.dim])
+    slope_term = _scale_rows(slope, depth.beta_grad_b, fields[: grid.dim])
     ik = grid.ik_dealiased
     for axis in reversed(range(grid.dim)):
         np.multiply(ik[axis], spec[0], out=spec[axis])
@@ -496,8 +500,18 @@ def _frakT(
         return np.multiply(depth.h, u, out=out)
     t = _h_times_T(depth, u, u_spec)
     np.multiply(mu, t, out=t)
-    out = np.multiply(depth.h, u, out=out)
+    out = _scale_rows(depth.h, u, np.empty_like(u) if out is None else out)
     out += t
+    return out
+
+
+def _scale_rows(s: np.ndarray, vector: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``s * vector`` for a scalar field ``s``, written into ``out`` one row
+    at a time, with the bits of the broadcast product.  Below 8192 points per
+    field numpy buffers a broadcast product given ``out`` in a fresh block of
+    the output's size (18 KB at 32²); a product of equal shapes needs none."""
+    for axis in range(len(vector)):  # indexing is faster here than iterating
+        np.multiply(s, vector[axis], out=out[axis])
     return out
 
 
@@ -609,9 +623,8 @@ def _preconditioner(
     scaled = depth.grid.solve_work.pairs[0, : depth.grid.dim]
 
     def precond(r: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, None]:
-        z, _ = flat(np.multiply(s, r, out=scaled), out=out)
-        z *= s
-        return z, None
+        z, _ = flat(_scale_rows(s, r, scaled), out=out)
+        return _scale_rows(s, z, z), None
 
     return precond
 

@@ -1,12 +1,15 @@
 """Norms, dual pairings, Hamiltonian and energy functionals."""
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _helpers import band_limited_scalar, band_limited_vector, smooth_bathymetry
+from gnwave import diagnostics
 from gnwave.diagnostics import (
     DiagnosticsRecord,
     collect_record,
@@ -22,7 +25,7 @@ from gnwave.diagnostics import (
     sobolev_weight,
     vorticity_norm,
 )
-from gnwave.errors import ValidationError
+from gnwave.errors import NonConvergenceError, ValidationError
 from gnwave.grid import PeriodicGrid, ScalarField, VectorField
 from gnwave.models import (
     FluidState,
@@ -35,6 +38,7 @@ from gnwave.models import (
 from gnwave.operators import (
     BathymetryState,
     EllipticSolveConfig,
+    SolverSession,
     apply_frakT,
 )
 
@@ -425,6 +429,67 @@ class TestRecords:
         state, params, bath = make_v_state(13, g)
         collect_record(state, params, bath, order=1)
         assert len(built) == 1
+
+    @staticmethod
+    def _split(monkeypatch, on: bool) -> None:
+        """Share the F terms with a worker on every grid, or on none."""
+        monkeypatch.setattr(diagnostics, "_SPLIT_MIN_POINTS", 0 if on else 10**12)
+        monkeypatch.setattr(diagnostics, "_available_cpus", lambda: 2)
+
+    def test_split_terms_give_the_serial_bits(self, monkeypatch):
+        """Shared between the caller and a worker, the F terms give the bits,
+        the solve count and the CG count of the serial loop."""
+        state, params, bath = make_v_state(14, grid2())
+        depth = make_depth(params, state.zeta.data, bath)
+        invert = diagnostics.invert_frakT
+        callers = []
+
+        def invert_counted(*args):
+            callers.append(threading.get_ident())
+            return invert(*args)
+
+        monkeypatch.setattr(diagnostics, "invert_frakT", invert_counted)
+        results = {}
+        for on in (False, True):
+            self._split(monkeypatch, on)
+            callers.clear()
+            session = SolverSession()
+            f_val = energy_F(state, params, depth, 4, session=session)
+            assert len(set(callers)) == (2 if on else 1)
+            record = collect_record(state, params, bath, order=4)
+            results[on] = (f_val, session.solves, session.total_iterations, record)
+        assert results[True] == results[False]
+        assert results[True][1] == 1 + len(multi_indices(2, 4))
+        assert results[True][2] > 0
+
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_a_failed_half_leaves_no_thread(self, monkeypatch, failing):
+        """A solve that fails on either half of the split comes out of
+        collect_record as its own error, after the worker has ended; a record
+        that succeeds leaves no thread either."""
+        self._split(monkeypatch, True)
+        state, params, bath = make_v_state(15, grid2())
+        invert = diagnostics.invert_frakT
+        caller_solves = []
+
+        def invert_failing(*args):
+            if threading.current_thread() is not threading.main_thread():
+                fails = failing == "worker"
+            else:
+                caller_solves.append(1)
+                # the caller's 4th solve is its second F term, made during the split
+                fails = failing == "caller" and len(caller_solves) == 4
+            if fails:
+                raise NonConvergenceError(f"{failing} failed", 1, 1.0)
+            return invert(*args)
+
+        before = threading.active_count()
+        collect_record(state, params, bath, order=4)
+        assert threading.active_count() == before
+        monkeypatch.setattr(diagnostics, "invert_frakT", invert_failing)
+        with pytest.raises(NonConvergenceError, match=f"{failing} failed"):
+            collect_record(state, params, bath, order=4)
+        assert threading.active_count() == before
 
     def test_record_validation(self):
         with pytest.raises(ValidationError, match="finite"):

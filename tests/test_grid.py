@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import dataclasses
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -173,6 +176,57 @@ class TestTransforms:
         assert np.array_equal(first, expected[0]) and np.array_equal(out, expected[1])
         u, v = rng.standard_normal((2, g.dim) + shape)
         assert np.array_equal(g.contract(u, v), np.einsum("i...,i...->...", u, v))
+
+    def test_work_arrays_belong_to_the_calling_thread(self):
+        """Each thread gets its own solve workspace and half spectra; the
+        read-only tables are one object for all threads."""
+        g = grid2(16)
+        seen = []
+
+        def collect():
+            seen.append((g.solve_work, g._half_spectrum(()), g._half_spectrum((2,)), g.ik))
+
+        worker = threading.Thread(target=collect)
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        collect()
+        collect()
+        (w_work, *w_halves, w_ik), (c_work, *c_halves, c_ik), again = seen
+        assert again[0] is c_work and again[1] is c_halves[0]
+        for a, b in zip(w_work + tuple(w_halves), c_work + tuple(c_halves)):
+            assert not np.shares_memory(a, b)
+        assert w_ik is c_ik
+
+    def test_concurrent_transforms_give_the_serial_bits(self):
+        """Four threads, more than the cores, transforming different arrays
+        on one 2-D grid at once (through its half spectra and contract's
+        products), with the interpreter switching threads every microsecond,
+        get the bits of the same transforms made one after another."""
+        g = grid2(32, ly=3.0)
+        rng = np.random.default_rng(8)
+        inputs = [rng.standard_normal((10, g.dim) + g.shape) for _ in range(4)]
+
+        def transforms(fields):
+            return [(g.rfft(f), g.irfft(g.rfft(f)), g.divergence(f)) for f in fields]
+
+        expected = [transforms(fields) for fields in inputs]
+        start = threading.Barrier(len(inputs))
+
+        def run(fields):
+            start.wait(timeout=30)
+            return transforms(fields)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(inputs)) as workers:
+                got = [f.result(timeout=60) for f in [workers.submit(run, x) for x in inputs]]
+        finally:
+            sys.setswitchinterval(interval)
+        for mine, serial in zip(got, expected):
+            for a, b in zip(mine, serial):
+                assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_integrate_trig_polynomial(self):
         g = grid1(16, length=4.0)

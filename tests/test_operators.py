@@ -845,9 +845,7 @@ class TestSolveWorkspace:
         """Between two inner products of a second 128² solve over a bottom,
         the traced memory never rises by a grid-sized array after the solve's
         first few arrays, so its allocations do not grow with its iteration
-        count.  (Below 8192 points per field, numpy's iterator buffers a
-        broadcast product in a heap block of the field's size; 128² is the
-        size where a fresh array costs page faults.)"""
+        count.  (128² is the size where a fresh array costs page faults.)"""
         g = PeriodicGrid((128, 128), (4.0 * np.pi, 4.0 * np.pi))
         rng = np.random.default_rng(27)
         bath = BathymetryState(ScalarField(g, band_limited_scalar(g, rng, 2, 0.1)), 0.4)
@@ -877,6 +875,28 @@ class TestSolveWorkspace:
         # before ⟨r₀, z₀⟩: s = h̄/h, then x, r, z and p of two scalar fields each
         assert sum(rises[:3]) < 10 * scalar_bytes
         assert max(rises[3:]) < scalar_bytes // 8
+
+    def test_small_grid_kernels_allocate_no_field(self):
+        """At 32², where numpy buffers a broadcast product given ``out`` in a
+        block of the output's size, a matvec and a preconditioner call into
+        given arrays each allocate under 4 KB (a scalar field is 8 KB)."""
+        g, depth, rng = _bottom_setup_2d(28)
+        u = g.dealias(band_limited_vector(g, rng, 5))
+        out = np.empty_like(u)
+        precond = operators._preconditioner(depth, MU)
+        for kernel in (
+            lambda: operators._frakT(depth, u, None, MU, out=out),
+            lambda: precond(u, out=out),
+        ):
+            kernel()  # makes the work arrays
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                kernel()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - start < 4096
 
     @pytest.mark.parametrize("case", ["1d_bottom", "2d_bottom", "2d_flat"])
     def test_results_are_not_overwritten(self, case):
