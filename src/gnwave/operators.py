@@ -24,7 +24,9 @@ for arbitrary fields and the quadratic form is a sum of squares::
 
 which gives coercivity with constant ``h_min`` whenever the depth stays
 above ``h_min > 0``. The inversion is a conjugate-gradient iteration on
-that form, preconditioned by the flat-state inverse (:func:`_preconditioner`).
+that form, preconditioned by the flat-state inverse scaled by h̄/h on both
+sides, or, for an RK-stage solve over a flat bottom, by the flat-state
+inverse itself (:func:`_preconditioner`).
 
 Everything here works on plain numpy arrays: a velocity is stacked as
 ``(dim, *shape)``, a scalar has the grid shape, and each operator returns a
@@ -219,7 +221,8 @@ class SolverSession:
     The guess for a solve is built from ``stage``, which the time stepper
     sets before each RK stage to ``(index, step, offset, dt)``: the step
     number and the tableau's offset place the stage at offset·dt into it.
-    It stays None outside a stage.  A session made with ``start`` takes it as
+    It stays None outside a stage; it also picks the preconditioner of the
+    solve (:func:`_preconditioner`).  A session made with ``start`` takes it as
     its latest solution, so a solve outside a stage starts there; it is read,
     never written.  A record makes the Hamiltonian's solve and that of u in a
     fresh session of its own, and each term of its symmetrizer energy in a
@@ -559,8 +562,8 @@ def apply_frakT(depth: DepthState, u: np.ndarray, mu: float) -> np.ndarray:
 def _flat_preconditioner(
     grid: PeriodicGrid, mean_depth: float, mu: float
 ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Inverse of the constant-coefficient operator at mean depth, the
-    preconditioner over a flat bottom (see :func:`_preconditioner`).
+    """Inverse P̄ of the constant-coefficient operator at mean depth, the
+    map that every preconditioner of :func:`_preconditioner` applies.
 
     Per mode, 𝔗 at flat depth h̄ has the symbol h̄(I + μ h̄² k kᵀ / 3); its
     inverse is (I - μ h̄² k kᵀ / (3 + μ h̄² |k|²)) / h̄.  The returned map gives
@@ -601,23 +604,26 @@ def _flat_preconditioner(
 
 
 def _preconditioner(
-    depth: DepthState, mu: float
+    depth: DepthState, mu: float, *, stage: bool
 ) -> Callable[..., tuple[np.ndarray, np.ndarray | None]]:
-    """CG's preconditioner for 𝔗[h, βb]: the flat inverse P̄ at the mean depth
-    h̄ over a flat bottom, and over a bottom r ↦ s·P̄(s·r) with s = h̄/h
-    (Concus & Golub, 1973).  The bottom supplies P̄ from the ones it keeps
-    (:attr:`BathymetryState.flat_inverse`).
+    """CG's preconditioner for 𝔗[h, βb]: r ↦ s·P̄(s·r) with s = h̄/h
+    (Concus & Golub, 1973), P̄ the flat inverse at the mean depth h̄; for a
+    ``stage`` solve over a flat bottom, P̄ itself.  The bottom supplies P̄
+    from the ones it keeps (:attr:`BathymetryState.flat_inverse`).
 
     Both maps are symmetric positive definite.  The scaled one returns no
-    spectrum, so CG's matvec transforms the search direction itself.  The
-    scaling cuts iterations over a bottom and costs some over a flat one, so
-    it is kept for a bottom only (counts: BENCH_bottom_preconditioner.json).
+    spectrum, so CG's matvec transforms the search direction itself.  A
+    stage solve over a flat bottom starts from a guess that leaves it about
+    one iteration of work, and P̄ hands its matvec the spectrum; every other
+    solve, the cold ones and the records' warm ones included, takes fewer
+    iterations with the scaling (counts: BENCH_bottom_preconditioner.json
+    and BENCH_record_preconditioner.json).
 
     Each map returns fresh arrays, or with ``out`` writes the result there;
     the 2-D spectrum it then returns is a work array of the grid.
     """
     flat = depth.bath.flat_inverse(depth.mean_depth, mu)
-    if depth.beta_grad_b is None:
+    if stage and depth.beta_grad_b is None:
         return flat
     s = depth.mean_depth / depth.h
     scaled = depth.grid.solve_work.pairs[0, : depth.grid.dim]
@@ -637,8 +643,8 @@ def invert_frakT(
     session: SolverSession | None = None,
 ) -> EllipticSolveResult:
     """Solve 𝔗[h, βb] u = v_rhs by preconditioned conjugate gradients: the
-    flat-state inverse at the mean depth over a flat bottom, scaled by h̄/h on
-    both sides over a bottom (:func:`_preconditioner`).
+    flat-state inverse at the mean depth, scaled by h̄/h on both sides unless
+    the ``session`` is in an RK stage over a flat bottom (:func:`_preconditioner`).
 
     Returns ``(u, iterations, residual)``: ``residual``, CG's updated residual
     over ‖v_rhs‖, is at most ``cfg.rel_tolerance`` (:class:`EllipticSolveConfig`
@@ -668,7 +674,7 @@ def invert_frakT(
         session.record(u, 0)
         return EllipticSolveResult(u, 0, 0.0)
 
-    precond = _preconditioner(depth, mu)
+    precond = _preconditioner(depth, mu, stage=session.stage is not None)
     # the updates' products and the matvec's result: grid work arrays, so an
     # iteration allocates nothing of grid size
     pairs = grid.solve_work.pairs

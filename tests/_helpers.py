@@ -171,10 +171,12 @@ def invert_frakT_oracle(
     mu: float,
     rel_tolerance: float,
     x0: np.ndarray | None = None,
+    stage: bool = False,
 ) -> tuple[np.ndarray, int, float]:
     """(u, iterations, residual) of CG on 𝔗u = b from ``x0`` (zero when None),
-    preconditioned by the flat inverse at h̄, scaled by s = h̄/h on both sides
-    over a bottom; the search direction's spectrum is carried over a flat one."""
+    preconditioned by the flat inverse at h̄ scaled by s = h̄/h on both sides,
+    or for a ``stage`` solve over a flat bottom by the flat inverse itself,
+    whose spectrum the search direction carries."""
     grid = depth.grid
     h_bar = depth.mean_depth
     c = mu * h_bar * h_bar / 3.0
@@ -189,7 +191,7 @@ def invert_frakT_oracle(
         return grid.irfft(out_spec), out_spec
 
     def precond(r):
-        if depth.beta_grad_b is None:
+        if stage and depth.beta_grad_b is None:
             return flat(r)
         s = h_bar / depth.h
         z, _ = flat(s * r)

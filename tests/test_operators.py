@@ -732,44 +732,53 @@ class TestInversion:
 
 
 class TestPreconditioner:
-    """The map CG preconditions with: s·P̄(s·r), s = h̄/h, over a bottom, and
-    the flat-state inverse P̄ itself over a flat bottom."""
+    """The map CG preconditions with: the flat-state inverse P̄ itself for an
+    RK-stage solve over a flat bottom, and s·P̄(s·r), s = h̄/h, for every
+    other solve, over a bottom or a flat one."""
 
     @staticmethod
-    def _bottom(dim):
+    def _scaled_cases(dim):
+        """(grid, depth, rng) over a bottom, then over a flat bottom: the
+        depths a solve outside a stage preconditions with s·P̄(s·r)."""
         if dim == 1:
             g, depth, rng = _random_setup(16)
         else:
             g, depth, rng = _bottom_setup_2d(17)
         assert depth.beta_grad_b is not None
-        return g, depth, rng
+        g_flat = grid1(48) if dim == 1 else grid2(32)
+        rng_flat = np.random.default_rng(20)
+        flat = smooth_depth(BathymetryState.flat(g_flat), rng_flat)
+        return [(g, depth, rng), (g_flat, flat, rng_flat)]
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_symmetric_over_a_bottom(self, dim):
-        g, depth, rng = self._bottom(dim)
-        precond = operators._preconditioner(depth, MU)
-        a, c = band_limited_vector(g, rng, 4), band_limited_vector(g, rng, 4)
-        za, spec = precond(a)
-        zc, _ = precond(c)
-        assert spec is None
-        lhs, rhs = g.inner(za, c), g.inner(a, zc)
-        assert abs(lhs - rhs) <= 1e-13 * g.norm_l2(a) * g.norm_l2(c)
+        """The scaled map is symmetric, over a bottom and over a flat one."""
+        for g, depth, rng in self._scaled_cases(dim):
+            precond = operators._preconditioner(depth, MU, stage=False)
+            a, c = band_limited_vector(g, rng, 4), band_limited_vector(g, rng, 4)
+            za, spec = precond(a)
+            zc, _ = precond(c)
+            assert spec is None
+            lhs, rhs = g.inner(za, c), g.inner(a, zc)
+            assert abs(lhs - rhs) <= 1e-13 * g.norm_l2(a) * g.norm_l2(c)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_positive_over_a_bottom(self, dim):
-        g, depth, rng = self._bottom(dim)
-        precond = operators._preconditioner(depth, MU)
-        for _ in range(5):
-            a = band_limited_vector(g, rng, 4)
-            assert g.inner(precond(a)[0], a) > 0.0
+        """The scaled map is positive, over a bottom and over a flat one."""
+        for g, depth, rng in self._scaled_cases(dim):
+            precond = operators._preconditioner(depth, MU, stage=False)
+            for _ in range(5):
+                a = band_limited_vector(g, rng, 4)
+                assert g.inner(precond(a)[0], a) > 0.0
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_flat_bottom_uses_the_flat_inverse(self, dim):
+        """A stage solve over a flat bottom takes P̄ and its spectrum."""
         g = grid1(48) if dim == 1 else grid2(32)
         rng = np.random.default_rng(18)
         depth = smooth_depth(BathymetryState.flat(g), rng)
         r = band_limited_vector(g, rng, 5)
-        z, spec = operators._preconditioner(depth, MU)(r)
+        z, spec = operators._preconditioner(depth, MU, stage=True)(r)
         z_flat, spec_flat = operators._flat_preconditioner(g, depth.mean_depth, MU)(r)
         assert np.array_equal(z, z_flat) and np.array_equal(spec, spec_flat)
 
@@ -796,14 +805,16 @@ class TestPreconditioner:
 
 
 def _solve_cases():
-    """(depth, rng) by name: a 1-D and a 2-D depth over a bottom, a 2-D one over a flat bottom."""
+    """(depth, rng) by name: a 1-D and a 2-D depth over a bottom, and over a flat bottom."""
     _, depth1, rng1 = _random_setup(23)
     _, depth2, rng2 = _bottom_setup_2d(24)
     flat = smooth_depth(BathymetryState.flat(grid2(32)), np.random.default_rng(25))
+    flat1 = smooth_depth(BathymetryState.flat(grid1(48)), np.random.default_rng(29))
     return {
         "1d_bottom": (depth1, rng1),
         "2d_bottom": (depth2, rng2),
         "2d_flat": (flat, np.random.default_rng(26)),
+        "1d_flat": (flat1, np.random.default_rng(30)),
     }
 
 
@@ -823,21 +834,28 @@ class TestSolveWorkspace:
                 assert np.array_equal(apply_frakT(depth, u, mu), frakT_oracle(depth, u, mu))
             assert np.array_equal(apply_T(depth, u), h_times_T_oracle(depth, u) / depth.h)
 
-    @pytest.mark.parametrize("case", ["1d_bottom", "2d_bottom", "2d_flat"])
+    @pytest.mark.parametrize(
+        "case", ["1d_bottom", "2d_bottom", "2d_flat", "1d_flat", "1d_flat_stage", "2d_flat_stage"]
+    )
     def test_solve_matches_expression_form(self, case):
-        """Cold, and warm-started from the session's last solution."""
-        depth, rng = _solve_cases()[case]
+        """Cold, and warm-started from the session's last solution; a
+        ``_stage`` case solves in an RK stage, where a flat bottom keeps P̄."""
+        stage = case.endswith("_stage")
+        depth, rng = _solve_cases()[case.removesuffix("_stage")]
         g = depth.grid
         cfg = EllipticSolveConfig(rel_tolerance=1e-11)
         session = SolverSession()
+        if stage:
+            # one place for both solves: the second starts from the first's solution
+            session.stage = (0, 1, 0.0, 1.0)
         v1 = g.dealias(band_limited_vector(g, rng, 5))
         v2 = v1 + 0.1 * g.dealias(band_limited_vector(g, rng, 5))
         cold = invert_frakT(depth, v1, MU, cfg, session)
-        expected = invert_frakT_oracle(depth, v1, MU, cfg.rel_tolerance)
+        expected = invert_frakT_oracle(depth, v1, MU, cfg.rel_tolerance, stage=stage)
         assert cold.iterations == expected[1] > 5
         assert np.array_equal(cold.u, expected[0]) and cold.residual == expected[2]
         warm = invert_frakT(depth, v2, MU, cfg, session)
-        expected = invert_frakT_oracle(depth, v2, MU, cfg.rel_tolerance, x0=cold.u)
+        expected = invert_frakT_oracle(depth, v2, MU, cfg.rel_tolerance, x0=cold.u, stage=stage)
         assert warm.iterations == expected[1] > 0
         assert np.array_equal(warm.u, expected[0]) and warm.residual == expected[2]
 
@@ -883,7 +901,7 @@ class TestSolveWorkspace:
         g, depth, rng = _bottom_setup_2d(28)
         u = g.dealias(band_limited_vector(g, rng, 5))
         out = np.empty_like(u)
-        precond = operators._preconditioner(depth, MU)
+        precond = operators._preconditioner(depth, MU, stage=False)
         for kernel in (
             lambda: operators._frakT(depth, u, None, MU, out=out),
             lambda: precond(u, out=out),
@@ -908,7 +926,8 @@ class TestSolveWorkspace:
             lambda u: apply_frakT(depth, u, MU),
             lambda u: apply_T(depth, u),
             lambda u: invert_frakT(depth, u, MU).u,
-            lambda u: operators._preconditioner(depth, MU)(u)[0],
+            lambda u: operators._preconditioner(depth, MU, stage=False)(u)[0],
+            lambda u: operators._preconditioner(depth, MU, stage=True)(u)[0],
             lambda u: good_unknown_w(depth, u),
             lambda u: dh_frakT(depth, u[0], u, MU),
         ):
