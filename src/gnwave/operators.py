@@ -26,7 +26,7 @@ which gives coercivity with constant ``h_min`` whenever the depth stays
 above ``h_min > 0``. The inversion is a conjugate-gradient iteration on
 that form, preconditioned by the flat-state inverse scaled by h̄/h on both
 sides, or, for an RK-stage solve over a flat bottom, by the flat-state
-inverse itself (:func:`_preconditioner`).
+inverse itself, which takes fewer iterations there (:func:`_preconditioner`).
 
 Everything here works on plain numpy arrays: a velocity is stacked as
 ``(dim, *shape)``, a scalar has the grid shape, and each operator returns a
@@ -433,18 +433,15 @@ class EllipticSolveResult(NamedTuple):
 # ------------------------------------------------------------------- kernels
 
 
-def _div_and_slope(
-    depth: DepthState, u: np.ndarray, u_spec: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray | None]:
+def _div_and_slope(depth: DepthState, u: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """The pair (d, g) = (P∇·u, P((β∇b)·u)) behind the good unknown, with P
-    the dealiasing projection; g is None over a flat bottom.  ``u_spec`` is
-    ``grid.rfft(u)``, formed here when None.  d and g are the rows of the
-    grid's ``solve_work.pairs[1]``: read them before the next kernel."""
+    the dealiasing projection; g is None over a flat bottom.  d and g are
+    the rows of the grid's ``solve_work.pairs[1]``: read them before the
+    next kernel."""
     grid = depth.grid
     work = grid.solve_work
-    if u_spec is None:
-        u_spec = grid.rfft(u, out=work.spectra[0, : grid.dim])
-    spec = grid.contract(grid.ik_dealiased, u_spec, out=work.spectra[1, 0])
+    specs = grid.rfft(u, out=work.spectra[0, : grid.dim])
+    spec = grid.contract(grid.ik_dealiased, specs, out=work.spectra[1, 0])
     d = grid.irfft(spec, out=work.pairs[1, 0])
     bgb = depth.beta_grad_b
     if bgb is None:
@@ -456,17 +453,16 @@ def _div_and_slope(
     return d, grid.irfft(grid.dealias_spectrum(spec), out=g)
 
 
-def _h_times_T(depth: DepthState, u: np.ndarray, u_spec: np.ndarray | None) -> np.ndarray:
+def _h_times_T(depth: DepthState, u: np.ndarray) -> np.ndarray:
     """h·T[h, βb]u, the μ-independent dispersive part of the assembly.
 
-    ``u_spec`` is ``grid.rfft(u)`` or None (see :func:`_div_and_slope`).
     With a bottom, the projection P being linear, this is
     ∇P(½h²g − ⅓h³d) + P(hg − ½h²d)·β∇b: two fields to transform forward.
     Over a bottom the result is the first ``dim`` rows of the grid's
     ``solve_work.pairs[0]``, and ``pairs[1]`` is free again when it returns.
     """
     grid = depth.grid
-    d, g = _div_and_slope(depth, u, u_spec)
+    d, g = _div_and_slope(depth, u)
     if g is None:
         return -(1.0 / 3.0) * grid.dealiased_gradient(depth.h3 * d)
     # each product lands in a row that nothing reads any more
@@ -490,18 +486,14 @@ def _h_times_T(depth: DepthState, u: np.ndarray, u_spec: np.ndarray | None) -> n
 
 
 def _frakT(
-    depth: DepthState,
-    u: np.ndarray,
-    u_spec: np.ndarray | None,
-    mu: float,
-    out: np.ndarray | None = None,
+    depth: DepthState, u: np.ndarray, mu: float, out: np.ndarray | None = None
 ) -> np.ndarray:
     """𝔗[h, βb]u = h u + μ h T[h, βb]u, the one assembly behind
     :func:`apply_frakT` and the conjugate-gradient matvec, into ``out`` when
     given and else into a fresh array."""
     if mu == 0.0:
         return np.multiply(depth.h, u, out=out)
-    t = _h_times_T(depth, u, u_spec)
+    t = _h_times_T(depth, u)
     np.multiply(mu, t, out=t)
     out = _scale_rows(depth.h, u, np.empty_like(u) if out is None else out)
     out += t
@@ -550,24 +542,23 @@ def _check_velocity(depth: DepthState, u: np.ndarray) -> PeriodicGrid:
 def apply_T(depth: DepthState, u: np.ndarray) -> np.ndarray:
     """Dealiased evaluation of T[h, βb]u."""
     _check_velocity(depth, u)
-    return _h_times_T(depth, u, None) / depth.h
+    return _h_times_T(depth, u) / depth.h
 
 
 def apply_frakT(depth: DepthState, u: np.ndarray, mu: float) -> np.ndarray:
     """𝔗[h, βb]u = h u + μ h T[h, βb]u, the forward elliptic operator."""
     _check_velocity(depth, u)
-    return _frakT(depth, u, None, _nonnegative("mu", mu))
+    return _frakT(depth, u, _nonnegative("mu", mu))
 
 
 def _flat_preconditioner(
     grid: PeriodicGrid, mean_depth: float, mu: float
-) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+) -> Callable[..., np.ndarray]:
     """Inverse P̄ of the constant-coefficient operator at mean depth, the
     map that every preconditioner of :func:`_preconditioner` applies.
 
     Per mode, 𝔗 at flat depth h̄ has the symbol h̄(I + μ h̄² k kᵀ / 3); its
-    inverse is (I - μ h̄² k kᵀ / (3 + μ h̄² |k|²)) / h̄.  The returned map gives
-    the preconditioned array together with its spectrum.
+    inverse is (I - μ h̄² k kᵀ / (3 + μ h̄² |k|²)) / h̄.
     """
     c = mu * mean_depth * mean_depth / 3.0
     # apply the dispersive correction only where the operator carries it:
@@ -577,9 +568,8 @@ def _flat_preconditioner(
         # k kᵀ is the scalar |k|², so the inverse is one diagonal multiplier
         symbol = (1.0 + weight * grid.laplacian_multiplier) / mean_depth
 
-        def flat(r: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-            out_spec = grid.rfft(r) * symbol
-            return grid.irfft(out_spec, out=out), out_spec
+        def flat(r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+            return grid.irfft(grid.rfft(r) * symbol, out=out)
 
         return flat
 
@@ -588,39 +578,35 @@ def _flat_preconditioner(
     # product needs no cast buffer
     weight = weight.astype(np.complex128)
 
-    def flat(r: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        # (specs + ik (weight · contract(ik, specs))) / h̄, one axis at a time;
-        # with ``out`` the spectrum is the grid's work array
+    def flat(r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        # (specs + ik (weight · contract(ik, specs))) / h̄, one axis at a time
         work = grid.solve_work.spectra
-        specs = grid.rfft(r, out=None if out is None else work[0])
+        specs = grid.rfft(r, out=work[0])
         w = grid.contract(ik, specs, out=work[1, 0])
         np.multiply(weight, w, out=w)
         for axis in range(grid.dim):
             specs[axis] += np.multiply(ik[axis], w, out=work[1, 1])
         specs /= mean_depth
-        return grid.irfft(specs, out=out), specs
+        return grid.irfft(specs, out=out)
 
     return flat
 
 
-def _preconditioner(
-    depth: DepthState, mu: float, *, stage: bool
-) -> Callable[..., tuple[np.ndarray, np.ndarray | None]]:
+def _preconditioner(depth: DepthState, mu: float, *, stage: bool) -> Callable[..., np.ndarray]:
     """CG's preconditioner for 𝔗[h, βb]: r ↦ s·P̄(s·r) with s = h̄/h
     (Concus & Golub, 1973), P̄ the flat inverse at the mean depth h̄; for a
     ``stage`` solve over a flat bottom, P̄ itself.  The bottom supplies P̄
     from the ones it keeps (:attr:`BathymetryState.flat_inverse`).
 
-    Both maps are symmetric positive definite.  The scaled one returns no
-    spectrum, so CG's matvec transforms the search direction itself.  A
-    stage solve over a flat bottom starts from a guess that leaves it about
-    one iteration of work, and P̄ hands its matvec the spectrum; every other
-    solve, the cold ones and the records' warm ones included, takes fewer
-    iterations with the scaling (counts: BENCH_bottom_preconditioner.json
-    and BENCH_record_preconditioner.json).
+    Both maps are symmetric positive definite, and the choice between them
+    is by iteration count alone.  A stage solve over a flat bottom starts
+    from a guess that leaves it about one iteration of work, and takes more
+    iterations with the scaling; every other solve, the cold ones and the
+    records' warm ones included, takes fewer with it (counts:
+    BENCH_bottom_preconditioner.json, BENCH_record_preconditioner.json and
+    BENCH_precond_protocol.json).
 
-    Each map returns fresh arrays, or with ``out`` writes the result there;
-    the 2-D spectrum it then returns is a work array of the grid.
+    Each map returns a fresh array, or with ``out`` writes its result there.
     """
     flat = depth.bath.flat_inverse(depth.mean_depth, mu)
     if stage and depth.beta_grad_b is None:
@@ -628,9 +614,9 @@ def _preconditioner(
     s = depth.mean_depth / depth.h
     scaled = depth.grid.solve_work.pairs[0, : depth.grid.dim]
 
-    def precond(r: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, None]:
-        z, _ = flat(_scale_rows(s, r, scaled), out=out)
-        return _scale_rows(s, z, z), None
+    def precond(r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        z = flat(_scale_rows(s, r, scaled), out=out)
+        return _scale_rows(s, z, z)
 
     return precond
 
@@ -687,22 +673,18 @@ def invert_frakT(
     else:
         # CG updates x in place; the guess may be an array the session keeps
         x = guess.copy()
-        r = b - _frakT(depth, x, None, mu, out=q)
+        r = b - _frakT(depth, x, mu, out=q)
 
     tol_abs = cfg.rel_tolerance * b_norm
     max_iter = _CG_ITERATIONS_PER_POINT * max(grid.shape)
     res = _norm(r)
     iterations = 0
     if res > tol_abs:
-        # the search direction carries its spectrum along when the
-        # preconditioner gives one, so the matvec needs no forward transform
-        # of its own
-        z, z_spec = precond(r, out=np.empty_like(r))
+        z = precond(r, out=np.empty_like(r))
         p = z.copy()
-        p_spec = None if z_spec is None else z_spec.copy()
         rho = _inner(r, z)
         for iterations in range(1, max_iter + 1):
-            _frakT(depth, p, p_spec, mu, out=q)
+            _frakT(depth, p, mu, out=q)
             pq = _inner(p, q)
             if pq <= 0.0:
                 raise CoercivityViolationError(
@@ -716,13 +698,11 @@ def invert_frakT(
             res = _norm(r)
             if res <= tol_abs:
                 break
-            z, z_spec = precond(r, out=z)
+            z = precond(r, out=z)
             rho_new = _inner(r, z)
             beta = rho_new / rho
             # p ← z + βp in place: the same bits, as addition commutes
             np.add(np.multiply(beta, p, out=p), z, out=p)
-            if z_spec is not None:
-                np.add(np.multiply(beta, p_spec, out=p_spec), z_spec, out=p_spec)
             rho = rho_new
         else:
             raise NonConvergenceError(

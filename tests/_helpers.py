@@ -137,13 +137,11 @@ def _contract(symbol: np.ndarray, spec: np.ndarray) -> np.ndarray:
     return out
 
 
-def h_times_T_oracle(
-    depth: DepthState, u: np.ndarray, u_spec: np.ndarray | None = None
-) -> np.ndarray:
-    """h·T[h, βb]u in expression form, from ``u_spec`` = rfft(u) when given."""
+def h_times_T_oracle(depth: DepthState, u: np.ndarray) -> np.ndarray:
+    """h·T[h, βb]u in expression form."""
     grid = depth.grid
     h2d, h3d, bgb = depth.h2, depth.h3, depth.beta_grad_b
-    d = grid.irfft(_contract(grid.ik_dealiased, grid.rfft(u) if u_spec is None else u_spec))
+    d = grid.irfft(_contract(grid.ik_dealiased, grid.rfft(u)))
     if bgb is None:
         return -(1.0 / 3.0) * grid.dealiased_gradient(h3d * d)
     g = grid.dealias(np.einsum("i...,i...->...", bgb, u))
@@ -155,13 +153,11 @@ def h_times_T_oracle(
     return out
 
 
-def frakT_oracle(
-    depth: DepthState, u: np.ndarray, mu: float, u_spec: np.ndarray | None = None
-) -> np.ndarray:
+def frakT_oracle(depth: DepthState, u: np.ndarray, mu: float) -> np.ndarray:
     """𝔗[h, βb]u = h u + μ h T[h, βb]u in expression form."""
     out = depth.h * u
     if mu > 0.0:
-        out += mu * h_times_T_oracle(depth, u, u_spec)
+        out += mu * h_times_T_oracle(depth, u)
     return out
 
 
@@ -175,8 +171,7 @@ def invert_frakT_oracle(
 ) -> tuple[np.ndarray, int, float]:
     """(u, iterations, residual) of CG on 𝔗u = b from ``x0`` (zero when None),
     preconditioned by the flat inverse at h̄ scaled by s = h̄/h on both sides,
-    or for a ``stage`` solve over a flat bottom by the flat inverse itself,
-    whose spectrum the search direction carries."""
+    or for a ``stage`` solve over a flat bottom by the flat inverse itself."""
     grid = depth.grid
     h_bar = depth.mean_depth
     c = mu * h_bar * h_bar / 3.0
@@ -188,15 +183,15 @@ def invert_frakT_oracle(
             out_spec = specs * ((1.0 + weight * grid.laplacian_multiplier) / h_bar)
         else:
             out_spec = (specs + grid.ik * (weight * _contract(grid.ik, specs))) / h_bar
-        return grid.irfft(out_spec), out_spec
+        return grid.irfft(out_spec)
 
     def precond(r):
         if stage and depth.beta_grad_b is None:
             return flat(r)
         s = h_bar / depth.h
-        z, _ = flat(s * r)
+        z = flat(s * r)
         z *= s
-        return z, None
+        return z
 
     b_norm = math.sqrt(_inner(b, b))
     if x0 is None:
@@ -208,21 +203,19 @@ def invert_frakT_oracle(
     res = math.sqrt(_inner(r, r))
     iterations = 0
     if res > tol_abs:
-        z, z_spec = precond(r)
-        p, p_spec = z.copy(), z_spec
+        z = precond(r)
+        p = z.copy()
         rho = _inner(r, z)
         for iterations in range(1, 10 * max(grid.shape) + 1):
-            q = frakT_oracle(depth, p, mu, p_spec)
+            q = frakT_oracle(depth, p, mu)
             alpha = rho / _inner(p, q)
             x += alpha * p
             r -= alpha * q
             res = math.sqrt(_inner(r, r))
             if res <= tol_abs:
                 break
-            z, z_spec = precond(r)
+            z = precond(r)
             rho_new = _inner(r, z)
             p = z + (rho_new / rho) * p
-            if z_spec is not None:
-                p_spec = z_spec + (rho_new / rho) * p_spec
             rho = rho_new
     return x, iterations, res / b_norm
