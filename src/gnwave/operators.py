@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections import defaultdict
 from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
@@ -286,7 +287,7 @@ class SolverSession:
         # (stage errors, in-step guess, step, dt, weight, usable count) of the
         # guess asked for last, until the solution it belongs to is recorded
         self._pending: tuple[_StageErrors, np.ndarray, int, float, float, int] | None = None
-        self._errors: dict[int, _StageErrors] = {}
+        self._errors: defaultdict[int, _StageErrors] = defaultdict(_StageErrors)
 
     def initial_guess(self, shape: tuple[int, ...]) -> np.ndarray | None:
         self._pending = None
@@ -297,7 +298,7 @@ class SolverSession:
         if self.stage is None:
             return guess
         index, step, _, dt = self.stage
-        history = self._errors.setdefault(index, _StageErrors())
+        history = self._errors[index]
         usable = history.usable(shape, step, dt, weight)
         self._pending = (history, guess, step, dt, weight, usable)
         return history.corrected(guess, usable) if usable >= _ENGAGE else guess
@@ -476,7 +477,7 @@ def _h_times_T(depth: DepthState, u: np.ndarray) -> np.ndarray:
     spec = grid.rfft(fields, out=work.spectra[0])
     # P(hg − ½h²d)·β∇b first, then ∇P(½h²g − ⅓h³d) in the spectra that frees
     slope = grid.irfft(grid.dealias_spectrum(spec[1]), out=d)
-    slope_term = _scale_rows(slope, depth.beta_grad_b, fields[: grid.dim])
+    slope_term = np.multiply(slope, depth.beta_grad_b, out=fields[: grid.dim])
     ik = grid.ik_dealiased
     for axis in reversed(range(grid.dim)):
         np.multiply(ik[axis], spec[0], out=spec[axis])
@@ -495,18 +496,8 @@ def _frakT(
         return np.multiply(depth.h, u, out=out)
     t = _h_times_T(depth, u)
     np.multiply(mu, t, out=t)
-    out = _scale_rows(depth.h, u, np.empty_like(u) if out is None else out)
+    out = np.multiply(depth.h, u, out=out)
     out += t
-    return out
-
-
-def _scale_rows(s: np.ndarray, vector: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``s * vector`` for a scalar field ``s``, written into ``out`` one row
-    at a time, with the bits of the broadcast product.  Below 8192 points per
-    field numpy buffers a broadcast product given ``out`` in a fresh block of
-    the output's size (18 KB at 32²); a product of equal shapes needs none."""
-    for axis in range(len(vector)):  # indexing is faster here than iterating
-        np.multiply(s, vector[axis], out=out[axis])
     return out
 
 
@@ -615,8 +606,8 @@ def _preconditioner(depth: DepthState, mu: float, *, stage: bool) -> Callable[..
     scaled = depth.grid.solve_work.pairs[0, : depth.grid.dim]
 
     def precond(r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        z = flat(_scale_rows(s, r, scaled), out=out)
-        return _scale_rows(s, z, z)
+        z = flat(np.multiply(s, r, out=scaled), out=out)
+        return np.multiply(s, z, out=z)
 
     return precond
 

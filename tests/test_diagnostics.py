@@ -73,6 +73,18 @@ class TestWeights:
         with pytest.raises(ValidationError, match="resolution guard"):
             sobolev_weight(g, 11)
 
+    @pytest.mark.parametrize("order", [2.5, -1])
+    def test_order_must_be_a_nonnegative_integer(self, order):
+        with pytest.raises(ValidationError, match="nonnegative integer"):
+            sobolev_weight(grid1(32), order)
+
+    def test_partial_derivative_checks_its_arity(self):
+        """A multi-index with more entries than the grid has axes is refused,
+        not cut to the grid's dimension."""
+        g = grid1(32)
+        with pytest.raises(ValidationError, match="does not match dimension"):
+            partial_derivative(g, np.ones(g.shape), (1, 0))
+
     def test_partial_derivative_matches_gradient(self):
         g = grid2()
         f = band_limited_scalar(g, np.random.default_rng(0), 5, 1.0)

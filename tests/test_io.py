@@ -517,6 +517,12 @@ class TestConfigSchema:
         with pytest.raises(ValidationError, match="requires a .*path"):
             spec(kind="file")
 
+    @pytest.mark.parametrize("spec", [InitialSpec, BathymetrySpec])
+    def test_unknown_kind_refused(self, spec):
+        """A kind built in code is checked as a loaded one is."""
+        with pytest.raises(ValidationError, match="type must be one of"):
+            spec(kind="bogus")
+
     def test_every_setting_has_one_key(self):
         """Each setting of a run config is reached by exactly one key of the
         schema, and each key reaches a setting."""

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _helpers import band_limited_scalar, band_limited_vector, tendency_args
-from gnwave.errors import ValidationError
+from gnwave.errors import GridMismatchError, ValidationError
 from gnwave.grid import PeriodicGrid, ScalarField, VectorField
 from gnwave.models import (
     FluidState,
@@ -259,6 +259,20 @@ class TestVariableMaps:
         assert err <= 10 * cfg.rel_tolerance * g.norm_l2(state.vel.data)
         assert back.kind is VariableKind.U_VARIABLE
         assert back.time == state.time
+
+
+class TestFluidState:
+    def test_fields_on_one_grid(self):
+        with pytest.raises(GridMismatchError, match="one grid"):
+            FluidState(
+                ScalarField.zeros(grid1(32)), VectorField.zeros(grid1(16)), VariableKind.V_VARIABLE
+            )
+
+    @pytest.mark.parametrize("time", [np.nan, np.inf])
+    def test_time_must_be_finite(self, time):
+        g = grid1(16)
+        with pytest.raises(ValidationError, match="time must be finite"):
+            FluidState(ScalarField.zeros(g), VectorField.zeros(g), VariableKind.V_VARIABLE, time)
 
 
 class TestBoussinesqPeregrine:

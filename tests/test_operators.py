@@ -191,6 +191,12 @@ class TestTrivialCases:
         Tu = apply_T(depth, u)
         assert np.max(np.abs(Tu - (13.0 / 3.0) * u)) < 1e-11
 
+    def test_constant_bottom_has_no_slope(self):
+        """A bottom at β > 0 whose b is constant has no slope β∇b, so its
+        solves take the flat-bottom kernels."""
+        g = grid2(16)
+        assert BathymetryState(ScalarField(g, np.full(g.shape, 0.3)), 0.5).beta_grad_b is None
+
     def test_mu_zero_frakT_is_mass(self):
         g = grid1(32)
         rng = np.random.default_rng(1)
@@ -543,6 +549,20 @@ class TestInversion:
             assert np.array_equal(guess, in_step) != engaged, index
             session.record(in_step + error(after, index), 1)
 
+    def test_stage_errors_restart_on_another_grid(self):
+        """A stage history whose errors were made on one grid starts afresh
+        when its session moves to a grid of another shape."""
+        session = SolverSession()
+        rng = np.random.default_rng(12)
+        for shape, steps in (((1, 8), range(3)), ((1, 16), range(3, 6))):
+            for step in steps:
+                session.stage = (0, step, 0.0, 0.1)
+                session.initial_guess(shape)
+                session.record(rng.standard_normal(shape), 1)
+        history = session._errors[0]
+        assert [e.shape for e, *_ in history.errors] == [(1, 16), (1, 16)]
+        assert [len(row) for row in history.gram] == [2, 2]
+
     def _continued(self, error, steps):
         """The largest relative miss of the guess for each stage of each step
         from ``steps`` on, when every solution is the in-step guess plus
@@ -677,6 +697,20 @@ class TestInversion:
         h = 0.5 + np.sin(g.coords[0])  # dips below zero
         with pytest.raises(CoercivityViolationError):
             DepthState(BathymetryState.flat(g), h)
+
+    def test_non_positive_curvature_refused(self, monkeypatch):
+        """A search direction with ⟨p, 𝔗p⟩ ≤ 0 stops CG with the depth's
+        minimum, instead of a step along a direction of no descent."""
+        g, depth, rng = _random_setup(19)
+        frakT = operators._frakT
+
+        def negated(depth, u, mu, out=None):
+            return np.negative(frakT(depth, u, mu, out=out), out=out)
+
+        monkeypatch.setattr(operators, "_frakT", negated)
+        with pytest.raises(CoercivityViolationError, match="non-positive curvature") as caught:
+            invert_frakT(depth, band_limited_vector(g, rng, 5), MU)
+        assert caught.value.min_depth == depth.h_min
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_depth_must_be_finite(self, bad):
@@ -891,28 +925,6 @@ class TestSolveWorkspace:
         assert sum(rises[:3]) < 10 * scalar_bytes
         assert max(rises[3:]) < scalar_bytes // 8
 
-    def test_small_grid_kernels_allocate_no_field(self):
-        """At 32², where numpy buffers a broadcast product given ``out`` in a
-        block of the output's size, a matvec and a preconditioner call into
-        given arrays each allocate under 4 KB (a scalar field is 8 KB)."""
-        g, depth, rng = _bottom_setup_2d(28)
-        u = g.dealias(band_limited_vector(g, rng, 5))
-        out = np.empty_like(u)
-        precond = operators._preconditioner(depth, MU, stage=False)
-        for kernel in (
-            lambda: operators._frakT(depth, u, MU, out=out),
-            lambda: precond(u, out=out),
-        ):
-            kernel()  # makes the work arrays
-            tracemalloc.start()
-            try:
-                start = tracemalloc.get_traced_memory()[0]
-                kernel()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak - start < 4096
-
     @pytest.mark.parametrize("case", ["1d_bottom", "2d_bottom", "2d_flat"])
     def test_results_are_not_overwritten(self, case):
         """A result held across a second call keeps its values."""
@@ -952,6 +964,12 @@ class TestShapeDerivative:
         assert e1 / e2 == pytest.approx(4.0, rel=0.2)
         # absolute smallness at the finer step: the derivative is exact
         assert e2 < 1e-6 * g.norm_l2(exact)
+
+    def test_direction_shape_checked(self):
+        g, depth, rng = _random_setup(18)
+        u = band_limited_vector(g, rng, 3)
+        with pytest.raises(GridMismatchError, match="direction has shape"):
+            dh_frakT(depth, np.ones(16), u, MU)
 
     def test_refinement_agreement(self):
         # operators evaluated at N and 2N coincide on the common points
