@@ -211,7 +211,7 @@ def _planned_run(cfg: RunConfig) -> tuple[BathymetryState, FluidState, float, in
     bath = build_bathymetry(cfg)
     state = build_initial_state(cfg)
     advisory = cfl_time_step(state, cfg.params, bath)
-    return bath, state, advisory, len(step_schedule(cfg.integration, state.time))
+    return bath, state, advisory, step_schedule(cfg.integration, state.time)[0]
 
 
 def _cmd_run(args: argparse.Namespace, out: TextIO) -> int:

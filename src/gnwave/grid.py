@@ -22,15 +22,11 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft  # the kernels under np.fft
 
 from .errors import ValidationError
 
-try:  # numpy >= 2.0: the transform kernels under np.fft's Python wrapper
-    from numpy.fft import _pocketfft_umath as _pocketfft
-except ImportError:  # older numpy: every transform goes through np.fft
-    _pocketfft = None
-
-__all__ = ["PeriodicGrid", "ScalarField", "VectorField"]
+__all__ = ["PeriodicGrid", "ScalarField", "SolveWork", "VectorField"]
 
 # gufunc ``axes`` argument of a pass along the second-to-last axis: input,
 # scale factor, output.
@@ -268,8 +264,7 @@ class PeriodicGrid:
     # calls and the next call faults them in again.  Here that intermediate
     # is a work array the grid owns on the calling thread, one per leading
     # shape (see the class docstring).  Callers get a fresh output array, or
-    # pass ``out`` to have the result written there.  Numpy before 2.0 has no
-    # such module and takes np.fft, copying into ``out`` when one is given.
+    # pass ``out`` to have the result written there.
 
     def _work_array(self, role: str, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
         """The calling thread's ``role`` work array of ``shape`` and
@@ -309,12 +304,6 @@ class PeriodicGrid:
     def rfft(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Unnormalized real spectrum over the trailing grid axes, into ``out``
         when given."""
-        if _pocketfft is None:
-            spec = np.fft.rfftn(f, axes=tuple(range(-self.dim, 0)))
-            if out is None:
-                return spec
-            out[...] = spec
-            return out
         if out is None:
             out = np.empty(f.shape[: f.ndim - self.dim] + self.spectral_shape, dtype=np.complex128)
         if self.dim == 1:
@@ -325,12 +314,6 @@ class PeriodicGrid:
     def irfft(self, spec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Inverse of :meth:`rfft`, real arrays of the grid shape, into ``out``
         when given."""
-        if _pocketfft is None:
-            f = np.fft.irfftn(spec, s=self.shape, axes=tuple(range(-self.dim, 0)))
-            if out is None:
-                return f
-            out[...] = f
-            return out
         if out is None:
             out = np.empty(spec.shape[: spec.ndim - self.dim] + self.shape, dtype=np.float64)
         if self.dim == 2:

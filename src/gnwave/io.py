@@ -873,10 +873,11 @@ class FileSinks:
     """Persistence sinks for the time loop: diagnostics CSV plus numbered
     GNWV1 snapshot files under one directory.
 
-    Which artifacts are produced follows ``formats``.  The CSV's header row
-    is written when it opens, so an empty run still leaves a header-only
-    CSV; each record appends one row (:func:`append_diagnostics`).  Sinks
-    without a CSV have no ``record`` and sinks without snapshots no
+    Which artifacts are produced follows ``formats``.  The CSV is line
+    buffered: its header row is in the file once it opens, and each record's
+    row (:func:`append_diagnostics`) once the record is made, so a run that
+    is killed leaves every row it made, and an empty run a header-only CSV.
+    Sinks without a CSV have no ``record`` and sinks without snapshots no
     ``snapshot``, so a run takes no records or builds no snapshot states.
     One instance owns its files exclusively: opening removes the CSV and the
     numbered snapshots a previous run left there (:class:`RunConfig` refuses
@@ -898,7 +899,7 @@ class FileSinks:
         self._snapshot_index = 0
         self._stream: TextIO | None = None
         if "csv" in formats:
-            self._stream = open(self.directory / "diagnostics.csv", "w", newline="")
+            self._stream = open(self.directory / "diagnostics.csv", "w", newline="", buffering=1)
             self._stream.write(",".join(DIAGNOSTIC_COLUMNS) + "\n")
         else:
             self.record = None

@@ -37,9 +37,11 @@ report is the only nondeterministic field.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import time
 import warnings
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -313,20 +315,24 @@ def _dealias_pair(
     return both[0], both[1:]
 
 
-def step_schedule(icfg: IntegrationConfig, t0: float) -> list[tuple[float, float]]:
-    """The ``(dt, t_next)`` of each step a run from ``t0`` takes: the full
-    steps, then a shorter final one unless the span is a whole number of
-    steps up to round-off.  A span of more steps than a float counts is refused."""
+def step_schedule(
+    icfg: IntegrationConfig, t0: float
+) -> tuple[int, Iterator[tuple[float, float]]]:
+    """The count of the steps a run from ``t0`` takes, and an iterator that
+    makes their ``(dt, t_next)`` one at a time: the full steps, step ``k``
+    ending at ``t0 + k·dt``, then a shorter final one unless the span is a
+    whole number of steps up to round-off.  A span of more steps than a float
+    counts is refused."""
     span = icfg.t_end - t0
     count = span / icfg.dt * (1.0 + 1e-12)
     if not math.isfinite(count):
         raise ValidationError(f"t_end - t0 = {span!r} holds no finite count of dt = {icfg.dt!r}")
     n_full = max(0, int(math.floor(count)))
-    steps = [(icfg.dt, t0 + k * icfg.dt) for k in range(1, n_full + 1)]
+    steps = ((icfg.dt, t0 + k * icfg.dt) for k in range(1, n_full + 1))
     remainder = span - n_full * icfg.dt
     if remainder > 1e-9 * icfg.dt:
-        steps.append((remainder, icfg.t_end))
-    return steps
+        return n_full + 1, itertools.chain(steps, [(remainder, icfg.t_end)])
+    return n_full, steps
 
 
 _TERMINATIONS = {
@@ -394,12 +400,12 @@ def run(
         if want_snapshot and emit_snapshot is not None:
             emit_snapshot(accepted())
 
-    steps = step_schedule(icfg, initial.time)
+    n_steps, steps = step_schedule(icfg, initial.time)
     steps_done = record_iterations = 0
     termination, failure_time, failure = "completed", None, None
     emit(True, icfg.snapshot_stride > 0)
     try:
-        if steps:
+        if n_steps:
             # each step checks the state it ends with, so the initial state
             # is checked once, before it enters step 1
             stepper.check_fields(z, v, t)
@@ -407,7 +413,7 @@ def run(
             z, v = stepper.advance(z, v, k, t, dt, t_next)
             t, state = t_next, None
             steps_done = k
-            last = k == len(steps)
+            last = k == n_steps
             emit(
                 k % icfg.diag_stride == 0 or last,
                 icfg.snapshot_stride > 0 and (k % icfg.snapshot_stride == 0 or last),

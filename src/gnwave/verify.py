@@ -61,6 +61,11 @@ __all__ = [
     "check_equivalence_identity",
     "check_rhs_equivalence",
     "check_variational_structure",
+    "skew_assembled_rhs",
+    "fd_pairing_mismatch",
+    "fd_variational_gradients",
+    "fd_skew_reproduction_gap",
+    "predicted_omega",
     "dispersion_study",
     "dt_convergence",
     "resolution_convergence",

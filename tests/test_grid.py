@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gnwave import grid as grid_module
 from gnwave.errors import ValidationError
 from gnwave.grid import PeriodicGrid, ScalarField
 
@@ -90,28 +89,22 @@ class TestTransforms:
                 g.irfft(spec)[i], np.fft.irfftn(spec[i], s=g.shape, axes=axes)
             )
 
-    @pytest.mark.parametrize("fallback", [False, True], ids=["gufunc", "np.fft"])
     @pytest.mark.parametrize("stack", [(), (2,), (3,)])
     @pytest.mark.parametrize("n", [8, 96, 250, 256])
-    def test_1d_transforms_match_numpy(self, monkeypatch, n, stack, fallback):
-        """Both 1-D paths, the pocketfft gufuncs and the np.fft fallback, give
-        numpy's own numbers bit for bit."""
-        if fallback:
-            monkeypatch.setattr(grid_module, "_pocketfft", None)
+    def test_1d_transforms_match_numpy(self, n, stack):
+        """The 1-D transforms, numpy's pocketfft gufuncs, give np.fft's own
+        numbers bit for bit."""
         g = grid1(n)
         f = np.random.default_rng(n).standard_normal(stack + (n,))
         spec = g.rfft(f)
         assert np.array_equal(spec, np.fft.rfft(f))
         assert np.array_equal(g.irfft(spec), np.fft.irfft(spec, n))
 
-    @pytest.mark.parametrize("fallback", [False, True], ids=["gufunc", "np.fft"])
     @pytest.mark.parametrize("stack", [(), (2,), (3,)])
     @pytest.mark.parametrize("shape", [(128, 128), (64, 32), (8, 16)])
-    def test_2d_transforms_match_numpy(self, monkeypatch, shape, stack, fallback):
-        """Both 2-D paths, the pocketfft gufuncs through the grid's work buffer
-        and the np.fft fallback, give numpy's own numbers bit for bit."""
-        if fallback:
-            monkeypatch.setattr(grid_module, "_pocketfft", None)
+    def test_2d_transforms_match_numpy(self, shape, stack):
+        """The 2-D transforms, numpy's pocketfft gufuncs through the grid's
+        work buffer, give np.fft's own numbers bit for bit."""
         g = PeriodicGrid(shape, (2.0 * np.pi, 3.0))
         f = np.random.default_rng(shape[1]).standard_normal(stack + shape)
         spec = g.rfft(f)
@@ -139,14 +132,11 @@ class TestTransforms:
         assert np.array_equal(s1, s1_before)
         assert np.array_equal(g.rfft(f2), s2)
 
-    @pytest.mark.parametrize("fallback", [False, True], ids=["gufunc", "np.fft"])
     @pytest.mark.parametrize("shape", [(64,), (16, 24)])
     @pytest.mark.parametrize("stack", [(), (2,)])
-    def test_transforms_write_into_out(self, monkeypatch, shape, stack, fallback):
-        """With ``out``, both paths write the numbers of a fresh result into
-        it and return it."""
-        if fallback:
-            monkeypatch.setattr(grid_module, "_pocketfft", None)
+    def test_transforms_write_into_out(self, shape, stack):
+        """With ``out``, the transforms write the numbers of a fresh result
+        into it and return it."""
         g = PeriodicGrid(shape, (2.0 * np.pi,) * len(shape))
         f = np.random.default_rng(6).standard_normal(stack + shape)
         spec = np.empty(stack + g.spectral_shape, dtype=np.complex128)

@@ -728,6 +728,17 @@ class TestDiagnosticsCsv:
         assert len(set(times)) == len(times)
         assert times[-1] == pytest.approx(0.1)
 
+    def test_rows_are_in_the_file_before_close(self, tmp_path):
+        """The header is in the file once the sinks open, and each row once
+        its record is made, so a run killed before close leaves them all."""
+        path = tmp_path / "diagnostics.csv"
+        with FileSinks(tmp_path, ModelParams(), formats=("csv",)) as sinks:
+            assert path.read_text() == HEADER
+            records = [make_record(0.1 * k) for k in range(3)]
+            for k, rec in enumerate(records, start=1):
+                sinks.record(rec)
+                assert path.read_text() == csv_text(*records[:k])
+
     def test_empty_run_header_only(self, tmp_path):
         """Sinks that never receive a record leave a header-only CSV."""
         with FileSinks(tmp_path, ModelParams(), formats=("csv",)):

@@ -1,9 +1,10 @@
 """Source layout checks: every module-level import of the package is read,
-every function parameter is read, every defaulted parameter (dataclass fields
-included) is passed by some call, imports flow one way, every transform goes
-through the grid, importing the command line loads no scipy, the
-benchmark's tracer and timing hooks find every name they wrap, and its
-artifact check passes on a short run."""
+``__all__`` names every public function and class, every function parameter
+is read, every defaulted parameter (dataclass fields included) is passed by
+some call, imports flow one way, every transform goes through the grid,
+importing the command line loads no scipy, the benchmark's tracer and timing
+hooks find every name they wrap, and its artifact check passes on a short
+run."""
 from __future__ import annotations
 
 import ast
@@ -76,6 +77,30 @@ def test_no_unused_module_imports():
             if name not in read and (path.stem, name) not in ALLOWED:
                 unused.append(f"{path.name}:{line} {name}")
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def test_all_names_every_public_definition():
+    """A module's ``__all__`` names every function and class it defines
+    without a leading underscore."""
+    missing = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        listed = [
+            set(ast.literal_eval(node.value))
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        ]
+        if not listed:
+            continue
+        for node in tree.body:
+            if (
+                isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")
+                and node.name not in listed[0]
+            ):
+                missing.append(f"{path.stem}.{node.name}")
+    assert not missing, "public but not in __all__: " + ", ".join(missing)
 
 
 def test_every_parameter_is_read():

@@ -1,4 +1,6 @@
 """Time integration: accuracy orders, invariants, guards, emission policy."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from gnwave.timeloop import (
     RunReport,
     cfl_time_step,
     run,
+    step_schedule,
 )
 
 from _helpers import (
@@ -495,6 +498,55 @@ class TestShallowWaterReference:
         h_ref = np.interp(x, xf, h_fv, period=grid.lengths[0])
         gap = np.sqrt(np.mean((h_spectral - h_ref) ** 2))
         assert gap <= 1e-2 * np.sqrt(np.mean((h_ref - 1) ** 2))
+
+
+def listed_schedule(icfg, t0):
+    """Reference: the steps written out as a list, full steps ending at
+    ``t0 + k·dt``, then the shorter final step, if any, ending at ``t_end``."""
+    span = icfg.t_end - t0
+    n_full = max(0, int(np.floor(span / icfg.dt * (1.0 + 1e-12))))
+    steps = [(icfg.dt, t0 + k * icfg.dt) for k in range(1, n_full + 1)]
+    remainder = span - n_full * icfg.dt
+    if remainder > 1e-9 * icfg.dt:
+        steps.append((remainder, icfg.t_end))
+    return steps
+
+
+class TestStepSchedule:
+    @pytest.mark.parametrize(
+        "dt, t0, t_end",
+        [
+            (0.01, 0.0, 0.1),  # whole steps
+            (0.01, 0.0, 0.073),  # a shorter final step
+            (0.1, 0.0, 0.3),  # 3 steps overshoot 0.3 by round-off: no final step
+            (0.3, 0.0, 0.9),  # 3 steps fall 1e-16 short of 0.9: no final step
+            (0.02, 0.625, 1.0),  # a later start
+            (0.01, 0.0, 0.0),  # no step
+            (0.01, 0.5, 0.2),  # t_end before t0: no step
+        ],
+    )
+    def test_steps_match_the_listed_schedule(self, dt, t0, t_end):
+        """The count and every ``(dt, t_next)`` equal the listed form bit for bit."""
+        icfg = IntegrationConfig(dt=dt, t_end=t_end)
+        count, steps = step_schedule(icfg, t0)
+        listed = listed_schedule(icfg, t0)
+        assert count == len(listed)
+        assert list(steps) == listed
+
+    def test_count_takes_no_memory_per_step(self):
+        """Counting and walking a million steps traces under 1 MB; a list of
+        them takes 88 MB."""
+        icfg = IntegrationConfig(dt=1e-6, t_end=1.0)
+        tracemalloc.start()
+        try:
+            count, steps = step_schedule(icfg, 0.0)
+            for _ in steps:
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 10**6
+        assert peak < 2**20
 
 
 class TestEmissionPolicy:
