@@ -255,21 +255,24 @@ def rhs_gn_v(
     grid = depth.grid
     u = invert_frakT(depth, grid.dealias(depth.h * vel), params.mu, cfg, session).u
 
-    dzeta_spec = -grid.contract(grid.ik_dealiased, grid.rfft(depth.h * u))
-
     # −ζ, −(ε/2)|u|² and με(R + R_b) share one gradient; only the
     # nonlinear potentials and the vortical term are dealiased
     eps = params.epsilon
-    if eps > 0.0:
-        potential = -(eps / 2.0) * grid.contract(u, u)
-        if params.mu > 0.0:
-            potential += params.mu * eps * _pressure_terms(depth, u)
-        spec = grid.rfft(np.array((zeta, potential)))
-        dv_spec = grid.ik * (grid.dealias_mask * spec[1] - spec[0])
-        if grid.dim == 2:
-            dv_spec -= (eps * grid.dealias_mask) * grid.rfft(grid.curl(vel) * grid.perp(u))
+    potential = -(eps / 2.0) * grid.contract(u, u)
+    if eps > 0.0 and params.mu > 0.0:
+        potential += params.mu * eps * _pressure_terms(depth, u)
+    if grid.dim == 1:
+        # h·u, ζ and the potential in one forward call
+        spec = grid.rfft(np.concatenate((depth.h * u, zeta[None], potential[None])))
+        hu_spec, spec = spec[:1], spec[1:]
     else:
-        dv_spec = -grid.ik * grid.rfft(zeta)
+        # two calls: four planes at once would need a half spectrum of their own
+        hu_spec = grid.rfft(depth.h * u)
+        spec = grid.rfft(np.array((zeta, potential)))
+    dzeta_spec = -grid.contract(grid.ik_dealiased, hu_spec)
+    dv_spec = grid.ik * (grid.dealias_mask * spec[1] - spec[0])
+    if grid.dim == 2 and eps > 0.0:
+        dv_spec -= (eps * grid.dealias_mask) * grid.rfft(grid.curl(vel) * grid.perp(u))
     out_spec = np.concatenate((dzeta_spec[None], dv_spec))
     if multiplier is not None:
         out_spec *= multiplier

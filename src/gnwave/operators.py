@@ -141,23 +141,26 @@ class DepthState:
     the slope β∇b are those of ``bath``.  ``h`` is kept as a read-only view
     of the given array; ``h2`` and ``h3`` are read-only arrays, the dealiased
     rows of one stacked transform of h·h and h·h·h.  ``mean_depth`` h̄ is
-    the sum of h over the point count.
+    the sum of h over the point count.  Every field is set on construction.
     """
 
     bath: BathymetryState
     h: np.ndarray
+    grid: PeriodicGrid = dataclasses.field(init=False, repr=False)
+    beta_grad_b: np.ndarray | None = dataclasses.field(init=False, repr=False)
     h_min: float = dataclasses.field(init=False)
+    mean_depth: float = dataclasses.field(init=False)
     h2: np.ndarray = dataclasses.field(init=False, repr=False)
     h3: np.ndarray = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        grid = self.bath.grid
         harr = np.asarray(self.h, dtype=np.float64).view()
-        if harr.shape != self.grid.shape:
-            raise GridMismatchError(
-                f"depth has shape {harr.shape}, expected {self.grid.shape}"
-            )
-        h_min = float(harr.min())
-        if not (math.isfinite(h_min) and math.isfinite(float(harr.max()))):
+        if harr.shape != grid.shape:
+            raise GridMismatchError(f"depth has shape {harr.shape}, expected {grid.shape}")
+        # NaN and ±inf reach the minimum or the sum, as does a sum past the float range
+        h_min, total = float(harr.min()), float(harr.sum())
+        if not (math.isfinite(h_min) and math.isfinite(total)):
             raise ValidationError("depth contains non-finite values")
         if h_min <= 0.0:
             raise CoercivityViolationError(
@@ -167,24 +170,15 @@ class DepthState:
         powers = np.empty((2,) + harr.shape)
         np.multiply(harr, harr, out=powers[0])
         np.multiply(powers[0], harr, out=powers[1])
-        powers = self.grid.dealias(powers)
+        powers = grid.dealias(powers)
         powers.flags.writeable = False
         object.__setattr__(self, "h", harr)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "beta_grad_b", self.bath.beta_grad_b)
         object.__setattr__(self, "h_min", h_min)
+        object.__setattr__(self, "mean_depth", total / harr.size)
         object.__setattr__(self, "h2", powers[0])
         object.__setattr__(self, "h3", powers[1])
-
-    @property
-    def grid(self) -> PeriodicGrid:
-        return self.bath.grid
-
-    @property
-    def beta_grad_b(self) -> np.ndarray | None:
-        return self.bath.beta_grad_b
-
-    @cached_property
-    def mean_depth(self) -> float:
-        return float(self.h.sum()) / self.h.size
 
     @cached_property
     def half_h2(self) -> np.ndarray:
@@ -258,8 +252,10 @@ class SolverSession:
     keeps each score as a running average (:data:`_SCORE_WEIGHT` on the
     newest value).  The next solve of that stage builds the candidate of
     lowest score among those its history allows, or the quadratic while none
-    is scored.  The scores come from the Gram matrix of the kept errors, so
-    they cost one inner product per kept error and no matvec.
+    is scored.  The history keeps the backward differences ∇ᵏe₁ of its
+    newest error: a new e₀ gives the next ones in at most four subtractions,
+    candidate n scores ‖∇ⁿ⁺¹e₀‖² in one inner product and no matvec, and is
+    built as Σ_{k≤n} ∇ᵏe₁, Newton's form of the same extrapolation.
 
     A stage solve counts its stage's usable errors once, in
     :meth:`initial_guess`; the count stays pending with the in-step guess
@@ -320,10 +316,18 @@ class SolverSession:
             return last, 0.0
         return last + weight * (last - previous), weight
 
-    def record(self, solution: np.ndarray, iterations: int) -> None:
+    def keeps(self, guess: np.ndarray) -> bool:
+        """Whether ``guess`` is an array the session reads again: its latest
+        solution or the pending in-step guess.  A corrected one is fresh."""
+        pending = self._pending
+        return guess is self.last_solution or (pending is not None and guess is pending[1])
+
+    def record(self, solution: np.ndarray, iterations: int, guessed: bool = True) -> None:
+        """Take ``solution`` as the latest; file its error from the pending
+        in-step guess unless the solve asked for none (``guessed`` False)."""
         stored = solution.copy()
         pending, self._pending = self._pending, None
-        if pending is not None:
+        if pending is not None and guessed:
             history, guess, step, dt, weight, usable = pending
             history.record(stored - guess, step, dt, weight, usable)
         place = None if self.stage is None else self.stage[1:]
@@ -349,20 +353,9 @@ def _elapsed(a: tuple[int, float, float], b: tuple[int, float, float]) -> float:
 
 
 # The stage guess's candidate corrections, as coefficients of the newest
-# errors e₁, e₂, …: the extrapolations of degree 0 to 3 in step time.
+# errors e₁, e₂, …: the extrapolations of degree 0 to 3 in step time.  Row n
+# is Σ_{k≤n} ∇ᵏe₁ (Newton's form, as :class:`_StageErrors` builds it).
 _EXTRAPOLATIONS = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0), (4.0, -6.0, 4.0, -1.0))
-# e₀ − c for the candidate c of each row above is the backward difference of
-# e₀, e₁, … of the row's length, so ‖e₀ − c‖² = Σ bᵢbⱼ⟨eᵢ, eⱼ⟩ with b the
-# binomial coefficients of alternating sign: its Gram-matrix terms (i, j, ·),
-# j ≥ i, the off-diagonal ones doubled.
-_SCORE_TERMS = tuple(
-    tuple(
-        (i, j, (1.0 if i == j else 2.0) * b[i] * b[j])
-        for i in range(len(b))
-        for j in range(i, len(b))
-    )
-    for b in ((1.0,) + tuple(-a for a in row) for row in _EXTRAPOLATIONS)
-)
 # The stage guess engages with this many usable errors, and takes the
 # extrapolation through all of them, the quadratic, until a candidate is scored.
 _ENGAGE = 3
@@ -375,54 +368,57 @@ _FLAT_INVERSES_KEPT = 4
 
 
 class _StageErrors:
-    """The in-step guess errors of one stage index, newest first, each with
-    its step number, dt and in-step weight; their Gram matrix; and each
-    extrapolation's running score, None until scored.  The session counts
-    the usable errors once per solve, and :meth:`corrected` and
-    :meth:`record` both take that count."""
+    """The in-step guess errors of one stage index, newest first, kept as
+    the backward differences ``differences[k]`` = ∇ᵏe₁ (k = 0…3) of the
+    newest error e₁, with each error's step number, dt and in-step weight
+    in ``places``; and each extrapolation's running score, None until
+    scored.  The session counts the usable errors once per solve, and
+    :meth:`corrected` and :meth:`record` both take that count."""
 
     def __init__(self) -> None:
-        self.errors: list[tuple[np.ndarray, int, float, float]] = []
-        self.gram: list[list[float]] = []
+        self.differences: list[np.ndarray] = []
+        self.places: list[tuple[int, float, float]] = []
         self.scores: list[float | None] = [None] * len(_EXTRAPOLATIONS)
 
     def usable(self, shape: tuple[int, ...], step: int, dt: float, weight: float) -> int:
         """How many of the newest errors, of ``shape``, were made at steps
         step − k (k = 1, 2, …) of size ``dt`` by an in-step guess of
         ``weight``.  Every comparison is exact."""
-        for k, (e, s, d, w) in enumerate(self.errors, start=1):
-            if not (e.shape == shape and s == step - k and d == dt and w == weight):
+        if self.differences and self.differences[0].shape != shape:
+            return 0
+        for k, (s, d, w) in enumerate(self.places, start=1):
+            if not (s == step - k and d == dt and w == weight):
                 return k - 1
-        return len(self.errors)
+        return len(self.places)
 
     def corrected(self, guess: np.ndarray, usable: int) -> np.ndarray:
-        """``guess`` plus the lowest-scoring extrapolation that the ``usable``
-        newest errors allow (the quadratic while none is scored)."""
+        """``guess`` plus Σ_{k≤n} ∇ᵏe₁, n the lowest-scoring candidate that the
+        ``usable`` newest errors allow (the quadratic while none is scored)."""
         scored = [(s, n) for n, s in enumerate(self.scores[:usable]) if s is not None]
         order = min(scored)[1] if scored else _ENGAGE - 1
-        coefficients = _EXTRAPOLATIONS[order]
-        out = guess + coefficients[0] * self.errors[0][0]
-        for a, (e, *_) in zip(coefficients[1:], self.errors[1:]):
-            out += a * e
+        out = guess + self.differences[0]
+        for d in self.differences[1 : order + 1]:
+            out += d
         return out
 
     def record(self, e0: np.ndarray, step: int, dt: float, weight: float, usable: int) -> None:
         """Score the extrapolations that the ``usable`` newest errors allowed
-        by ‖e₀ − c‖², e₀ the error just made at ``step``, then keep e₀ as the
-        newest error."""
-        if self.errors and self.errors[0][0].shape != e0.shape:
-            self.errors, self.gram = [], []
-        dots = [_inner(e0, e) for e, *_ in self.errors]
-        # the Gram matrix of e₀ and the kept errors
-        gram = [[_inner(e0, e0)] + dots] + [[d] + row for d, row in zip(dots, self.gram)]
+        by ‖e₀ − c‖² = ‖∇ⁿ⁺¹e₀‖², e₀ the error just made at ``step``, then
+        keep the differences of e₀.  It takes e₀ over: later records write
+        differences over it."""
+        if self.differences and self.differences[0].shape != e0.shape:
+            self.differences, self.places = [], []
+        # ∇ᵏe₀ = ∇ᵏ⁻¹e₀ − ∇ᵏ⁻¹e₁, written over the ∇ᵏ⁻¹e₁ that nothing reads after
+        new = [e0]
+        for d in self.differences:
+            new.append(np.subtract(new[-1], d, out=d))
         if usable >= _ENGAGE:
-            for n, terms in enumerate(_SCORE_TERMS[:usable]):
-                score = sum([c * gram[i][j] for i, j, c in terms])
-                old = self.scores[n]
+            for n, d in enumerate(new[1 : usable + 1]):
+                score, old = _inner(d, d), self.scores[n]
                 self.scores[n] = score if old is None else old + _SCORE_WEIGHT * (score - old)
         kept = len(_EXTRAPOLATIONS)
-        self.gram = [row[:kept] for row in gram[:kept]]
-        self.errors = [(e0, step, dt, weight)] + self.errors[: kept - 1]
+        self.differences = new[:kept]
+        self.places = [(step, dt, weight)] + self.places[: kept - 1]
 
 
 class EllipticSolveResult(NamedTuple):
@@ -508,9 +504,10 @@ _BLAS_THREADED_DOT = 10_000
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> float:
-    """Euclidean inner product of two arrays of one shape."""
+    """Euclidean inner product of two arrays of one shape.  ``ndarray.dot``
+    is np.dot's ddot without its dispatch wrapper."""
     if a.size <= _BLAS_THREADED_DOT:
-        return float(np.dot(a.ravel(), b.ravel()))
+        return float(a.ravel().dot(b.ravel()))
     return float(np.einsum("i,i->", a.ravel(), b.ravel()))
 
 
@@ -648,7 +645,7 @@ def invert_frakT(
 
     if mu == 0.0:
         u = b / depth.h
-        session.record(u, 0)
+        session.record(u, 0, guessed=False)
         return EllipticSolveResult(u, 0, 0.0)
 
     precond = _preconditioner(depth, mu, stage=session.stage is not None)
@@ -662,8 +659,8 @@ def invert_frakT(
         x = np.zeros_like(b)
         r = b.copy()
     else:
-        # CG updates x in place; the guess may be an array the session keeps
-        x = guess.copy()
+        # CG updates x in place: copy the guess if the session keeps it
+        x = guess.copy() if session.keeps(guess) else guess
         r = b - _frakT(depth, x, mu, out=q)
 
     tol_abs = cfg.rel_tolerance * b_norm

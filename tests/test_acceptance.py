@@ -361,7 +361,7 @@ class TestAcceptance:
     def test_criterion_08_traveling_wave(self):
         """A solitary wave crosses the box ten times and keeps its shape.  The
         stage guesses keep engaging to the end, so the stage solves take at
-        most 90 000 CG iterations (87 311 on this case)."""
+        most 90 000 CG iterations (88 725 on this case)."""
         t0 = time.perf_counter()
         length = 50.0
         g = PeriodicGrid((256,), (length,))

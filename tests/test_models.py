@@ -339,3 +339,34 @@ class TestSolveStats:
         depth = make_depth(params, state.zeta.data, bath)
         manual = 1 + params.epsilon * state.zeta.data - params.beta * bath.b.data
         assert np.allclose(depth.h, manual, atol=0)
+
+    def test_gn_v_transform_count(self, monkeypatch):
+        """One 1-D gn_v tendency over a flat bottom makes 2 transforms before
+        its solve (the right-hand side's projection) and 6 after it: one
+        stacked forward of h·u, ζ and the potential, 4 in R, and one inverse."""
+        from gnwave import models
+
+        g = grid1()
+        state, params, bath = make_setup(14, g, VariableKind.V_VARIABLE, beta=0.0)
+        zeta, vel, _, depth = tendency_args(state, params, bath)
+        calls = []
+        for name in ("rfft", "irfft"):
+            transform = getattr(PeriodicGrid, name)
+
+            def counted(self, *args, transform=transform, **kwargs):
+                calls.append(1)
+                return transform(self, *args, **kwargs)
+
+            monkeypatch.setattr(PeriodicGrid, name, counted)
+        solve, marks = models.invert_frakT, []
+
+        def marked(*args, **kwargs):
+            marks.append(len(calls))
+            result = solve(*args, **kwargs)
+            marks.append(len(calls))
+            return result
+
+        monkeypatch.setattr(models, "invert_frakT", marked)
+        rhs_gn_v(zeta, vel, params, depth)
+        assert params.epsilon > 0.0 and params.mu > 0.0
+        assert (marks[0], len(calls) - marks[1]) == (2, 6)

@@ -560,8 +560,8 @@ class TestInversion:
                 session.initial_guess(shape)
                 session.record(rng.standard_normal(shape), 1)
         history = session._errors[0]
-        assert [e.shape for e, *_ in history.errors] == [(1, 16), (1, 16)]
-        assert [len(row) for row in history.gram] == [2, 2]
+        assert [d.shape for d in history.differences] == [(1, 16), (1, 16)]
+        assert [step for step, _, _ in history.places] == [5, 4]
 
     def _continued(self, error, steps):
         """The largest relative miss of the guess for each stage of each step
@@ -598,9 +598,9 @@ class TestInversion:
 
     def test_stage_scores_follow_the_gram_matrix(self, monkeypatch):
         """Each recorded error scores the extrapolations its history allows by
-        ‖e₀ − c‖², as a running average, from one inner product per kept
-        error plus ⟨e₀, e₀⟩; the history keeps four errors and a broken chain
-        or a shorter step scores nothing."""
+        ‖e₀ − c‖², as a running average, from one inner product per scored
+        candidate; the history keeps four errors and a broken chain or a
+        shorter step scores nothing."""
         rng = np.random.default_rng(11)
         dt = 0.1
         schedule = (
@@ -631,15 +631,78 @@ class TestInversion:
                         old + operators._SCORE_WEIGHT * (direct - old)
                     )
             calls.clear()
-            history.record(e0, step, size, 1.0, history.usable(e0.shape, step, size, 1.0))
-            assert len(calls) == len(kept) + 1
+            # record keeps the array it is given and writes later differences over it
+            history.record(e0.copy(), step, size, 1.0, history.usable(e0.shape, step, size, 1.0))
+            assert len(calls) == (usable if usable >= 3 else 0)
             kept = [(e0, step, size)] + kept[:3]
-            assert [(s, d) for _, s, d, _ in history.errors] == [k[1:] for k in kept]
+            assert [(s, d) for s, d, _ in history.places] == [k[1:] for k in kept]
             for got, want in zip(history.scores, expected):
                 assert (got is None) == (want is None)
                 if want is not None:
                     assert got == pytest.approx(want, rel=1e-12)
         assert scored == 4 + 1 + 2 and expected[3] is not None
+
+    def test_stage_candidates_match_their_coefficients(self):
+        """Candidate n built from the kept differences, Σ_{k≤n} ∇ᵏe₁, is the
+        extrapolation Σ aᵢeᵢ of its row of coefficients to round-off."""
+        rng = np.random.default_rng(13)
+        history = operators._StageErrors()
+        errors = []
+        for step in range(6):
+            e = rng.standard_normal((2, 16))
+            history.record(e.copy(), step, 0.1, 1.0, history.usable(e.shape, step, 0.1, 1.0))
+            errors.insert(0, e)
+        guess = rng.standard_normal((2, 16))
+        for n, coefficients in enumerate(operators._EXTRAPOLATIONS):
+            history.scores = [0.0 if k == n else 1.0 for k in range(4)]
+            got = history.corrected(guess, 4)
+            want = guess + sum(a * e for a, e in zip(coefficients, errors))
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), n
+
+    def test_stage_error_is_measured_from_the_uncorrected_guess(self):
+        """CG updates its iterate in place, and never the in-step guess that
+        the stage's error is measured from: the recorded error is the
+        solution minus that guess, whether the guess returned is it or a
+        corrected one."""
+        g = grid1(16)
+        depth = DepthState(BathymetryState.flat(g), 1.0 + 0.1 * np.cos(g.coords[0]))
+        rng = np.random.default_rng(14)
+        base, drift = rng.standard_normal((1, 16)), rng.standard_normal((1, 16))
+        dt = 0.1
+        session = SolverSession()
+        for step in range(6):
+            for index in (0, 1):
+                session.stage = (-1, step, 0.5 * index, dt)
+                in_step = session.initial_guess((1, 16))
+                # from step 1 on, a line through two solutions: a fresh array
+                assert step == 0 or in_step is not session.last_solution
+                session.stage = (index, step, 0.5 * index, dt)
+                rhs = base + (0.1 * step + 0.05 * index) ** 2 * drift
+                u = invert_frakT(depth, rhs, MU, session=session).u
+                if in_step is not None:
+                    assert np.array_equal(session._errors[index].differences[0], u - in_step)
+        # the last steps' guesses were corrected ones
+        assert all(session._errors[index].scores[0] is not None for index in (0, 1))
+
+    def test_failed_solve_leaves_no_pending_guess(self, monkeypatch):
+        """A solve that raises leaves its guess pending; a μ = 0 solve after
+        it asks for no guess and files no error, in its own stage's history
+        or in the failed solve's."""
+        g = grid1(16)
+        depth = DepthState(BathymetryState.flat(g), 1.0 + 0.1 * np.cos(g.coords[0]))
+        rhs = np.random.default_rng(15).standard_normal((1, 16))
+        session = SolverSession()
+        session.stage = (0, 0, 0.0, 0.1)
+        invert_frakT(depth, rhs, MU, session=session)
+        monkeypatch.setattr(operators, "_CG_ITERATIONS_PER_POINT", 0)
+        session.stage = (0, 1, 0.0, 0.1)
+        with pytest.raises(NonConvergenceError):
+            invert_frakT(depth, 2.0 * rhs, MU, session=session)
+        session.stage = (1, 1, 0.5, 0.1)
+        invert_frakT(depth, 3.0 * rhs, 0.0, session=session)
+        # an error filed at step 1 would be usable at step 2 with weight 0
+        for index in (0, 1):
+            assert session._errors[index].usable((1, 16), 2, 0.1, 0.0) == 0, index
 
     def test_extrapolated_warm_start_saves_iterations(self):
         """A solution that moves linearly in time is guessed exactly."""
