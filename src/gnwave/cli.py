@@ -22,11 +22,10 @@ import dataclasses
 import sys
 import warnings
 from pathlib import Path
-from typing import Callable, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Sequence, TextIO
 
 import numpy as np
 
-from . import verify
 from .diagnostics import DEFAULT_ORDER, _check_order
 from .errors import (
     BlowUpError,
@@ -49,6 +48,11 @@ from .io import (
 from .models import FluidState, ModelParams, VariableKind, u_from_v
 from .operators import BathymetryState
 from .timeloop import CollectingSinks, IntegrationConfig, cfl_time_step, run, step_schedule
+
+# gnwave.verify is imported where a verify, converge, dispersion or
+# equivalence command needs it, so that ``gnwave run`` does not load it
+if TYPE_CHECKING:
+    from . import verify
 
 __all__ = ["main", "build_parser"]
 
@@ -184,6 +188,8 @@ _Case = tuple[ScalarField, VectorField, ModelParams, BathymetryState]
 
 def _random_case(dim: int, seed: int, n_fine: int) -> _Case:
     """Seeded band-limited (surface, velocity, bathymetry) verification case."""
+    from . import verify
+
     rng = np.random.default_rng(seed)
     grid = PeriodicGrid((n_fine,) * dim, (2.0 * np.pi,) * dim)
     zeta = verify.band_limited_scalar(grid, rng, 4, 0.4)
@@ -196,6 +202,8 @@ def _random_case(dim: int, seed: int, n_fine: int) -> _Case:
 
 def _agreement_checks(case: _Case, grids: tuple[int, ...]) -> list[verify.ResidualReport]:
     """The identity and tendency agreement reports of the two formulations."""
+    from . import verify
+
     return [
         verify.check_equivalence_identity(*case, grids=grids),
         verify.check_rhs_equivalence(*case, grids=grids),
@@ -268,6 +276,8 @@ def _mass_conservation_check(params: ModelParams, out: TextIO) -> bool:
 
 
 def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
+    from . import verify
+
     print(f"seed = {args.seed}", file=out)
     case = _random_case(1, args.seed, 96)
     reports = _agreement_checks(case, (24, 48, 96))
@@ -289,6 +299,7 @@ def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
 
 def _default_convergence_problem() -> verify.ConvergenceProblem:
     """Smooth 1D pulse whose products stay resolved on the coarsest rung."""
+    from . import verify
 
     def initial_state(grid: PeriodicGrid) -> FluidState:
         x = grid.coords[0]
@@ -307,6 +318,8 @@ def _default_convergence_problem() -> verify.ConvergenceProblem:
 
 
 def _problem_from_config(cfg: RunConfig) -> verify.ConvergenceProblem:
+    from . import verify
+
     if cfg.initial.kind == "file":
         raise ValidationError(
             "convergence studies rebuild the initial state per resolution; a "
@@ -329,6 +342,8 @@ def _problem_from_config(cfg: RunConfig) -> verify.ConvergenceProblem:
 
 
 def _cmd_converge(args: argparse.Namespace, out: TextIO) -> int:
+    from . import verify
+
     if args.config is None:
         if args.overrides:
             raise ValidationError("--set requires --config")
@@ -342,7 +357,7 @@ def _cmd_converge(args: argparse.Namespace, out: TextIO) -> int:
         dt_values = (0.08, 0.04, 0.02)
         resolutions = (16, 32, 64)
     if resolutions is not None:
-        verify.check_resolution_study(problem)
+        verify.check_resolution_study(problem, resolutions)
     reports = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
@@ -357,6 +372,8 @@ def _cmd_converge(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _cmd_dispersion(args: argparse.Namespace, out: TextIO) -> int:
+    from . import verify
+
     params, grid = ModelParams(), PeriodicGrid((64,), (2.0 * np.pi,))
     rows = verify.dispersion_study(
         params, grid, args.modes, amplitude=args.amplitude, periods=args.periods
@@ -390,6 +407,8 @@ def _supplied_case(path: str) -> tuple[_Case, tuple[int, ...]]:
 
 
 def _cmd_equivalence(args: argparse.Namespace, out: TextIO) -> int:
+    from . import verify
+
     print(f"seed = {args.seed}", file=out)
     reports = []
     if args.state is not None:

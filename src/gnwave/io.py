@@ -182,7 +182,9 @@ class RunConfig:
 
 def _parse_ini(text: str) -> dict[str, dict[str, str]]:
     """Parse ``key = value`` sections into a nested dict of raw strings
-    (values stripped of surrounding whitespace)."""
+    (values stripped of surrounding whitespace).  No header can name
+    configparser's default section, whose keys it would copy into every
+    other section, so ``[DEFAULT]`` is a section like any other."""
     parser = configparser.ConfigParser(
         delimiters=("=",),
         comment_prefixes=("#",),
@@ -190,6 +192,7 @@ def _parse_ini(text: str) -> dict[str, dict[str, str]]:
         strict=True,
         interpolation=None,
         empty_lines_in_values=False,
+        default_section="\n",  # a header is one line
     )
     parser.optionxform = str  # keys are case-sensitive
     try:

@@ -21,7 +21,9 @@ tendencies lie in it already.
 
 The tendencies take the ``(zeta, vel)`` arrays of a state together with
 its water column, the :class:`DepthState` that :func:`make_depth` builds from
-``zeta`` and the bottom, and return ``(dzeta, dvel)`` arrays on its grid.
+``zeta`` and the bottom, and return one ``(1 + dim, *shape)`` array on its
+grid: dζ in row 0 and the velocity tendency, stacked as ``(dim, *shape)``,
+in the rows after it, the layout in which the time stepper carries a state.
 :func:`make_depth` is the one place that forms h = 1 + εζ − βb.  The
 tendencies do not know the variable kind, which the time stepper checks once
 per run.
@@ -191,30 +193,31 @@ def _classical_tendency(
     form: Formulation,
     cfg: EllipticSolveConfig | None,
     session: SolverSession | None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """The tendency of the sv, gn_u or bp ``form``: dζ = −P∇·(hu), which
     integrates to zero exactly, and du = −forcing for sv or μ = 0, else the
     solution of 𝔗[h₀] du = −P(h₀ · forcing).  The forcing is ∇ζ + ε(u·∇)u,
     plus με(Q + Q_b) for gn_u; h₀ is the stage's column h for gn_u and the
-    bottom's rest column for bp."""
+    bottom's rest column for bp.  Both are stacked into one array."""
     grid = depth.grid
     dzeta = -grid.dealiased_divergence(depth.h * vel)
 
     forcing = grid.gradient(zeta) + params.epsilon * _advection(grid, vel)
     if form is Formulation.SV or params.mu == 0.0:
-        return dzeta, -forcing
-
-    mu_eps = params.mu * params.epsilon
-    if form is Formulation.GN_U and mu_eps > 0.0:
-        forcing = forcing + mu_eps * (apply_Q(depth, vel) + apply_Qb(depth, vel))
-    h0 = depth.bath.rest_depth if form is Formulation.BP else depth
-    v_rhs = -grid.dealias(h0.h * forcing)
-    return dzeta, invert_frakT(h0, v_rhs, params.mu, cfg, session).u
+        dvel = -forcing
+    else:
+        mu_eps = params.mu * params.epsilon
+        if form is Formulation.GN_U and mu_eps > 0.0:
+            forcing = forcing + mu_eps * (apply_Q(depth, vel) + apply_Qb(depth, vel))
+        h0 = depth.bath.rest_depth if form is Formulation.BP else depth
+        v_rhs = -grid.dealias(h0.h * forcing)
+        dvel = invert_frakT(h0, v_rhs, params.mu, cfg, session).u
+    return np.concatenate((dzeta[None], dvel))
 
 
 def rhs_sv(
     zeta: np.ndarray, vel: np.ndarray, params: ModelParams, depth: DepthState
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Hydrostatic (μ = 0) right-hand side: dζ = −∇·(hu), du = −∇ζ − ε(u·∇)u."""
     return _classical_tendency(zeta, vel, params, depth, Formulation.SV, None, None)
 
@@ -226,7 +229,7 @@ def rhs_gn_u(
     depth: DepthState,
     cfg: EllipticSolveConfig | None = None,
     session: SolverSession | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Classical-variable tendency; one elliptic solve for the velocity part.
 
     (Id + μT) du = −(∇ζ + ε(u·∇)u + με(Q + Q_b)) is realized through the
@@ -243,14 +246,14 @@ def rhs_gn_v(
     cfg: EllipticSolveConfig | None = None,
     session: SolverSession | None = None,
     multiplier: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Conjugate-variable tendency. u = 𝔗⁻¹(hv) is solved once, then
 
     dζ = −∇·(hu),  dv = −∇ζ − ε (curl v) u^⊥ − (ε/2)∇|u|² + με ∇(R + R_b).
 
-    Both are assembled as spectra and leave by one inverse transform; a
-    real spectral ``multiplier`` (such as a smoothing symbol) is applied to
-    both spectra before it.
+    Both are assembled as spectra and leave stacked by one inverse
+    transform, whose output is the result; a real spectral ``multiplier``
+    (such as a smoothing symbol) is applied to both spectra before it.
     """
     grid = depth.grid
     u = invert_frakT(depth, grid.dealias(depth.h * vel), params.mu, cfg, session).u
@@ -262,22 +265,28 @@ def rhs_gn_v(
     if eps > 0.0 and params.mu > 0.0:
         potential += params.mu * eps * _pressure_terms(depth, u)
     if grid.dim == 1:
-        # h·u, ζ and the potential in one forward call
-        spec = grid.rfft(np.concatenate((depth.h * u, zeta[None], potential[None])))
-        hu_spec, spec = spec[:1], spec[1:]
+        # h·u, ζ and the potential are the rows of one stack for one forward
+        # call, and the spectra of dζ and dv the rows of the stack that leaves
+        fields = np.empty((3,) + grid.shape)
+        np.multiply(depth.h, u, out=fields[:1])
+        fields[1], fields[2] = zeta, potential
+        spec = grid.rfft(fields)
+        out_spec = np.empty((2,) + grid.spectral_shape, dtype=np.complex128)
+        np.negative(grid.contract(grid.ik_dealiased, spec[:1], out=out_spec[0]), out=out_spec[0])
+        np.multiply(grid.ik, grid.dealias_mask * spec[2] - spec[1], out=out_spec[1:])
     else:
-        # two calls: four planes at once would need a half spectrum of their own
+        # two calls: four planes at once would need a half spectrum of their
+        # own, and at 128² the stacks of the 1-D branch raise the peak memory
         hu_spec = grid.rfft(depth.h * u)
         spec = grid.rfft(np.array((zeta, potential)))
-    dzeta_spec = -grid.contract(grid.ik_dealiased, hu_spec)
-    dv_spec = grid.ik * (grid.dealias_mask * spec[1] - spec[0])
-    if grid.dim == 2 and eps > 0.0:
-        dv_spec -= (eps * grid.dealias_mask) * grid.rfft(grid.curl(vel) * grid.perp(u))
-    out_spec = np.concatenate((dzeta_spec[None], dv_spec))
+        dzeta_spec = -grid.contract(grid.ik_dealiased, hu_spec)
+        dv_spec = grid.ik * (grid.dealias_mask * spec[1] - spec[0])
+        if eps > 0.0:
+            dv_spec -= (eps * grid.dealias_mask) * grid.rfft(grid.curl(vel) * grid.perp(u))
+        out_spec = np.concatenate((dzeta_spec[None], dv_spec))
     if multiplier is not None:
         out_spec *= multiplier
-    out = grid.irfft(out_spec)
-    return out[0], out[1:]
+    return grid.irfft(out_spec)
 
 
 def rhs_bp(
@@ -287,7 +296,7 @@ def rhs_bp(
     depth: DepthState,
     cfg: EllipticSolveConfig | None = None,
     session: SolverSession | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Weakly nonlinear tendency with the operator frozen at rest depth:
 
     dζ = −∇·(hu) (full depth), (Id + μT[1−βb, βb]) du = −(∇ζ + ε(u·∇)u).

@@ -97,7 +97,7 @@ def rhs_gn_v_mollified(
     multiplier: np.ndarray | None,
     cfg: EllipticSolveConfig | None = None,
     session: SolverSession | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Conjugate-variable tendency with J^ι wrapped around both equation groups.
 
     The smoothing acts on the entire mass flux divergence and on the entire

@@ -13,7 +13,10 @@ The dispersive operator has an order-zero inverse, so explicit stepping is
 not stiffness-limited; a CFL advisory based on the gravity-wave speed
 √(max h) with safety factor 0.5 is emitted as a warning only.
 
-Stages and steps carry the ``(zeta, vel)`` arrays of the state; a run
+Stages and steps carry a state and each stage tendency as one stacked
+``(1 + dim, *shape)`` array y = (ζ, v), ζ in row 0 and the velocity in the
+rows after it, the layout in which the tendencies return; so each RK
+combination, blow-up scan and projection acts once on one array.  A run
 checks the variable kind of its initial state once, and builds a
 :class:`~gnwave.models.FluidState` only to emit a record or snapshot, to
 return, or to attach a failure report.  Every step result is projected onto
@@ -24,7 +27,7 @@ solution when μ > 0, is projected before use, so every stage stays in the
 band.  Each state is checked once: every step result, the input of every
 stage after the first (the first stage starts from the checked step result)
 and the initial state before step 1.  Any field magnitude beyond 1e8, or a
-non-finite value in either array, terminates the run as a blow-up.  Each
+non-finite value in either field, terminates the run as a blow-up.  Each
 stage then builds its water column once, with
 :func:`~gnwave.models.make_depth`; a stage whose minimum depth falls to half
 the floor, the minimum depth of the initial state, aborts the step, and the
@@ -52,7 +55,7 @@ from .errors import (
     NonConvergenceError,
     ValidationError,
 )
-from .grid import PeriodicGrid, ScalarField, VectorField
+from .grid import ScalarField, VectorField
 from .models import (
     FluidState,
     Formulation,
@@ -81,7 +84,9 @@ __all__ = [
 
 BLOWUP_LIMIT = 1e8
 CFL_SAFETY = 0.5
-_SCHEMES = ("rk4", "rk3_ssp")
+# each scheme with its order of accuracy in dt
+_SCHEME_ORDERS = {"rk4": 4, "rk3_ssp": 3}
+_SCHEMES = tuple(_SCHEME_ORDERS)
 
 
 def _is_count(n, low: int) -> bool:
@@ -238,34 +243,34 @@ class _Stepper:
             bp = form is Formulation.BP
 
             def tendency(zeta: np.ndarray, vel: np.ndarray, depth: DepthState):
-                dz, dv = (rhs_bp if bp else rhs_gn_u)(zeta, vel, params, depth, cfg, session)
-                return dz, self.grid.dealias(dv)
+                k = (rhs_bp if bp else rhs_gn_u)(zeta, vel, params, depth, cfg, session)
+                k[1:] = self.grid.dealias(k[1:])
+                return k
 
         self._tendency = tendency
 
-    def check_fields(self, zeta: np.ndarray, vel: np.ndarray, t: float) -> None:
-        """Raise :class:`~gnwave.errors.BlowUpError` when a magnitude in
-        either array exceeds :data:`BLOWUP_LIMIT` or is not finite.  A peak
-        holds NaN when its array does, and ``not peak <= limit`` refuses it;
-        Python's ``max`` of a finite peak and NaN would keep the finite one."""
-        peak_z, peak_v = float(np.abs(zeta).max()), float(np.abs(vel).max())
-        if not (peak_z <= BLOWUP_LIMIT and peak_v <= BLOWUP_LIMIT):
-            peak = float(np.maximum(peak_z, peak_v))
+    def check_fields(self, y: np.ndarray, t: float) -> None:
+        """Raise :class:`~gnwave.errors.BlowUpError` when a magnitude in the
+        stacked state ``y`` exceeds :data:`BLOWUP_LIMIT` or is not finite.
+        The peak holds NaN when ``y`` does, and ``not peak <= limit``
+        refuses it."""
+        peak = float(np.abs(y).max())
+        if not peak <= BLOWUP_LIMIT:
             raise BlowUpError(
                 f"field magnitude {peak:.3e} at t = {t:.6g} exceeds {BLOWUP_LIMIT:.0e}",
                 time=t,
                 norm=peak,
             )
 
-    def rhs(
-        self, zeta: np.ndarray, vel: np.ndarray, stage: tuple[int, int, float, float], t: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Tendency at a stage at time ``t``; ``stage`` is (index, step,
-        offset, dt), the session's :attr:`~gnwave.operators.SolverSession.stage`.
-        Checks the input of every stage but the first and guards the stage's
-        depth, as the module docstring says."""
+    def rhs(self, y: np.ndarray, stage: tuple[int, int, float, float], t: float) -> np.ndarray:
+        """Stacked tendency of the stacked state ``y`` at a stage at time
+        ``t``; ``stage`` is (index, step, offset, dt), the session's
+        :attr:`~gnwave.operators.SolverSession.stage`.  Checks the input of
+        every stage but the first and guards the stage's depth, as the
+        module docstring says."""
         if stage[0]:
-            self.check_fields(zeta, vel, t)
+            self.check_fields(y, t)
+        zeta = y[0]
         depth = make_depth(self.params, zeta, self.bath)
         h_min = depth.h_min
         if h_min <= 0.5 * self.floor:
@@ -275,44 +280,31 @@ class _Stepper:
                 min_depth=h_min,
             )
         self.session.stage = stage
-        return self._tendency(zeta, vel, depth)
+        return self._tendency(zeta, y[1:], depth)
 
-    def advance(
-        self, z: np.ndarray, v: np.ndarray, step: int, t: float, dt: float, t_next: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Step number ``step``, of size ``dt``, from the in-band ``(z, v)`` at
-        ``t``, ending at ``t_next``."""
+    def advance(self, y: np.ndarray, step: int, t: float, dt: float, t_next: float) -> np.ndarray:
+        """Step number ``step``, of size ``dt``, from the in-band stacked
+        state ``y`` at ``t``, ending at ``t_next``."""
 
-        def rhs(index: int, zs: np.ndarray, vs: np.ndarray, offset: float):
-            return self.rhs(zs, vs, (index, step, offset, dt), t + offset * dt)
+        def rhs(index: int, stage_y: np.ndarray, offset: float) -> np.ndarray:
+            return self.rhs(stage_y, (index, step, offset, dt), t + offset * dt)
 
         if self.scheme == "rk4":
-            k1z, k1v = rhs(0, z, v, 0.0)
-            k2z, k2v = rhs(1, z + 0.5 * dt * k1z, v + 0.5 * dt * k1v, 0.5)
-            k3z, k3v = rhs(2, z + 0.5 * dt * k2z, v + 0.5 * dt * k2v, 0.5)
-            k4z, k4v = rhs(3, z + dt * k3z, v + dt * k3v, 1.0)
-            nz = z + (dt / 6.0) * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
-            nv = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+            k1 = rhs(0, y, 0.0)
+            k2 = rhs(1, y + 0.5 * dt * k1, 0.5)
+            k3 = rhs(2, y + 0.5 * dt * k2, 0.5)
+            k4 = rhs(3, y + dt * k3, 1.0)
+            out = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         else:
-            k1z, k1v = rhs(0, z, v, 0.0)
-            z1, v1 = z + dt * k1z, v + dt * k1v
-            k2z, k2v = rhs(1, z1, v1, 1.0)
-            z2 = 0.75 * z + 0.25 * (z1 + dt * k2z)
-            v2 = 0.75 * v + 0.25 * (v1 + dt * k2v)
-            k3z, k3v = rhs(2, z2, v2, 0.5)
-            nz = z / 3.0 + (2.0 / 3.0) * (z2 + dt * k3z)
-            nv = v / 3.0 + (2.0 / 3.0) * (v2 + dt * k3v)
-        nz, nv = _dealias_pair(self.grid, nz, nv)
-        self.check_fields(nz, nv, t_next)
-        return nz, nv
-
-
-def _dealias_pair(
-    grid: PeriodicGrid, z: np.ndarray, v: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Project ``(z, v)`` onto the dealiased band in one stacked transform pair."""
-    both = grid.dealias(np.concatenate((z[None], v)))
-    return both[0], both[1:]
+            k1 = rhs(0, y, 0.0)
+            y1 = y + dt * k1
+            k2 = rhs(1, y1, 1.0)
+            y2 = 0.75 * y + 0.25 * (y1 + dt * k2)
+            k3 = rhs(2, y2, 0.5)
+            out = y / 3.0 + (2.0 / 3.0) * (y2 + dt * k3)
+        out = self.grid.dealias(out)
+        self.check_fields(out, t_next)
+        return out
 
 
 def step_schedule(
@@ -375,17 +367,17 @@ def run(
     emit_record = getattr(sinks, "record", None)
     emit_snapshot = getattr(sinks, "snapshot", None)
 
-    # the loop carries the in-band arrays (z, v) at time t; ``state`` wraps
-    # them once a sink, the report or a failure needs it
+    # the loop carries the in-band stacked state y = (ζ, v) at time t;
+    # ``state`` wraps it once a sink, the report or a failure needs it
     grid = bath.grid
-    z, v = _dealias_pair(grid, initial.zeta.data, initial.vel.data)
+    y = grid.dealias(np.concatenate((initial.zeta.data[None], initial.vel.data)))
     t = initial.time
     state: FluidState | None = initial
 
     def accepted() -> FluidState:
         nonlocal state
         if state is None:
-            state = FluidState(ScalarField(grid, z), VectorField(grid, v), initial.kind, t)
+            state = FluidState(ScalarField(grid, y[0]), VectorField(grid, y[1:]), initial.kind, t)
         return state
 
     def emit(want_record: bool, want_snapshot: bool) -> None:
@@ -408,9 +400,9 @@ def run(
         if n_steps:
             # each step checks the state it ends with, so the initial state
             # is checked once, before it enters step 1
-            stepper.check_fields(z, v, t)
+            stepper.check_fields(y, t)
         for k, (dt, t_next) in enumerate(steps, start=1):
-            z, v = stepper.advance(z, v, k, t, dt, t_next)
+            y = stepper.advance(y, k, t, dt, t_next)
             t, state = t_next, None
             steps_done = k
             last = k == n_steps

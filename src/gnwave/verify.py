@@ -49,7 +49,14 @@ from .operators import (
     invert_frakT,
 )
 from .diagnostics import hamiltonian_gn
-from .timeloop import CollectingSinks, IntegrationConfig, RunReport, cfl_time_step, run
+from .timeloop import (
+    _SCHEME_ORDERS,
+    CollectingSinks,
+    IntegrationConfig,
+    RunReport,
+    cfl_time_step,
+    run,
+)
 
 __all__ = [
     "ResidualReport",
@@ -80,18 +87,27 @@ __all__ = [
 ABSOLUTE_FLOOR = 1e-9
 _MIN_DECAY = 100.0
 _FACTOR_SLACK = 0.9
+# A dt study's fitted rate may fall this far short of its scheme's order:
+# coarse rungs, where the leading error term does not yet dominate, read
+# below the order, and half an order still tells an order-p scheme from
+# one of order p − 1.
+_ORDER_SLACK = 0.5
 # Elliptic solve of the oracles: tight enough that solver error stays far
 # below the residuals they report.
 ORACLE_SOLVE = EllipticSolveConfig(rel_tolerance=1e-13)
 
 
-def _super_algebraic(residuals: Sequence[float]) -> bool:
-    """Accelerating decay with ≥ 100× total drop, or already at the floor."""
+def _converged(residuals: Sequence[float], rate: float, order: int | None) -> bool:
+    """Already at the floor, or strictly falling: at the ``order`` less
+    :data:`_ORDER_SLACK` when one is given, else accelerating with ≥ 100×
+    total drop."""
     r = np.asarray(residuals, dtype=float)
     if r[-1] <= ABSOLUTE_FLOOR:
         return True
     if r.size < 2 or np.any(np.diff(r) >= 0.0):
         return False
+    if order is not None:
+        return rate >= order - _ORDER_SLACK
     if r[0] / r[-1] < _MIN_DECAY:
         return False
     factors = r[:-1] / r[1:]
@@ -104,9 +120,12 @@ class ResidualReport:
 
     ``decay_rate`` is the fitted slope of log2(residual) against
     log2(resolution): positive values are orders of decrease per doubling.
-    ``passed`` is true when the decay is super-algebraic (strictly falling,
-    total drop ≥ 100×, per-doubling factors non-decreasing up to 10% slack)
-    or the last residual sits at or below the absolute floor 1e−9.
+    ``passed`` is true when the last residual sits at or below the absolute
+    floor 1e−9, or else when the decay is super-algebraic (strictly falling,
+    total drop ≥ 100×, per-doubling factors non-decreasing up to 10% slack).
+    A ladder of an ``order``, such as a dt study's, passes above the floor
+    when its residuals fall strictly and its rate reaches the order, less
+    half an order.
     """
 
     name: str
@@ -126,7 +145,11 @@ class ResidualReport:
 
     @classmethod
     def from_residuals(
-        cls, name: str, resolutions: Sequence[int], residuals: Sequence[float]
+        cls,
+        name: str,
+        resolutions: Sequence[int],
+        residuals: Sequence[float],
+        order: int | None = None,
     ) -> "ResidualReport":
         resolutions = tuple(int(n) for n in resolutions)
         residuals = tuple(float(r) for r in residuals)
@@ -135,7 +158,7 @@ class ResidualReport:
             rate = -float(np.polyfit(np.log2(resolutions), logs, 1)[0])
         else:
             rate = 0.0
-        return cls(name, resolutions, residuals, rate, _super_algebraic(residuals))
+        return cls(name, resolutions, residuals, rate, _converged(residuals, rate, order))
 
     def as_text(self) -> str:
         lines = [f"{self.name}: {'PASS' if self.passed else 'FAIL'} "
@@ -326,8 +349,9 @@ def check_rhs_equivalence(
         su = FluidState(ScalarField(g, z_g), VectorField(g, u_g), VariableKind.U_VARIABLE)
         sv = v_from_u(su, params, bath_g)
         depth = make_depth(params, z_g, bath_g)
-        dz_u, du = rhs_gn_u(z_g, u_g, params, depth, ORACLE_SOLVE)
-        dz_v, dv = rhs_gn_v(z_g, sv.vel.data, params, depth, ORACLE_SOLVE)
+        k_u = rhs_gn_u(z_g, u_g, params, depth, ORACLE_SOLVE)
+        k_v = rhs_gn_v(z_g, sv.vel.data, params, depth, ORACLE_SOLVE)
+        dz_u, du, dz_v, dv = k_u[0], k_u[1:], k_v[0], k_v[1:]
         f = eps * dz_v
         mapped_rhs = depth.h * dv + f * sv.vel.data - dh_frakT(depth, f, u_g, params.mu)
         du_mapped = invert_frakT(depth, mapped_rhs, params.mu, ORACLE_SOLVE).u
@@ -503,7 +527,8 @@ def fd_skew_reproduction_gap(
     _require_kind(state, VariableKind.V_VARIABLE, "fd_skew_reproduction_gap")
     g = state.grid
     depth = make_depth(params, state.zeta.data, bath)
-    dz, dv = rhs_gn_v(state.zeta.data, state.vel.data, params, depth, ORACLE_SOLVE)
+    k = rhs_gn_v(state.zeta.data, state.vel.data, params, depth, ORACLE_SOLVE)
+    dz, dv = k[0], k[1:]
 
     def assembled(step: float) -> tuple[np.ndarray, np.ndarray]:
         gz, gv = fd_variational_gradients(
@@ -541,7 +566,8 @@ def check_variational_structure(
     fd_ok = True
     for index, (g, z_g, v_g, bath_g) in enumerate(_ladder(zeta, psi_grad, bath, grids)):
         state = FluidState(ScalarField(g, z_g), VectorField(g, v_g), VariableKind.V_VARIABLE)
-        dz, dv = rhs_gn_v(z_g, v_g, params, make_depth(params, z_g, bath_g), ORACLE_SOLVE)
+        k = rhs_gn_v(z_g, v_g, params, make_depth(params, z_g, bath_g), ORACLE_SOLVE)
+        dz, dv = k[0], k[1:]
         dz_skew, dv_skew = skew_assembled_rhs(state, params, bath_g)
         scale = max(math.hypot(g.norm_l2(dz), g.norm_l2(dv)), 1e-300)
         residuals.append(
@@ -687,9 +713,18 @@ class ConvergenceProblem:
     bathymetry: Callable[[PeriodicGrid], BathymetryState] = BathymetryState.flat
 
 
-def check_resolution_study(problem: ConvergenceProblem) -> None:
-    """Refuse a resolution study of a grid whose axes differ."""
+def _require_distinct(what: str, values: Sequence[float]) -> None:
+    """Refuse a ladder that repeats a rung: it would run twice."""
+    if len(set(values)) != len(values):
+        listed = " ".join(str(v) for v in values)
+        raise ValidationError(f"{what} must be distinct, got {listed}")
+
+
+def check_resolution_study(problem: ConvergenceProblem, resolutions: Sequence[int]) -> None:
+    """Refuse a resolution study of a grid whose axes differ, or of
+    ``resolutions`` that repeat a size."""
     _require_square("a resolution study", "configured", problem.grid)
+    _require_distinct("resolutions", [int(n) for n in resolutions])
 
 
 def _final_run(
@@ -716,14 +751,22 @@ def dt_convergence(
 ) -> ResidualReport:
     """Self-convergence in the time step: each run against one at half the
     smallest step.  A rung is labelled by the number of steps its run takes.
-    Time errors are fourth order for the default scheme."""
+    The study passes when the residuals fall at the order of the problem's
+    scheme (4 for rk4, 3 for rk3_ssp; :class:`ResidualReport`)."""
     dts = sorted((float(d) for d in dt_values), reverse=True)
-    for d in dts:  # each given step is checked before any run
+    # each given step is checked before any run
+    _require_distinct("dt values", dts)
+    for d in dts:
         dataclasses.replace(problem.integration, dt=d)
     reference = _final_run(problem, problem.grid, dts[-1] / 2.0, cfg).final_state
     runs = [_final_run(problem, problem.grid, d, cfg) for d in dts]
     residuals = [_state_distance(r.final_state, reference) for r in runs]
-    return ResidualReport.from_residuals("dt_convergence", [r.steps for r in runs], residuals)
+    return ResidualReport.from_residuals(
+        "dt_convergence",
+        [r.steps for r in runs],
+        residuals,
+        _SCHEME_ORDERS[problem.integration.scheme],
+    )
 
 
 def resolution_convergence(
@@ -733,7 +776,7 @@ def resolution_convergence(
 ) -> ResidualReport:
     """Self-convergence in spatial resolution: each run against one at twice
     the largest size, restricted spectrally.  Spatial errors fall spectrally."""
-    check_resolution_study(problem)
+    check_resolution_study(problem, resolutions)
     sizes = sorted(int(n) for n in resolutions)
     fine_grid = PeriodicGrid((2 * sizes[-1],) * problem.grid.dim, problem.grid.lengths)
     dt = problem.integration.dt

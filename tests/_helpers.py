@@ -5,9 +5,11 @@ import math
 
 import numpy as np
 
+from gnwave.errors import BlowUpError, CoercivityViolationError
 from gnwave.grid import PeriodicGrid, ScalarField, VectorField
 from gnwave.models import ModelParams, make_depth
 from gnwave.operators import BathymetryState, DepthState, _inner
+from gnwave.timeloop import BLOWUP_LIMIT
 
 
 def band_limited_scalar(
@@ -71,6 +73,11 @@ def smooth_bathymetry(
 def tendency_args(state, params: ModelParams, bath: BathymetryState) -> tuple:
     """The (zeta, vel, params, depth) a tendency takes for a FluidState."""
     return state.zeta.data, state.vel.data, params, make_depth(params, state.zeta.data, bath)
+
+
+def split_tendency(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(dζ, dv) of a stacked tendency: its row 0 and the velocity rows after it."""
+    return k[0], k[1:]
 
 
 def random_velocity(grid: PeriodicGrid, seed: int, max_mode: int = 4, amplitude: float = 1.0) -> VectorField:
@@ -219,3 +226,62 @@ def invert_frakT_oracle(
             p = z + (rho_new / rho) * p
             rho = rho_new
     return x, iterations, res / b_norm
+
+
+# ------------------------------------------------ the step on two arrays
+#
+# The RK4 and SSP-RK3 steps as they were written when the stepper carried ζ
+# and v as two arrays: each stage combination, blow-up scan and guard formed
+# per array, and the step result projected as their concatenation.  The
+# stepper's stacked (1 + dim, *shape) step keeps every arithmetic order, so it
+# must equal this bit for bit.
+
+
+def _check_two_arrays(zeta: np.ndarray, vel: np.ndarray, t: float) -> None:
+    peak_z, peak_v = float(np.abs(zeta).max()), float(np.abs(vel).max())
+    if not (peak_z <= BLOWUP_LIMIT and peak_v <= BLOWUP_LIMIT):
+        peak = float(np.maximum(peak_z, peak_v))
+        raise BlowUpError(
+            f"field magnitude {peak:.3e} at t = {t:.6g} exceeds {BLOWUP_LIMIT:.0e}",
+            time=t,
+            norm=peak,
+        )
+
+
+def advance_two_arrays(
+    stepper, z: np.ndarray, v: np.ndarray, step: int, t: float, dt: float, t_next: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Step ``step`` of a ``timeloop._Stepper`` from the in-band ``(z, v)``,
+    each stage through the stepper's guards, session and tendency, with the
+    tendency's stacked result split into ``(dζ, dv)``."""
+
+    def rhs(index: int, zs: np.ndarray, vs: np.ndarray, offset: float):
+        time = t + offset * dt
+        if index:
+            _check_two_arrays(zs, vs, time)
+        depth = make_depth(stepper.params, zs, stepper.bath)
+        if depth.h_min <= 0.5 * stepper.floor:
+            raise CoercivityViolationError("stage depth fell to half the floor", depth.h_min)
+        stepper.session.stage = (index, step, offset, dt)
+        return split_tendency(stepper._tendency(zs, vs, depth))
+
+    if stepper.scheme == "rk4":
+        k1z, k1v = rhs(0, z, v, 0.0)
+        k2z, k2v = rhs(1, z + 0.5 * dt * k1z, v + 0.5 * dt * k1v, 0.5)
+        k3z, k3v = rhs(2, z + 0.5 * dt * k2z, v + 0.5 * dt * k2v, 0.5)
+        k4z, k4v = rhs(3, z + dt * k3z, v + dt * k3v, 1.0)
+        nz = z + (dt / 6.0) * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
+        nv = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+    else:
+        k1z, k1v = rhs(0, z, v, 0.0)
+        z1, v1 = z + dt * k1z, v + dt * k1v
+        k2z, k2v = rhs(1, z1, v1, 1.0)
+        z2 = 0.75 * z + 0.25 * (z1 + dt * k2z)
+        v2 = 0.75 * v + 0.25 * (v1 + dt * k2v)
+        k3z, k3v = rhs(2, z2, v2, 0.5)
+        nz = z / 3.0 + (2.0 / 3.0) * (z2 + dt * k3z)
+        nv = v / 3.0 + (2.0 / 3.0) * (v2 + dt * k3v)
+    both = stepper.grid.dealias(np.concatenate((nz[None], nv)))
+    nz, nv = both[0], both[1:]
+    _check_two_arrays(nz, nv, t_next)
+    return nz, nv

@@ -406,6 +406,26 @@ class TestStudies:
         assert main(["converge", "--dt-values", "0.1", "0.05", "0.025"]) == 0
         assert "dt_convergence: PASS" in capsys.readouterr().out
 
+    def test_converge_judges_dt_by_the_configured_scheme(self, tmp_path, capsys):
+        """A configured SSP-RK3 run passes the dt study at its third order."""
+        gaussian = "\n[initial]\ntype = gaussian\namplitude = 0.05\nwidth = 0.8\n"
+        argv = ["--config", str(write_config(tmp_path, gaussian))]
+        argv += ["--set", "integration.scheme=rk3_ssp"]
+        assert main(["converge", *argv, "--dt-values", "0.08", "0.04", "0.02"]) == 0
+        assert "dt_convergence: PASS (decay rate 3.38 per doubling)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--dt-values", "0.1", "0.1"], ["--resolutions", "16", "16", "32"],
+         ["--dt-values", "0.04", "0.02", "--resolutions", "16", "16"]],
+        ids=["dt", "resolutions", "resolutions_after_dt"],
+    )
+    def test_converge_refuses_repeated_rungs(self, argv, capsys, monkeypatch):
+        """A repeated dt or resolution exits 1 before any run."""
+        monkeypatch.setattr(verify, "run", None)  # nothing may run
+        assert main(["converge", *argv]) == 1
+        assert "must be distinct" in capsys.readouterr().err
+
     def test_converge_labels_rungs_by_steps_taken(self, capsys):
         """At dt = 0.08 a run to t = 1 takes 12 full steps and a shorter 13th."""
         assert main(["converge"]) == 0

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import band_limited_scalar, band_limited_vector, smooth_bathymetry
+from _helpers import band_limited_scalar, band_limited_vector, smooth_bathymetry, split_tendency
 from gnwave import diagnostics
 from gnwave.diagnostics import (
     DiagnosticsRecord,
@@ -314,7 +314,7 @@ class TestClassicalEnergyPair:
         )
         cfg = EllipticSolveConfig(rel_tolerance=1e-13)
         depth = make_depth(params, state.zeta.data, bath)
-        dzeta, du = rhs_gn_u(state.zeta.data, state.vel.data, params, depth, cfg)
+        dzeta, du = split_tendency(rhs_gn_u(state.zeta.data, state.vel.data, params, depth, cfg))
         h = depth.h
         u = state.vel.data
         bgb = bath.beta_grad_b

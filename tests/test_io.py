@@ -139,6 +139,17 @@ class TestLoadConfig:
         with pytest.raises(ValidationError, match="unknown section"):
             load_config(MINIMAL + "\n[extras]\na = 1\n")
 
+    @pytest.mark.parametrize("header", ["DEFAULT", "default"])
+    def test_default_section_is_an_unknown_section(self, header):
+        """``[DEFAULT]`` is refused as the unknown section it is, empty or
+        not, as ``[default]`` is; its keys reach no other section, where
+        configparser would copy them."""
+        for body in ("", "width = 0.7\n"):
+            with pytest.raises(ValidationError) as excinfo:
+                load_config(f"[{header}]\n{body}" + MINIMAL)
+            message = f"configuration invalid (1 issue(s)): [{header}]: unknown section"
+            assert str(excinfo.value) == message
+
     def test_parse_error_carries_line(self):
         """Content before any section header reports its line number."""
         with pytest.raises(ParseError) as excinfo:

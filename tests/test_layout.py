@@ -2,9 +2,9 @@
 ``__all__`` names every public function and class, every function parameter
 is read, every defaulted parameter (dataclass fields included) is passed by
 some call, imports flow one way, every transform goes through the grid,
-importing the command line loads no scipy, the benchmark's tracer and timing
-hooks find every name they wrap, and its artifact check passes on a short
-run."""
+importing the command line loads neither scipy nor the verification suite,
+the benchmark's tracer and timing hooks find every name they wrap, and its
+artifact check passes on a short run."""
 from __future__ import annotations
 
 import ast
@@ -345,6 +345,21 @@ def test_cli_imports_no_scipy():
         cwd=SOURCE.parent,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_imports_no_verify():
+    """``gnwave run`` does not load the verification suite: a fresh
+    interpreter that imports the command line has not imported
+    ``gnwave.verify``; the commands that use it import it themselves."""
+    probe = "import sys, gnwave.cli; print('gnwave.verify' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        cwd=SOURCE.parent,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_benchmark_tracer_installs():

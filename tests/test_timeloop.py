@@ -28,10 +28,12 @@ from gnwave.timeloop import (
 )
 
 from _helpers import (
+    advance_two_arrays,
     band_limited_scalar,
     band_limited_vector,
     fv_shallow_water,
     smooth_bathymetry,
+    split_tendency,
     tendency_args,
 )
 
@@ -284,7 +286,7 @@ class TestDealiasedBand:
         state, rng = self._state(grid, VariableKind.V_VARIABLE, 20 + dim)
         bath = smooth_bathymetry(grid, rng, beta=0.3)
         params = ModelParams(epsilon=0.5, beta=0.3, mu=0.5)
-        dz, dv = rhs_gn_v(*tendency_args(state, params, bath))
+        dz, dv = split_tendency(rhs_gn_v(*tendency_args(state, params, bath)))
         assert self._out_of_band(grid, dz) < 1e-14
         assert self._out_of_band(grid, dv) < 1e-14
         sv = ModelParams(epsilon=0.5, beta=0.3, mu=0.0, formulation=Formulation.SV)
@@ -298,7 +300,7 @@ class TestDealiasedBand:
         state, rng = self._state(grid, VariableKind.U_VARIABLE, 30)
         bath = smooth_bathymetry(grid, rng, beta=0.3)
         params = ModelParams(epsilon=0.5, beta=0.3, mu=0.5, formulation=Formulation.GN_U)
-        dz, du = rhs_gn_u(*tendency_args(state, params, bath))
+        dz, du = split_tendency(rhs_gn_u(*tendency_args(state, params, bath)))
         assert self._out_of_band(grid, dz) < 1e-14
         assert self._out_of_band(grid, du) > 1e-12
 
@@ -473,6 +475,146 @@ class TestStageSolves:
         run(state, params, bath, icfg, diag_order=0)
         assert len(solves) == 4 * 8
         assert len(counts) == len(solves) - 1  # the first solve finds no earlier solution
+
+
+def _stacked_case(case: str):
+    """(initial state, params, bottom, mollifier) of a stacked-step case."""
+    if case == "gn_v_2d_bottom_mollified":
+        grid = PeriodicGrid((16, 16), (2 * np.pi, 2 * np.pi))
+        rng = np.random.default_rng(5)
+        bath = smooth_bathymetry(grid, rng, beta=0.3)
+        params = ModelParams(epsilon=0.3, beta=0.3, mu=0.5)
+        zeta = band_limited_scalar(grid, rng, 3, 0.1)
+        vel = band_limited_vector(grid, rng, 3, 0.1)
+        state = FluidState(ScalarField(grid, zeta), VectorField(grid, vel), VariableKind.V_VARIABLE)
+        return state, params, bath, MollifierSpec(iota=0.2, profile="smooth_bump")
+    grid = PeriodicGrid((32,), (2 * np.pi,))
+    form = Formulation(case.split("_1d")[0])
+    flat = form is Formulation.GN_V
+    bath = BathymetryState.flat(grid) if flat else smooth_bathymetry(grid, np.random.default_rng(6))
+    params = ModelParams(
+        epsilon=0.3,
+        beta=bath.beta,
+        mu=0.0 if form is Formulation.SV else 0.5,
+        formulation=form,
+    )
+    rng = np.random.default_rng(7)
+    zeta = gaussian_pulse(grid, 0.2, 0.6)
+    vel = band_limited_vector(grid, rng, 3, 0.05)
+    state = FluidState(ScalarField(grid, zeta), VectorField(grid, vel), params.expected_kind)
+    return state, params, bath, MollifierSpec()
+
+
+_STACKED_CASES = [
+    "gn_v_1d_flat", "gn_v_2d_bottom_mollified", "gn_u_1d_bump", "bp_1d_bump", "sv_1d_bump"
+]
+
+
+class TestStackedStep:
+    """The stepper carries a state and each stage tendency as one stacked
+    ``(1 + dim, *shape)`` array; ``_helpers.advance_two_arrays`` is the step
+    on two arrays that it replaced."""
+
+    @staticmethod
+    def _steppers(case: str, scheme: str, dt: float, t_end: float):
+        from gnwave.models import make_depth
+        from gnwave.operators import SolverSession
+        from gnwave.timeloop import _Stepper
+
+        state, params, bath, mollifier = _stacked_case(case)
+        icfg = IntegrationConfig(dt=dt, t_end=t_end, scheme=scheme, mollifier=mollifier)
+        depth = make_depth(params, state.zeta.data, bath)
+        steppers = [
+            _Stepper(state, params, bath, icfg, None, SolverSession(), depth) for _ in range(2)
+        ]
+        grid = state.grid
+        y = grid.dealias(np.concatenate((state.zeta.data[None], state.vel.data)))
+        return steppers, icfg, y
+
+    @pytest.mark.parametrize("scheme", ["rk4", "rk3_ssp"])
+    @pytest.mark.parametrize("case", _STACKED_CASES)
+    def test_matches_the_two_array_step_bit_for_bit(self, case, scheme):
+        """Over 12 steps and a shorter final one, every step result equals
+        the two-array step's bit for bit, and so do the CG iterations."""
+        dt = 0.02
+        (stacked, pair), icfg, y = self._steppers(case, scheme, dt, 12.5 * dt)
+        z, v = y[0].copy(), y[1:].copy()
+        n_steps, steps = step_schedule(icfg, 0.0)
+        t = 0.0
+        for k, (step_dt, t_next) in enumerate(steps, start=1):
+            y = stacked.advance(y, k, t, step_dt, t_next)
+            z, v = advance_two_arrays(pair, z, v, k, t, step_dt, t_next)
+            assert y.shape == (1 + z.ndim,) + z.shape
+            assert np.array_equal(y[0], z) and np.array_equal(y[1:], v), k
+            t = t_next
+        assert n_steps == 13 and step_dt == pytest.approx(0.5 * dt)
+        assert stacked.session.total_iterations == pair.session.total_iterations
+        if case.split("_1d")[0] != "sv":
+            assert stacked.session.total_iterations > 0
+
+    @pytest.mark.parametrize("row", [0, 1], ids=["surface", "velocity"])
+    @pytest.mark.parametrize("scheme", ["rk4", "rk3_ssp"])
+    def test_non_finite_stage_input_raises_as_before(self, monkeypatch, scheme, row):
+        """A NaN in the tendency of stage index 1 of step 3, in either field,
+        raises BlowUpError at the next stage's time, with the two-array
+        step's message and time."""
+        from gnwave import timeloop
+
+        plain = timeloop.rhs_gn_v_mollified
+
+        def poisoned(*args):
+            k = plain(*args)
+            if args[6].stage[:2] == (1, 3):
+                k[row, 5] = np.nan
+            return k
+
+        monkeypatch.setattr(timeloop, "rhs_gn_v_mollified", poisoned)
+        dt = 0.02
+        (stacked, pair), icfg, y = self._steppers("gn_v_1d_flat", scheme, dt, 12.5 * dt)
+        z, v = y[0].copy(), y[1:].copy()
+        raised = []
+        for advance, fields in ((stacked.advance, (y,)), (advance_two_arrays, (pair, z, v))):
+            t = 0.0
+            with pytest.raises(BlowUpError) as excinfo:
+                for k, (step_dt, t_next) in enumerate(step_schedule(icfg, 0.0)[1], start=1):
+                    out = advance(*fields, k, t, step_dt, t_next)
+                    fields = (out,) if len(fields) == 1 else (pair, *out)
+                    t = t_next
+            raised.append((str(excinfo.value), excinfo.value.time))
+        assert raised[0] == raised[1]
+        assert raised[0][1] == 2 * dt + 0.5 * dt  # stage 2 sits at offset ½ in both
+        assert "nan" in raised[0][0]
+
+    def test_gn_v_step_transform_count(self, monkeypatch):
+        """A 1-D gn_v RK4 step makes 42 transforms outside its solves: per
+        stage 2 for the water column's powers and 8 in the tendency
+        (``test_gn_v_transform_count``), and 2 for the step result's
+        projection."""
+        from gnwave import models
+
+        calls = []
+        for name in ("rfft", "irfft"):
+            transform = getattr(PeriodicGrid, name)
+
+            def counted(self, *args, transform=transform, **kwargs):
+                calls.append(1)
+                return transform(self, *args, **kwargs)
+
+            monkeypatch.setattr(PeriodicGrid, name, counted)
+        solve, in_solves = models.invert_frakT, []
+
+        def marked(*args, **kwargs):
+            before = len(calls)
+            result = solve(*args, **kwargs)
+            in_solves.append(len(calls) - before)
+            return result
+
+        monkeypatch.setattr(models, "invert_frakT", marked)
+        (stepper, _), _, y = self._steppers("gn_v_1d_flat", "rk4", 0.02, 0.02)
+        calls.clear()
+        stepper.advance(y, 1, 0.0, 0.02, 0.02)
+        assert len(in_solves) == 4
+        assert len(calls) - sum(in_solves) == 42
 
 
 class TestShallowWaterReference:
@@ -671,9 +813,9 @@ class TestFailureModes:
         plain = timeloop.rhs_gn_v_mollified
 
         def poisoned(*args):
-            dz, dv = plain(*args)
-            dv[0, 3] = np.nan
-            return dz, dv
+            k = plain(*args)
+            k[1, 3] = np.nan  # the velocity's first component
+            return k
 
         monkeypatch.setattr(timeloop, "rhs_gn_v_mollified", poisoned)
         grid = PeriodicGrid((32,), (2 * np.pi,))

@@ -1,6 +1,7 @@
 """Tests for the verification-study module."""
 
 import csv
+import dataclasses
 import io
 import math
 import warnings
@@ -78,6 +79,24 @@ class TestResidualReport:
         """Residual growth is rejected."""
         rep = verify.ResidualReport.from_residuals("x", (16, 32), (1e-3, 1e-2))
         assert not rep.passed
+
+    def test_ordered_ladder_is_judged_by_its_order(self):
+        """A ladder of a given order (a dt study) passes when it falls at
+        that order, less half an order, although its factors do not grow;
+        too low a rate, a rise or a repeated residual fails it above the
+        floor, and the floor passes it."""
+        third = (6.0e-6, 7.5e-7, 9.375e-8)  # factors of 8: rate 3
+        for order, passed in ((3, True), (4, False)):
+            rep = verify.ResidualReport.from_residuals("dt", (10, 20, 40), third, order)
+            assert rep.decay_rate == pytest.approx(3.0)
+            assert rep.passed is passed
+        assert not verify.ResidualReport.from_residuals("x", (10, 20, 40), third).passed
+        slow = (6.0e-6, 6.0e-6 / 7.0, 6.0e-6 / 49.0)  # rate 2.81: within the slack
+        assert verify.ResidualReport.from_residuals("dt", (10, 20, 40), slow, 3).passed
+        for bad in ((1e-6, 1e-7, 2e-7), (1e-6, 1e-6), (1e-5, 1e-6, 1e-6)):
+            rep = verify.ResidualReport.from_residuals("dt", (10, 20, 40)[: len(bad)], bad, 3)
+            assert not rep.passed
+        assert verify.ResidualReport.from_residuals("dt", (10, 20), (1e-8, 1e-9), 4).passed
 
     def test_text_rendering(self):
         """Text output carries the verdict and one line per rung."""
@@ -455,6 +474,28 @@ class TestConvergence:
         assert all(11.2 <= r <= 20.8 for r in ratios)
         assert rep.decay_rate == pytest.approx(4.0, abs=1.0)
 
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_third_order_in_dt_for_ssp_rk3(self):
+        """SSP-RK3 passes the dt study at its own order: its factors near 8
+        do not make the super-algebraic decay of a spectral ladder."""
+        problem = gaussian_problem(width=8.0)
+        problem = dataclasses.replace(
+            problem, integration=dataclasses.replace(problem.integration, scheme="rk3_ssp")
+        )
+        rep = verify.dt_convergence(problem, [0.08, 0.04, 0.02])
+        assert rep.passed
+        assert rep.decay_rate == pytest.approx(3.0, abs=0.5)
+
+    def test_repeated_rungs_refused_before_any_run(self, monkeypatch):
+        """A study that repeats a dt or a resolution is refused before it
+        runs anything: the repeated rung would run twice."""
+        monkeypatch.setattr(verify, "run", None)  # nothing may run
+        problem = gaussian_problem()
+        with pytest.raises(ValidationError, match="dt values must be distinct, got 0.1 0.1"):
+            verify.dt_convergence(problem, [0.1, 0.1])
+        with pytest.raises(ValidationError, match="resolutions must be distinct, got 16 16 32"):
+            verify.resolution_convergence(problem, [16, 16, 32])
+
     def test_spectral_in_resolution(self):
         """Doubling the resolution cuts the error by far more than 100×."""
         rep = verify.resolution_convergence(
@@ -528,7 +569,8 @@ class TestTravelingWaveOracle:
         _, _, c = solitary_wave_profile(np.zeros(1), 0.2, params)
         cfg = EllipticSolveConfig(rel_tolerance=1e-13)
         depth = make_depth(params, state.zeta.data, flat_bath(g))
-        dz, du = rhs_gn_u(state.zeta.data, state.vel.data, params, depth, cfg)
+        k = rhs_gn_u(state.zeta.data, state.vel.data, params, depth, cfg)
+        dz, du = k[0], k[1:]
         adv_z = -c * g.gradient(state.zeta.data)[0]
         adv_u = -c * g.gradient(state.vel.data[0])
         assert g.norm_l2(dz - adv_z) / g.norm_l2(adv_z) < 1e-6
@@ -542,7 +584,8 @@ class TestTravelingWaveOracle:
         _, _, c = solitary_wave_profile(np.zeros(1), 0.2, params)
         cfg = EllipticSolveConfig(rel_tolerance=1e-13)
         depth = make_depth(params, state.zeta.data, flat_bath(g))
-        dz, dv = rhs_gn_v(state.zeta.data, state.vel.data, params, depth, cfg)
+        k = rhs_gn_v(state.zeta.data, state.vel.data, params, depth, cfg)
+        dz, dv = k[0], k[1:]
         adv_z = -c * g.gradient(state.zeta.data)[0]
         adv_v = -c * g.gradient(state.vel.data[0])
         assert g.norm_l2(dz - adv_z) / g.norm_l2(adv_z) < 1e-6
